@@ -1,7 +1,8 @@
 """The three fields behind the spectral problem: mu, sigma*, and the weight a.
 
-Everything the discrete operator needs is computed by quadrature on the dual
-direction circle.  This script shows the Riemannian reductions (mu = sqrt(det
+The discrete operator takes them from a closed form; this script computes
+them by quadrature on the dual direction circle, the oracle route the closed
+form is checked against.  It shows the Riemannian reductions (mu = sqrt(det
 g), sigma* = g^{-1}, a = 1), the Randers volume identity (drift never changes
 the volume), the closed-form symbol of the drifted torus, and the averaged
 Binet-Legendre metric with its bi-Lipschitz bounds.

@@ -1,7 +1,7 @@
 """Spectral geometry of the Finsler Laplacian on flat 2-tori.
 
-Metric families (Riemannian, Randers, conformal), fiber-circle quadrature for
-the Holmes-Thompson volume / symbol / weight fields, a flux-form weighted
+Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
+/ weight fields checked by fiber-circle quadrature, a flux-form weighted
 Laplacian with generalized eigensolvers, and config-driven experiments.
 """
 

@@ -45,12 +45,6 @@ from .solver import assemble, solve, fourier_oracle, convergence_study
 # double-precision rounding and the fiber integrand can no longer be resolved.
 ETA_CAP = 1.0 - 1e-9
 
-# Fiber node caps for the adaptive doubling rule.  Constant-coefficient metrics
-# are integrated at a single point, so a near-degenerate drift (whose integrand
-# sharpens like 1/sqrt(1 - eta^2)) can afford a far larger rule.
-_NODE_CAP_FIELD = 4096
-_NODE_CAP_CONSTANT = 1 << 17
-
 _DEFAULT_TOLERANCES = {
     "tol_spectral": 1e-2,    # discretization-limited comparisons
     "tol_pointwise": 1e-8,   # quadrature-limited field identities
@@ -533,26 +527,23 @@ def _verdicts_convergence(rows):
 # Runners
 # ---------------------------------------------------------------------------
 
-def _quad_for(cfg, spec, default_nodes=256):
-    from .metrics import is_constant_coefficient
-
+def _quad_for(cfg):
+    """fiber_nodes = auto: None (the closed form); an integer: that trapezoid rule."""
     nodes = cfg.get("fiber_nodes", "auto")
-    if nodes == "auto":
-        cap = (_NODE_CAP_CONSTANT if is_constant_coefficient(spec)
-               else _NODE_CAP_FIELD)
-        return resolve_fiber_nodes(spec, start=default_nodes, cap=cap)
-    return FiberQuadrature.trapezoid(int(nodes))
+    return None if nodes == "auto" else FiberQuadrature.trapezoid(int(nodes))
+
+
+def _nodes_label(quad):
+    return "closed-form" if quad is None else quad.size
 
 
 def _stiffness_condition_estimate(problem):
-    gersh = np.abs(problem.K).sum(axis=1).A1 if hasattr(np.abs(problem.K).sum(axis=1), "A1") \
-        else np.asarray(np.abs(problem.K).sum(axis=1)).ravel()
+    gersh = np.asarray(abs(problem.K).sum(axis=1)).ravel()
     lam_max = float((gersh / problem.M.diagonal()).max())
     return lam_max / max(problem.lambda_scale, 1e-300)
 
 
 def run_torus_large_eigenvalue(cfg):
-    t_start = time.time()
     h_list = [float(h) for h in cfg.get_list("h", [2.0])]
     if any(h < 1.0 for h in h_list):
         raise ConfigError("stretch values must satisfy h >= 1")
@@ -566,8 +557,9 @@ def run_torus_large_eigenvalue(cfg):
     tol_spectral = cfg.tolerance("tol_spectral")
     tol_pointwise = cfg.tolerance("tol_pointwise")
 
+    quad = _quad_for(cfg)
     rows = []
-    solver_info = {}
+    solver_info = {"fiber_nodes": _nodes_label(quad)}
 
     def run_case(h, eta, requested, grid_n, row_type):
         r = 1.0 / h
@@ -575,7 +567,6 @@ def run_torus_large_eigenvalue(cfg):
             spec = RandersMetric.axis_drift_torus(h, eta)
         else:
             spec = RiemannianMetric.stretched(h)
-        quad = _quad_for(cfg, spec)
         grid = TorusGrid.square(grid_n)
         field = SymbolField.compute(spec, grid, quad)
         problem = assemble(field)
@@ -583,14 +574,13 @@ def run_torus_large_eigenvalue(cfg):
         A, B = randers_axis_symbol(h, r, eta)
         lam1 = float(spectrum.values[1])
         vol = field.total_volume()
-        solver_info.setdefault("fiber_nodes", quad.size)
         solver_info["max_residual"] = max(solver_info.get("max_residual", 0.0),
                                           float(spectrum.residuals.max()))
         rows.append({
             "row_type": row_type,
             "config_hash": cfg.config_hash,
             "h": h, "r": r, "eta": eta, "requested_eta": str(requested),
-            "grid": grid_n, "fiber_nodes": quad.size,
+            "grid": grid_n, "fiber_nodes": _nodes_label(quad),
             "A": A, "B": B,
             "lambda1": lam1,
             "lambda1_closed": 4.0 * np.pi**2 * min(A, B),
@@ -616,12 +606,7 @@ def run_torus_large_eigenvalue(cfg):
             else:
                 eta = min(float(item), ETA_CAP)
             run_case(h, eta, item, n, "sweep")
-
-    verdicts = verdicts_from_rows(cfg.kind, rows)
-    return Report(kind=cfg.kind, config_hash=cfg.config_hash,
-                  echo=_flatten(cfg.params), rows=rows, verdicts=verdicts,
-                  timings={"total_seconds": time.time() - t_start},
-                  solver_info=solver_info)
+    return rows, solver_info
 
 
 def _pencil_extremes(sig_f, sig_0):
@@ -636,7 +621,6 @@ def _pencil_extremes(sig_f, sig_0):
 
 
 def run_bilipschitz_check(cfg):
-    t_start = time.time()
     metric_block = cfg.get("metric")
     if metric_block is None:
         raise ConfigError("bilipschitz-check needs a metric.* block")
@@ -652,7 +636,7 @@ def run_bilipschitz_check(cfg):
     expect_ratio = cfg.get("expect_ratio")
 
     grid = TorusGrid.square(n)
-    quad = _quad_for(cfg, spec)
+    quad = _quad_for(cfg)
     field_f = SymbolField.compute(spec, grid, quad)
     field_0 = SymbolField.compute(ref, grid, quad)
 
@@ -669,7 +653,7 @@ def run_bilipschitz_check(cfg):
     rows = [{
         "row_type": "pair-summary",
         "config_hash": cfg.config_hash,
-        "grid": n, "fiber_nodes": quad.size, "k": k,
+        "grid": n, "fiber_nodes": _nodes_label(quad), "k": k,
         "C_lower": c_lo, "C_upper": c_hi,
         "S": S, "S_prime": S_prime,
         "mu_ratio_spread": spread,
@@ -689,13 +673,9 @@ def run_bilipschitz_check(cfg):
             "expect_ratio": float(expect_ratio) if expect_ratio is not None else "",
             "tol_scaling": tol_scaling,
         })
-    verdicts = verdicts_from_rows(cfg.kind, rows)
-    return Report(kind=cfg.kind, config_hash=cfg.config_hash,
-                  echo=_flatten(cfg.params), rows=rows, verdicts=verdicts,
-                  timings={"total_seconds": time.time() - t_start},
-                  solver_info={"fiber_nodes": quad.size,
-                               "max_residual": float(max(spec_f.residuals.max(),
-                                                         spec_0.residuals.max()))})
+    return rows, {"fiber_nodes": _nodes_label(quad),
+                  "max_residual": float(max(spec_f.residuals.max(),
+                                            spec_0.residuals.max()))}
 
 
 _ENERGY_TRIALS = {
@@ -711,7 +691,6 @@ _ENERGY_TRIALS = {
 
 
 def run_randers_identities(cfg):
-    t_start = time.time()
     metric_block = cfg.get("metric")
     if metric_block is None:
         raise ConfigError("randers-identities needs a metric.* block")
@@ -767,15 +746,10 @@ def run_randers_identities(cfg):
             "rel_diff": abs(e_sym - e_dir) / max(abs(e_dir), 1e-300),
             "tol_energy": tol_energy,
         })
-    verdicts = verdicts_from_rows(cfg.kind, rows)
-    return Report(kind=cfg.kind, config_hash=cfg.config_hash,
-                  echo=_flatten(cfg.params), rows=rows, verdicts=verdicts,
-                  timings={"total_seconds": time.time() - t_start},
-                  solver_info={"fiber_nodes": nodes})
+    return rows, {"fiber_nodes": nodes}
 
 
 def run_conformal_check(cfg):
-    t_start = time.time()
     metric_block = cfg.get("metric")
     if metric_block is None:
         raise ConfigError("conformal-check needs a metric.* block (the base)")
@@ -789,11 +763,12 @@ def run_conformal_check(cfg):
     tol_scaling = cfg.tolerance("tol_scaling")
 
     grid = TorusGrid.square(n)
-    quad = _quad_for(cfg, spec)
+    quad = _quad_for(cfg)
+    oracle = resolve_fiber_nodes(spec) if quad is None else quad
     x, y = grid.mesh()
     field_base = SymbolField.compute(base, grid, quad)
-    sigma_scratch = symbol_matrix(spec, x, y, quad)
-    mu_scratch = volume_density(spec, x, y, quad)
+    sigma_scratch = symbol_matrix(spec, x, y, oracle)
+    mu_scratch = volume_density(spec, x, y, oracle)
     f_values = f_field(x, y)
     sigma_trans, mu_trans = conformal_transform(field_base.sigma_star,
                                                 field_base.mu, f_values)
@@ -806,7 +781,7 @@ def run_conformal_check(cfg):
     rows = [{
         "row_type": "field",
         "config_hash": cfg.config_hash,
-        "grid": n, "fiber_nodes": quad.size,
+        "grid": n, "fiber_nodes": oracle.size,
         "max_sigma_rel_diff": sigma_err,
         "max_mu_rel_diff": mu_err,
         "max_mu_ratio_err": ratio_err,
@@ -831,25 +806,20 @@ def run_conformal_check(cfg):
                 "scaling_err": abs(lc * scale - lb) / lb,
                 "tol_scaling": tol_scaling,
             })
-    verdicts = verdicts_from_rows(cfg.kind, rows)
-    return Report(kind=cfg.kind, config_hash=cfg.config_hash,
-                  echo=_flatten(cfg.params), rows=rows, verdicts=verdicts,
-                  timings={"total_seconds": time.time() - t_start},
-                  solver_info={"fiber_nodes": quad.size})
+    return rows, {"fiber_nodes": oracle.size}
 
 
 def run_convergence(cfg):
-    t_start = time.time()
     metric_block = cfg.get("metric")
     if metric_block is None:
         raise ConfigError("convergence needs a metric.* block")
     spec = build_metric(metric_block)
     grids = [int(g) for g in cfg.get_list("grids", [16, 32, 64])]
     k = int(cfg.get("k", 1))
-    nodes = cfg.get("fiber_nodes", 256)
-    nodes = 256 if nodes == "auto" else int(nodes)
+    quad = _quad_for(cfg)
 
-    study = convergence_study(spec, grids, k=k, fiber_nodes=nodes)
+    study = convergence_study(spec, grids, k=k,
+                              fiber_nodes=None if quad is None else quad.size)
     rows = []
     prev_lambda1 = None
     for entry in study:
@@ -867,11 +837,7 @@ def run_convergence(cfg):
         }
         prev_lambda1 = lam1
         rows.append(row)
-    verdicts = verdicts_from_rows(cfg.kind, rows)
-    return Report(kind=cfg.kind, config_hash=cfg.config_hash,
-                  echo=_flatten(cfg.params), rows=rows, verdicts=verdicts,
-                  timings={"total_seconds": time.time() - t_start},
-                  solver_info={"fiber_nodes": nodes})
+    return rows, {"fiber_nodes": _nodes_label(quad)}
 
 
 RUNNERS = {
@@ -884,7 +850,14 @@ RUNNERS = {
 
 
 def run_experiment(cfg, out_dir=None, plots=False):
-    report = RUNNERS[cfg.kind](cfg)
+    """Run one config; its runner returns the rows and solver_info of the Report."""
+    t_start = time.time()
+    rows, solver_info = RUNNERS[cfg.kind](cfg)
+    report = Report(kind=cfg.kind, config_hash=cfg.config_hash,
+                    echo=_flatten(cfg.params), rows=rows,
+                    verdicts=verdicts_from_rows(cfg.kind, rows),
+                    timings={"total_seconds": time.time() - t_start},
+                    solver_info=solver_info)
     if out_dir is not None:
         report.write(out_dir, plots=plots)
     return report

@@ -1,24 +1,29 @@
-"""Fiber-circle quadrature: volume density, symbol, weight, and averaged metrics.
+"""Symbol fields: the closed form, and fiber-circle quadrature as its oracle.
 
-All fiber integrals are evaluated on the dual direction circle.  Writing
-p_hat(phi) = (cos phi, sin phi) for the Euclidean-unit covector in direction
-phi, the three per-point fields entering the spectral problem are
+For every supported metric F = exp(f) (sqrt(g) + rho) (rho = 0: Riemannian;
+f = 0: pure Randers; nested conformal exponents add up) the per-point fields
+of the spectral problem are, with b = g^-1 rho and s = sqrt(1 - |rho|_{g*}^2),
+
+    mu(x)        = e^{2f} sqrt(det g)
+    sigma*(x)    = e^{-2f} [ 2/(1+s) g^-1 + 2/(s (1+s)^2) b b' ]
+    a(x)         = mu(x) sqrt(det sigma*(x))
+
+The generic route, which the closed form is checked against, integrates on
+the dual direction circle.  Writing p_hat(phi) = (cos phi, sin phi) for the
+Euclidean-unit covector in direction phi,
 
     mu(x)        = (1/2pi) Int  F*(x, p_hat)^(-2) dphi
     sigma*[p,p]  = (1/(pi mu(x))) Int  F*(x, p_hat)^(-2) (p . v(phi))^2 dphi
-    a(x)         = mu(x) sqrt(det sigma*(x))
 
 where v(phi) = grad_p F*(x, p_hat(phi)) is the forward-unit vector whose
 Legendre image points in direction phi.  The measure F*^(-2) dphi is the
 push-forward of the canonical fiber angle measure to the dual circle, so mu
 is the density of the Holmes-Thompson volume against dx dy and the fiber
-density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.  Both mu
-and sigma* reduce to sqrt(det g) and g^(-1) when the metric is Riemannian.
+density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 
-Integrands are smooth and periodic, so the equal-weight trapezoid rule
-converges geometrically in the node count; near-degenerate Randers drifts
-(|rho| -> 1) sharpen the integrand and are handled by the adaptive doubling
-in ``resolve_fiber_nodes``.
+The integrands are smooth and periodic, so the trapezoid rule converges
+geometrically; drifts near |rho| = 1 sharpen them, which the adaptive
+doubling in ``resolve_fiber_nodes`` absorbs.
 """
 
 from __future__ import annotations
@@ -29,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid
-from .metrics import IllPosedMetricError, base_metric
+from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
+                      RiemannianMetric, base_metric)
 
 _TWO_PI = 2.0 * np.pi
+
+# Grid nodes per block of a grid-wide fiber rule; bounds the fiber temporaries.
+_CHUNK = 8192
 
 # F* below this on any fiber node means the metric degenerated numerically.
 _DUAL_FLOOR = 1e-8
@@ -237,23 +246,55 @@ def binet_legendre(spec, x, y, quad, radial_nodes=4):
 # ---------------------------------------------------------------------------
 
 def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
-    """Double the trapezoid node count until mu stabilizes below tol.
+    """Double the trapezoid node count until mu and sigma* both stabilize.
 
-    Probes an evenly spaced probe x probe point set; returns the accepted
-    quadrature (the first whose doubling changed mu by less than tol).
+    On an evenly spaced probe x probe point set, returns the first rule whose
+    doubling changed mu by less than tol and sigma* by less than tol times its
+    largest entry at each point; returns the cap if none does.
     """
     t = np.arange(probe) / probe
-    xs = t[:, None]
-    ys = t[None, :]
+    xs, ys = t[:, None], t[None, :]
+
+    def fields(n):
+        quad = FiberQuadrature.trapezoid(n)
+        mu = volume_density(spec, xs, ys, quad)
+        return quad, mu, symbol_matrix(spec, xs, ys, quad, mu=mu)
+
     n = max(int(start), 16)
-    mu_prev = volume_density(spec, xs, ys, FiberQuadrature.trapezoid(n))
+    _, mu_prev, sig_prev = fields(n)
     while n < cap:
         n *= 2
-        mu_next = volume_density(spec, xs, ys, FiberQuadrature.trapezoid(n))
-        if float(np.abs(mu_next - mu_prev).max()) < tol:
-            return FiberQuadrature.trapezoid(n)
-        mu_prev = mu_next
+        quad, mu, sig = fields(n)
+        sig_change = (np.abs(sig - sig_prev).max(axis=(-2, -1))
+                      / np.abs(sig).max(axis=(-2, -1)))
+        if max(np.abs(mu - mu_prev).max(), sig_change.max()) < tol:
+            return quad
+        mu_prev, sig_prev = mu, sig
     return FiberQuadrature.trapezoid(cap)
+
+
+def _closed_form_symbol(spec, x, y):
+    """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring)."""
+    f = 0.0
+    while isinstance(spec, ConformalMetric):
+        f = f + spec.exponent(x, y)
+        spec = spec.base
+    rho = spec.drift(x, y) if isinstance(spec, RandersMetric) else np.zeros(2)
+    base = base_metric(spec)
+    if not isinstance(base, RiemannianMetric):
+        raise TypeError(f"no closed-form symbol for {type(spec).__name__}; "
+                        "pass a FiberQuadrature to integrate it on the fiber")
+    gi = base.inverse_matrix(x, y)
+    b = np.einsum("...ij,...j->...i", gi, rho)
+    slack = 1.0 - np.einsum("...i,...i->...", rho, b)
+    if np.any(slack <= 0.0):
+        raise IllPosedMetricError("Randers drift reaches |rho|_{g*} >= 1 at a "
+                                  "grid node; the metric is not admissible there")
+    s = np.sqrt(slack)[..., None, None]
+    sigma = (2.0 / (1.0 + s) * gi
+             + 2.0 / (s * (1.0 + s) ** 2) * (b[..., :, None] * b[..., None, :]))
+    mu = np.sqrt(np.linalg.det(base.matrix(x, y)))
+    return conformal_transform(sigma, mu, f)
 
 
 @dataclass
@@ -264,39 +305,30 @@ class SymbolField:
     sigma_star: np.ndarray  # (nx, ny, 2, 2)
     mu: np.ndarray          # (nx, ny)
     a: np.ndarray           # (nx, ny)
-    fiber_nodes: int
+    fiber_nodes: int        # 0 for the closed form
 
     @classmethod
-    def compute(cls, spec, grid, quad=None, chunk=8192):
-        """Evaluate mu, sigma*, a at every grid node (chunked, vectorized).
+    def compute(cls, spec, grid, quad=None):
+        """Evaluate mu, sigma*, a at every grid node.
 
-        Constant-coefficient metrics are evaluated at a single point and
-        broadcast, which makes very large fiber rules affordable for them.
+        With no rule: the closed form (module docstring), which raises
+        IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
+        outside the three families.  With a FiberQuadrature: the trapezoid
+        oracle, in blocks of grid rows holding about _CHUNK nodes.
         """
-        from .metrics import is_constant_coefficient
-
+        x, y = grid.mesh()
         if quad is None:
-            quad = resolve_fiber_nodes(spec)
-        shape = (grid.nx, grid.ny)
-        if is_constant_coefficient(spec):
-            mu0 = volume_density(spec, 0.0, 0.0, quad)
-            sig0 = symbol_matrix(spec, 0.0, 0.0, quad, mu=mu0)
-            mu = np.full(shape, float(mu0))
-            sig = np.broadcast_to(sig0, shape + (2, 2)).copy()
+            sig, mu = _closed_form_symbol(spec, x, y)
         else:
-            xs, ys = grid.flat_mesh()
-            n = xs.size
-            mu = np.empty(n)
-            sig = np.empty((n, 2, 2))
-            for lo in range(0, n, int(chunk)):
-                hi = min(lo + int(chunk), n)
-                mu[lo:hi] = volume_density(spec, xs[lo:hi], ys[lo:hi], quad)
-                sig[lo:hi] = symbol_matrix(spec, xs[lo:hi], ys[lo:hi], quad,
-                                           mu=mu[lo:hi])
-            mu = mu.reshape(shape)
-            sig = sig.reshape(shape + (2, 2))
+            mu = np.empty((grid.nx, grid.ny))
+            sig = np.empty((grid.nx, grid.ny, 2, 2))
+            step = max(1, _CHUNK // grid.ny)
+            for lo in range(0, grid.nx, step):
+                rows = slice(lo, lo + step)
+                mu[rows] = volume_density(spec, x[rows], y, quad)
+                sig[rows] = symbol_matrix(spec, x[rows], y, quad, mu=mu[rows])
         return cls(grid=grid, sigma_star=sig, mu=mu, a=weight(sig, mu),
-                   fiber_nodes=quad.size)
+                   fiber_nodes=0 if quad is None else quad.size)
 
     def sigma_min_eigenvalues(self):
         s = self.sigma_star

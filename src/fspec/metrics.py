@@ -273,22 +273,6 @@ def base_metric(spec):
     return spec
 
 
-def is_constant_coefficient(spec):
-    """True when every defining scalar field of the metric is constant."""
-    if isinstance(spec, RiemannianMetric):
-        fields = (spec.g11, spec.g12, spec.g22)
-    elif isinstance(spec, RandersMetric):
-        return (is_constant_coefficient(spec.base)
-                and spec.rho_x.constant_value() is not None
-                and spec.rho_y.constant_value() is not None)
-    elif isinstance(spec, ConformalMetric):
-        return (is_constant_coefficient(spec.base)
-                and spec.exponent.constant_value() is not None)
-    else:
-        return False
-    return all(f.constant_value() is not None for f in fields)
-
-
 # ---------------------------------------------------------------------------
 # Sampling-based operations and oracles
 # ---------------------------------------------------------------------------

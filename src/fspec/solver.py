@@ -109,14 +109,8 @@ class SpectralProblem:
         return self.K.shape[0]
 
 
-def assemble(field, grid=None):
-    """Build the flux-form stiffness and diagonal mass operators from a SymbolField.
-
-    Edge coefficients are arithmetic means of the adjacent nodes' mu * sigma*;
-    the mixed sigma*_12 term uses centered cross-differences, keeping K exactly
-    symmetric.  Raises SolverError if symmetry is lost.
-    """
-    grid = field.grid if grid is None else grid
+def _stiffness(field, grid):
+    """Flux-form K from edge means of mu sigma* and centered cross-differences."""
     cell = grid.cell_area
     D = field.mu[..., None, None] * field.sigma_star
     d11 = D[..., 0, 0]
@@ -139,13 +133,27 @@ def assemble(field, grid=None):
     if np.any(w12 != 0.0):
         cross = Gx.T @ sparse.diags(w12) @ Gy
         K = K + cross + cross.T
-    K = (0.5 * (K + K.T)).tocsr()
+    K = K.tocsr()
     K.eliminate_zeros()
+    return K
 
-    asym = sparse.linalg.norm(K - K.T) if K.nnz else 0.0
+
+def assemble(field, grid=None):
+    """Build the flux-form stiffness and diagonal mass operators from a SymbolField.
+
+    K is symmetric with the constants in its kernel by construction; both are
+    checked on K as built, raising SolverError if either fails.
+    """
+    grid = field.grid if grid is None else grid
+    cell = grid.cell_area
+    K = _stiffness(field, grid)
     scale = float(np.abs(K.data).max()) if K.nnz else 1.0
+    asym = float(abs(K - K.T).max())
     if asym > 1e-12 * scale:
-        raise SolverError(f"stiffness assembly lost symmetry: |K - K'| = {asym:.3e}")
+        raise SolverError(f"stiffness assembly lost symmetry: max |K - K'| = {asym:.3e}")
+    row_sum = float(np.abs(K @ np.ones(K.shape[0])).max())
+    if row_sum > 1e-12 * scale:
+        raise SolverError(f"stiffness rows do not sum to zero: max |K 1| = {row_sum:.3e}")
 
     M = sparse.diags(field.mu.ravel() * cell)
     lambda_scale = 4.0 * np.pi**2 * float(field.sigma_min_eigenvalues().min())
@@ -251,8 +259,10 @@ def prolong(values, fine_grid):
     return Field.from_grid(np.asarray(values, dtype=float))(x, y)
 
 
-def convergence_study(spec, grid_sizes, k=1, fiber_nodes=256, reference="auto"):
+def convergence_study(spec, grid_sizes, k=1, fiber_nodes=None, reference="auto"):
     """Solve on a ladder of grids and report lambda errors and observed orders.
+
+    fiber_nodes: None for the closed-form symbol field, or a trapezoid node count.
 
     reference: 'auto' uses the Fourier oracle when the symbol field is constant
     and diagonal, else the finest grid; or pass explicit (A, B).
@@ -263,7 +273,7 @@ def convergence_study(spec, grid_sizes, k=1, fiber_nodes=256, reference="auto"):
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 3:
         raise ValueError("a convergence study needs at least 3 grid sizes")
-    quad = FiberQuadrature.trapezoid(fiber_nodes)
+    quad = None if fiber_nodes is None else FiberQuadrature.trapezoid(fiber_nodes)
 
     runs = []
     for n in sizes:

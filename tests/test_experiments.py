@@ -186,6 +186,11 @@ class TestRunners:
             assert verdict.name and verdict.criterion and verdict.detail
         assert report.passed
 
+    def test_auto_fiber_nodes_is_closed_form(self):
+        report = run_experiment(ExperimentConfig.from_text(TORUS_CFG))
+        assert {row["fiber_nodes"] for row in report.rows} == {"closed-form"}
+        assert report.solver_info["fiber_nodes"] == "closed-form"
+
     def test_rows_carry_config_hash(self):
         cfg = ExperimentConfig.from_text(BILIPSCHITZ_CFG)
         report = run_experiment(cfg)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
@@ -321,6 +322,91 @@ class TestSymbolField:
         spec = RandersMetric.axis_drift_torus(2.0, 1.0 - 1e-6)
         q = resolve_fiber_nodes(spec, start=32, cap=128, tol=1e-300)
         assert q.size == 128
+
+    def test_resolve_fiber_nodes_watches_sigma(self):
+        # near eta = 1 mu settles at 512 nodes while sigma*_11 is still off
+        # by 2e-4; the accepted rule must resolve sigma* as well
+        h, eta = 2.0, 0.99999
+        spec = RandersMetric.axis_drift_torus(h, eta)
+        sig = symbol_matrix(spec, 0.0, 0.0, resolve_fiber_nodes(spec))
+        np.testing.assert_allclose([sig[0, 0], sig[1, 1]],
+                                   randers_axis_symbol(h, 1.0 / h, eta), rtol=1e-8)
+
+
+ORACLE = FiberQuadrature.trapezoid(4096)
+
+
+@st.composite
+def admissible_metrics(draw):
+    """Constant SPD g with g12 != 0, optionally a y-varying drift with both
+    components and |rho|_{g*} <= 0.99, wrapped in zero to two conformal factors."""
+    angle = draw(st.floats(0.1, 1.4))
+    low = draw(st.floats(0.3, 3.0))
+    eigs = np.array([low, low * draw(st.floats(1.5, 8.0))])
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    g = rot @ np.diag(eigs) @ rot.T
+    spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
+    if draw(st.booleans()):
+        eta = draw(st.floats(0.0, 0.99))
+        phi = draw(st.floats(0.0, 2.0 * np.pi))
+        # rho = eta p(y) g^(1/2) u with 0.5 <= p <= 1 has |rho|_{g*} <= eta
+        root_g = rot @ np.diag(np.sqrt(eigs)) @ rot.T
+        rx, ry = map(float, eta * root_g @ [np.cos(phi), np.sin(phi)])
+        profile = "(0.75 + 0.25*sin(2*pi*y))"
+        spec = RandersMetric(spec, f"{rx!r}*{profile}", f"{ry!r}*{profile}")
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        spec = ConformalMetric(spec, f"{a!r}*sin(2*pi*x) + {b!r}*cos(2*pi*y)")
+    return spec
+
+
+class TestClosedFormSymbol:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(admissible_metrics())
+    def test_matches_quadrature_oracle(self, spec):
+        grid = TorusGrid.square(8)
+        field = SymbolField.compute(spec, grid)
+        x, y = grid.mesh()
+        mu = volume_density(spec, x, y, ORACLE)
+        sig = symbol_matrix(spec, x, y, ORACLE, mu=mu)
+        # cross terms are roundoff in one route and exactly 0 in the other, so
+        # sigma* is measured against its largest entry at each node
+        sig_err = (np.abs(field.sigma_star - sig).max(axis=(-2, -1))
+                   / np.abs(sig).max(axis=(-2, -1)))
+        assert float(sig_err.max()) <= 1e-12
+        np.testing.assert_allclose(field.mu, mu, rtol=1e-12)
+        np.testing.assert_allclose(field.a, weight(field.sigma_star, field.mu),
+                                   rtol=1e-14)
+        assert field.fiber_nodes == 0
+
+    def test_inadmissible_drift_raises(self):
+        spec = RandersMetric(RiemannianMetric.euclidean(), "1.2*sin(2*pi*x)", 0.0)
+        with pytest.raises(IllPosedMetricError):
+            SymbolField.compute(spec, TorusGrid.square(8))
+
+    def test_foreign_metric_needs_a_rule(self):
+        class Reversed:
+            """F(x, v) = F_base(x, -v): a metric outside the three families."""
+
+            def __init__(self, base):
+                self.base = base
+
+            def dual(self, x, y, p):
+                return self.base.dual(x, y, -np.asarray(p))
+
+            def dual_gradient(self, x, y, p):
+                return -self.base.dual_gradient(x, y, -np.asarray(p))
+
+        spec = Reversed(RandersMetric.axis_drift_torus(2.0, 0.6))
+        grid = TorusGrid.square(8)
+        with pytest.raises(TypeError):
+            SymbolField.compute(spec, grid)
+        field = SymbolField.compute(spec, grid, QUAD)
+        assert field.fiber_nodes == QUAD.size
+        np.testing.assert_allclose(
+            field.sigma_star, SymbolField.compute(spec.base, grid).sigma_star,
+            rtol=1e-12, atol=1e-15)
 
 
 class TestTwoRouteEnergy:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import fspec.solver
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
-                   SymbolField, TorusGrid, assemble, convergence_study,
-                   fourier_oracle, prolong, randers_axis_symbol, rayleigh,
-                   solve)
+                   SolverError, SymbolField, TorusGrid, assemble,
+                   convergence_study, fourier_oracle, prolong,
+                   randers_axis_symbol, rayleigh, solve)
 
 QUAD = FiberQuadrature.trapezoid(256)
 FOUR_PI2 = 4 * np.pi**2
@@ -89,6 +90,22 @@ class TestAssembly:
             scale = float(np.abs(problem.K.data).max())
             assert float(np.abs(problem.K @ ones).max()) <= 1e-12 * scale
             assert float(problem.M.diagonal().min()) > 0.0
+
+    @pytest.mark.parametrize("defect, message", [
+        ("asymmetric", "symmetry"), ("diagonal-shift", "sum to zero")])
+    def test_broken_stiffness_raises(self, monkeypatch, defect, message):
+        build = fspec.solver._stiffness
+
+        def broken(field, grid):
+            K = build(field, grid)
+            bump = 1e-6 * float(np.abs(K.data).max())
+            if defect == "asymmetric":
+                return K + sparse.csr_matrix(([bump], ([0], [1])), shape=K.shape)
+            return K + bump * sparse.identity(K.shape[0], format="csr")
+
+        monkeypatch.setattr(fspec.solver, "_stiffness", broken)
+        with pytest.raises(SolverError, match=message):
+            assemble(euclid_field(12))
 
     def test_randers_rayleigh_of_sine_y(self):
         # R(sin 2 pi y) -> 4 pi^2 B for the drifted torus
