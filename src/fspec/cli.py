@@ -23,7 +23,9 @@ def _build_parser():
     run.add_argument("--plots", action="store_true", help="emit SVG plots")
     run.add_argument("--grid", type=int, default=None, help="override grid size")
     run.add_argument("--fiber-nodes", type=int, default=None,
-                     help="override fiber quadrature node count")
+                     help="override the fiber node count of the quadrature "
+                          "oracle (conformal-check, randers-identities); the "
+                          "spectral kinds accept only 'auto'")
     run.add_argument("--k", type=int, default=None,
                      help="override eigenvalue count")
 

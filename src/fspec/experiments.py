@@ -172,17 +172,6 @@ def build_metric(d):
     raise ConfigError(f"unknown metric type {kind!r}")
 
 
-def describe_metric(spec):
-    if isinstance(spec, ConformalMetric):
-        return f"exp({spec.exponent.description}) * ({describe_metric(spec.base)})"
-    if isinstance(spec, RandersMetric):
-        return (f"randers(g=[{spec.base.g11.description}, {spec.base.g12.description}, "
-                f"{spec.base.g22.description}], rho=[{spec.rho_x.description}, "
-                f"{spec.rho_y.description}])")
-    return (f"riemannian([{spec.g11.description}, {spec.g12.description}, "
-            f"{spec.g22.description}])")
-
-
 def threshold_eta(h, r=None, margin=0.0):
     """Smallest drift ratio for which the stretched-torus symbol satisfies
     A >= 1/r^2, by bisecting s (1 + s) = 2 r^2 / h^2 on s in (0, 1].
@@ -527,14 +516,14 @@ def _verdicts_convergence(rows):
 # Runners
 # ---------------------------------------------------------------------------
 
-def _quad_for(cfg):
-    """fiber_nodes = auto: None (the closed form); an integer: that trapezoid rule."""
+def _require_closed_form(cfg):
+    """Raise ConfigError unless fiber_nodes is auto: the spectral kinds always
+    use the closed-form symbol field, which a fiber rule would only reproduce
+    with quadrature error and at a higher cost."""
     nodes = cfg.get("fiber_nodes", "auto")
-    return None if nodes == "auto" else FiberQuadrature.trapezoid(int(nodes))
-
-
-def _nodes_label(quad):
-    return "closed-form" if quad is None else quad.size
+    if nodes != "auto":
+        raise ConfigError(f"{cfg.kind} uses the closed-form symbol field; "
+                          f"fiber_nodes must be 'auto', got {nodes!r}")
 
 
 def _stiffness_condition_estimate(problem):
@@ -557,9 +546,9 @@ def run_torus_large_eigenvalue(cfg):
     tol_spectral = cfg.tolerance("tol_spectral")
     tol_pointwise = cfg.tolerance("tol_pointwise")
 
-    quad = _quad_for(cfg)
+    _require_closed_form(cfg)
     rows = []
-    solver_info = {"fiber_nodes": _nodes_label(quad)}
+    solver_info = {"fiber_nodes": "closed-form"}
 
     def run_case(h, eta, requested, grid_n, row_type):
         r = 1.0 / h
@@ -568,7 +557,7 @@ def run_torus_large_eigenvalue(cfg):
         else:
             spec = RiemannianMetric.stretched(h)
         grid = TorusGrid.square(grid_n)
-        field = SymbolField.compute(spec, grid, quad)
+        field = SymbolField.compute(spec, grid)
         problem = assemble(field)
         spectrum = solve(problem, max(k, 1), seed=seed)
         A, B = randers_axis_symbol(h, r, eta)
@@ -580,7 +569,7 @@ def run_torus_large_eigenvalue(cfg):
             "row_type": row_type,
             "config_hash": cfg.config_hash,
             "h": h, "r": r, "eta": eta, "requested_eta": str(requested),
-            "grid": grid_n, "fiber_nodes": _nodes_label(quad),
+            "grid": grid_n, "fiber_nodes": "closed-form",
             "A": A, "B": B,
             "lambda1": lam1,
             "lambda1_closed": 4.0 * np.pi**2 * min(A, B),
@@ -634,11 +623,11 @@ def run_bilipschitz_check(cfg):
     slack = cfg.tolerance("bound_slack")
     tol_scaling = cfg.tolerance("tol_scaling")
     expect_ratio = cfg.get("expect_ratio")
+    _require_closed_form(cfg)
 
     grid = TorusGrid.square(n)
-    quad = _quad_for(cfg)
-    field_f = SymbolField.compute(spec, grid, quad)
-    field_0 = SymbolField.compute(ref, grid, quad)
+    field_f = SymbolField.compute(spec, grid)
+    field_0 = SymbolField.compute(ref, grid)
 
     lo_pencil, hi_pencil = _pencil_extremes(field_f.sigma_star, field_0.sigma_star)
     mu_ratio = field_f.mu / field_0.mu
@@ -653,7 +642,7 @@ def run_bilipschitz_check(cfg):
     rows = [{
         "row_type": "pair-summary",
         "config_hash": cfg.config_hash,
-        "grid": n, "fiber_nodes": _nodes_label(quad), "k": k,
+        "grid": n, "fiber_nodes": "closed-form", "k": k,
         "C_lower": c_lo, "C_upper": c_hi,
         "S": S, "S_prime": S_prime,
         "mu_ratio_spread": spread,
@@ -673,7 +662,7 @@ def run_bilipschitz_check(cfg):
             "expect_ratio": float(expect_ratio) if expect_ratio is not None else "",
             "tol_scaling": tol_scaling,
         })
-    return rows, {"fiber_nodes": _nodes_label(quad),
+    return rows, {"fiber_nodes": "closed-form",
                   "max_residual": float(max(spec_f.residuals.max(),
                                             spec_0.residuals.max()))}
 
@@ -761,12 +750,13 @@ def run_conformal_check(cfg):
     seed = int(cfg.get("seed", 0))
     tol_pointwise = cfg.tolerance("tol_pointwise")
     tol_scaling = cfg.tolerance("tol_scaling")
+    nodes = cfg.get("fiber_nodes", "auto")
 
     grid = TorusGrid.square(n)
-    quad = _quad_for(cfg)
-    oracle = resolve_fiber_nodes(spec) if quad is None else quad
+    oracle = (resolve_fiber_nodes(spec) if nodes == "auto"
+              else FiberQuadrature.trapezoid(int(nodes)))
     x, y = grid.mesh()
-    field_base = SymbolField.compute(base, grid, quad)
+    field_base = SymbolField.compute(base, grid)
     sigma_scratch = symbol_matrix(spec, x, y, oracle)
     mu_scratch = volume_density(spec, x, y, oracle)
     f_values = f_field(x, y)
@@ -790,7 +780,7 @@ def run_conformal_check(cfg):
 
     const_f = f_field.constant_value()
     if const_f is not None:
-        field_conf = SymbolField.compute(spec, grid, quad)
+        field_conf = SymbolField.compute(spec, grid)
         spec_base = solve(assemble(field_base), k, seed=seed)
         spec_conf = solve(assemble(field_conf), k, seed=seed)
         scale = np.exp(2.0 * const_f)
@@ -816,10 +806,9 @@ def run_convergence(cfg):
     spec = build_metric(metric_block)
     grids = [int(g) for g in cfg.get_list("grids", [16, 32, 64])]
     k = int(cfg.get("k", 1))
-    quad = _quad_for(cfg)
+    _require_closed_form(cfg)
 
-    study = convergence_study(spec, grids, k=k,
-                              fiber_nodes=None if quad is None else quad.size)
+    study = convergence_study(spec, grids, k=k)
     rows = []
     prev_lambda1 = None
     for entry in study:
@@ -837,7 +826,7 @@ def run_convergence(cfg):
         }
         prev_lambda1 = lam1
         rows.append(row)
-    return rows, {"fiber_nodes": _nodes_label(quad)}
+    return rows, {"fiber_nodes": "closed-form"}
 
 
 RUNNERS = {

@@ -23,7 +23,8 @@ density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 
 The integrands are smooth and periodic, so the trapezoid rule converges
 geometrically; drifts near |rho| = 1 sharpen them, which the adaptive
-doubling in ``resolve_fiber_nodes`` absorbs.
+doubling in ``resolve_fiber_nodes`` absorbs up to its cap, past which it
+raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
 
     On an evenly spaced probe x probe point set, returns the first rule whose
     doubling changed mu by less than tol and sigma* by less than tol times its
-    largest entry at each point; returns the cap if none does.
+    largest entry at each point; raises QuadratureError if none up to the cap
+    does.
     """
     t = np.arange(probe) / probe
     xs, ys = t[:, None], t[None, :]
@@ -262,15 +264,19 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
 
     n = max(int(start), 16)
     _, mu_prev, sig_prev = fields(n)
+    change = np.inf
     while n < cap:
         n *= 2
         quad, mu, sig = fields(n)
         sig_change = (np.abs(sig - sig_prev).max(axis=(-2, -1))
                       / np.abs(sig).max(axis=(-2, -1)))
-        if max(np.abs(mu - mu_prev).max(), sig_change.max()) < tol:
+        change = max(np.abs(mu - mu_prev).max(), sig_change.max())
+        if change < tol:
             return quad
         mu_prev, sig_prev = mu, sig
-    return FiberQuadrature.trapezoid(cap)
+    raise QuadratureError(f"fiber rule did not settle by the cap of {cap} nodes: "
+                          f"the last doubling changed mu or sigma* by "
+                          f"{change:.3e} (tol {tol:g})")
 
 
 def _closed_form_symbol(spec, x, y):

@@ -116,8 +116,6 @@ class RiemannianMetric:
         q = _quad_form(self.matrix(x, y), v, v)
         return np.sqrt(np.maximum(q, 0.0))
 
-    _value_raw = value
-
     def dual(self, x, y, p):
         p = np.asarray(p, dtype=float)
         q = _quad_form(self.inverse_matrix(x, y), p, p)
@@ -165,12 +163,6 @@ class RandersMetric:
         rho[..., 1] = ry
         return rho
 
-    def drift_norm(self, x, y):
-        """|rho(x)|_{g*}, the dual norm of the drift against the base metric."""
-        rho = self.drift(x, y)
-        q = _quad_form(self.base.inverse_matrix(x, y), rho, rho)
-        return np.sqrt(np.maximum(q, 0.0))
-
     def _drift_slack(self, x, y, gi=None, rho=None):
         # w = 1 - |rho|_{g*}^2; admissible iff w > 0
         if gi is None:
@@ -185,15 +177,11 @@ class RandersMetric:
                 "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
                 "the metric is not admissible there")
 
-    def _value_raw(self, x, y, v):
-        v = np.asarray(v, dtype=float)
-        alpha = self.base.value(x, y, v)
-        return alpha + _pair(self.drift(x, y), v)
-
     def value(self, x, y, v):
         if self.check_admissible:
             self._require_admissible(self._drift_slack(x, y))
-        return self._value_raw(x, y, v)
+        v = np.asarray(v, dtype=float)
+        return self.base.value(x, y, v) + _pair(self.drift(x, y), v)
 
     def dual(self, x, y, p):
         p = np.asarray(p, dtype=float)
@@ -247,10 +235,6 @@ class ConformalMetric:
 
     def value(self, x, y, v):
         return self.scale(x, y) * self.base.value(x, y, v)
-
-    def _value_raw(self, x, y, v):
-        raw = getattr(self.base, "_value_raw", self.base.value)
-        return self.scale(x, y) * raw(x, y, v)
 
     def dual(self, x, y, p):
         return self.base.dual(x, y, p) / self.scale(x, y)
@@ -375,13 +359,12 @@ def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):
 
     Central differences with step rel_step * |v| on Euclidean-unit directions;
     accepts iff the smallest Hessian eigenvalue exceeds tol times the largest
-    at every sampled direction.  Uses the raw evaluation path so deliberately
-    inadmissible data can be diagnosed.
+    at every sampled direction.  Inadmissible Randers data can be diagnosed
+    when built with check_admissible=False.
     """
-    raw = getattr(spec, "_value_raw", spec.value)
 
     def fsq(v):
-        return raw(x, y, v) ** 2
+        return spec.value(x, y, v) ** 2
 
     v = unit_directions(samples)
     h = rel_step

@@ -15,7 +15,7 @@ oracle lambda = 4 pi^2 (A m^2 + B n^2) used to validate assembly and solver.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -102,7 +102,6 @@ class SpectralProblem:
     M: sparse.dia_matrix
     grid: TorusGrid
     lambda_scale: float
-    spectrum: Spectrum | None = dataclass_field(default=None, repr=False)
 
     @property
     def n_nodes(self):
@@ -215,9 +214,7 @@ def solve(problem, k, method="auto", restol=1e-9, seed=0):
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "
             f"(lambda_1 = {values[1]:.3e})")
 
-    spectrum = Spectrum(values=values, vectors=vectors, residuals=residuals)
-    problem.spectrum = spectrum
-    return spectrum
+    return Spectrum(values=values, vectors=vectors, residuals=residuals)
 
 
 def rayleigh(problem, f):
@@ -259,25 +256,24 @@ def prolong(values, fine_grid):
     return Field.from_grid(np.asarray(values, dtype=float))(x, y)
 
 
-def convergence_study(spec, grid_sizes, k=1, fiber_nodes=None, reference="auto"):
+def convergence_study(spec, grid_sizes, k=1, reference="auto"):
     """Solve on a ladder of grids and report lambda errors and observed orders.
 
-    fiber_nodes: None for the closed-form symbol field, or a trapezoid node count.
+    Each level uses the closed-form symbol field of spec.
 
     reference: 'auto' uses the Fourier oracle when the symbol field is constant
     and diagonal, else the finest grid; or pass explicit (A, B).
     Rows carry n, lambdas, error and order estimates for lambda_1.
     """
-    from .fiber import FiberQuadrature, SymbolField
+    from .fiber import SymbolField
 
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 3:
         raise ValueError("a convergence study needs at least 3 grid sizes")
-    quad = None if fiber_nodes is None else FiberQuadrature.trapezoid(fiber_nodes)
 
     runs = []
     for n in sizes:
-        field = SymbolField.compute(spec, TorusGrid.square(n), quad)
+        field = SymbolField.compute(spec, TorusGrid.square(n))
         spectrum = solve(assemble(field), k)
         runs.append((n, field, spectrum.values.copy()))
 

@@ -191,6 +191,17 @@ class TestRunners:
         assert {row["fiber_nodes"] for row in report.rows} == {"closed-form"}
         assert report.solver_info["fiber_nodes"] == "closed-form"
 
+    @pytest.mark.parametrize("text", [TORUS_CFG, BILIPSCHITZ_CFG, CONVERGENCE_CFG],
+                             ids=["torus-large-eigenvalue", "bilipschitz-check",
+                                  "convergence"])
+    def test_spectral_kinds_reject_integer_fiber_nodes(self, text):
+        cfg = ExperimentConfig.from_text(text)
+        cfg.override("fiber_nodes", 256)
+        with pytest.raises(ConfigError, match="fiber_nodes must be 'auto'"):
+            run_experiment(cfg)
+        cfg.override("fiber_nodes", "auto")
+        assert run_experiment(cfg).passed
+
     def test_rows_carry_config_hash(self):
         cfg = ExperimentConfig.from_text(BILIPSCHITZ_CFG)
         report = run_experiment(cfg)
@@ -204,8 +215,7 @@ class TestRunners:
     def test_sub_threshold_rows_get_no_bound_verdict(self):
         # eta = 0 fails the drift condition: no large-eigenvalue claim is made
         cfg = ExperimentConfig.from_text(
-            "kind = torus-large-eigenvalue\nh = 2\neta = 0.0\ngrid = 32\n"
-            "fiber_nodes = 256\n")
+            "kind = torus-large-eigenvalue\nh = 2\neta = 0.0\ngrid = 32\n")
         report = run_experiment(cfg)
         names = {v.name for v in report.verdicts}
         assert "lambda1-above-4pi2-over-r2" not in names
@@ -294,7 +304,7 @@ class TestCli:
 
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(BILIPSCHITZ_CFG)
+        cfg_path.write_text(CONFORMAL_CONST_CFG)
         out = tmp_path / "out"
         code = cli_main(["run", str(cfg_path), "--out", str(out),
                          "--grid", "24", "--k", "3", "--fiber-nodes", "128"])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
-                   RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
+                   QuadratureError, RandersMetric, RiemannianMetric,
+                   SymbolField, TorusGrid,
                    binet_legendre, bilipschitz_ratio, conformal_transform,
                    energy_from_symbol, quasireversibility,
                    randers_angular_closed_forms, randers_angular_integrals,
@@ -319,9 +320,14 @@ class TestSymbolField:
         assert q.size == 512  # first doubling already stabilizes mu
 
     def test_resolve_fiber_nodes_cap(self):
-        spec = RandersMetric.axis_drift_torus(2.0, 1.0 - 1e-6)
-        q = resolve_fiber_nodes(spec, start=32, cap=128, tol=1e-300)
-        assert q.size == 128
+        # an unreachable tol; then the default rule, where sigma* still moves
+        # by 2e-4 between 2048 and 4096 nodes
+        cases = [((2.0, 1.0 - 1e-6), dict(start=32, cap=128, tol=1e-300)),
+                 ((1.0, 0.99999), {})]
+        for (h, eta), kwargs in cases:
+            spec = RandersMetric.axis_drift_torus(h, eta)
+            with pytest.raises(QuadratureError, match="did not settle"):
+                resolve_fiber_nodes(spec, **kwargs)
 
     def test_resolve_fiber_nodes_watches_sigma(self):
         # near eta = 1 mu settles at 512 nodes while sigma*_11 is still off
