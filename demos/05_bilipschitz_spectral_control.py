@@ -55,8 +55,7 @@ spec = RandersMetric.axis_drift_torus(2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)")
 grid = TorusGrid.square(48)
 field = SymbolField.compute(spec, grid)
 sigma_field = SymbolField(grid=grid, sigma_star=field.sigma_star,
-                          mu=field.mu / field.a, a=np.ones_like(field.a),
-                          fiber_nodes=field.fiber_nodes)
+                          mu=field.mu / field.a, fiber_nodes=field.fiber_nodes)
 lam_f = solve(assemble(field), 8).values
 lam_s = solve(assemble(sigma_field), 8).values
 big_c = float(field.a.max() / field.a.min())

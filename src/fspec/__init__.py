@@ -2,7 +2,7 @@
 
 Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
 / weight fields checked by fiber-circle quadrature, a flux-form weighted
-Laplacian with generalized eigensolvers, and config-driven experiments.
+Laplacian with a shift-invert eigensolver, and config-driven experiments.
 """
 
 from .fields import Field, as_field, reduce_mod1
@@ -19,8 +19,8 @@ from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
                     resolve_fiber_nodes, symbol_matrix, volume_density, weight)
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
-                     convergence_study, fourier_oracle, prolong, rayleigh,
-                     solve)
+                     convergence_study, discrete_fourier_oracle,
+                     fourier_oracle, prolong, rayleigh, solve)
 from .experiments import (ConfigError, ExperimentConfig, Report, Verdict,
                           build_metric, run_experiment, threshold_eta,
                           verdicts_from_rows)
@@ -40,8 +40,8 @@ __all__ = [
     "randers_angular_closed_forms", "randers_energy_direct",
     "energy_from_symbol", "resolve_fiber_nodes",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
-    "assemble", "solve", "rayleigh", "fourier_oracle", "convergence_study",
-    "prolong",
+    "assemble", "solve", "rayleigh", "fourier_oracle",
+    "discrete_fourier_oracle", "convergence_study", "prolong",
     "ExperimentConfig", "ConfigError", "Report", "Verdict",
     "build_metric", "run_experiment", "threshold_eta", "verdicts_from_rows",
     "__version__",

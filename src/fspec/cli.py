@@ -6,7 +6,9 @@ import argparse
 import sys
 
 from .experiments import ConfigError, ExperimentConfig, run_experiment
-from .solver import fourier_oracle
+from .fiber import QuadratureError
+from .metrics import IllPosedMetricError
+from .solver import SolverError, fourier_oracle
 
 
 def _build_parser():
@@ -51,7 +53,8 @@ def main(argv=None):
         cfg.override("fiber_nodes", args.fiber_nodes)
         cfg.override("k", args.k)
         report = run_experiment(cfg, out_dir=args.out, plots=args.plots)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, IllPosedMetricError,
+            QuadratureError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -310,12 +310,11 @@ class SymbolField:
     grid: TorusGrid
     sigma_star: np.ndarray  # (nx, ny, 2, 2)
     mu: np.ndarray          # (nx, ny)
-    a: np.ndarray           # (nx, ny)
     fiber_nodes: int        # 0 for the closed form
 
     @classmethod
     def compute(cls, spec, grid, quad=None):
-        """Evaluate mu, sigma*, a at every grid node.
+        """Evaluate mu and sigma* at every grid node.
 
         With no rule: the closed form (module docstring), which raises
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
@@ -333,8 +332,13 @@ class SymbolField:
                 rows = slice(lo, lo + step)
                 mu[rows] = volume_density(spec, x[rows], y, quad)
                 sig[rows] = symbol_matrix(spec, x[rows], y, quad, mu=mu[rows])
-        return cls(grid=grid, sigma_star=sig, mu=mu, a=weight(sig, mu),
+        return cls(grid=grid, sigma_star=sig, mu=mu,
                    fiber_nodes=0 if quad is None else quad.size)
+
+    @property
+    def a(self):
+        """Weight a = mu sqrt(det sigma*) at every node (see ``weight``)."""
+        return weight(self.sigma_star, self.mu)
 
     def sigma_min_eigenvalues(self):
         s = self.sigma_star
@@ -367,16 +371,15 @@ class SymbolField:
 # Two-route energies (tangent-side oracle for Randers data)
 # ---------------------------------------------------------------------------
 
-def energy_from_symbol(field, grad_fn, grid=None):
-    """Energy Int sigma*(df, df) mu dx dy for an analytic gradient field."""
-    grid = field.grid if grid is None else grid
-    x, y = grid.mesh()
+def energy_from_symbol(field, grad_fn):
+    """Energy Int sigma*(df, df) mu dx dy of an analytic gradient field."""
+    x, y = field.grid.mesh()
     df = grad_fn(x, y)
     s = field.sigma_star
     dens = (s[..., 0, 0] * df[..., 0] ** 2
             + 2.0 * s[..., 0, 1] * df[..., 0] * df[..., 1]
             + s[..., 1, 1] * df[..., 1] ** 2) * field.mu
-    return float(dens.sum()) * grid.cell_area
+    return float(dens.sum()) * field.grid.cell_area
 
 
 def randers_energy_direct(spec, grad_fn, grid, quad):

@@ -6,10 +6,11 @@ edge-averaged fluxes, the mixed coefficient through symmetric centered
 cross-differences, so the stiffness operator K is symmetric with the
 constants exactly in its kernel and f' K f reproduces the energy quadrature
 to second order.  The mass operator is M = diag(mu dx dy) and the spectrum
-solves K u = lambda M u.
+solves K u = lambda M u by ARPACK shift-invert.
 
-Constant-coefficient problems diagonalize in Fourier modes, giving the exact
-oracle lambda = 4 pi^2 (A m^2 + B n^2) used to validate assembly and solver.
+Constant-coefficient problems diagonalize in Fourier modes: the exact
+continuous spectrum 4 pi^2 (A m^2 + B n^2) is the limit of the grid spectra,
+and the exact discrete spectrum of the stencil gates the eigensolver.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .grid import TorusGrid
 
-_DENSE_LIMIT = 48 * 48  # dense generalized solve up to this many nodes
+_RESTOL = 1e-9  # eigenpair residual bound, relative to each eigenvalue's scale
 
 
 class SolverError(RuntimeError):
@@ -137,13 +137,13 @@ def _stiffness(field, grid):
     return K
 
 
-def assemble(field, grid=None):
-    """Build the flux-form stiffness and diagonal mass operators from a SymbolField.
+def assemble(field):
+    """Build the flux-form stiffness and diagonal mass operators on field.grid.
 
     K is symmetric with the constants in its kernel by construction; both are
     checked on K as built, raising SolverError if either fails.
     """
-    grid = field.grid if grid is None else grid
+    grid = field.grid
     cell = grid.cell_area
     K = _stiffness(field, grid)
     scale = float(np.abs(K.data).max()) if K.nnz else 1.0
@@ -159,39 +159,29 @@ def assemble(field, grid=None):
     return SpectralProblem(K=K, M=M, grid=grid, lambda_scale=lambda_scale)
 
 
-def solve(problem, k, method="auto", restol=1e-9, seed=0):
+def solve(problem, k, seed=0):
     """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    method: 'dense' (direct generalized solve), 'shift-invert' (ARPACK about a
-    small negative shift), or 'auto' (dense up to 48x48 grids).  Residuals
-    ||K u - lambda M u|| / ||M u|| are checked against restol relative to each
-    eigenvalue's own scale; lambda_0 must be a numerical zero.
+    ARPACK shift-invert about a small negative shift, started from a seeded
+    random vector; needs k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u||
+    are checked against _RESTOL relative to each eigenvalue's own scale;
+    lambda_0 must be a numerical zero.  ``discrete_fourier_oracle`` gives the
+    exact eigenvalues on constant fields.
     """
     n = problem.n_nodes
-    if k + 1 > n:
-        raise ValueError(f"requested {k + 1} eigenpairs from a {n}-node problem")
-    if method == "auto":
-        method = "dense" if n <= _DENSE_LIMIT else "shift-invert"
-
-    if method == "dense":
-        Kd = problem.K.toarray()
-        Md = np.diag(problem.M.diagonal())
-        values, vectors = scipy.linalg.eigh(Kd, Md, subset_by_index=(0, k))
-    elif method == "shift-invert":
-        if k + 2 >= n:
-            raise ValueError("shift-invert needs k + 2 < n; use the dense method")
-        sigma = -0.5 * max(problem.lambda_scale, 1e-12)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        try:
-            values, vectors = spla.eigsh(problem.K.tocsc(), k=k + 1,
-                                         M=problem.M.tocsc(), sigma=sigma,
-                                         which="LM", v0=v0, tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"shift-invert iteration converged only {exc.eigenvalues.size} "
-                f"of {k + 1} pairs (shift {sigma:.3e}, n = {n})") from exc
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
+    if k + 2 >= n:
+        raise ValueError(f"requested {k + 1} eigenpairs from a {n}-node "
+                         "problem; shift-invert needs k + 2 < n")
+    sigma = -0.5 * max(problem.lambda_scale, 1e-12)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        values, vectors = spla.eigsh(problem.K.tocsc(), k=k + 1,
+                                     M=problem.M.tocsc(), sigma=sigma,
+                                     which="LM", v0=v0, tol=0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"shift-invert iteration converged only {exc.eigenvalues.size} "
+            f"of {k + 1} pairs (shift {sigma:.3e}, n = {n})") from exc
 
     order = np.argsort(values)
     values = np.asarray(values)[order]
@@ -205,10 +195,10 @@ def solve(problem, k, method="auto", restol=1e-9, seed=0):
 
     ref = float(values[1]) if k >= 1 else max(float(values[0]), 1.0)
     rel = residuals / np.maximum(np.abs(values), ref)
-    if float(rel.max()) > restol:
+    if float(rel.max()) > _RESTOL:
         raise SolverError(
             f"eigensolver residuals exceed tolerance: max rel residual "
-            f"{rel.max():.3e} > {restol:.1e} (method {method}, n = {n})")
+            f"{rel.max():.3e} > {_RESTOL:.1e} (n = {n})")
     if k >= 1 and abs(float(values[0])) > 1e-10 * float(values[1]):
         raise SolverError(
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "
@@ -248,6 +238,47 @@ def fourier_oracle(A, B, k):
         mmax *= 2
 
 
+def _constant_symbol(field):
+    """sigma* at node 0 if sigma* and mu are the same at every node to roundoff,
+    else None."""
+    sig = field.sigma_star[0, 0]
+    mu = float(field.mu[0, 0])
+    if (np.abs(field.sigma_star - sig).max() <= 1e-12 * np.abs(sig).max()
+            and np.abs(field.mu - mu).max() <= 1e-12 * mu):
+        return sig
+    return None
+
+
+def discrete_fourier_oracle(field, k):
+    """Exact first k+1 eigenvalues of assemble(field) for a constant field.
+
+    Every periodic grid mode exp(2 pi i (m x + l y)) is an eigenvector of the
+    constant flux-form stencil; with theta_x = pi m / nx, theta_y = pi l / ny
+    and the constant mu cancelling between K and M,
+
+        lambda_ml = 4 s11 sin^2(theta_x) / dx^2 + 4 s22 sin^2(theta_y) / dy^2
+                    + 2 s12 sin(2 theta_x) sin(2 theta_y) / (dx dy)
+
+    for sigma* = [[s11, s12], [s12, s22]].  Raises ValueError if sigma* or mu
+    varies over the grid.
+    """
+    sig = _constant_symbol(field)
+    if sig is None:
+        raise ValueError("the discrete Fourier oracle needs a constant "
+                         "symbol field")
+    grid = field.grid
+    if k + 1 > grid.node_count:
+        raise ValueError(f"requested {k + 1} eigenvalues from a "
+                         f"{grid.node_count}-node grid")
+    tx = np.pi * np.arange(grid.nx)[:, None] / grid.nx
+    ty = np.pi * np.arange(grid.ny)[None, :] / grid.ny
+    vals = (4.0 * sig[0, 0] * np.sin(tx) ** 2 / grid.dx ** 2
+            + 4.0 * sig[1, 1] * np.sin(ty) ** 2 / grid.dy ** 2
+            + 2.0 * sig[0, 1] * np.sin(2.0 * tx) * np.sin(2.0 * ty)
+            / (grid.dx * grid.dy))
+    return np.sort(vals.ravel())[:k + 1]
+
+
 def prolong(values, fine_grid):
     """Bilinear periodic prolongation of a coarse grid function to a fine grid."""
     from .fields import Field
@@ -256,14 +287,13 @@ def prolong(values, fine_grid):
     return Field.from_grid(np.asarray(values, dtype=float))(x, y)
 
 
-def convergence_study(spec, grid_sizes, k=1, reference="auto"):
+def convergence_study(spec, grid_sizes, k=1):
     """Solve on a ladder of grids and report lambda errors and observed orders.
 
-    Each level uses the closed-form symbol field of spec.
-
-    reference: 'auto' uses the Fourier oracle when the symbol field is constant
-    and diagonal, else the finest grid; or pass explicit (A, B).
-    Rows carry n, lambdas, error and order estimates for lambda_1.
+    Each level uses the closed-form symbol field of spec.  The reference is
+    the continuous Fourier oracle when sigma* and mu are constant on every
+    level and sigma* is diagonal, else the finest grid.  Rows carry n,
+    lambdas, the reference, and error and order estimates for lambda_1.
     """
     from .fiber import SymbolField
 
@@ -278,16 +308,9 @@ def convergence_study(spec, grid_sizes, k=1, reference="auto"):
         runs.append((n, field, spectrum.values.copy()))
 
     oracle_vals = None
-    if reference == "auto":
-        field0 = runs[0][1]
-        D = field0.mu[..., None, None] * field0.sigma_star
-        spread = np.abs(D - D.reshape(-1, 2, 2)[0]).max()
-        if spread < 1e-12 and abs(field0.sigma_star[0, 0, 0, 1]) < 1e-12:
-            oracle_vals = fourier_oracle(field0.sigma_star[0, 0, 0, 0],
-                                         field0.sigma_star[0, 0, 1, 1], k)
-    elif reference != "finest":
-        A, B = reference
-        oracle_vals = fourier_oracle(A, B, k)
+    sigs = [_constant_symbol(field) for _, field, _ in runs]
+    if all(s is not None for s in sigs) and abs(sigs[0][0, 1]) < 1e-12:
+        oracle_vals = fourier_oracle(sigs[0][0, 0], sigs[0][1, 1], k)
 
     ref_vals = oracle_vals if oracle_vals is not None else runs[-1][2]
     rows = []

@@ -147,7 +147,6 @@ class TestAcceptance:
         # Laplace-Beltrami of the symbol metric: volume density sqrt(det sigma)
         sigma_field = SymbolField(grid=grid, sigma_star=field.sigma_star,
                                   mu=field.mu / field.a,
-                                  a=np.ones_like(field.a),
                                   fiber_nodes=field.fiber_nodes)
         lam_f = solve(assemble(field), 10).values
         lam_s = solve(assemble(sigma_field), 10).values
@@ -262,7 +261,6 @@ class TestAcceptance:
                 grid=grid,
                 sigma_star=np.broadcast_to(sig, (8, 8, 2, 2)).copy(),
                 mu=np.full((8, 8), mu),
-                a=np.full((8, 8), mu * np.sqrt(np.linalg.det(sig))),
                 fiber_nodes=0)
             problem = assemble(field)
             scale = float(np.abs(problem.K.data).max())

@@ -302,6 +302,21 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, cause", [
+        ("kind = conformal-check\nmetric.type = torus\nmetric.h = 1\n"
+         "metric.eta = 0.99999\nf = 0.1*sin(2*pi*x)\ngrid = 16\n",
+         "did not settle"),
+        ("kind = bilipschitz-check\nmetric.type = randers\n"
+         "metric.rho_x = 1.2*sin(2*pi*y)\ngrid = 16\nk = 2\n",
+         "not admissible"),
+    ], ids=["quadrature-error", "ill-posed-metric"])
+    def test_numerical_error_exit_two(self, tmp_path, capsys, text, cause):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cause in err
+
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(CONFORMAL_CONST_CFG)

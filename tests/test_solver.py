@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 import fspec.solver
-from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
-                   SolverError, SymbolField, TorusGrid, assemble,
-                   convergence_study, fourier_oracle, prolong,
-                   randers_axis_symbol, rayleigh, solve)
+from fspec import (ConformalMetric, FiberQuadrature, RandersMetric,
+                   RiemannianMetric, SolverError, SymbolField, TorusGrid,
+                   assemble, convergence_study, discrete_fourier_oracle,
+                   fourier_oracle, prolong, randers_axis_symbol, rayleigh,
+                   solve)
 
 QUAD = FiberQuadrature.trapezoid(256)
 FOUR_PI2 = 4 * np.pi**2
@@ -26,7 +29,6 @@ def make_constant_field(n, sig, mu):
                        sigma_star=np.broadcast_to(np.asarray(sig, float),
                                                   shape + (2, 2)).copy(),
                        mu=np.full(shape, float(mu)),
-                       a=np.full(shape, float(mu) * np.sqrt(np.linalg.det(sig))),
                        fiber_nodes=0)
 
 
@@ -156,15 +158,17 @@ class TestSolve:
     def test_dense_and_sparse_agree(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
         field = SymbolField.compute(spec, TorusGrid.square(32), QUAD)
-        dense = solve(assemble(field), 6, method="dense")
-        sparse_s = solve(assemble(field), 6, method="shift-invert")
-        np.testing.assert_allclose(dense.values[1:], sparse_s.values[1:],
-                                   rtol=1e-9)
+        problem = assemble(field)
+        dense = scipy.linalg.eigh(problem.K.toarray(), problem.M.toarray(),
+                                  eigvals_only=True, subset_by_index=(0, 6))
+        sparse_s = solve(problem, 6)
+        np.testing.assert_allclose(dense[1:], sparse_s.values[1:], rtol=1e-9)
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
-        with pytest.raises(ValueError):
-            solve(problem, 64)
+        for k in (64, 62):  # shift-invert needs k + 2 < n = 64
+            with pytest.raises(ValueError):
+                solve(problem, k)
 
     def test_spectrum_csv(self, tmp_path):
         spectrum = solve(assemble(euclid_field(16)), 3)
@@ -253,6 +257,56 @@ class TestFourierOracle:
             fourier_oracle(0.0, 1.0, 3)
 
 
+@st.composite
+def constant_metrics(draw):
+    """Constant SPD g with g12 != 0: Riemannian, Randers with both drift
+    components and |rho|_{g*} <= 0.9, or either under a constant conformal
+    factor."""
+    angle = draw(st.floats(0.1, 1.4))
+    low = draw(st.floats(0.3, 3.0))
+    eigs = np.array([low, low * draw(st.floats(1.5, 8.0))])
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    g = rot @ np.diag(eigs) @ rot.T
+    spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
+    family = draw(st.sampled_from(["riemannian", "randers", "conformal"]))
+    if family != "riemannian":
+        eta = draw(st.floats(0.1, 0.9))
+        phi = draw(st.floats(0.2, 1.3))
+        # rho = eta g^(1/2) u has |rho|_{g*} = eta
+        root_g = rot @ np.diag(np.sqrt(eigs)) @ rot.T
+        rx, ry = map(float, eta * root_g @ [np.cos(phi), np.sin(phi)])
+        spec = RandersMetric(spec, rx, ry)
+    if family == "conformal":
+        spec = ConformalMetric(spec, repr(draw(st.floats(-0.5, 0.5))))
+    return spec
+
+
+class TestDiscreteFourierOracle:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(constant_metrics(),
+           st.sampled_from([(16, 20), (20, 12), (12, 16), (24, 24)]),
+           st.integers(1, 8))
+    def test_solver_matches_discrete_oracle(self, spec, shape, k):
+        field = SymbolField.compute(spec, TorusGrid(*shape))
+        got = solve(assemble(field), k).values
+        want = discrete_fourier_oracle(field, k)
+        assert want[0] == 0.0
+        assert abs(got[0]) <= 1e-10 * want[1]
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9)
+
+    def test_rejects_varying_field(self):
+        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
+                                              profile="0.5 + 0.4*sin(2*pi*y)")
+        drifted = SymbolField.compute(spec, TorusGrid(16, 20))
+        varying_mu = make_constant_field(16, np.eye(2), 1.0)
+        x, _ = varying_mu.grid.mesh()
+        varying_mu.mu = varying_mu.mu * (1.0 + 0.1 * np.sin(2 * np.pi * x))
+        for field in (drifted, varying_mu):
+            with pytest.raises(ValueError, match="constant"):
+                discrete_fourier_oracle(field, 4)
+
+
 class TestOracleEquivalence:
     def test_constant_coefficient_solver_matches_oracle(self):
         # second-order agreement at N = 64 for the first ten nonzero eigenvalues;
@@ -300,7 +354,7 @@ class TestWeightedLaplacianBound:
         sigma_field = SymbolField(
             grid=grid, sigma_star=field.sigma_star,
             mu=field.mu / field.a,  # = 1/sqrt(det sigma*), the sigma-metric volume
-            a=np.ones_like(field.a), fiber_nodes=field.fiber_nodes)
+            fiber_nodes=field.fiber_nodes)
         lam_f = solve(assemble(field), 10).values
         lam_s = solve(assemble(sigma_field), 10).values
         big_c = float(field.a.max() / field.a.min()) * (1 + 1e-9)
@@ -318,7 +372,7 @@ class TestScaling:
         field = SymbolField.compute(spec, TorusGrid.square(24), QUAD)
         scaled = SymbolField(grid=field.grid,
                              sigma_star=field.sigma_star / t**2,
-                             mu=field.mu * t**2, a=field.a,
+                             mu=field.mu * t**2,
                              fiber_nodes=field.fiber_nodes)
         lam = solve(assemble(field), 6).values
         lam_scaled = solve(assemble(scaled), 6).values
@@ -348,6 +402,15 @@ class TestConvergence:
         lams = [row["lambda"][1] for row in rows]
         gaps = [abs(b - a) for a, b in zip(lams, lams[1:])]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_varying_conformal_factor_is_not_oracle_referenced(self):
+        # mu sigma* is conformally invariant in 2-D, so it stays constant
+        # while the spectrum moves; the second factor vanishes at the nodes
+        # of the 16 and 32 grids and varies only on the 64 grid
+        for f in ("0.3*sin(2*pi*x)", "0.3*sin(2*pi*16*x)"):
+            spec = ConformalMetric(RiemannianMetric.stretched(2.0), f)
+            rows = convergence_study(spec, [16, 32, 64], k=1)
+            assert rows[0]["reference"] == "finest"
 
     def test_needs_three_grids(self):
         with pytest.raises(ValueError):
