@@ -32,7 +32,7 @@ A, B = randers_axis_symbol(h, 1 / h, eta)
 field = SymbolField.compute(spec, TorusGrid.square(64), quad)
 problem = assemble(field)
 got = solve(problem, 8).values
-want = fourier_oracle(A, B, 8)
+want = fourier_oracle(np.diag([A, B]), 8)
 print("   k   solver        oracle        rel gap")
 for k in range(1, 9):
     print(f"  {k:2d}   {got[k]:10.4f}   {want[k]:10.4f}   "

@@ -6,11 +6,10 @@ Laplacian with a shift-invert eigensolver, and config-driven experiments.
 """
 
 from .fields import Field, as_field, reduce_mod1
-from .metrics import (ConformalMetric, IllPosedMetricError, MetricConstants,
-                      RandersMetric, RiemannianMetric, base_metric,
-                      bilipschitz_ratio, check_strong_convexity,
-                      dual_gradient_numeric, dual_norm_sampled,
-                      legendre_numeric, metric_constants, quasireversibility,
+from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
+                      RiemannianMetric, base_metric, bilipschitz_ratio,
+                      check_strong_convexity, dual_gradient_numeric,
+                      dual_norm_sampled, legendre_numeric, quasireversibility,
                       unit_directions)
 from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
                     binet_legendre, conformal_transform, energy_from_symbol,
@@ -20,7 +19,7 @@ from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
                      convergence_study, discrete_fourier_oracle,
-                     fourier_oracle, prolong, rayleigh, solve)
+                     fourier_oracle, rayleigh, solve)
 from .experiments import (ConfigError, ExperimentConfig, Report, Verdict,
                           build_metric, run_experiment, threshold_eta,
                           verdicts_from_rows)
@@ -30,10 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "as_field", "reduce_mod1",
     "RiemannianMetric", "RandersMetric", "ConformalMetric", "base_metric",
-    "IllPosedMetricError", "MetricConstants", "metric_constants",
-    "quasireversibility", "bilipschitz_ratio", "check_strong_convexity",
-    "dual_norm_sampled", "dual_gradient_numeric", "legendre_numeric",
-    "unit_directions",
+    "IllPosedMetricError", "quasireversibility", "bilipschitz_ratio",
+    "check_strong_convexity", "dual_norm_sampled", "dual_gradient_numeric",
+    "legendre_numeric", "unit_directions",
     "FiberQuadrature", "QuadratureError", "SymbolField",
     "volume_density", "symbol_matrix", "weight", "binet_legendre",
     "conformal_transform", "randers_axis_symbol", "randers_angular_integrals",
@@ -41,7 +39,7 @@ __all__ = [
     "energy_from_symbol", "resolve_fiber_nodes",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
     "assemble", "solve", "rayleigh", "fourier_oracle",
-    "discrete_fourier_oracle", "convergence_study", "prolong",
+    "discrete_fourier_oracle", "convergence_study",
     "ExperimentConfig", "ConfigError", "Report", "Verdict",
     "build_metric", "run_experiment", "threshold_eta", "verdicts_from_rows",
     "__version__",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .experiments import ConfigError, ExperimentConfig, run_experiment
 from .fiber import QuadratureError
 from .metrics import IllPosedMetricError
@@ -43,7 +45,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
 
     if args.command == "oracle":
-        for k, lam in enumerate(fourier_oracle(args.A, args.B, args.k)):
+        try:
+            values = fourier_oracle(np.diag([args.A, args.B]), args.k)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for k, lam in enumerate(values):
             print(f"{k} {lam:.17g}")
         return 0
 

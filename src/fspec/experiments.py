@@ -35,11 +35,11 @@ from .fields import as_field
 from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     randers_angular_integrals, randers_axis_symbol,
                     randers_energy_direct, energy_from_symbol, volume_density,
-                    conformal_transform, symbol_matrix, resolve_fiber_nodes)
+                    conformal_transform, resolve_fiber_nodes)
 from .grid import TorusGrid
 from .metrics import (ConformalMetric, RandersMetric, RiemannianMetric,
                       base_metric, bilipschitz_ratio)
-from .solver import assemble, solve, fourier_oracle, convergence_study
+from .solver import assemble, solve, convergence_study
 
 # Drift ratios are capped here: beyond it the slack 1 - |rho|^2 is dominated by
 # double-precision rounding and the fiber integrand can no longer be resolved.
@@ -697,14 +697,13 @@ def run_randers_identities(cfg):
                                                  [0.1, 0.5, 0.9, 0.99])]
 
     grid = TorusGrid.square(n)
-    x, y = grid.mesh()
-    mu_randers = volume_density(spec, x, y, quad)
-    mu_base = volume_density(spec.base, x, y, quad)
+    field = SymbolField.compute(spec, grid, quad)
+    mu_base = volume_density(spec.base, *grid.mesh(), quad)
     rows = [{
         "row_type": "volume",
         "config_hash": cfg.config_hash,
         "grid": n, "fiber_nodes": nodes,
-        "max_mu_diff": float(np.abs(mu_randers - mu_base).max()),
+        "max_mu_diff": float(np.abs(field.mu - mu_base).max()),
         "tol_pointwise": tol_pointwise,
     }]
     for eta in eta_values:
@@ -722,7 +721,6 @@ def run_randers_identities(cfg):
             "tol_pointwise": tol_pointwise,
             "tol_cross": tol_cross,
         })
-    field = SymbolField.compute(spec, grid, quad)
     for name, grad_fn in _ENERGY_TRIALS.items():
         e_sym = energy_from_symbol(field, grad_fn)
         e_dir = randers_energy_direct(spec, grad_fn, grid, quad)
@@ -755,11 +753,10 @@ def run_conformal_check(cfg):
     grid = TorusGrid.square(n)
     oracle = (resolve_fiber_nodes(spec) if nodes == "auto"
               else FiberQuadrature.trapezoid(int(nodes)))
-    x, y = grid.mesh()
     field_base = SymbolField.compute(base, grid)
-    sigma_scratch = symbol_matrix(spec, x, y, oracle)
-    mu_scratch = volume_density(spec, x, y, oracle)
-    f_values = f_field(x, y)
+    scratch = SymbolField.compute(spec, grid, oracle)
+    sigma_scratch, mu_scratch = scratch.sigma_star, scratch.mu
+    f_values = f_field(*grid.mesh())
     sigma_trans, mu_trans = conformal_transform(field_base.sigma_star,
                                                 field_base.mu, f_values)
     sigma_scale = np.abs(sigma_trans).max(axis=(-2, -1))

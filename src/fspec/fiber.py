@@ -21,10 +21,12 @@ push-forward of the canonical fiber angle measure to the dual circle, so mu
 is the density of the Holmes-Thompson volume against dx dy and the fiber
 density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 
-The integrands are smooth and periodic, so the trapezoid rule converges
-geometrically; drifts near |rho| = 1 sharpen them, which the adaptive
-doubling in ``resolve_fiber_nodes`` absorbs up to its cap, past which it
-raises QuadratureError.
+Both integrals share one evaluation of F* and grad_p F* on the fiber
+(``_fiber_symbol``); over a grid it runs once per block of grid rows, so the
+fiber temporaries stay bounded.  The integrands are smooth and periodic, so
+the trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen
+them, which the adaptive doubling in ``resolve_fiber_nodes`` absorbs up to
+its cap, past which it raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
 
 _TWO_PI = 2.0 * np.pi
 
-# Grid nodes per block of a grid-wide fiber rule; bounds the fiber temporaries.
-_CHUNK = 8192
+# Node x fiber pairs per block of a grid-wide fiber rule; bounds the fiber
+# temporaries to a few MiB each.
+_BLOCK = 2**18
 
 # F* below this on any fiber node means the metric degenerated numerically.
 _DUAL_FLOOR = 1e-8
@@ -100,33 +103,38 @@ def volume_density(spec, x, y, quad):
     return (quad.weights / dual**2).sum(axis=-1) / _TWO_PI
 
 
-def symbol_matrix(spec, x, y, quad, mu=None):
-    """Dual quadratic form sigma*(x) of the averaged second-order operator.
+def _fiber_symbol(spec, x, y, quad):
+    """(sigma*, mu) on the fiber (module docstring) from one F* evaluation.
 
-    Assembled from the polarizations p in {dx, dy, dx+dy}.  Raises
-    QuadratureError if the assembled matrix fails to be SPD, which signals an
+    Raises QuadratureError if sigma* fails to be SPD, which signals an
     under-resolved fiber rule.
     """
     xs, ys, dual = _dual_on_fiber(spec, x, y, quad)
     density = quad.weights / dual**2
-    if mu is None:
-        mu = density.sum(axis=-1) / _TWO_PI
+    mu = density.sum(axis=-1) / _TWO_PI
     v = spec.dual_gradient(xs, ys, quad.unit_covectors()) / dual[..., None]
-    norm = np.pi * np.asarray(mu)
-    q_dx = (density * v[..., 0] ** 2).sum(axis=-1) / norm
-    q_dy = (density * v[..., 1] ** 2).sum(axis=-1) / norm
-    q_diag = (density * (v[..., 0] + v[..., 1]) ** 2).sum(axis=-1) / norm
-    s12 = 0.5 * (q_diag - q_dx - q_dy)
-    sig = np.empty(np.shape(q_dx) + (2, 2))
-    sig[..., 0, 0] = q_dx
-    sig[..., 0, 1] = s12
-    sig[..., 1, 0] = s12
-    sig[..., 1, 1] = q_dy
-    det = q_dx * q_dy - s12 * s12
-    if np.any(q_dx <= 0.0) or np.any(det <= 0.0):
+    norm = np.pi * mu
+    s11 = (density * v[..., 0] ** 2).sum(axis=-1) / norm
+    s12 = (density * v[..., 0] * v[..., 1]).sum(axis=-1) / norm
+    s22 = (density * v[..., 1] ** 2).sum(axis=-1) / norm
+    if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
-    return sig
+    sig = np.empty(np.shape(s11) + (2, 2))
+    sig[..., 0, 0] = s11
+    sig[..., 0, 1] = s12
+    sig[..., 1, 0] = s12
+    sig[..., 1, 1] = s22
+    return sig, mu
+
+
+def symbol_matrix(spec, x, y, quad):
+    """Dual quadratic form sigma*(x) of the averaged second-order operator.
+
+    Raises QuadratureError if it fails to be SPD, which signals an
+    under-resolved fiber rule.
+    """
+    return _fiber_symbol(spec, x, y, quad)[0]
 
 
 def weight(sigma_star, mu):
@@ -199,14 +207,15 @@ def randers_angular_closed_forms(eta):
 # Binet-Legendre averaging
 # ---------------------------------------------------------------------------
 
-def binet_legendre(spec, x, y, quad, radial_nodes=4):
+def binet_legendre(spec, x, y, quad):
     """Averaged Riemannian metric from second moments of the forward unit ball.
 
     The dual form is (n+2)/vol(B) * Int_B p(v) q(v) dv over the F-unit ball,
-    evaluated in polar form: fiber nodes for the angle, a Gauss rule in the
-    radius up to R(theta) = 1/F(x, u(theta)).  Affine invariance makes the
-    result equal g itself for Riemannian input; in general the metric is
-    bi-Lipschitz to F with constants controlled by the quasireversibility.
+    evaluated in polar form: fiber nodes for the angle, and the exact radial
+    moments Int_0^R t dt = R^2/2 and Int_0^R t^3 dt = R^4/4 up to
+    R(theta) = 1/F(x, u(theta)).  Affine invariance makes the result equal g
+    itself for Riemannian input; in general the metric is bi-Lipschitz to F
+    with constants controlled by the quasireversibility.
     """
     xs = np.asarray(x, dtype=float)[..., None]
     ys = np.asarray(y, dtype=float)[..., None]
@@ -214,18 +223,12 @@ def binet_legendre(spec, x, y, quad, radial_nodes=4):
     fv = spec.value(xs, ys, u)
     if np.any(fv < _DUAL_FLOOR):
         raise IllPosedMetricError("forward norm collapsed on the unit circle")
-    radius = 1.0 / fv
-    t, wt = np.polynomial.legendre.leggauss(int(radial_nodes))
-    t = 0.5 * (t + 1.0)
-    wt = 0.5 * wt
-    mom3 = float((wt * t**3).sum())  # = 1/4 exactly for >= 2 nodes
-    mom1 = float((wt * t).sum())     # = 1/2
-    r2 = radius**2
+    r2 = fv**-2
     r4 = r2 * r2
-    area = (quad.weights * r2).sum(axis=-1) * mom1
-    n11 = (quad.weights * r4 * u[..., 0] ** 2).sum(axis=-1) * mom3
-    n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * mom3
-    n12 = (quad.weights * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * mom3
+    area = (quad.weights * r2).sum(axis=-1) * 0.5
+    n11 = (quad.weights * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
+    n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
+    n12 = (quad.weights * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
     dual_form = np.empty(np.shape(area) + (2, 2))
     dual_form[..., 0, 0] = 4.0 * n11 / area
     dual_form[..., 0, 1] = 4.0 * n12 / area
@@ -257,17 +260,13 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
     t = np.arange(probe) / probe
     xs, ys = t[:, None], t[None, :]
 
-    def fields(n):
-        quad = FiberQuadrature.trapezoid(n)
-        mu = volume_density(spec, xs, ys, quad)
-        return quad, mu, symbol_matrix(spec, xs, ys, quad, mu=mu)
-
     n = max(int(start), 16)
-    _, mu_prev, sig_prev = fields(n)
+    sig_prev, mu_prev = _fiber_symbol(spec, xs, ys, FiberQuadrature.trapezoid(n))
     change = np.inf
     while n < cap:
         n *= 2
-        quad, mu, sig = fields(n)
+        quad = FiberQuadrature.trapezoid(n)
+        sig, mu = _fiber_symbol(spec, xs, ys, quad)
         sig_change = (np.abs(sig - sig_prev).max(axis=(-2, -1))
                       / np.abs(sig).max(axis=(-2, -1)))
         change = max(np.abs(mu - mu_prev).max(), sig_change.max())
@@ -319,7 +318,8 @@ class SymbolField:
         With no rule: the closed form (module docstring), which raises
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
         outside the three families.  With a FiberQuadrature: the trapezoid
-        oracle, in blocks of grid rows holding about _CHUNK nodes.
+        oracle, one F* evaluation per block of grid rows holding about _BLOCK
+        node x fiber pairs.
         """
         x, y = grid.mesh()
         if quad is None:
@@ -327,11 +327,10 @@ class SymbolField:
         else:
             mu = np.empty((grid.nx, grid.ny))
             sig = np.empty((grid.nx, grid.ny, 2, 2))
-            step = max(1, _CHUNK // grid.ny)
+            step = max(1, _BLOCK // (grid.ny * quad.size))
             for lo in range(0, grid.nx, step):
                 rows = slice(lo, lo + step)
-                mu[rows] = volume_density(spec, x[rows], y, quad)
-                sig[rows] = symbol_matrix(spec, x[rows], y, quad, mu=mu[rows])
+                sig[rows], mu[rows] = _fiber_symbol(spec, x[rows], y, quad)
         return cls(grid=grid, sigma_star=sig, mu=mu,
                    fiber_nodes=0 if quad is None else quad.size)
 

@@ -45,13 +45,3 @@ class TorusGrid:
         x = (np.arange(self.nx) * self.dx)[:, None]
         y = (np.arange(self.ny) * self.dy)[None, :]
         return x, y
-
-    def flat_mesh(self):
-        """Node coordinates as flat arrays of length nx * ny (C order)."""
-        x, y = self.mesh()
-        shape = (self.nx, self.ny)
-        return (np.broadcast_to(x, shape).ravel().copy(),
-                np.broadcast_to(y, shape).ravel().copy())
-
-    def ravel_index(self, i, j):
-        return (i % self.nx) * self.ny + (j % self.ny)

@@ -32,8 +32,6 @@ round-trip to the identity on nonzero vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import Field, as_field
@@ -337,21 +335,6 @@ def bilipschitz_ratio(spec, reference, direction_samples=1024, point_samples=256
         hi = float(np.max(_refine_peak(ratio, mode="max")))
         return lo, hi
     return float(ratio.min()), float(ratio.max())
-
-
-@dataclass(frozen=True)
-class MetricConstants:
-    """Coarse geometric constants of a metric (against a reference)."""
-
-    quasireversibility: float
-    bilipschitz: tuple  # (inf, sup) of F/F_reference
-
-
-def metric_constants(spec, reference, direction_samples=1024, point_samples=256):
-    return MetricConstants(
-        quasireversibility=quasireversibility(spec, direction_samples, point_samples),
-        bilipschitz=bilipschitz_ratio(spec, reference, direction_samples, point_samples),
-    )
 
 
 def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):

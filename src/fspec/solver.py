@@ -9,13 +9,12 @@ to second order.  The mass operator is M = diag(mu dx dy) and the spectrum
 solves K u = lambda M u by ARPACK shift-invert.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
-continuous spectrum 4 pi^2 (A m^2 + B n^2) is the limit of the grid spectra,
-and the exact discrete spectrum of the stencil gates the eigensolver.
+continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
+spectra, and the exact discrete spectrum of the stencil gates the eigensolver.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,30 +67,6 @@ class Spectrum:
             else:
                 groups.append((float(lam), 1))
         return groups
-
-    def _multiplicity_labels(self, rel_tol=1e-6):
-        labels = np.empty(self.values.size, dtype=int)
-        i = 0
-        for value, count in self.multiplets(rel_tol):
-            labels[i:i + count] = count
-            i += count
-        return labels
-
-    def to_csv(self, path, rel_tol=1e-6):
-        mult = self._multiplicity_labels(rel_tol)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "lambda", "multiplicity", "residual"])
-            for k, lam in enumerate(self.values):
-                writer.writerow([k, format(lam, ".17g"), mult[k],
-                                 format(self.residuals[k], ".17g")])
-
-    def save_vectors(self, path, grid=None):
-        """Optional binary dump of eigenvectors, reshaped to grid arrays if given."""
-        vecs = self.vectors
-        if grid is not None:
-            vecs = vecs.reshape(grid.nx, grid.ny, -1)
-        np.save(path, vecs)
 
 
 @dataclass
@@ -217,22 +192,31 @@ def rayleigh(problem, f):
     return float(f @ (problem.K @ f)) / float(f @ (problem.M @ f))
 
 
-def fourier_oracle(A, B, k):
-    """Exact constant-coefficient spectrum: sorted {4 pi^2 (A m^2 + B n^2)}.
+def fourier_oracle(sigma, k):
+    """Exact constant-coefficient spectrum: sorted {4 pi^2 (m, l) sigma (m, l)'}.
 
-    Returns the first k+1 values with multiplicities, enumerating a lattice
-    window large enough that no omitted mode could undercut the returned ones.
+    sigma is a constant symmetric positive-definite 2x2 symbol.  Returns the
+    first k+1 values with multiplicities, enumerating a lattice window large
+    enough that no omitted mode could undercut the returned ones: outside
+    max(|m|, |l|) <= mmax every value is at least 4 pi^2 lambda_min(sigma)
+    (mmax+1)^2.
     """
-    A = float(A)
-    B = float(B)
-    if A <= 0.0 or B <= 0.0:
-        raise ValueError("oracle coefficients must be positive")
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (2, 2) or sigma[0, 1] != sigma[1, 0]:
+        raise ValueError("oracle symbol must be a symmetric 2x2 matrix")
+    lam_min = float(np.linalg.eigvalsh(sigma)[0])
+    if lam_min <= 0.0:
+        raise ValueError("oracle symbol must be positive-definite")
+    if k < 0:
+        raise ValueError(f"eigenvalue count k must be >= 0, got {k}")
     mmax = 4
     while True:
         m = np.arange(-mmax, mmax + 1)
-        vals = 4.0 * np.pi**2 * (A * m[:, None] ** 2 + B * m[None, :] ** 2)
+        vals = 4.0 * np.pi**2 * (sigma[0, 0] * m[:, None] ** 2
+                                 + 2.0 * sigma[0, 1] * m[:, None] * m[None, :]
+                                 + sigma[1, 1] * m[None, :] ** 2)
         vals = np.sort(vals.ravel())
-        outside = 4.0 * np.pi**2 * min(A, B) * (mmax + 1) ** 2
+        outside = 4.0 * np.pi**2 * lam_min * (mmax + 1) ** 2
         if vals.size > k and vals[k] < outside:
             return vals[:k + 1]
         mmax *= 2
@@ -279,21 +263,13 @@ def discrete_fourier_oracle(field, k):
     return np.sort(vals.ravel())[:k + 1]
 
 
-def prolong(values, fine_grid):
-    """Bilinear periodic prolongation of a coarse grid function to a fine grid."""
-    from .fields import Field
-
-    x, y = fine_grid.mesh()
-    return Field.from_grid(np.asarray(values, dtype=float))(x, y)
-
-
 def convergence_study(spec, grid_sizes, k=1):
     """Solve on a ladder of grids and report lambda errors and observed orders.
 
     Each level uses the closed-form symbol field of spec.  The reference is
     the continuous Fourier oracle when sigma* and mu are constant on every
-    level and sigma* is diagonal, else the finest grid.  Rows carry n,
-    lambdas, the reference, and error and order estimates for lambda_1.
+    level, else the finest grid.  Rows carry n, lambdas, the reference, and
+    error and order estimates for lambda_1.
     """
     from .fiber import SymbolField
 
@@ -309,8 +285,8 @@ def convergence_study(spec, grid_sizes, k=1):
 
     oracle_vals = None
     sigs = [_constant_symbol(field) for _, field, _ in runs]
-    if all(s is not None for s in sigs) and abs(sigs[0][0, 1]) < 1e-12:
-        oracle_vals = fourier_oracle(sigs[0][0, 0], sigs[0][1, 1], k)
+    if all(s is not None for s in sigs):
+        oracle_vals = fourier_oracle(sigs[0], k)
 
     ref_vals = oracle_vals if oracle_vals is not None else runs[-1][2]
     rows = []

@@ -348,3 +348,9 @@ class TestCli:
         k, lam = lines[1].split()
         assert k == "1"
         np.testing.assert_allclose(float(lam), 4 * np.pi**2, rtol=1e-15)
+        # bad input is an error line; unchecked, a negative count would widen
+        # the oracle's lattice window without end
+        for args in (["--A", "1", "--B", "1", "--k", "-1"],
+                     ["--A", "0", "--B", "1", "--k", "3"]):
+            assert cli_main(["oracle", *args]) == 2
+            assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,7 @@
 """Fiber quadrature: volume density, symbol, weight, Binet-Legendre, conformal."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 
 from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
                    QuadratureError, RandersMetric, RiemannianMetric,
-                   SymbolField, TorusGrid,
+                   SymbolField, TorusGrid, as_field,
                    binet_legendre, bilipschitz_ratio, conformal_transform,
                    energy_from_symbol, quasireversibility,
                    randers_angular_closed_forms, randers_angular_integrals,
@@ -191,7 +193,7 @@ class TestWeight:
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
             mu = volume_density(spec, x, y, QUAD)
-            sig = symbol_matrix(spec, x, y, QUAD, mu=mu)
+            sig = symbol_matrix(spec, x, y, QUAD)
             np.testing.assert_allclose(float(weight(sig, mu)), 1.0, rtol=1e-8)
 
     def test_randers_torus_constant_weight(self):
@@ -200,7 +202,7 @@ class TestWeight:
         spec = RandersMetric.axis_drift_torus(h, eta)
         A, B = randers_axis_symbol(h, 1.0 / h, eta)
         mu = volume_density(spec, 0.4, 0.2, QUAD)
-        sig = symbol_matrix(spec, 0.4, 0.2, QUAD, mu=mu)
+        sig = symbol_matrix(spec, 0.4, 0.2, QUAD)
         np.testing.assert_allclose(float(weight(sig, mu)), np.sqrt(A * B),
                                    rtol=1e-10)
 
@@ -290,17 +292,53 @@ class TestConformalTransform:
 
 class TestSymbolField:
     def test_compute_matches_pointwise(self):
-        spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        grid = TorusGrid.square(8)
-        field = SymbolField.compute(spec, grid, QUAD)
-        x, y = grid.mesh()
-        np.testing.assert_allclose(field.mu, volume_density(spec, x, y, QUAD),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(field.sigma_star,
-                                   symbol_matrix(spec, x, y, QUAD), rtol=1e-14)
-        # consistency identity a = mu sqrt(det sigma*)
-        np.testing.assert_allclose(field.a, weight(field.sigma_star, field.mu),
-                                   rtol=1e-14)
+        # the second case spans about four row blocks of a drift that varies
+        # in x and y, so a block written to the wrong rows would show
+        h, r, eta = 2.0, 0.5, 0.6
+        profile = "0.5 + 0.4*sin(2*pi*x)*cos(2*pi*y)"
+        cases = [(1.0, TorusGrid.square(8), QUAD),
+                 (profile, TorusGrid(40, 24), FiberQuadrature.trapezoid(1024))]
+        for prof, grid, quad in cases:
+            spec = RandersMetric.axis_drift_torus(h, eta, profile=prof)
+            field = SymbolField.compute(spec, grid, quad)
+            x, y = grid.mesh()
+            np.testing.assert_allclose(field.mu, volume_density(spec, x, y, quad),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(field.sigma_star,
+                                       symbol_matrix(spec, x, y, quad),
+                                       rtol=1e-14)
+            # a = h r sqrt(A B) with the local drift ratio eta p(x, y)
+            etas = eta * as_field(prof)(x, y)
+            a = [h * r * np.sqrt(np.prod(randers_axis_symbol(h, r, e)))
+                 for e in etas.ravel()]
+            np.testing.assert_allclose(field.a.ravel(), a, rtol=1e-10)
+
+    def test_compute_evaluates_dual_once(self):
+        calls = []
+
+        class Counting(RandersMetric):
+            def dual(self, x, y, p):
+                calls.append(1)
+                return super().dual(x, y, p)
+
+        base = RandersMetric.axis_drift_torus(2.0, 0.6)
+        spec = Counting(base.base, base.rho_x, base.rho_y)
+        SymbolField.compute(spec, TorusGrid.square(8), QUAD)
+        assert len(calls) == 1
+
+    def test_compute_memory_is_blocked(self):
+        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
+                                              profile="0.5 + 0.4*sin(2*pi*y)")
+        grid = TorusGrid.square(64)
+        quad = FiberQuadrature.trapezoid(512)
+        tracemalloc.start()
+        try:
+            SymbolField.compute(spec, grid, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one unblocked 64^2 x 512 fiber array alone is 16 MiB
+        assert peak < 48 * 2**20
 
     def test_csv_export(self, tmp_path):
         spec = RiemannianMetric.stretched(2.0)
@@ -375,15 +413,16 @@ class TestClosedFormSymbol:
         field = SymbolField.compute(spec, grid)
         x, y = grid.mesh()
         mu = volume_density(spec, x, y, ORACLE)
-        sig = symbol_matrix(spec, x, y, ORACLE, mu=mu)
+        sig = symbol_matrix(spec, x, y, ORACLE)
         # cross terms are roundoff in one route and exactly 0 in the other, so
         # sigma* is measured against its largest entry at each node
         sig_err = (np.abs(field.sigma_star - sig).max(axis=(-2, -1))
                    / np.abs(sig).max(axis=(-2, -1)))
         assert float(sig_err.max()) <= 1e-12
         np.testing.assert_allclose(field.mu, mu, rtol=1e-12)
-        np.testing.assert_allclose(field.a, weight(field.sigma_star, field.mu),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            field.a, field.mu * np.sqrt(np.linalg.det(field.sigma_star)),
+            rtol=1e-14)
         assert field.fiber_nodes == 0
 
     def test_inadmissible_drift_raises(self):

@@ -7,11 +7,11 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 import fspec.solver
-from fspec import (ConformalMetric, FiberQuadrature, RandersMetric,
+from fspec import (ConformalMetric, FiberQuadrature, Field, RandersMetric,
                    RiemannianMetric, SolverError, SymbolField, TorusGrid,
                    assemble, convergence_study, discrete_fourier_oracle,
-                   fourier_oracle, prolong, randers_axis_symbol, rayleigh,
-                   solve)
+                   fourier_oracle, randers_axis_symbol, rayleigh, solve)
+from conftest import random_spd
 
 QUAD = FiberQuadrature.trapezoid(256)
 FOUR_PI2 = 4 * np.pi**2
@@ -41,10 +41,7 @@ class TestGrid:
         grid = TorusGrid(8, 16)
         x, y = grid.mesh()
         assert x.shape == (8, 1) and y.shape == (1, 16)
-        assert grid.ravel_index(3, 5) == 3 * 16 + 5
-        assert grid.ravel_index(8, 16) == 0
-        xf, yf = grid.flat_mesh()
-        assert xf.size == grid.node_count == 128
+        assert grid.node_count == 128
 
 
 class TestAssembly:
@@ -170,23 +167,6 @@ class TestSolve:
             with pytest.raises(ValueError):
                 solve(problem, k)
 
-    def test_spectrum_csv(self, tmp_path):
-        spectrum = solve(assemble(euclid_field(16)), 3)
-        out = tmp_path / "spectrum.csv"
-        spectrum.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "k,lambda,multiplicity,residual"
-        assert len(lines) == 5
-
-    def test_spectrum_vector_dump(self, tmp_path):
-        grid = TorusGrid.square(16)
-        spectrum = solve(assemble(euclid_field(16)), 3)
-        out = tmp_path / "vectors.npy"
-        spectrum.save_vectors(out, grid=grid)
-        dumped = np.load(out)
-        assert dumped.shape == (16, 16, 4)
-        np.testing.assert_allclose(dumped.reshape(256, 4), spectrum.vectors)
-
 
 class TestRayleigh:
     def test_constant_in_kernel(self):
@@ -227,34 +207,43 @@ class TestRayleigh:
 
 class TestFourierOracle:
     def test_flat_torus(self):
-        np.testing.assert_allclose(fourier_oracle(1.0, 1.0, 4),
+        np.testing.assert_allclose(fourier_oracle(np.eye(2), 4),
                                    [0.0] + [FOUR_PI2] * 4, rtol=1e-15)
 
     def test_frozen_randers_values(self):
         # eta = 0.6, h = r = 1: lambda_1 = 4 pi^2 B = 4 pi^2 * 10/9
-        lam = fourier_oracle(25.0 / 18.0, 10.0 / 9.0, 1)
+        lam = fourier_oracle(np.diag([25.0 / 18.0, 10.0 / 9.0]), 1)
         np.testing.assert_allclose(lam[1], FOUR_PI2 * 10.0 / 9.0, rtol=1e-15)
 
     def test_lambda1_is_min_coefficient(self, rng):
         for _ in range(20):
             A = float(rng.uniform(0.1, 10.0))
             B = float(rng.uniform(0.1, 10.0))
-            lam = fourier_oracle(A, B, 1)
+            lam = fourier_oracle(np.diag([A, B]), 1)
             np.testing.assert_allclose(lam[1], FOUR_PI2 * min(A, B), rtol=1e-15)
 
     def test_against_bruteforce_enumeration(self, rng):
+        window = np.arange(-40, 41)
+        m, l = window[:, None], window[None, :]
         for _ in range(5):
             A = float(rng.uniform(0.2, 5.0))
             B = float(rng.uniform(0.2, 5.0))
-            window = np.arange(-40, 41)
-            brute = np.sort((FOUR_PI2 * (A * window[:, None] ** 2
-                                         + B * window[None, :] ** 2)).ravel())
-            np.testing.assert_allclose(fourier_oracle(A, B, 25), brute[:26],
+            brute = np.sort((FOUR_PI2 * (A * m**2 + B * l**2)).ravel())
+            np.testing.assert_allclose(fourier_oracle(np.diag([A, B]), 25),
+                                       brute[:26], rtol=1e-14)
+        for _ in range(5):
+            sig = random_spd(rng)
+            sig[1, 0] = sig[0, 1]
+            assert abs(sig[0, 1]) > 1e-3
+            brute = np.sort((FOUR_PI2 * (sig[0, 0] * m**2 + 2 * sig[0, 1] * m * l
+                                         + sig[1, 1] * l**2)).ravel())
+            np.testing.assert_allclose(fourier_oracle(sig, 25), brute[:26],
                                        rtol=1e-14)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fourier_oracle(0.0, 1.0, 3)
+        for sig in (np.diag([0.0, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            with pytest.raises(ValueError):
+                fourier_oracle(sig, 3)
 
 
 @st.composite
@@ -321,7 +310,7 @@ class TestOracleEquivalence:
             A, B = randers_axis_symbol(h, 1.0 / h, eta)
             field = SymbolField.compute(spec, TorusGrid.square(n), QUAD)
             got = solve(assemble(field), 10).values
-            want = fourier_oracle(A, B, 10)
+            want = fourier_oracle(np.diag([A, B]), 10)
             lam1_bound = 1.5 * (FOUR_PI2 * max(A, B)) * (np.pi / n) ** 2
             assert abs(got[1] - want[1]) < lam1_bound
             bounds = 1.5 * (np.pi / n) ** 2 * want[1:] ** 2 / (FOUR_PI2 * min(A, B))
@@ -337,7 +326,7 @@ class TestMinMaxMonotonicity:
         lam_fine = solve(fine_problem, 1).values[1]
         coarse_spec = solve(coarse_problem, 1)
         u = coarse_spec.vectors[:, 1].reshape(16, 16)
-        u_fine = prolong(u, fine_field.grid).ravel()
+        u_fine = Field.from_grid(u)(*fine_field.grid.mesh()).ravel()
         m_diag = fine_problem.M.diagonal()
         u_fine -= (u_fine @ m_diag) / m_diag.sum()
         assert rayleigh(fine_problem, u_fine) >= lam_fine * (1 - 1e-12)
@@ -388,11 +377,14 @@ class TestConvergence:
             assert 1.678 <= row["order_lambda1"] <= 2.322
 
     def test_randers_constant_oracle_referenced(self):
-        spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        rows = convergence_study(spec, [16, 32, 64], k=1)
-        assert rows[0]["reference"] == "oracle"
-        for row in rows[1:]:
-            assert 1.678 <= row["order_lambda1"] <= 2.322
+        # sheared constant metrics get the oracle reference too
+        for spec in (RandersMetric.axis_drift_torus(2.0, 0.6),
+                     RiemannianMetric(1.0, 0.5, 1.0),
+                     RandersMetric(RiemannianMetric(2.0, 0.7, 0.8), 0.4, 0.3)):
+            rows = convergence_study(spec, [16, 32, 64], k=1)
+            assert rows[0]["reference"] == "oracle"
+            for row in rows[1:]:
+                assert 1.678 <= row["order_lambda1"] <= 2.322
 
     def test_nonconstant_self_convergence(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
