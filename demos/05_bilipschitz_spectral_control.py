@@ -10,7 +10,7 @@ weighted-Laplacian comparison with the symbol metric.
 import numpy as np
 
 from fspec import (ExperimentConfig, RandersMetric, SymbolField, TorusGrid,
-                   assemble, bilipschitz_ratio, run_experiment, solve)
+                   assemble, run_experiment, solve)
 
 print("== experiment runner: Randers eta = 0.5 vs its Riemannian base")
 cfg = ExperimentConfig.from_text("""

@@ -26,6 +26,7 @@ import hashlib
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -549,6 +550,7 @@ def run_torus_large_eigenvalue(cfg):
     _require_closed_form(cfg)
     rows = []
     solver_info = {"fiber_nodes": "closed-form"}
+    routes = Counter()
 
     def run_case(h, eta, requested, grid_n, row_type):
         r = 1.0 / h
@@ -565,6 +567,7 @@ def run_torus_large_eigenvalue(cfg):
         vol = field.total_volume()
         solver_info["max_residual"] = max(solver_info.get("max_residual", 0.0),
                                           float(spectrum.residuals.max()))
+        routes[spectrum.route] += 1
         rows.append({
             "row_type": row_type,
             "config_hash": cfg.config_hash,
@@ -595,6 +598,7 @@ def run_torus_large_eigenvalue(cfg):
             else:
                 eta = min(float(item), ETA_CAP)
             run_case(h, eta, item, n, "sweep")
+    solver_info["routes"] = dict(routes)
     return rows, solver_info
 
 
@@ -664,7 +668,8 @@ def run_bilipschitz_check(cfg):
         })
     return rows, {"fiber_nodes": "closed-form",
                   "max_residual": float(max(spec_f.residuals.max(),
-                                            spec_0.residuals.max()))}
+                                            spec_0.residuals.max())),
+                  "routes": dict(Counter([spec_f.route, spec_0.route]))}
 
 
 _ENERGY_TRIALS = {
@@ -776,10 +781,12 @@ def run_conformal_check(cfg):
     }]
 
     const_f = f_field.constant_value()
+    routes = Counter()
     if const_f is not None:
         field_conf = SymbolField.compute(spec, grid)
         spec_base = solve(assemble(field_base), k, seed=seed)
         spec_conf = solve(assemble(field_conf), k, seed=seed)
+        routes.update([spec_base.route, spec_conf.route])
         scale = np.exp(2.0 * const_f)
         for j in range(1, k + 1):
             lb = float(spec_base.values[j])
@@ -793,7 +800,7 @@ def run_conformal_check(cfg):
                 "scaling_err": abs(lc * scale - lb) / lb,
                 "tol_scaling": tol_scaling,
             })
-    return rows, {"fiber_nodes": oracle.size}
+    return rows, {"fiber_nodes": oracle.size, "routes": dict(routes)}
 
 
 def run_convergence(cfg):
@@ -823,7 +830,8 @@ def run_convergence(cfg):
         }
         prev_lambda1 = lam1
         rows.append(row)
-    return rows, {"fiber_nodes": "closed-form"}
+    return rows, {"fiber_nodes": "closed-form",
+                  "routes": dict(Counter(entry["route"] for entry in study))}
 
 
 RUNNERS = {

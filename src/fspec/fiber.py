@@ -98,9 +98,21 @@ def _dual_on_fiber(spec, x, y, quad):
 
 
 def volume_density(spec, x, y, quad):
-    """Holmes-Thompson density mu(x) of the metric's volume against dx dy."""
-    _, _, dual = _dual_on_fiber(spec, x, y, quad)
-    return (quad.weights / dual**2).sum(axis=-1) / _TWO_PI
+    """Holmes-Thompson density mu(x) of the metric's volume against dx dy.
+
+    Evaluated over the broadcast nodes in blocks of about _BLOCK node x fiber
+    pairs, so the fiber temporaries stay bounded on any grid.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    flat_x, flat_y = x.ravel(), y.ravel()
+    mu = np.empty(flat_x.size)
+    step = max(1, _BLOCK // quad.size)
+    for lo in range(0, mu.size, step):
+        nodes = slice(lo, lo + step)
+        _, _, dual = _dual_on_fiber(spec, flat_x[nodes], flat_y[nodes], quad)
+        mu[nodes] = (quad.weights / dual**2).sum(axis=-1) / _TWO_PI
+    return mu.reshape(x.shape)[()]
 
 
 def _fiber_symbol(spec, x, y, quad):
@@ -278,6 +290,12 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
                           f"{change:.3e} (tol {tol:g})")
 
 
+def _row_blocks(grid, quad):
+    """Slices of grid rows holding about _BLOCK node x fiber pairs each."""
+    step = max(1, _BLOCK // (grid.ny * quad.size))
+    return [slice(lo, lo + step) for lo in range(0, grid.nx, step)]
+
+
 def _closed_form_symbol(spec, x, y):
     """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring)."""
     f = 0.0
@@ -327,9 +345,7 @@ class SymbolField:
         else:
             mu = np.empty((grid.nx, grid.ny))
             sig = np.empty((grid.nx, grid.ny, 2, 2))
-            step = max(1, _BLOCK // (grid.ny * quad.size))
-            for lo in range(0, grid.nx, step):
-                rows = slice(lo, lo + step)
+            for rows in _row_blocks(grid, quad):
                 sig[rows], mu[rows] = _fiber_symbol(spec, x[rows], y, quad)
         return cls(grid=grid, sigma_star=sig, mu=mu,
                    fiber_nodes=0 if quad is None else quad.size)
@@ -386,29 +402,34 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
 
         E(f) = (1/pi) Int_M [ Int (df . v(t))^2 / (1 + rho(v(t))) dt ] sqrt(det g) dx dy
 
-    with v(t) running over the g-orthonormal unit circle.  Agreement with
+    with v(t) running over the g-orthonormal unit circle, evaluated in blocks
+    of grid rows holding about _BLOCK node x fiber pairs.  Agreement with
     ``energy_from_symbol`` validates the dual-circle route end to end.
     """
     base = base_metric(spec)
     x, y = grid.mesh()
-    g = base.matrix(x, y)
-    a = g[..., 0, 0]
-    b = g[..., 0, 1]
-    c = g[..., 1, 1]
-    # g-orthonormal frame from the Cholesky factor g = L L'
-    l11 = np.sqrt(a)
-    l21 = b / l11
-    l22 = np.sqrt(c - l21**2)
-    e1 = np.stack([1.0 / l11, np.zeros_like(l11)], axis=-1)
-    e2 = np.stack([-l21 / (l11 * l22), 1.0 / l22], axis=-1)
-    theta = quad.nodes
-    v = (np.cos(theta)[:, None] * e1[..., None, :]
-         + np.sin(theta)[:, None] * e2[..., None, :])  # (nx, ny, Q, 2)
-    df = grad_fn(x, y)
-    pairing = np.einsum("...i,...qi->...q", df, v)
-    rho_v = np.einsum("...i,...qi->...q", spec.drift(x, y), v)
-    if np.any(1.0 + rho_v <= 0.0):
-        raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
-    fiber = ((pairing**2 / (1.0 + rho_v)) * quad.weights).sum(axis=-1)
-    dens = fiber * np.sqrt(a * c - b * b) / np.pi
-    return float(dens.sum()) * grid.cell_area
+    total = 0.0
+    for rows in _row_blocks(grid, quad):
+        xs = x[rows]
+        g = base.matrix(xs, y)
+        a = g[..., 0, 0]
+        b = g[..., 0, 1]
+        c = g[..., 1, 1]
+        # g-orthonormal frame from the Cholesky factor g = L L'
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        l22 = np.sqrt(c - l21**2)
+        e1 = np.stack([1.0 / l11, np.zeros_like(l11)], axis=-1)
+        e2 = np.stack([-l21 / (l11 * l22), 1.0 / l22], axis=-1)
+        theta = quad.nodes
+        v = (np.cos(theta)[:, None] * e1[..., None, :]
+             + np.sin(theta)[:, None] * e2[..., None, :])  # (rows, ny, Q, 2)
+        df = grad_fn(xs, y)
+        pairing = np.einsum("...i,...qi->...q", df, v)
+        rho_v = np.einsum("...i,...qi->...q", spec.drift(xs, y), v)
+        if np.any(1.0 + rho_v <= 0.0):
+            raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
+        fiber = ((pairing**2 / (1.0 + rho_v)) * quad.weights).sum(axis=-1)
+        dens = fiber * np.sqrt(a * c - b * b) / np.pi
+        total += float(dens.sum())
+    return total * grid.cell_area

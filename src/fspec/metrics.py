@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field, as_field
+from .fields import as_field
 
 
 class IllPosedMetricError(ValueError):

@@ -6,7 +6,14 @@ edge-averaged fluxes, the mixed coefficient through symmetric centered
 cross-differences, so the stiffness operator K is symmetric with the
 constants exactly in its kernel and f' K f reproduces the energy quadrature
 to second order.  The mass operator is M = diag(mu dx dy) and the spectrum
-solves K u = lambda M u by ARPACK shift-invert.
+solves K u = lambda M u.
+
+When K is bitwise unchanged by the one-step shift of the grid along x (or,
+after transposing the grid, along y) and the mass repeats on every grid line
+along that axis, the pencil is block-circulant and splits exactly into one
+small Hermitian block per Fourier mode of that axis; ``solve`` then takes the
+block route.  Every other problem goes to ARPACK shift-invert.  Both routes
+are gated by the same residual and lambda_0 checks against the assembled K, M.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -18,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -56,6 +64,7 @@ class Spectrum:
     values: np.ndarray      # (k+1,) ascending
     vectors: np.ndarray     # (n_nodes, k+1)
     residuals: np.ndarray   # ||K u - lambda M u|| / ||M u|| per pair
+    route: str              # "block" or "shift-invert"
 
     def multiplets(self, rel_tol=1e-6):
         """Group eigenvalues within relative rel_tol into (value, count) pairs."""
@@ -134,29 +143,212 @@ def assemble(field):
     return SpectralProblem(K=K, M=M, grid=grid, lambda_scale=lambda_scale)
 
 
+def _translation_blocks(K, rings, width):
+    """Coupling blocks of a stiffness that commutes with a shift of the nodes.
+
+    The nodes form `rings` consecutive lines of `width` nodes each and K is a
+    CSR matrix in canonical form.  If K is bitwise unchanged when every node
+    moves one line on (periodically), K is block-circulant: returns {s: C_s},
+    the dense width x width blocks coupling line 0 to line s, with the offset
+    s taken in (-rings/2, rings/2].  Else returns None.
+    """
+    n = rings * width
+    cut = K.indptr[width]
+    indptr = np.concatenate([K.indptr[width:] - cut,
+                             K.indptr[1:width + 1] + (K.nnz - cut)])
+    # row r of `shifted` is row r + width of K with its columns moved back
+    shifted = sparse.csr_matrix(
+        (np.roll(K.data, -cut), (np.roll(K.indices, -cut) - width) % n, indptr),
+        shape=K.shape)
+    shifted.sort_indices()
+    if not (np.array_equal(shifted.indices, K.indices)
+            and np.array_equal(shifted.data, K.data)):
+        return None
+    head = K[:width]
+    blocks = {}
+    for s in np.unique(head.indices // width):
+        offset = int(s) if 2 * s <= rings else int(s) - rings
+        blocks[offset] = head[:, s * width:(s + 1) * width].toarray()
+    return blocks
+
+
+def _mode_block(blocks, m, rings, cross):
+    """B_m = sum_s C_s w^(m s), w = exp(2 pi i / rings); real for the
+    self-conjugate modes 0 and rings/2 and whenever there is no cross term."""
+    theta = 2.0 * np.pi * m / rings
+    B = sum(C * np.cos(theta * s) for s, C in blocks.items())
+    if cross and 2 * m % rings:
+        B = B + 1j * sum(C * np.sin(theta * s) for s, C in blocks.items())
+    return B
+
+
+def _block_eigenvectors(blocks, mass, rings, k, shift):
+    """First k+1 eigenvectors of a block-circulant pencil, mode by mode.
+
+    Fourier mode m along the ring reduces the pencil to the Hermitian block
+    B_m (``_mode_block``) against diag(mass), solved by dense eigh after
+    symmetric scaling by mass^(-1/2).  Without a cross term (every C_s,
+    s != 0, diagonal and |s| <= 1), B_m = B_0 + 4 sin^2(pi m / rings)
+    diag(-C_1) with B_0 PSD, so no eigenvalue of mode m lies below
+    4 sin^2(pi m / rings) min(-C_1 / mass); modes are visited in increasing m
+    and the sweep stops once that bound exceeds the current (k+1)-th value.
+    With a cross term every mode is solved.
+
+    The dense solve leaves errors of order eps lambda_max in the vectors.
+    One inverse-iteration step about `shift` (below the spectrum) on each
+    kept mode damps them; a Cholesky QR of the M-normalized columns restores
+    M-orthonormality.
+
+    Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
+    the real grid vectors Re and Im of w^(m i) u scaled by sqrt(2/rings);
+    modes 0 and rings/2 give one vector scaled by 1/sqrt(rings).  Vectors are
+    M-orthonormal, ravelled line by line and in ascending eigenvalue order.
+    """
+    width = mass.size
+    scale = 1.0 / np.sqrt(mass)
+    cross = any(np.count_nonzero(C - np.diag(np.diag(C)))
+                for s, C in blocks.items() if s)
+    prune = not cross and set(blocks) <= {-1, 0, 1}
+    rate = float((-np.diag(blocks[1]) / mass).min()) if 1 in blocks else 0.0
+    last = min(k, width - 1)
+
+    pool = []   # (value, m, j, part): the k+1 smallest found so far
+    modes = {}  # m -> eigenvectors of B_m, for the modes in the pool
+    for m in range(rings // 2 + 1):
+        if (prune and len(pool) > k
+                and 4.0 * np.sin(np.pi * m / rings) ** 2 * rate > pool[k][0]):
+            break
+        B = _mode_block(blocks, m, rings, cross)
+        w, u = scipy.linalg.eigh(scale[:, None] * B * scale[None, :],
+                                 subset_by_index=(0, last))
+        modes[m] = scale[:, None] * u
+        parts = ("cos", "sin") if 2 * m % rings else ("one",)
+        pool += [(float(w[j]), m, j, part)
+                 for j in range(w.size) for part in parts]
+        pool.sort(key=lambda entry: entry[0])
+        del pool[k + 1:]
+        kept = {entry[1] for entry in pool}
+        modes = {mode: u for mode, u in modes.items() if mode in kept}
+
+    for m, u in modes.items():
+        B = _mode_block(blocks, m, rings, cross)
+        y = scipy.linalg.solve(B - shift * np.diag(mass), mass[:, None] * u,
+                               assume_a="her")
+        y = y / np.sqrt(mass @ np.abs(y) ** 2)
+        chol = np.linalg.cholesky(y.conj().T @ (mass[:, None] * y))
+        modes[m] = scipy.linalg.solve_triangular(chol, y.conj().T,
+                                                 lower=True).conj().T
+
+    ring = np.arange(rings)
+    vectors = np.empty((rings * width, len(pool)))
+    for col, (_, m, j, part) in enumerate(pool):
+        wave = np.exp(2j * np.pi * m * ring / rings)[:, None] * modes[m][None, :, j]
+        if part == "one":
+            v = wave.real / np.sqrt(rings)
+        else:
+            v = (wave.real if part == "cos" else wave.imag) * np.sqrt(2.0 / rings)
+        vectors[:, col] = v.ravel()
+    return vectors
+
+
+def _edge_rayleigh(K, mass, vectors):
+    """Rayleigh quotients u'Ku / u'Mu with u'Ku = sum_{a<b} -K_ab (u_a - u_b)^2.
+
+    The edge sum holds because the rows of K sum to zero.  It avoids the
+    cancellation of K u on smooth vectors, whose rounding is of order
+    eps lambda_max and would swamp the smallest eigenvalues.
+    """
+    entries = K.tocoo(copy=False)
+    # every edge appears twice and the diagonal contributes nothing
+    energy = [-0.5 * float((entries.data
+                            * (v[entries.row] - v[entries.col]) ** 2).sum())
+              for v in vectors.T]
+    return np.array(energy) / (mass @ vectors**2)
+
+
+def _block_route(problem, k, shift):
+    """(values, vectors) by Fourier blocks along x, else along y, else None.
+
+    A pencil qualifies along an axis if the mass repeats on every grid line
+    across that axis and K is bitwise invariant under the one-line shift.
+    The eigenvalues are the edge-form Rayleigh quotients of the block
+    eigenvectors, accurate relative to each eigenvalue where the dense block
+    solve is accurate only to roundoff in lambda_max.
+    """
+    K = problem.K.tocsr()
+    if not K.has_canonical_format:
+        K = K.copy()
+        K.sum_duplicates()
+    mass = problem.M.diagonal()
+    nx, ny = problem.grid.nx, problem.grid.ny
+    # transposed grid: node (i, j) moves to j * nx + i
+    transpose = np.arange(nx * ny).reshape(nx, ny).T.ravel()
+    for rings, width, order in ((nx, ny, None), (ny, nx, transpose)):
+        lines = (mass if order is None else mass[order]).reshape(rings, width)
+        if np.any(lines != lines[0]):
+            continue
+        if order is None:
+            moved = K
+        else:
+            moved = K[order][:, order]
+            moved.sort_indices()
+        blocks = _translation_blocks(moved, rings, width)
+        if blocks is None:
+            continue
+        vectors = _block_eigenvectors(blocks, lines[0], rings, k, shift)
+        if order is not None:
+            vectors = vectors[np.argsort(order)]
+        return _edge_rayleigh(K, mass, vectors), vectors
+    return None
+
+
+def _shift_invert(problem, k, shift, seed):
+    """ARPACK shift-invert about `shift`, started from a seeded vector."""
+    n = problem.n_nodes
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        return spla.eigsh(problem.K.tocsc(), k=k + 1, M=problem.M.tocsc(),
+                          sigma=shift, which="LM", v0=v0, tol=0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"shift-invert iteration converged only {exc.eigenvalues.size} "
+            f"of {k + 1} pairs (shift {shift:.3e}, n = {n})") from exc
+
+
 def solve(problem, k, seed=0):
     """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    ARPACK shift-invert about a small negative shift, started from a seeded
-    random vector; needs k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u||
-    are checked against _RESTOL relative to each eigenvalue's own scale;
-    lambda_0 must be a numerical zero.  ``discrete_fourier_oracle`` gives the
-    exact eigenvalues on constant fields.
+    Block route: if K is bitwise invariant under the one-step shift of the
+    grid along x, or along y, and M repeats on every grid line along that
+    axis, the pencil splits exactly into one Hermitian block per Fourier mode
+    of the axis, each solved densely (``_block_eigenvectors``).  Without a
+    cross term in the coupling blocks, modes are visited in increasing
+    sin^2(pi m / n) and the sweep stops once 4 sin^2(pi m / n) min(-C_1 / M)
+    exceeds the current (k+1)-th value, a sound lower bound on that mode;
+    with one, every mode is solved.  The kept vectors take one
+    inverse-iteration step about the shift below, and the eigenvalues are
+    their edge-form Rayleigh quotients (``_edge_rayleigh``), so small
+    eigenvalues keep their relative accuracy.  A field constant along an axis
+    only to roundoff fails the bitwise test and is not reduced.
+
+    Shift-invert route, for everything else: ARPACK about the small negative
+    shift -lambda_scale / 2, started from a seeded random vector.  Either route needs
+    k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u|| against the assembled
+    K and M are checked against _RESTOL relative to each eigenvalue's own
+    scale; lambda_0 must be a numerical zero.  ``discrete_fourier_oracle``
+    gives the exact eigenvalues on constant fields.
     """
     n = problem.n_nodes
     if k + 2 >= n:
         raise ValueError(f"requested {k + 1} eigenpairs from a {n}-node "
-                         "problem; shift-invert needs k + 2 < n")
-    sigma = -0.5 * max(problem.lambda_scale, 1e-12)
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        values, vectors = spla.eigsh(problem.K.tocsc(), k=k + 1,
-                                     M=problem.M.tocsc(), sigma=sigma,
-                                     which="LM", v0=v0, tol=0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"shift-invert iteration converged only {exc.eigenvalues.size} "
-            f"of {k + 1} pairs (shift {sigma:.3e}, n = {n})") from exc
+                         "problem; the solver needs k + 2 < n")
+    shift = -0.5 * max(problem.lambda_scale, 1e-12)  # below the spectrum
+    pairs = _block_route(problem, k, shift)
+    route = "block"
+    if pairs is None:
+        pairs = _shift_invert(problem, k, shift, seed)
+        route = "shift-invert"
+    values, vectors = pairs
 
     order = np.argsort(values)
     values = np.asarray(values)[order]
@@ -179,7 +371,8 @@ def solve(problem, k, seed=0):
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "
             f"(lambda_1 = {values[1]:.3e})")
 
-    return Spectrum(values=values, vectors=vectors, residuals=residuals)
+    return Spectrum(values=values, vectors=vectors, residuals=residuals,
+                    route=route)
 
 
 def rayleigh(problem, f):
@@ -268,8 +461,8 @@ def convergence_study(spec, grid_sizes, k=1):
 
     Each level uses the closed-form symbol field of spec.  The reference is
     the continuous Fourier oracle when sigma* and mu are constant on every
-    level, else the finest grid.  Rows carry n, lambdas, the reference, and
-    error and order estimates for lambda_1.
+    level, else the finest grid.  Rows carry n, lambdas, the solver route, the
+    reference, and error and order estimates for lambda_1.
     """
     from .fiber import SymbolField
 
@@ -281,17 +474,17 @@ def convergence_study(spec, grid_sizes, k=1):
     for n in sizes:
         field = SymbolField.compute(spec, TorusGrid.square(n))
         spectrum = solve(assemble(field), k)
-        runs.append((n, field, spectrum.values.copy()))
+        runs.append((n, field, spectrum.values.copy(), spectrum.route))
 
     oracle_vals = None
-    sigs = [_constant_symbol(field) for _, field, _ in runs]
+    sigs = [_constant_symbol(field) for _, field, _, _ in runs]
     if all(s is not None for s in sigs):
         oracle_vals = fourier_oracle(sigs[0], k)
 
     ref_vals = oracle_vals if oracle_vals is not None else runs[-1][2]
     rows = []
-    for idx, (n, _, vals) in enumerate(runs):
-        row = {"n": n, "lambda": vals.tolist(),
+    for idx, (n, _, vals, route) in enumerate(runs):
+        row = {"n": n, "lambda": vals.tolist(), "route": route,
                "reference": "oracle" if oracle_vals is not None else "finest"}
         if oracle_vals is not None or idx < len(runs) - 1:
             row["error_lambda1"] = abs(vals[1] - ref_vals[1]) if k >= 1 else 0.0

@@ -8,15 +8,13 @@ criterion holds.  Runtime limits are asserted where the criterion states one.
 import time
 
 import numpy as np
-import pytest
 
 from fspec import (ConformalMetric, ExperimentConfig, FiberQuadrature,
                    RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
                    assemble, binet_legendre, conformal_transform,
                    quasireversibility, randers_angular_closed_forms,
-                   randers_angular_integrals, randers_axis_symbol,
-                   run_experiment, solve, symbol_matrix, threshold_eta,
-                   volume_density, weight)
+                   randers_angular_integrals, run_experiment, solve,
+                   symbol_matrix, threshold_eta, volume_density)
 from conftest import random_metric, random_point, random_vector
 
 FOUR_PI2 = 4.0 * np.pi**2

@@ -267,6 +267,21 @@ class TestRunners:
             == (tmp_path / "b" / "rows.csv").read_bytes()
         assert a.rows_csv_text() == b.rows_csv_text()
 
+    @pytest.mark.parametrize("text, routes", [
+        (TORUS_CFG, {"block": 3}), (BILIPSCHITZ_CFG, {"block": 2}),
+        (BILIPSCHITZ_CFG.replace("metric.eta = 0.5", "metric.eta = 0.5\n"
+                                 "metric.profile = 0.5 + 0.3*sin(2*pi*x)"
+                                 "*cos(2*pi*y)"),
+         {"shift-invert": 1, "block": 1}),
+        (CONFORMAL_CFG, {}), (CONFORMAL_CONST_CFG, {"block": 2}),
+        (CONVERGENCE_CFG, {"block": 3})],
+        ids=["torus", "bilipschitz", "bilipschitz-2d", "conformal",
+             "conformal-const", "convergence"])
+    def test_solver_routes_recorded(self, tmp_path, text, routes):
+        run_experiment(ExperimentConfig.from_text(text), out_dir=tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["solver"]["routes"] == routes
+
     def test_report_json_contents(self, tmp_path):
         cfg = ExperimentConfig.from_text(CONVERGENCE_CFG)
         run_experiment(cfg, out_dir=tmp_path)

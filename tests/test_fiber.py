@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import fspec.fiber
 from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
                    QuadratureError, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, as_field,
@@ -339,6 +340,55 @@ class TestSymbolField:
             tracemalloc.stop()
         # one unblocked 64^2 x 512 fiber array alone is 16 MiB
         assert peak < 48 * 2**20
+
+    def test_oracle_energy_and_volume_memory_is_blocked(self):
+        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
+                                              profile="0.5 + 0.4*sin(2*pi*y)")
+        grid = TorusGrid.square(64)
+        quad = FiberQuadrature.trapezoid(512)
+
+        def grad(x, y):
+            return np.stack(np.broadcast_arrays(
+                2 * np.pi * np.cos(2 * np.pi * x), 0.0 * y), axis=-1)
+
+        peaks = []
+        for call in (lambda: randers_energy_direct(spec, grad, grid, quad),
+                     lambda: volume_density(spec.base, *grid.mesh(), quad)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # unblocked: 96.7 MiB for the energy and 48.2 MiB for the density
+        assert peaks[0] < 48 * 2**20
+        assert peaks[1] < 24 * 2**20
+
+    def test_blocked_oracles_match_one_block(self, monkeypatch):
+        # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks; a drift
+        # varying in x and y would show a block evaluated on the wrong rows
+        spec = RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
+                             "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
+        grid = TorusGrid(40, 24)
+        quad = FiberQuadrature.trapezoid(1024)
+        x, y = grid.mesh()
+
+        def grad(x, y):
+            return np.stack(np.broadcast_arrays(
+                2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                -2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)),
+                axis=-1)
+
+        def evaluate():
+            return (randers_energy_direct(spec, grad, grid, quad),
+                    volume_density(spec, x, y, quad))
+
+        energy, mu = evaluate()
+        monkeypatch.setattr(fspec.fiber, "_BLOCK", 2**40)
+        energy_one, mu_one = evaluate()
+        np.testing.assert_allclose(energy, energy_one, rtol=1e-14)
+        np.testing.assert_allclose(mu, mu_one, rtol=1e-14)
+        assert mu.shape == (40, 24)
 
     def test_csv_export(self, tmp_path):
         spec = RiemannianMetric.stretched(2.0)

@@ -163,7 +163,7 @@ class TestSolve:
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
-        for k in (64, 62):  # shift-invert needs k + 2 < n = 64
+        for k in (64, 62):  # solve needs k + 2 < n = 64
             with pytest.raises(ValueError):
                 solve(problem, k)
 
@@ -294,6 +294,108 @@ class TestDiscreteFourierOracle:
         for field in (drifted, varying_mu):
             with pytest.raises(ValueError, match="constant"):
                 discrete_fourier_oracle(field, 4)
+
+
+@st.composite
+def axis_invariant_metrics(draw):
+    """A metric varying along one axis t only.
+
+    Constant g with g11 and g22 log-uniform in [1/8, 8], so that on either
+    axis the lowest nonzero modes often have m != 0; a Randers drift varying
+    along t with |rho|_{g*} <= 0.9; optionally a conformal factor varying
+    along t.  Sheared draws have a g12 / sqrt(g11 g22) of 0.1 to 0.9 in size
+    and both drift components, so the blocks carry a cross term; the others
+    have g12 = 0 and a drift along one axis, so the mode sweep is pruned.
+    """
+    t = draw(st.sampled_from(["x", "y"]))
+    sheared = draw(st.booleans())
+    g11 = 2.0 ** draw(st.floats(-3.0, 3.0))
+    g22 = 2.0 ** draw(st.floats(-3.0, 3.0))
+    corr = (draw(st.floats(0.1, 0.9)) * draw(st.sampled_from([-1.0, 1.0]))
+            if sheared else 0.0)
+    g = np.array([[g11, corr * np.sqrt(g11 * g22)],
+                  [corr * np.sqrt(g11 * g22), g22]])
+    spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
+    if draw(st.booleans()):
+        eta = draw(st.floats(0.1, 0.9))
+        phi = (draw(st.floats(0.2, 1.3)) if sheared
+               else draw(st.sampled_from([0.0, np.pi / 2])))
+        # rho = eta g^(1/2) u has |rho|_{g*} <= eta wherever the profile <= 1
+        w, v = np.linalg.eigh(g)
+        rx, ry = map(float, eta * (v * np.sqrt(w)) @ v.T @ [np.cos(phi),
+                                                          np.sin(phi)])
+        if not sheared:
+            rx, ry = (rx, 0.0) if phi == 0.0 else (0.0, ry)
+        amp = draw(st.floats(0.0, 0.5))
+        profile = f"(1 - {amp!r}*(1 + sin(2*pi*{t})) / 2)"
+        spec = RandersMetric(spec, f"{rx!r}*{profile}", f"{ry!r}*{profile}")
+    if draw(st.booleans()):
+        spec = ConformalMetric(
+            spec, f"{draw(st.floats(-0.4, 0.4))!r}*cos(2*pi*{t})")
+    return spec
+
+
+def dense_spectrum(problem, k):
+    return scipy.linalg.eigh(problem.K.toarray(), problem.M.toarray(),
+                             eigvals_only=True, subset_by_index=(0, k))
+
+
+class TestBlockRoute:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(axis_invariant_metrics(),
+           st.sampled_from([(12, 20), (20, 16), (16, 12), (10, 24)]),
+           st.integers(1, 9))
+    def test_matches_dense_eigh(self, spec, shape, k):
+        problem = assemble(SymbolField.compute(spec, TorusGrid(*shape)))
+        spectrum = solve(problem, k)
+        assert spectrum.route == "block"
+        want = dense_spectrum(problem, k)
+        assert abs(spectrum.values[0]) <= 1e-10 * want[1]
+        np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-9)
+        gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
+        np.testing.assert_allclose(gram, np.eye(k + 1), rtol=0, atol=1e-12)
+
+    def test_low_modes_off_the_zero_mode(self):
+        # g11 = 8 makes x the cheap direction: on a y-varying field the
+        # first eigenvalues all come from x modes m != 0, which pruning
+        # must not skip
+        spec = RandersMetric(RiemannianMetric(8.0, 0.0, 1.0),
+                             "0.5*(1 + 0.5*sin(2*pi*y))", 0.0)
+        problem = assemble(SymbolField.compute(spec, TorusGrid(16, 12)))
+        spectrum = solve(problem, 6)
+        assert spectrum.route == "block"
+        np.testing.assert_allclose(spectrum.values[1:],
+                                   dense_spectrum(problem, 6)[1:], rtol=1e-9)
+        u = spectrum.vectors[:, 1].reshape(16, 12)
+        assert float(np.abs(u - u.mean(axis=0)).max()) > 1e-3
+
+    def test_two_dimensional_field_takes_shift_invert(self):
+        spec = RandersMetric(RiemannianMetric(1.5, 0.3, 1.0),
+                             "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
+        problem = assemble(SymbolField.compute(spec, TorusGrid(16, 20)))
+        spectrum = solve(problem, 6)
+        assert spectrum.route == "shift-invert"
+        np.testing.assert_allclose(spectrum.values[1:],
+                                   dense_spectrum(problem, 6)[1:], rtol=1e-9)
+
+    def test_perturbed_stiffness_takes_shift_invert(self):
+        # one edge weight nudged: K stays symmetric with zero row sums but is
+        # no longer invariant along either axis
+        spec = RandersMetric.axis_drift_torus(2.0, 0.6)
+        problem = assemble(SymbolField.compute(spec, TorusGrid(12, 16)))
+        assert solve(problem, 4).route == "block"
+        a, b = 5, 6
+        bump = 1e-9 * float(np.abs(problem.K.data).max())
+        edge = sparse.csr_matrix(([bump, bump, -bump, -bump],
+                                  ([a, b, a, b], [a, b, b, a])),
+                                 shape=problem.K.shape)
+        perturbed = fspec.solver.SpectralProblem(
+            K=(problem.K + edge).tocsr(), M=problem.M, grid=problem.grid,
+            lambda_scale=problem.lambda_scale)
+        spectrum = solve(perturbed, 4)
+        assert spectrum.route == "shift-invert"
+        np.testing.assert_allclose(spectrum.values[1:],
+                                   dense_spectrum(perturbed, 4)[1:], rtol=1e-9)
 
 
 class TestOracleEquivalence:
