@@ -1,19 +1,22 @@
 """Layer-by-layer scaling of the spectral pipeline: field, assemble, solve.
 
-For three drifted tori on the h = 2 stretched torus with eta = 0.9 (a
-constant drift, a drift varying in y only and a drift varying in x and y)
-and a ladder of square grids, times the three layers of one spectral
-problem, records the tracemalloc peak of each and the route ``solve`` took,
-and writes one JSON file.  Single process, one stage at a time:
+For four drifted tori (on the h = 2 stretched torus with eta = 0.9: a
+constant drift, a drift varying in y only and a drift varying in x and y;
+on a sheared base: a drift varying in y only) and the square grids
+``GRIDS``, times the three layers of one spectral problem, records the
+tracemalloc peak of each and the route ``solve`` took, and writes one JSON
+file.  Single process, one stage at a time:
 
     PYTHONPATH=src python benchmarks/scaling.py --out BENCH.json
 
-Each stage is timed ``--repeats`` times without tracemalloc (the minimum is
+Each stage is timed ``REPEATS`` times without tracemalloc (the minimum is
 kept), then run once more under tracemalloc for its peak, which counts numpy
 and Python allocations but not memory that compiled libraries allocate
-themselves (SuperLU's factors, for one).  The field varying in x and y goes
-to shift-invert, whose LU factors grow much faster than the grid; it stops at
-``_SHIFT_INVERT_MAX_GRID`` so the run stays within a few hundred MiB.
+themselves (SuperLU's factors, for one).  The 2-D and the sheared field go to
+shift-invert, whose LU factors grow much faster than the grid; a field that
+took shift-invert stops at ``_SHIFT_INVERT_MAX_GRID`` so the run stays within
+a few hundred MiB.  Grids and repeats are fixed so that the outputs of
+different versions compare.
 """
 
 from __future__ import annotations
@@ -31,22 +34,29 @@ import numpy as np
 import scipy
 
 import fspec
-from fspec import RandersMetric, SymbolField, TorusGrid, assemble, solve
+from fspec import (RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
+                   assemble, solve)
 
-SCHEMA = "fspec-scaling/1"
+SCHEMA = "fspec-scaling/2"
 K = 10
+GRIDS = (64, 128, 256, 512)
+REPEATS = 3
+# name -> RandersMetric(RiemannianMetric(g11, g12, g22), rho_x, rho_y)
 FIELDS = {
-    "constant": "1.0",
-    "y-only": "0.5 + 0.4*sin(2*pi*y)",
-    "2-D": "0.5 + 0.4*sin(2*pi*x)*cos(2*pi*y)",
+    "constant": ((4.0, 0.0, 0.25), "1.8", "0"),
+    "y-only": ((4.0, 0.0, 0.25), "1.8*(0.5 + 0.4*sin(2*pi*y))", "0"),
+    "2-D": ((4.0, 0.0, 0.25), "1.8*(0.5 + 0.4*sin(2*pi*x)*cos(2*pi*y))",
+            "0"),
+    "sheared y-only": ((2.0, 0.7, 0.8), "0.3*(0.5 + 0.4*sin(2*pi*y))",
+                       "0.2*(0.5 + 0.4*sin(2*pi*y))"),
 }
 _SHIFT_INVERT_MAX_GRID = 256
 
 
-def _stage(fn, repeats):
-    """(result, min seconds over repeats, tracemalloc peak MiB of one more run)."""
+def _stage(fn):
+    """(result, min seconds over REPEATS, tracemalloc peak MiB of one more run)."""
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -59,13 +69,12 @@ def _stage(fn, repeats):
     return result, best, peak / 2**20
 
 
-def run_case(profile, n, repeats):
-    spec = RandersMetric.axis_drift_torus(2.0, 0.9, profile=profile)
+def run_case(g, rho_x, rho_y, n):
+    spec = RandersMetric(RiemannianMetric(*g), rho_x, rho_y)
     grid = TorusGrid.square(n)
-    field, t_field, m_field = _stage(lambda: SymbolField.compute(spec, grid),
-                                     repeats)
-    problem, t_asm, m_asm = _stage(lambda: assemble(field), repeats)
-    spectrum, t_solve, m_solve = _stage(lambda: solve(problem, K), repeats)
+    field, t_field, m_field = _stage(lambda: SymbolField.compute(spec, grid))
+    problem, t_asm, m_asm = _stage(lambda: assemble(field))
+    spectrum, t_solve, m_solve = _stage(lambda: solve(problem, K))
     return {
         "grid": n, "nodes": grid.node_count, "k": K,
         "K_nnz": int(problem.K.nnz),
@@ -79,22 +88,19 @@ def run_case(profile, n, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--grids", default="64,128,256,512",
-                        help="comma-separated square grid sizes")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    grids = [int(n) for n in args.grids.split(",")]
 
     cases = []
-    for name, profile in FIELDS.items():
-        for n in grids:
-            if name == "2-D" and n > _SHIFT_INVERT_MAX_GRID:
-                continue
-            case = {"field": name, "profile": profile,
-                    **run_case(profile, n, args.repeats)}
+    for name, (g, rho_x, rho_y) in FIELDS.items():
+        for n in GRIDS:
+            if (n > _SHIFT_INVERT_MAX_GRID and cases
+                    and cases[-1]["route"] == "shift-invert"):
+                break
+            case = {"field": name, "g": list(g), "rho": [rho_x, rho_y],
+                    **run_case(g, rho_x, rho_y, n)}
             cases.append(case)
             sec = case["seconds"]
-            print(f"{name:9s} {n:4d}^2  {case['route']:12s} field "
+            print(f"{name:14s} {n:4d}^2  {case['route']:12s} field "
                   f"{sec['field']:.3f}s  assemble {sec['assemble']:.3f}s  "
                   f"solve {sec['solve']:.3f}s  solve peak "
                   f"{case['peak_mib']['solve']:.1f} MiB", flush=True)
@@ -109,8 +115,8 @@ def main(argv=None):
         "versions": {"python": sys.version.split()[0],
                      "fspec": fspec.__version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "metric": "RandersMetric.axis_drift_torus(2.0, 0.9, profile)",
-        "repeats": args.repeats,
+        "metric": "RandersMetric(RiemannianMetric(*g), *rho)",
+        "repeats": REPEATS,
         "cases": cases,
         "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

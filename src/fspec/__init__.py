@@ -3,7 +3,8 @@
 Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
 / weight fields checked by fiber-circle quadrature, a flux-form weighted
 Laplacian with an exact Fourier-block eigensolve for fields invariant along
-one axis and shift-invert for the rest, and config-driven experiments.
+one axis without a cross term and shift-invert for the rest, and
+config-driven experiments.
 """
 
 from .fields import Field, as_field, reduce_mod1

@@ -9,11 +9,13 @@ to second order.  The mass operator is M = diag(mu dx dy) and the spectrum
 solves K u = lambda M u.
 
 When K is bitwise unchanged by the one-step shift of the grid along x (or,
-after transposing the grid, along y) and the mass repeats on every grid line
-along that axis, the pencil is block-circulant and splits exactly into one
-small Hermitian block per Fourier mode of that axis; ``solve`` then takes the
-block route.  Every other problem goes to ARPACK shift-invert.  Both routes
-are gated by the same residual and lambda_0 checks against the assembled K, M.
+after transposing the grid, along y), the mass repeats on every grid line
+along that axis and the stencil has no cross term along it, the pencil is
+block-circulant and splits exactly into one small real symmetric block per
+Fourier mode of that axis; ``solve`` then takes the block route.  Every
+other problem, a sheared one-axis field included, goes to ARPACK
+shift-invert.  Both routes are gated by the same residual and lambda_0
+checks against the assembled K, M.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -161,7 +163,8 @@ def _translation_blocks(K, rings, width):
         (np.roll(K.data, -cut), (np.roll(K.indices, -cut) - width) % n, indptr),
         shape=K.shape)
     shifted.sort_indices()
-    if not (np.array_equal(shifted.indices, K.indices)
+    if not (np.array_equal(shifted.indptr, K.indptr)
+            and np.array_equal(shifted.indices, K.indices)
             and np.array_equal(shifted.data, K.data)):
         return None
     head = K[:width]
@@ -172,27 +175,24 @@ def _translation_blocks(K, rings, width):
     return blocks
 
 
-def _mode_block(blocks, m, rings, cross):
-    """B_m = sum_s C_s w^(m s), w = exp(2 pi i / rings); real for the
-    self-conjugate modes 0 and rings/2 and whenever there is no cross term."""
+def _mode_block(blocks, m, rings):
+    """B_m = sum_s C_s cos(2 pi m s / rings), the block of Fourier mode m of a
+    block-circulant K whose coupling blocks C_s, s != 0, are diagonal."""
     theta = 2.0 * np.pi * m / rings
-    B = sum(C * np.cos(theta * s) for s, C in blocks.items())
-    if cross and 2 * m % rings:
-        B = B + 1j * sum(C * np.sin(theta * s) for s, C in blocks.items())
-    return B
+    return sum(C * np.cos(theta * s) for s, C in blocks.items())
 
 
 def _block_eigenvectors(blocks, mass, rings, k, shift):
     """First k+1 eigenvectors of a block-circulant pencil, mode by mode.
 
-    Fourier mode m along the ring reduces the pencil to the Hermitian block
-    B_m (``_mode_block``) against diag(mass), solved by dense eigh after
-    symmetric scaling by mass^(-1/2).  Without a cross term (every C_s,
-    s != 0, diagonal and |s| <= 1), B_m = B_0 + 4 sin^2(pi m / rings)
-    diag(-C_1) with B_0 PSD, so no eigenvalue of mode m lies below
-    4 sin^2(pi m / rings) min(-C_1 / mass); modes are visited in increasing m
-    and the sweep stops once that bound exceeds the current (k+1)-th value.
-    With a cross term every mode is solved.
+    The coupling blocks are C_0 and the diagonal C_{+-1} = C_1 (no cross
+    term).  Fourier mode m along the ring reduces the pencil to the real
+    symmetric block B_m (``_mode_block``) against diag(mass), solved by dense
+    eigh after symmetric scaling by mass^(-1/2).  B_m = B_0 +
+    4 sin^2(pi m / rings) diag(-C_1) with B_0 PSD, so no eigenvalue of mode m
+    lies below 4 sin^2(pi m / rings) min(-C_1 / mass); modes are visited in
+    increasing m and the sweep stops once that bound exceeds the current
+    (k+1)-th value.
 
     The dense solve leaves errors of order eps lambda_max in the vectors.
     One inverse-iteration step about `shift` (below the spectrum) on each
@@ -200,25 +200,23 @@ def _block_eigenvectors(blocks, mass, rings, k, shift):
     M-orthonormality.
 
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
-    the real grid vectors Re and Im of w^(m i) u scaled by sqrt(2/rings);
-    modes 0 and rings/2 give one vector scaled by 1/sqrt(rings).  Vectors are
-    M-orthonormal, ravelled line by line and in ascending eigenvalue order.
+    the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
+    scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
+    by 1/sqrt(rings).  Vectors are M-orthonormal, ravelled line by line and
+    in ascending eigenvalue order.
     """
     width = mass.size
     scale = 1.0 / np.sqrt(mass)
-    cross = any(np.count_nonzero(C - np.diag(np.diag(C)))
-                for s, C in blocks.items() if s)
-    prune = not cross and set(blocks) <= {-1, 0, 1}
     rate = float((-np.diag(blocks[1]) / mass).min()) if 1 in blocks else 0.0
     last = min(k, width - 1)
 
     pool = []   # (value, m, j, part): the k+1 smallest found so far
     modes = {}  # m -> eigenvectors of B_m, for the modes in the pool
     for m in range(rings // 2 + 1):
-        if (prune and len(pool) > k
+        if (len(pool) > k
                 and 4.0 * np.sin(np.pi * m / rings) ** 2 * rate > pool[k][0]):
             break
-        B = _mode_block(blocks, m, rings, cross)
+        B = _mode_block(blocks, m, rings)
         w, u = scipy.linalg.eigh(scale[:, None] * B * scale[None, :],
                                  subset_by_index=(0, last))
         modes[m] = scale[:, None] * u
@@ -231,23 +229,20 @@ def _block_eigenvectors(blocks, mass, rings, k, shift):
         modes = {mode: u for mode, u in modes.items() if mode in kept}
 
     for m, u in modes.items():
-        B = _mode_block(blocks, m, rings, cross)
+        B = _mode_block(blocks, m, rings)
         y = scipy.linalg.solve(B - shift * np.diag(mass), mass[:, None] * u,
-                               assume_a="her")
-        y = y / np.sqrt(mass @ np.abs(y) ** 2)
-        chol = np.linalg.cholesky(y.conj().T @ (mass[:, None] * y))
-        modes[m] = scipy.linalg.solve_triangular(chol, y.conj().T,
-                                                 lower=True).conj().T
+                               assume_a="sym")
+        y = y / np.sqrt(mass @ y**2)
+        chol = np.linalg.cholesky(y.T @ (mass[:, None] * y))
+        modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
 
     ring = np.arange(rings)
     vectors = np.empty((rings * width, len(pool)))
     for col, (_, m, j, part) in enumerate(pool):
-        wave = np.exp(2j * np.pi * m * ring / rings)[:, None] * modes[m][None, :, j]
-        if part == "one":
-            v = wave.real / np.sqrt(rings)
-        else:
-            v = (wave.real if part == "cos" else wave.imag) * np.sqrt(2.0 / rings)
-        vectors[:, col] = v.ravel()
+        phase = 2.0 * np.pi * m * ring / rings
+        wave = np.sin(phase) if part == "sin" else np.cos(phase)
+        norm = np.sqrt(2.0 / rings) if part != "one" else 1.0 / np.sqrt(rings)
+        vectors[:, col] = (norm * wave[:, None] * modes[m][None, :, j]).ravel()
     return vectors
 
 
@@ -270,7 +265,9 @@ def _block_route(problem, k, shift):
     """(values, vectors) by Fourier blocks along x, else along y, else None.
 
     A pencil qualifies along an axis if the mass repeats on every grid line
-    across that axis and K is bitwise invariant under the one-line shift.
+    across that axis, K is bitwise invariant under the one-line shift and
+    its coupling blocks C_s, s != 0, are diagonal with |s| <= 1 (no cross
+    term, so every mode block is real and the mode sweep can stop early).
     The eigenvalues are the edge-form Rayleigh quotients of the block
     eigenvectors, accurate relative to each eigenvalue where the dense block
     solve is accurate only to roundoff in lambda_max.
@@ -293,7 +290,9 @@ def _block_route(problem, k, shift):
             moved = K[order][:, order]
             moved.sort_indices()
         blocks = _translation_blocks(moved, rings, width)
-        if blocks is None:
+        if blocks is None or set(blocks) - {-1, 0, 1} or any(
+                np.count_nonzero(C - np.diag(np.diag(C)))
+                for s, C in blocks.items() if s):
             continue
         vectors = _block_eigenvectors(blocks, lines[0], rings, k, shift)
         if order is not None:
@@ -319,21 +318,21 @@ def solve(problem, k, seed=0):
     """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
     Block route: if K is bitwise invariant under the one-step shift of the
-    grid along x, or along y, and M repeats on every grid line along that
-    axis, the pencil splits exactly into one Hermitian block per Fourier mode
-    of the axis, each solved densely (``_block_eigenvectors``).  Without a
-    cross term in the coupling blocks, modes are visited in increasing
-    sin^2(pi m / n) and the sweep stops once 4 sin^2(pi m / n) min(-C_1 / M)
-    exceeds the current (k+1)-th value, a sound lower bound on that mode;
-    with one, every mode is solved.  The kept vectors take one
+    grid along x, or along y, M repeats on every grid line along that axis
+    and the coupling blocks C_s between lines carry no cross term (C_{+-1}
+    diagonal), the pencil splits exactly into one real symmetric block per
+    Fourier mode of the axis, each solved densely (``_block_eigenvectors``).
+    Modes are visited in increasing sin^2(pi m / n) and the sweep stops once
+    4 sin^2(pi m / n) min(-C_1 / M) exceeds the current (k+1)-th value, a
+    sound lower bound on that mode.  The kept vectors take one
     inverse-iteration step about the shift below, and the eigenvalues are
     their edge-form Rayleigh quotients (``_edge_rayleigh``), so small
     eigenvalues keep their relative accuracy.  A field constant along an axis
     only to roundoff fails the bitwise test and is not reduced.
 
-    Shift-invert route, for everything else: ARPACK about the small negative
-    shift -lambda_scale / 2, started from a seeded random vector.  Either route needs
-    k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u|| against the assembled
+    Shift-invert route, for everything else (sheared one-axis fields too):
+    ARPACK about the small negative shift -lambda_scale / 2, started from a
+    seeded random vector.  Either route needs k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u|| against the assembled
     K and M are checked against _RESTOL relative to each eigenvalue's own
     scale; lambda_0 must be a numerical zero.  ``discrete_fourier_oracle``
     gives the exact eigenvalues on constant fields.

@@ -22,6 +22,17 @@ def euclid_field(n):
                                QUAD)
 
 
+def solve_routes(problem, k):
+    """solve(problem, k) as is, then with the block route switched off, so
+    that shift-invert is checked on problems the block route would take."""
+    spectra = [solve(problem, k)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fspec.solver, "_block_route", lambda *args: None)
+        spectra.append(solve(problem, k))
+    assert spectra[1].route == "shift-invert"
+    return spectra
+
+
 def make_constant_field(n, sig, mu):
     grid = TorusGrid.square(n)
     shape = (n, n)
@@ -141,16 +152,16 @@ class TestSolve:
 
     def test_eigenvectors_m_orthonormal(self):
         problem = assemble(euclid_field(16))
-        spectrum = solve(problem, 4)
-        gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
-        np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
+        for spectrum in solve_routes(problem, 4):
+            gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
+            np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
 
     def test_residuals_small(self):
         problem = assemble(euclid_field(64))
-        spectrum = solve(problem, 5)
-        rel = spectrum.residuals / np.maximum(spectrum.values,
-                                              spectrum.values[1])
-        assert float(rel.max()) < 1e-9
+        for spectrum in solve_routes(problem, 5):
+            rel = spectrum.residuals / np.maximum(spectrum.values,
+                                                  spectrum.values[1])
+            assert float(rel.max()) < 1e-9
 
     def test_dense_and_sparse_agree(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
@@ -158,8 +169,9 @@ class TestSolve:
         problem = assemble(field)
         dense = scipy.linalg.eigh(problem.K.toarray(), problem.M.toarray(),
                                   eigvals_only=True, subset_by_index=(0, 6))
-        sparse_s = solve(problem, 6)
-        np.testing.assert_allclose(dense[1:], sparse_s.values[1:], rtol=1e-9)
+        for sparse_s in solve_routes(problem, 6):
+            np.testing.assert_allclose(dense[1:], sparse_s.values[1:],
+                                       rtol=1e-9)
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
@@ -248,23 +260,31 @@ class TestFourierOracle:
 
 @st.composite
 def constant_metrics(draw):
-    """Constant SPD g with g12 != 0: Riemannian, Randers with both drift
-    components and |rho|_{g*} <= 0.9, or either under a constant conformal
-    factor."""
-    angle = draw(st.floats(0.1, 1.4))
+    """Constant SPD g: Riemannian, Randers with |rho|_{g*} <= 0.9, or either
+    under a constant conformal factor.  Sheared draws have g12 != 0 and both
+    drift components; aligned draws have g12 = 0 and a drift along one axis,
+    so that the stencil has no cross term and the block route applies."""
+    aligned = draw(st.booleans())
+    angle = (draw(st.sampled_from([0.0, 0.5 * np.pi])) if aligned
+             else draw(st.floats(0.1, 1.4)))
     low = draw(st.floats(0.3, 3.0))
     eigs = np.array([low, low * draw(st.floats(1.5, 8.0))])
     rot = np.array([[np.cos(angle), -np.sin(angle)],
                     [np.sin(angle), np.cos(angle)]])
+    if aligned:
+        rot = np.round(rot)  # an exact permutation, so g12 is exactly 0
     g = rot @ np.diag(eigs) @ rot.T
     spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
     family = draw(st.sampled_from(["riemannian", "randers", "conformal"]))
     if family != "riemannian":
         eta = draw(st.floats(0.1, 0.9))
-        phi = draw(st.floats(0.2, 1.3))
+        phi = (draw(st.sampled_from([0.0, 0.5 * np.pi])) if aligned
+               else draw(st.floats(0.2, 1.3)))
         # rho = eta g^(1/2) u has |rho|_{g*} = eta
         root_g = rot @ np.diag(np.sqrt(eigs)) @ rot.T
-        rx, ry = map(float, eta * root_g @ [np.cos(phi), np.sin(phi)])
+        u = np.round([np.cos(phi), np.sin(phi)]) if aligned else [
+            np.cos(phi), np.sin(phi)]
+        rx, ry = map(float, eta * root_g @ u)
         spec = RandersMetric(spec, rx, ry)
     if family == "conformal":
         spec = ConformalMetric(spec, repr(draw(st.floats(-0.5, 0.5))))
@@ -278,11 +298,15 @@ class TestDiscreteFourierOracle:
            st.integers(1, 8))
     def test_solver_matches_discrete_oracle(self, spec, shape, k):
         field = SymbolField.compute(spec, TorusGrid(*shape))
-        got = solve(assemble(field), k).values
+        spectra = solve_routes(assemble(field), k)
+        cross = np.any(field.sigma_star[..., 0, 1])
+        assert spectra[0].route == ("shift-invert" if cross else "block")
         want = discrete_fourier_oracle(field, k)
         assert want[0] == 0.0
-        assert abs(got[0]) <= 1e-10 * want[1]
-        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9)
+        for spectrum in spectra:
+            got = spectrum.values
+            assert abs(got[0]) <= 1e-10 * want[1]
+            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9)
 
     def test_rejects_varying_field(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
@@ -304,8 +328,9 @@ def axis_invariant_metrics(draw):
     axis the lowest nonzero modes often have m != 0; a Randers drift varying
     along t with |rho|_{g*} <= 0.9; optionally a conformal factor varying
     along t.  Sheared draws have a g12 / sqrt(g11 g22) of 0.1 to 0.9 in size
-    and both drift components, so the blocks carry a cross term; the others
-    have g12 = 0 and a drift along one axis, so the mode sweep is pruned.
+    and both drift components, so the stencil carries a cross term and the
+    block route must decline; the others have g12 = 0 and a drift along one
+    axis, so the block route applies and its mode sweep is pruned.
     """
     t = draw(st.sampled_from(["x", "y"]))
     sheared = draw(st.booleans())
@@ -346,14 +371,31 @@ class TestBlockRoute:
            st.sampled_from([(12, 20), (20, 16), (16, 12), (10, 24)]),
            st.integers(1, 9))
     def test_matches_dense_eigh(self, spec, shape, k):
-        problem = assemble(SymbolField.compute(spec, TorusGrid(*shape)))
+        field = SymbolField.compute(spec, TorusGrid(*shape))
+        problem = assemble(field)
         spectrum = solve(problem, k)
-        assert spectrum.route == "block"
+        # a cross term makes the mode blocks complex: those go to shift-invert
+        cross = np.any(field.sigma_star[..., 0, 1])
+        assert spectrum.route == ("shift-invert" if cross else "block")
         want = dense_spectrum(problem, k)
         assert abs(spectrum.values[0]) <= 1e-10 * want[1]
         np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-9)
         gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
         np.testing.assert_allclose(gram, np.eye(k + 1), rtol=0, atol=1e-12)
+
+    def test_small_eigenvalues_exact_on_a_fine_grid(self):
+        # lambda_max / lambda_1 grows like n^2: at 512^2 the vectors of a
+        # plain dense block solve miss _RESTOL (max rel residual 1.6e-9) and
+        # their Rayleigh quotients K u . u lose about 1e-10 of lambda_1; the
+        # inverse-iteration step and the edge-form quotients keep both at
+        # roundoff
+        field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
+                                    TorusGrid.square(512))
+        spectrum = solve(assemble(field), 8)
+        assert spectrum.route == "block"
+        np.testing.assert_allclose(spectrum.values[1:],
+                                   discrete_fourier_oracle(field, 8)[1:],
+                                   rtol=1e-12)
 
     def test_low_modes_off_the_zero_mode(self):
         # g11 = 8 makes x the cheap direction: on a y-varying field the
@@ -411,12 +453,13 @@ class TestOracleEquivalence:
                 spec = RiemannianMetric.stretched(h)
             A, B = randers_axis_symbol(h, 1.0 / h, eta)
             field = SymbolField.compute(spec, TorusGrid.square(n), QUAD)
-            got = solve(assemble(field), 10).values
             want = fourier_oracle(np.diag([A, B]), 10)
             lam1_bound = 1.5 * (FOUR_PI2 * max(A, B)) * (np.pi / n) ** 2
-            assert abs(got[1] - want[1]) < lam1_bound
             bounds = 1.5 * (np.pi / n) ** 2 * want[1:] ** 2 / (FOUR_PI2 * min(A, B))
-            assert np.all(np.abs(got[1:] - want[1:]) < bounds)
+            for spectrum in solve_routes(assemble(field), 10):
+                got = spectrum.values
+                assert abs(got[1] - want[1]) < lam1_bound
+                assert np.all(np.abs(got[1:] - want[1:]) < bounds)
 
 
 class TestMinMaxMonotonicity:
