@@ -3,19 +3,21 @@
 The energy Int sigma*(df, df) mu dx dy is discretized in flux form on a
 periodic nx x ny grid: the diagonal coefficients D = mu sigma* act through
 edge-averaged fluxes, the mixed coefficient through symmetric centered
-cross-differences, so the stiffness operator K is symmetric with the
-constants exactly in its kernel and f' K f reproduces the energy quadrature
-to second order.  The mass operator is M = diag(mu dx dy) and the spectrum
-solves K u = lambda M u.
+cross-differences.  The result is a 9-point weighted graph Laplacian,
+f' K f = sum over edges w_ab (f_a - f_b)^2, whose edge weights for the
+offsets (1, 0), (0, 1), (1, 1) and (1, -1) are what ``SpectralProblem``
+stores; K is built from them, so it is symmetric with the constants exactly
+in its kernel, and f' K f reproduces the energy quadrature to second order.
+The mass operator is M = diag(mu dx dy) and the spectrum solves
+K u = lambda M u.
 
-When K is bitwise unchanged by the one-step shift of the grid along x (or,
-after transposing the grid, along y), the mass repeats on every grid line
-along that axis and the stencil has no cross term along it, the pencil is
-block-circulant and splits exactly into one small real symmetric block per
-Fourier mode of that axis; ``solve`` then takes the block route.  Every
+When the two diagonal-offset weight arrays are all zero (no cross term) and
+the two axis weight arrays and the mass repeat on every grid line along x
+(or along y), the pencil splits exactly into one small real symmetric block
+per Fourier mode of that axis; ``solve`` then takes the block route.  Every
 other problem, a sheared one-axis field included, goes to ARPACK
 shift-invert.  Both routes are gated by the same residual and lambda_0
-checks against the assembled K, M.
+checks against K and M.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -25,6 +27,7 @@ spectra, and the exact discrete spectrum of the stencil gates the eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -34,29 +37,13 @@ import scipy.sparse.linalg as spla
 from .grid import TorusGrid
 
 _RESTOL = 1e-9  # eigenpair residual bound, relative to each eigenvalue's scale
+# grid offsets (di, dj) of the stencil's edges, in the order of
+# SpectralProblem.weights
+_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 class SolverError(RuntimeError):
     """Eigensolver failure or a violated discrete invariant."""
-
-
-def _forward_diff(m, step):
-    """Periodic forward difference (f[k+1] - f[k]) / step as a sparse matrix."""
-    k = np.arange(m)
-    rows = np.concatenate([k, k])
-    cols = np.concatenate([k, (k + 1) % m])
-    data = np.concatenate([-np.ones(m), np.ones(m)]) / step
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
-
-
-def _centered_diff(m, step):
-    """Periodic centered difference (f[k+1] - f[k-1]) / (2 step)."""
-    k = np.arange(m)
-    rows = np.concatenate([k, k])
-    cols = np.concatenate([(k + 1) % m, (k - 1) % m])
-    half = 0.5 / step
-    data = np.concatenate([np.full(m, half), np.full(m, -half)])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
 
 
 @dataclass
@@ -82,56 +69,83 @@ class Spectrum:
 
 @dataclass
 class SpectralProblem:
-    """Stiffness K (symmetric PSD, constants in the kernel), diagonal mass M."""
+    """The flux-form stencil: edge weights and nodal masses on a grid.
 
-    K: sparse.csr_matrix
-    M: sparse.dia_matrix
+    weights[e][i, j] weights the edge from node (i, j) to node
+    (i, j) + _OFFSETS[e], periodically; mass[i, j] = mu dx dy.  The stiffness
+    K (symmetric PSD, constants in the kernel) and the diagonal mass M are
+    built from them on first use and kept.
+    """
+
+    weights: np.ndarray     # (4, nx, ny), one array per offset in _OFFSETS
+    mass: np.ndarray        # (nx, ny)
     grid: TorusGrid
     lambda_scale: float
 
+    @cached_property
+    def K(self):
+        return _stiffness(self.weights, self.grid)
+
+    @cached_property
+    def M(self):
+        return sparse.diags(self.mass.ravel())
+
     @property
     def n_nodes(self):
-        return self.K.shape[0]
+        return self.grid.node_count
 
 
-def _stiffness(field, grid):
-    """Flux-form K from edge means of mu sigma* and centered cross-differences."""
-    cell = grid.cell_area
-    D = field.mu[..., None, None] * field.sigma_star
-    d11 = D[..., 0, 0]
-    d22 = D[..., 1, 1]
-    d12 = D[..., 0, 1]
+def _stiffness(weights, grid):
+    """K = sum over edges (a, b) of w_ab (e_a - e_b)(e_a - e_b)', built as COO.
 
-    w11 = 0.5 * (d11 + np.roll(d11, -1, axis=0)).ravel() * cell
-    w22 = 0.5 * (d22 + np.roll(d22, -1, axis=1)).ravel() * cell
-    w12 = d12.ravel() * cell
-
-    ix = sparse.identity(grid.nx, format="csr")
-    iy = sparse.identity(grid.ny, format="csr")
-    Dx = sparse.kron(_forward_diff(grid.nx, grid.dx), iy, format="csr")
-    Dy = sparse.kron(ix, _forward_diff(grid.ny, grid.dy), format="csr")
-    Gx = sparse.kron(_centered_diff(grid.nx, grid.dx), iy, format="csr")
-    Gy = sparse.kron(ix, _centered_diff(grid.ny, grid.dy), format="csr")
-
-    K = (Dx.T @ sparse.diags(w11) @ Dx
-         + Dy.T @ sparse.diags(w22) @ Dy)
-    if np.any(w12 != 0.0):
-        cross = Gx.T @ sparse.diags(w12) @ Gy
-        K = K + cross + cross.T
-    K = K.tocsr()
-    K.eliminate_zeros()
-    return K
+    Edges whose weight is exactly zero are left out of the pattern; the
+    diagonal sums the weights of every edge at the node.
+    """
+    node = np.arange(grid.node_count).reshape(grid.nx, grid.ny)
+    diagonal = np.zeros(node.shape)
+    rows, cols, data = [], [], []
+    for offset, weight in zip(_OFFSETS, weights):
+        diagonal += weight + np.roll(weight, offset, axis=(0, 1))
+        keep = weight != 0.0
+        a = node[keep]
+        b = np.roll(node, np.negative(offset), axis=(0, 1))[keep]
+        rows += [a, b]
+        cols += [b, a]
+        data += [-weight[keep]] * 2
+    rows.append(node.ravel())
+    cols.append(node.ravel())
+    data.append(diagonal.ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.node_count, grid.node_count)).tocsr()
 
 
 def assemble(field):
-    """Build the flux-form stiffness and diagonal mass operators on field.grid.
+    """The flux-form stencil of field on field.grid, as a SpectralProblem.
 
-    K is symmetric with the constants in its kernel by construction; both are
-    checked on K as built, raising SolverError if either fails.
+    With D = mu sigma*, the edge weights are the edge means of D11 dy / dx
+    along x and of D22 dx / dy along y; the cross term
+    Gx' diag(c) Gy + transpose of the centered differences Gx, Gy, with
+    c = D12 dx dy, couples only diagonal neighbours, so it folds onto the
+    offsets (1, 1) and (1, -1) with the weights +-(c at the cell's two other
+    corners) / (4 dx dy).  K is symmetric with the constants in its kernel by
+    construction; both are checked on K as built, raising SolverError if
+    either fails.
     """
     grid = field.grid
-    cell = grid.cell_area
-    K = _stiffness(field, grid)
+    D = field.mu[..., None, None] * field.sigma_star
+    d11, d22, d12 = D[..., 0, 0], D[..., 1, 1], D[..., 0, 1]
+    d12_east = np.roll(d12, -1, axis=0)
+    weights = np.stack([
+        0.5 * (d11 + np.roll(d11, -1, axis=0)) * (grid.dy / grid.dx),
+        0.5 * (d22 + np.roll(d22, -1, axis=1)) * (grid.dx / grid.dy),
+        0.25 * (d12_east + np.roll(d12, -1, axis=1)),
+        -0.25 * (d12_east + np.roll(d12, 1, axis=1))])
+    lambda_scale = 4.0 * np.pi**2 * float(field.sigma_min_eigenvalues().min())
+    problem = SpectralProblem(weights=weights, mass=field.mu * grid.cell_area,
+                              grid=grid, lambda_scale=lambda_scale)
+
+    K = problem.K
     scale = float(np.abs(K.data).max()) if K.nnz else 1.0
     asym = float(abs(K - K.T).max())
     if asym > 1e-12 * scale:
@@ -139,58 +153,21 @@ def assemble(field):
     row_sum = float(np.abs(K @ np.ones(K.shape[0])).max())
     if row_sum > 1e-12 * scale:
         raise SolverError(f"stiffness rows do not sum to zero: max |K 1| = {row_sum:.3e}")
-
-    M = sparse.diags(field.mu.ravel() * cell)
-    lambda_scale = 4.0 * np.pi**2 * float(field.sigma_min_eigenvalues().min())
-    return SpectralProblem(K=K, M=M, grid=grid, lambda_scale=lambda_scale)
+    return problem
 
 
-def _translation_blocks(K, rings, width):
-    """Coupling blocks of a stiffness that commutes with a shift of the nodes.
+def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
+    """First k+1 eigenvectors of a stencil made of `rings` identical lines.
 
-    The nodes form `rings` consecutive lines of `width` nodes each and K is a
-    CSR matrix in canonical form.  If K is bitwise unchanged when every node
-    moves one line on (periodically), K is block-circulant: returns {s: C_s},
-    the dense width x width blocks coupling line 0 to line s, with the offset
-    s taken in (-rings/2, rings/2].  Else returns None.
-    """
-    n = rings * width
-    cut = K.indptr[width]
-    indptr = np.concatenate([K.indptr[width:] - cut,
-                             K.indptr[1:width + 1] + (K.nnz - cut)])
-    # row r of `shifted` is row r + width of K with its columns moved back
-    shifted = sparse.csr_matrix(
-        (np.roll(K.data, -cut), (np.roll(K.indices, -cut) - width) % n, indptr),
-        shape=K.shape)
-    shifted.sort_indices()
-    if not (np.array_equal(shifted.indptr, K.indptr)
-            and np.array_equal(shifted.indices, K.indices)
-            and np.array_equal(shifted.data, K.data)):
-        return None
-    head = K[:width]
-    blocks = {}
-    for s in np.unique(head.indices // width):
-        offset = int(s) if 2 * s <= rings else int(s) - rings
-        blocks[offset] = head[:, s * width:(s + 1) * width].toarray()
-    return blocks
-
-
-def _mode_block(blocks, m, rings):
-    """B_m = sum_s C_s cos(2 pi m s / rings), the block of Fourier mode m of a
-    block-circulant K whose coupling blocks C_s, s != 0, are diagonal."""
-    theta = 2.0 * np.pi * m / rings
-    return sum(C * np.cos(theta * s) for s, C in blocks.items())
-
-
-def _block_eigenvectors(blocks, mass, rings, k, shift):
-    """First k+1 eigenvectors of a block-circulant pencil, mode by mode.
-
-    The coupling blocks are C_0 and the diagonal C_{+-1} = C_1 (no cross
-    term).  Fourier mode m along the ring reduces the pencil to the real
-    symmetric block B_m (``_mode_block``) against diag(mass), solved by dense
-    eigh after symmetric scaling by mass^(-1/2).  B_m = B_0 +
-    4 sin^2(pi m / rings) diag(-C_1) with B_0 PSD, so no eigenvalue of mode m
-    lies below 4 sin^2(pi m / rings) min(-C_1 / mass); modes are visited in
+    Each line has mass.size nodes; w_line[j] weights the edge from node j to
+    node j + 1 of a line (periodically) and w_ring[j] the edge from node j
+    of a line to node j of the next.  Fourier mode m across the lines
+    reduces the pencil to the real symmetric block
+    B_m = L_line + 4 sin^2(pi m / rings) diag(w_ring) against diag(mass),
+    where L_line is the periodic tridiagonal Laplacian of w_line; each is
+    solved by dense eigh after symmetric scaling by mass^(-1/2).
+    B_0 = L_line is PSD, so no eigenvalue of mode m lies below
+    4 sin^2(pi m / rings) min(w_ring / mass); modes are visited in
     increasing m and the sweep stops once that bound exceeds the current
     (k+1)-th value.
 
@@ -207,8 +184,16 @@ def _block_eigenvectors(blocks, mass, rings, k, shift):
     """
     width = mass.size
     scale = 1.0 / np.sqrt(mass)
-    rate = float((-np.diag(blocks[1]) / mass).min()) if 1 in blocks else 0.0
+    nodes = np.arange(width)
+    after = np.roll(nodes, -1)
+    laplacian = np.diag(w_line + np.roll(w_line, 1))
+    laplacian[nodes, after] = laplacian[after, nodes] = -w_line
+    rate = float((w_ring / mass).min())
     last = min(k, width - 1)
+
+    def block(m):
+        gap = 4.0 * np.sin(np.pi * m / rings) ** 2
+        return laplacian + np.diag(gap * w_ring)
 
     pool = []   # (value, m, j, part): the k+1 smallest found so far
     modes = {}  # m -> eigenvectors of B_m, for the modes in the pool
@@ -216,8 +201,7 @@ def _block_eigenvectors(blocks, mass, rings, k, shift):
         if (len(pool) > k
                 and 4.0 * np.sin(np.pi * m / rings) ** 2 * rate > pool[k][0]):
             break
-        B = _mode_block(blocks, m, rings)
-        w, u = scipy.linalg.eigh(scale[:, None] * B * scale[None, :],
+        w, u = scipy.linalg.eigh(scale[:, None] * block(m) * scale[None, :],
                                  subset_by_index=(0, last))
         modes[m] = scale[:, None] * u
         parts = ("cos", "sin") if 2 * m % rings else ("one",)
@@ -229,75 +213,68 @@ def _block_eigenvectors(blocks, mass, rings, k, shift):
         modes = {mode: u for mode, u in modes.items() if mode in kept}
 
     for m, u in modes.items():
-        B = _mode_block(blocks, m, rings)
-        y = scipy.linalg.solve(B - shift * np.diag(mass), mass[:, None] * u,
-                               assume_a="sym")
+        y = scipy.linalg.solve(block(m) - shift * np.diag(mass),
+                               mass[:, None] * u, assume_a="sym")
         y = y / np.sqrt(mass @ y**2)
         chol = np.linalg.cholesky(y.T @ (mass[:, None] * y))
         modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
 
-    ring = np.arange(rings)
+    phases = np.arange(rings)
     vectors = np.empty((rings * width, len(pool)))
     for col, (_, m, j, part) in enumerate(pool):
-        phase = 2.0 * np.pi * m * ring / rings
+        phase = 2.0 * np.pi * m * phases / rings
         wave = np.sin(phase) if part == "sin" else np.cos(phase)
         norm = np.sqrt(2.0 / rings) if part != "one" else 1.0 / np.sqrt(rings)
         vectors[:, col] = (norm * wave[:, None] * modes[m][None, :, j]).ravel()
     return vectors
 
 
-def _edge_rayleigh(K, mass, vectors):
-    """Rayleigh quotients u'Ku / u'Mu with u'Ku = sum_{a<b} -K_ab (u_a - u_b)^2.
+def _edge_rayleigh(problem, vectors):
+    """Rayleigh quotients u'Ku / u'Mu with u'Ku = sum_edges w_ab (u_a - u_b)^2.
 
-    The edge sum holds because the rows of K sum to zero.  It avoids the
-    cancellation of K u on smooth vectors, whose rounding is of order
-    eps lambda_max and would swamp the smallest eigenvalues.
+    The edge form avoids the cancellation of K u on smooth vectors, whose
+    rounding is of order eps lambda_max and would swamp the smallest
+    eigenvalues.
     """
-    entries = K.tocoo(copy=False)
-    # every edge appears twice and the diagonal contributes nothing
-    energy = [-0.5 * float((entries.data
-                            * (v[entries.row] - v[entries.col]) ** 2).sum())
-              for v in vectors.T]
-    return np.array(energy) / (mass @ vectors**2)
+    mass = problem.mass.ravel()
+    quotients = np.empty(vectors.shape[1])
+    for col, v in enumerate(vectors.T):
+        u = v.reshape(problem.grid.nx, problem.grid.ny)
+        energy = 0.0
+        for offset, weight in zip(_OFFSETS, problem.weights):
+            du = u - np.roll(u, np.negative(offset), axis=(0, 1))
+            energy += float((weight * du**2).sum())
+        quotients[col] = energy / float(mass @ v**2)
+    return quotients
 
 
 def _block_route(problem, k, shift):
     """(values, vectors) by Fourier blocks along x, else along y, else None.
 
-    A pencil qualifies along an axis if the mass repeats on every grid line
-    across that axis, K is bitwise invariant under the one-line shift and
-    its coupling blocks C_s, s != 0, are diagonal with |s| <= 1 (no cross
-    term, so every mode block is real and the mode sweep can stop early).
-    The eigenvalues are the edge-form Rayleigh quotients of the block
-    eigenvectors, accurate relative to each eigenvalue where the dense block
-    solve is accurate only to roundoff in lambda_max.
+    A stencil qualifies along an axis if its two diagonal-offset weight
+    arrays are all zero (no cross term, so every mode block is real and the
+    mode sweep can stop early) and the weights along the axis, the weights
+    within the grid lines across it and the mass repeat on every such line.
+    The y axis is the x axis of the transposed arrays.  The eigenvalues are
+    the edge-form Rayleigh quotients of the block eigenvectors, accurate
+    relative to each eigenvalue where the dense block solve is accurate only
+    to roundoff in lambda_max.
     """
-    K = problem.K.tocsr()
-    if not K.has_canonical_format:
-        K = K.copy()
-        K.sum_duplicates()
-    mass = problem.M.diagonal()
+    if np.any(problem.weights[2:]):
+        return None
     nx, ny = problem.grid.nx, problem.grid.ny
-    # transposed grid: node (i, j) moves to j * nx + i
-    transpose = np.arange(nx * ny).reshape(nx, ny).T.ravel()
-    for rings, width, order in ((nx, ny, None), (ny, nx, transpose)):
-        lines = (mass if order is None else mass[order]).reshape(rings, width)
-        if np.any(lines != lines[0]):
+    w_ring, w_line, mass = *problem.weights[:2], problem.mass
+    for transposed in (False, True):
+        if transposed:
+            w_ring, w_line, mass = w_line.T, w_ring.T, mass.T
+        if any(np.any(a != a[0]) for a in (w_ring, w_line, mass)):
             continue
-        if order is None:
-            moved = K
-        else:
-            moved = K[order][:, order]
-            moved.sort_indices()
-        blocks = _translation_blocks(moved, rings, width)
-        if blocks is None or set(blocks) - {-1, 0, 1} or any(
-                np.count_nonzero(C - np.diag(np.diag(C)))
-                for s, C in blocks.items() if s):
-            continue
-        vectors = _block_eigenvectors(blocks, lines[0], rings, k, shift)
-        if order is not None:
-            vectors = vectors[np.argsort(order)]
-        return _edge_rayleigh(K, mass, vectors), vectors
+        vectors = _block_eigenvectors(w_ring[0], w_line[0], mass[0],
+                                      w_ring.shape[0], k, shift)
+        if transposed:
+            vectors = vectors.reshape(ny, nx, -1).transpose(1, 0, 2)
+            vectors = vectors.reshape(nx * ny, -1)
+        return _edge_rayleigh(problem, vectors), vectors
     return None
 
 
@@ -317,25 +294,27 @@ def _shift_invert(problem, k, shift, seed):
 def solve(problem, k, seed=0):
     """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    Block route: if K is bitwise invariant under the one-step shift of the
-    grid along x, or along y, M repeats on every grid line along that axis
-    and the coupling blocks C_s between lines carry no cross term (C_{+-1}
-    diagonal), the pencil splits exactly into one real symmetric block per
-    Fourier mode of the axis, each solved densely (``_block_eigenvectors``).
-    Modes are visited in increasing sin^2(pi m / n) and the sweep stops once
-    4 sin^2(pi m / n) min(-C_1 / M) exceeds the current (k+1)-th value, a
-    sound lower bound on that mode.  The kept vectors take one
-    inverse-iteration step about the shift below, and the eigenvalues are
-    their edge-form Rayleigh quotients (``_edge_rayleigh``), so small
-    eigenvalues keep their relative accuracy.  A field constant along an axis
-    only to roundoff fails the bitwise test and is not reduced.
+    Block route: if the stencil has no cross term (its (1, 1) and (1, -1)
+    weights are all zero) and its x and y edge weights and the mass repeat
+    on every grid line along x, or along y, the pencil splits exactly into
+    one real symmetric block per Fourier mode m of that axis,
+    B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
+    (``_block_eigenvectors``).  Modes are visited in increasing m and the
+    sweep stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the
+    current (k+1)-th value, a sound lower bound on that mode.  The kept
+    vectors take one inverse-iteration step about the shift below, and the
+    eigenvalues are their edge-form Rayleigh quotients (``_edge_rayleigh``),
+    so small eigenvalues keep their relative accuracy.  Weights that repeat
+    only to roundoff fail the exact test and are not reduced.
 
     Shift-invert route, for everything else (sheared one-axis fields too):
     ARPACK about the small negative shift -lambda_scale / 2, started from a
-    seeded random vector.  Either route needs k + 2 < n.  Residuals ||K u - lambda M u|| / ||M u|| against the assembled
-    K and M are checked against _RESTOL relative to each eigenvalue's own
-    scale; lambda_0 must be a numerical zero.  ``discrete_fourier_oracle``
-    gives the exact eigenvalues on constant fields.
+    seeded random vector.  Either route needs k + 2 < n.
+
+    Residuals ||K u - lambda M u|| / ||M u||, one pair at a time, are
+    checked against _RESTOL relative to each eigenvalue's own scale;
+    lambda_0 must be a numerical zero.  ``discrete_fourier_oracle`` gives
+    the exact eigenvalues on constant fields.
     """
     n = problem.n_nodes
     if k + 2 >= n:
@@ -353,11 +332,12 @@ def solve(problem, k, seed=0):
     values = np.asarray(values)[order]
     vectors = np.asarray(vectors)[:, order]
 
-    KV = problem.K @ vectors
-    MV = problem.M @ vectors
-    num = np.linalg.norm(KV - MV * values[None, :], axis=0)
-    den = np.linalg.norm(MV, axis=0)
-    residuals = num / den
+    mass = problem.mass.ravel()
+    residuals = np.empty(values.size)
+    for j, u in enumerate(vectors.T):
+        Mu = mass * u
+        residuals[j] = (np.linalg.norm(problem.K @ u - values[j] * Mu)
+                        / np.linalg.norm(Mu))
 
     ref = float(values[1]) if k >= 1 else max(float(values[0]), 1.0)
     rel = residuals / np.maximum(np.abs(values), ref)

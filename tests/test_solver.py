@@ -1,5 +1,7 @@
 """Discrete operators, eigensolvers, oracles, and convergence behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,6 +87,42 @@ class TestAssembly:
                 K_hand[row, i * n + (j - 1) % n] -= wy
         np.testing.assert_allclose(problem.K.toarray(), K_hand, atol=1e-12 * wx)
 
+    def test_varying_stencil_matches_flux_form(self):
+        # independent construction: Dx' W11 Dx + Dy' W22 Dy + (Gx' W12 Gy +
+        # transpose) with periodic forward differences D, centered
+        # differences G, edge means of D11, D22 and nodal D12, D = mu sigma*
+        grid = TorusGrid(12, 20)
+        nx, ny, cell = grid.nx, grid.ny, grid.cell_area
+        x, y = grid.mesh()
+
+        def shift(m, s):  # (S f)[i] = f[i + s], periodic
+            return np.roll(np.eye(m), s, axis=1)
+
+        ex, ey = np.eye(nx), np.eye(ny)
+        Dx = np.kron((shift(nx, 1) - ex) / grid.dx, ey)
+        Dy = np.kron(ex, (shift(ny, 1) - ey) / grid.dy)
+        Gx = np.kron((shift(nx, 1) - shift(nx, -1)) / (2 * grid.dx), ey)
+        Gy = np.kron(ex, (shift(ny, 1) - shift(ny, -1)) / (2 * grid.dy))
+        mu = 1.0 + 0.2 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        s11 = 1.5 + 0.4 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y)
+        s22 = 0.8 + 0.3 * np.cos(2 * np.pi * (x + y))
+        for s12 in (0.0 * s11, 0.3 * np.sin(2 * np.pi * (x - 2 * y))):
+            sigma = np.stack([np.stack([s11, s12], -1),
+                              np.stack([s12, s22], -1)], -1)
+            field = SymbolField(grid=grid, sigma_star=sigma, mu=mu,
+                                fiber_nodes=0)
+            D = mu[..., None, None] * sigma
+            w11 = 0.5 * (D[..., 0, 0] + np.roll(D[..., 0, 0], -1, axis=0))
+            w22 = 0.5 * (D[..., 1, 1] + np.roll(D[..., 1, 1], -1, axis=1))
+            cross = Gx.T @ np.diag(D[..., 0, 1].ravel() * cell) @ Gy
+            K_ref = (Dx.T @ np.diag(w11.ravel() * cell) @ Dx
+                     + Dy.T @ np.diag(w22.ravel() * cell) @ Dy
+                     + cross + cross.T)
+            K = assemble(field).K
+            scale = float(np.abs(K_ref).max())
+            assert float(np.abs(K.toarray() - K_ref).max()) <= 1e-14 * scale
+            assert K.nnz == (9 if np.any(s12) else 5) * grid.node_count
+
     def test_symmetry_and_kernel(self, rng):
         for _ in range(5):
             n = 12
@@ -106,8 +144,8 @@ class TestAssembly:
     def test_broken_stiffness_raises(self, monkeypatch, defect, message):
         build = fspec.solver._stiffness
 
-        def broken(field, grid):
-            K = build(field, grid)
+        def broken(weights, grid):
+            K = build(weights, grid)
             bump = 1e-6 * float(np.abs(K.data).max())
             if defect == "asymmetric":
                 return K + sparse.csr_matrix(([bump], ([0], [1])), shape=K.shape)
@@ -426,14 +464,9 @@ class TestBlockRoute:
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
         problem = assemble(SymbolField.compute(spec, TorusGrid(12, 16)))
         assert solve(problem, 4).route == "block"
-        a, b = 5, 6
-        bump = 1e-9 * float(np.abs(problem.K.data).max())
-        edge = sparse.csr_matrix(([bump, bump, -bump, -bump],
-                                  ([a, b, a, b], [a, b, b, a])),
-                                 shape=problem.K.shape)
-        perturbed = fspec.solver.SpectralProblem(
-            K=(problem.K + edge).tocsr(), M=problem.M, grid=problem.grid,
-            lambda_scale=problem.lambda_scale)
+        weights = problem.weights.copy()
+        weights[1, 0, 5] *= 1 + 1e-9  # the y-edge between nodes 5 and 6
+        perturbed = dataclasses.replace(problem, weights=weights)
         spectrum = solve(perturbed, 4)
         assert spectrum.route == "shift-invert"
         np.testing.assert_allclose(spectrum.values[1:],
