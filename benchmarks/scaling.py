@@ -5,7 +5,10 @@ constant drift, a drift varying in y only and a drift varying in x and y;
 on a sheared base: a drift varying in y only) and the square grids
 ``GRIDS``, times the three layers of one spectral problem, records the
 tracemalloc peak of each and the route ``solve`` took, and writes one JSON
-file.  Single process, one stage at a time:
+file.  Up to ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the
+same symbol field by an ``ORACLE_NODES``-node fiber rule, and records its
+largest sigma* difference from the closed form.  Single process, one stage
+at a time:
 
     PYTHONPATH=src python benchmarks/scaling.py --out BENCH.json
 
@@ -34,8 +37,8 @@ import numpy as np
 import scipy
 
 import fspec
-from fspec import (RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
-                   assemble, solve)
+from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
+                   SymbolField, TorusGrid, assemble, solve)
 
 SCHEMA = "fspec-scaling/2"
 K = 10
@@ -51,6 +54,8 @@ FIELDS = {
                        "0.2*(0.5 + 0.4*sin(2*pi*y))"),
 }
 _SHIFT_INVERT_MAX_GRID = 256
+ORACLE_NODES = 512
+_ORACLE_MAX_GRID = 256
 
 
 def _stage(fn):
@@ -75,7 +80,7 @@ def run_case(g, rho_x, rho_y, n):
     field, t_field, m_field = _stage(lambda: SymbolField.compute(spec, grid))
     problem, t_asm, m_asm = _stage(lambda: assemble(field))
     spectrum, t_solve, m_solve = _stage(lambda: solve(problem, K))
-    return {
+    case = {
         "grid": n, "nodes": grid.node_count, "k": K,
         "K_nnz": int(problem.K.nnz),
         "route": spectrum.route,
@@ -83,6 +88,16 @@ def run_case(g, rho_x, rho_y, n):
         "seconds": {"field": t_field, "assemble": t_asm, "solve": t_solve},
         "peak_mib": {"field": m_field, "assemble": m_asm, "solve": m_solve},
     }
+    if n <= _ORACLE_MAX_GRID:
+        quad = FiberQuadrature.trapezoid(ORACLE_NODES)
+        oracle, t_oracle, m_oracle = _stage(
+            lambda: SymbolField.compute(spec, grid, quad))
+        case["seconds"]["oracle"] = t_oracle
+        case["peak_mib"]["oracle"] = m_oracle
+        case["oracle_sigma_rel_diff"] = float(
+            np.abs(oracle.sigma_star - field.sigma_star).max()
+            / np.abs(field.sigma_star).max())
+    return case
 
 
 def main(argv=None):
@@ -100,10 +115,12 @@ def main(argv=None):
                     **run_case(g, rho_x, rho_y, n)}
             cases.append(case)
             sec = case["seconds"]
+            oracle = (f"  oracle {sec['oracle']:.3f}s" if "oracle" in sec
+                      else "")
             print(f"{name:14s} {n:4d}^2  {case['route']:12s} field "
                   f"{sec['field']:.3f}s  assemble {sec['assemble']:.3f}s  "
                   f"solve {sec['solve']:.3f}s  solve peak "
-                  f"{case['peak_mib']['solve']:.1f} MiB", flush=True)
+                  f"{case['peak_mib']['solve']:.1f} MiB{oracle}", flush=True)
 
     result = {
         "schema": SCHEMA,
@@ -117,6 +134,7 @@ def main(argv=None):
                      "scipy": scipy.__version__},
         "metric": "RandersMetric(RiemannianMetric(*g), *rho)",
         "repeats": REPEATS,
+        "oracle_nodes": ORACLE_NODES,
         "cases": cases,
         "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

@@ -21,12 +21,20 @@ push-forward of the canonical fiber angle measure to the dual circle, so mu
 is the density of the Holmes-Thompson volume against dx dy and the fiber
 density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 
-Both integrals share one evaluation of F* and grad_p F* on the fiber
-(``_fiber_symbol``); over a grid it runs once per block of grid rows, so the
-fiber temporaries stay bounded.  The integrands are smooth and periodic, so
-the trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen
-them, which the adaptive doubling in ``resolve_fiber_nodes`` absorbs up to
-its cap, past which it raises QuadratureError.
+Both integrals come from one metric evaluation on the fiber
+(``_fiber_symbol``): grad = F* grad_p F* = spec.dual_gradient(p_hat).
+Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
+v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.  Over a
+grid it runs once per block of grid rows, so the fiber temporaries stay
+bounded.  ``volume_density`` takes F* from spec.dual instead, an independent
+route to the same mu.  The integrands are smooth and periodic, so the
+trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them,
+which the adaptive doubling in ``resolve_fiber_nodes`` absorbs up to its
+cap, past which it raises QuadratureError.
+
+The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
+the g-orthonormal circle through the Cholesky factor of g, one cos and one
+sin coefficient per node, without forming the circle's direction vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ import numpy as np
 
 from .grid import TorusGrid
 from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                      RiemannianMetric, base_metric)
+                      RiemannianMetric, _apply_form, _pair, _symmetric,
+                      base_metric)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -48,6 +57,8 @@ _BLOCK = 2**18
 
 # F* below this on any fiber node means the metric degenerated numerically.
 _DUAL_FLOOR = 1e-8
+_COLLAPSED = ("dual norm collapsed below 1e-8 on the fiber; "
+              "the metric is numerically degenerate")
 
 
 class QuadratureError(RuntimeError):
@@ -86,17 +97,6 @@ class FiberQuadrature:
         return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
 
 
-def _dual_on_fiber(spec, x, y, quad):
-    """F*(x, p_hat(phi_j)) with a trailing fiber axis; guards degeneracy."""
-    xs = np.asarray(x, dtype=float)[..., None]
-    ys = np.asarray(y, dtype=float)[..., None]
-    dual = spec.dual(xs, ys, quad.unit_covectors())
-    if np.any(dual < _DUAL_FLOOR):
-        raise IllPosedMetricError("dual norm collapsed below 1e-8 on the fiber; "
-                                  "the metric is numerically degenerate")
-    return xs, ys, dual
-
-
 def volume_density(spec, x, y, quad):
     """Holmes-Thompson density mu(x) of the metric's volume against dx dy.
 
@@ -110,25 +110,39 @@ def volume_density(spec, x, y, quad):
     step = max(1, _BLOCK // quad.size)
     for lo in range(0, mu.size, step):
         nodes = slice(lo, lo + step)
-        _, _, dual = _dual_on_fiber(spec, flat_x[nodes], flat_y[nodes], quad)
+        dual = spec.dual(flat_x[nodes, None], flat_y[nodes, None],
+                         quad.unit_covectors())
+        if np.any(dual < _DUAL_FLOOR):
+            raise IllPosedMetricError(_COLLAPSED)
         mu[nodes] = (quad.weights / dual**2).sum(axis=-1) / _TWO_PI
     return mu.reshape(x.shape)[()]
 
 
 def _fiber_symbol(spec, x, y, quad):
-    """(sigma*, mu) on the fiber (module docstring) from one F* evaluation.
+    """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
-    Raises QuadratureError if sigma* fails to be SPD, which signals an
-    under-resolved fiber rule.
+    grad = spec.dual_gradient(p_hat) = F* grad_p F* is the only call; Euler's
+    identity for the 1-homogeneous F* gives F*^2 = p_hat . grad, and
+    v = grad / F*.  Raises IllPosedMetricError if F* falls below _DUAL_FLOOR
+    on a fiber node, and QuadratureError if sigma* fails to be SPD, which
+    signals an under-resolved fiber rule.
     """
-    xs, ys, dual = _dual_on_fiber(spec, x, y, quad)
-    density = quad.weights / dual**2
+    xs = np.asarray(x, dtype=float)[..., None]
+    ys = np.asarray(y, dtype=float)[..., None]
+    p = quad.unit_covectors()
+    grad = spec.dual_gradient(xs, ys, p)
+    dual_sq = _pair(p, grad)
+    if not np.all(dual_sq >= _DUAL_FLOOR**2):
+        raise IllPosedMetricError(_COLLAPSED)
+    g1, g2 = grad[..., 0], grad[..., 1]
+    # density = w F*^-2 and v = grad / F*, so density v v' = w grad grad' F*^-4
+    density = quad.weights / dual_sq
     mu = density.sum(axis=-1) / _TWO_PI
-    v = spec.dual_gradient(xs, ys, quad.unit_covectors()) / dual[..., None]
+    moment = density / dual_sq
     norm = np.pi * mu
-    s11 = (density * v[..., 0] ** 2).sum(axis=-1) / norm
-    s12 = (density * v[..., 0] * v[..., 1]).sum(axis=-1) / norm
-    s22 = (density * v[..., 1] ** 2).sum(axis=-1) / norm
+    s11 = (moment * g1 * g1).sum(axis=-1) / norm
+    s12 = (moment * g1 * g2).sum(axis=-1) / norm
+    s22 = (moment * g2 * g2).sum(axis=-1) / norm
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
@@ -307,16 +321,17 @@ def _closed_form_symbol(spec, x, y):
     if not isinstance(base, RiemannianMetric):
         raise TypeError(f"no closed-form symbol for {type(spec).__name__}; "
                         "pass a FiberQuadrature to integrate it on the fiber")
-    gi = base.inverse_matrix(x, y)
-    b = np.einsum("...ij,...j->...i", gi, rho)
-    slack = 1.0 - np.einsum("...i,...i->...", rho, b)
+    g11, g12, g22, det = base._coefficients(x, y)
+    gi = _symmetric(g22 / det, -g12 / det, g11 / det)
+    b = _apply_form(gi, rho)
+    slack = 1.0 - _pair(rho, b)
     if np.any(slack <= 0.0):
         raise IllPosedMetricError("Randers drift reaches |rho|_{g*} >= 1 at a "
                                   "grid node; the metric is not admissible there")
     s = np.sqrt(slack)[..., None, None]
     sigma = (2.0 / (1.0 + s) * gi
              + 2.0 / (s * (1.0 + s) ** 2) * (b[..., :, None] * b[..., None, :]))
-    mu = np.sqrt(np.linalg.det(base.matrix(x, y)))
+    mu = np.sqrt(det)
     return conformal_transform(sigma, mu, f)
 
 
@@ -336,8 +351,8 @@ class SymbolField:
         With no rule: the closed form (module docstring), which raises
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
         outside the three families.  With a FiberQuadrature: the trapezoid
-        oracle, one F* evaluation per block of grid rows holding about _BLOCK
-        node x fiber pairs.
+        oracle, one dual_gradient evaluation per block of grid rows holding
+        about _BLOCK node x fiber pairs.
         """
         x, y = grid.mesh()
         if quad is None:
@@ -402,34 +417,35 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
 
         E(f) = (1/pi) Int_M [ Int (df . v(t))^2 / (1 + rho(v(t))) dt ] sqrt(det g) dx dy
 
-    with v(t) running over the g-orthonormal unit circle, evaluated in blocks
-    of grid rows holding about _BLOCK node x fiber pairs.  Agreement with
-    ``energy_from_symbol`` validates the dual-circle route end to end.
+    with v(t) = cos t e1 + sin t e2 running over the g-orthonormal unit
+    circle, e1 and e2 the columns of L'^-1 for the Cholesky factor g = L L'.
+    A covector w pairs with v(t) as w1 cos t + w2 sin t, where
+    w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
+    formed.  Evaluated in blocks of grid rows holding about _BLOCK node x
+    fiber pairs.  Agreement with ``energy_from_symbol`` validates the
+    dual-circle route end to end.
     """
     base = base_metric(spec)
     x, y = grid.mesh()
+    cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
+
+    def on_circle(w, l11, l21, l22):
+        w1 = w[..., 0] / l11
+        w2 = (w[..., 1] - l21 * w1) / l22
+        return w1[..., None] * cos + w2[..., None] * sin
+
     total = 0.0
     for rows in _row_blocks(grid, quad):
         xs = x[rows]
-        g = base.matrix(xs, y)
-        a = g[..., 0, 0]
-        b = g[..., 0, 1]
-        c = g[..., 1, 1]
-        # g-orthonormal frame from the Cholesky factor g = L L'
+        a, b, c, det = base._coefficients(xs, y)
         l11 = np.sqrt(a)
         l21 = b / l11
         l22 = np.sqrt(c - l21**2)
-        e1 = np.stack([1.0 / l11, np.zeros_like(l11)], axis=-1)
-        e2 = np.stack([-l21 / (l11 * l22), 1.0 / l22], axis=-1)
-        theta = quad.nodes
-        v = (np.cos(theta)[:, None] * e1[..., None, :]
-             + np.sin(theta)[:, None] * e2[..., None, :])  # (rows, ny, Q, 2)
-        df = grad_fn(xs, y)
-        pairing = np.einsum("...i,...qi->...q", df, v)
-        rho_v = np.einsum("...i,...qi->...q", spec.drift(xs, y), v)
+        pairing = on_circle(grad_fn(xs, y), l11, l21, l22)
+        rho_v = on_circle(spec.drift(xs, y), l11, l21, l22)
         if np.any(1.0 + rho_v <= 0.0):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
         fiber = ((pairing**2 / (1.0 + rho_v)) * quad.weights).sum(axis=-1)
-        dens = fiber * np.sqrt(a * c - b * b) / np.pi
+        dens = fiber * np.sqrt(det) / np.pi
         total += float(dens.sum())
     return total * grid.cell_area

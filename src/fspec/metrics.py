@@ -41,16 +41,38 @@ class IllPosedMetricError(ValueError):
     """The metric data violates an admissibility condition."""
 
 
+# The 2x2 algebra below is written out in components: on the broadcast
+# (nodes, fiber) shapes of the quadrature oracle einsum falls back to its
+# generic loop, several times slower than these elementwise products.
+
 def _quad_form(g, u, w):
-    return np.einsum("...ij,...i,...j->...", g, u, w)
+    """u' g w over the trailing axes of g (..., 2, 2), u and w (..., 2)."""
+    u0, u1 = u[..., 0], u[..., 1]
+    w0, w1 = w[..., 0], w[..., 1]
+    return (g[..., 0, 0] * (u0 * w0) + g[..., 0, 1] * (u0 * w1)
+            + g[..., 1, 0] * (u1 * w0) + g[..., 1, 1] * (u1 * w1))
 
 
 def _apply_form(g, u):
-    return np.einsum("...ij,...j->...i", g, u)
+    """g u over the trailing axes of g (..., 2, 2) and u (..., 2)."""
+    u0, u1 = u[..., 0], u[..., 1]
+    return np.stack([g[..., 0, 0] * u0 + g[..., 0, 1] * u1,
+                     g[..., 1, 0] * u0 + g[..., 1, 1] * u1], axis=-1)
 
 
 def _pair(p, v):
-    return np.einsum("...i,...i->...", p, v)
+    """p . v over the trailing axes of p and v (..., 2)."""
+    return p[..., 0] * v[..., 0] + p[..., 1] * v[..., 1]
+
+
+def _symmetric(a, b, c):
+    """The symmetric matrix field [[a, b], [b, c]], shape (..., 2, 2)."""
+    m = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (2, 2))
+    m[..., 0, 0] = a
+    m[..., 0, 1] = b
+    m[..., 1, 0] = b
+    m[..., 1, 1] = c
+    return m
 
 
 def _require_nonzero(v, what):
@@ -93,21 +115,11 @@ class RiemannianMetric:
 
     def matrix(self, x, y):
         a, b, c, _ = self._coefficients(x, y)
-        g = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (2, 2))
-        g[..., 0, 0] = a
-        g[..., 0, 1] = b
-        g[..., 1, 0] = b
-        g[..., 1, 1] = c
-        return g
+        return _symmetric(a, b, c)
 
     def inverse_matrix(self, x, y):
         a, b, c, det = self._coefficients(x, y)
-        gi = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (2, 2))
-        gi[..., 0, 0] = c / det
-        gi[..., 0, 1] = -b / det
-        gi[..., 1, 0] = -b / det
-        gi[..., 1, 1] = a / det
-        return gi
+        return _symmetric(c / det, -b / det, a / det)
 
     def value(self, x, y, v):
         v = np.asarray(v, dtype=float)
@@ -211,12 +223,15 @@ class RandersMetric:
         gi_rho = _apply_form(gi, rho)
         gi_p = _apply_form(gi, p)
         c = _pair(p, gi_rho)
-        q2 = _quad_form(gi, p, p)
+        q2 = _pair(p, gi_p)
         root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
-        w_ = w[..., None]
-        grad_dual = ((w_ * gi_p + c[..., None] * gi_rho) / root[..., None] - gi_rho) / w_
         dual = (root - c) / w
-        return dual[..., None] * grad_dual
+        # F* grad_p F* with grad_p F* = ((w g^-1 p + c g^-1 rho) / root
+        # - g^-1 rho) / w, which folds to F* (g^-1 p - F* g^-1 rho) / root;
+        # one component at a time, as a trailing axis of 2 is slow to broadcast
+        scale = dual / root
+        return np.stack([scale * (gi_p[..., i] - dual * gi_rho[..., i])
+                         for i in (0, 1)], axis=-1)
 
 
 class ConformalMetric:

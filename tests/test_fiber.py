@@ -59,6 +59,23 @@ class TestVolumeDensity:
             mu_0 = volume_density(spec.base, grid_t[:, None], grid_t[None, :], QUAD)
             assert float(np.abs(mu_r - mu_0).max()) < 1e-8
 
+    @pytest.mark.parametrize("spec", [
+        RandersMetric(RiemannianMetric("2 + 0.3*sin(2*pi*x)",
+                                       "0.4*cos(2*pi*(x - y))",
+                                       "1 + 0.2*cos(2*pi*y)"),
+                      "0.5*sin(2*pi*(x + y))", "0.3*cos(2*pi*x)"),
+        ConformalMetric(RandersMetric.axis_drift_torus(
+            2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)"),
+            "0.3*sin(2*pi*x)*cos(2*pi*y)"),
+    ], ids=["randers-xy", "conformal"])
+    def test_symbol_density_matches_dual_route(self, spec):
+        # the oracle's mu takes F*^2 = p . dual_gradient(p) (Euler);
+        # volume_density takes spec.dual: two routes to the same integral
+        grid = TorusGrid(12, 16)
+        mu_dual = volume_density(spec, *grid.mesh(), QUAD)
+        mu_euler = SymbolField.compute(spec, grid, QUAD).mu
+        np.testing.assert_allclose(mu_euler, mu_dual, rtol=1e-14, atol=0.0)
+
 
 class TestSymbol:
     def test_euclidean_identity(self):
@@ -132,6 +149,8 @@ class TestSymbol:
         tiny = ConformalMetric(RiemannianMetric.euclidean(), 20.0)
         with pytest.raises(IllPosedMetricError):
             volume_density(tiny, 0.1, 0.1, QUAD)
+        with pytest.raises(IllPosedMetricError):
+            symbol_matrix(tiny, 0.1, 0.1, QUAD)
 
 
 class TestRandersClosedForms:
@@ -315,17 +334,23 @@ class TestSymbolField:
             np.testing.assert_allclose(field.a.ravel(), a, rtol=1e-10)
 
     def test_compute_evaluates_dual_once(self):
+        # F*^2 comes from Euler's identity p . dual_gradient(p), so the one
+        # block of the 8 x 8 grid needs one dual_gradient call and no dual
         calls = []
 
         class Counting(RandersMetric):
             def dual(self, x, y, p):
-                calls.append(1)
+                calls.append("dual")
                 return super().dual(x, y, p)
+
+            def dual_gradient(self, x, y, p):
+                calls.append("dual_gradient")
+                return super().dual_gradient(x, y, p)
 
         base = RandersMetric.axis_drift_torus(2.0, 0.6)
         spec = Counting(base.base, base.rho_x, base.rho_y)
         SymbolField.compute(spec, TorusGrid.square(8), QUAD)
-        assert len(calls) == 1
+        assert calls == ["dual_gradient"]
 
     def test_compute_memory_is_blocked(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
@@ -506,16 +531,22 @@ class TestClosedFormSymbol:
 
 class TestTwoRouteEnergy:
     def test_symbol_route_equals_fiber_route(self):
-        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
-                                              profile="0.5 + 0.4*sin(2*pi*y)")
+        # the sheared base and two-component drift reach every term of the
+        # Cholesky-frame pairing that the axis torus leaves at zero
+        sheared = RandersMetric(
+            RiemannianMetric("2 + 0.3*sin(2*pi*x)", "0.4*cos(2*pi*(x - y))",
+                             "1 + 0.2*cos(2*pi*y)"),
+            "0.5*sin(2*pi*(x + y))", "0.3*cos(2*pi*x)")
         grid = TorusGrid.square(24)
-        field = SymbolField.compute(spec, grid, QUAD)
 
         def grad(x, y):
             gx = 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
             gy = -2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
             return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
 
-        e_sym = energy_from_symbol(field, grad)
-        e_dir = randers_energy_direct(spec, grad, grid, QUAD)
-        np.testing.assert_allclose(e_sym, e_dir, rtol=1e-6)
+        for spec in (RandersMetric.axis_drift_torus(
+                2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)"), sheared):
+            field = SymbolField.compute(spec, grid, QUAD)
+            e_sym = energy_from_symbol(field, grad)
+            e_dir = randers_energy_direct(spec, grad, grid, QUAD)
+            np.testing.assert_allclose(e_sym, e_dir, rtol=1e-6)

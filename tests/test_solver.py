@@ -346,6 +346,20 @@ class TestDiscreteFourierOracle:
             assert abs(got[0]) <= 1e-10 * want[1]
             np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9)
 
+    def test_shift_invert_keeps_every_copy_of_a_repeated_eigenvalue(
+            self, monkeypatch):
+        # lambda_5..lambda_8 are one 4-fold eigenvalue (modes (+-1, +-1));
+        # a single-vector Krylov run can converge past one of its copies
+        field = SymbolField.compute(RandersMetric.axis_drift_torus(1.0, 0.9),
+                                    TorusGrid.square(32))
+        problem = assemble(field)
+        want = discrete_fourier_oracle(field, 10)
+        monkeypatch.setattr(fspec.solver, "_block_route", lambda *args: None)
+        for seed in range(8):
+            spectrum = solve(problem, 10, seed=seed)
+            assert spectrum.route == "shift-invert"
+            np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-9)
+
     def test_rejects_varying_field(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
                                               profile="0.5 + 0.4*sin(2*pi*y)")
