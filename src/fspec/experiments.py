@@ -14,9 +14,16 @@ comments, dotted keys nest, commas make lists).  Five kinds are supported:
   symbol, and exact eigenvalue scaling for constant f.
 * convergence            : grid-refinement orders for lambda_1.
 
+Each kind is one entry of ``KINDS``: its runner, its verdict function and
+its plot (or None).  To add a kind, write the runner (config in, result rows
+and solver_info out) and the verdict function (rows in, verdicts out) and
+add the entry; config parsing, verdicts, plots and ``run_experiment`` all
+dispatch through the table.  Runners leave ``config_hash`` out of their rows:
+``run_experiment`` stamps it into every row, after ``row_type``.
+
 Verdicts are pure functions of the result rows (``verdicts_from_rows``), so a
-report can be re-audited from rows.csv alone.  Every row carries the config
-hash; rows.csv is bit-for-bit reproducible for a fixed config and seed.
+report can be re-audited from rows.csv alone.  rows.csv is bit-for-bit
+reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +47,7 @@ from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     randers_energy_direct, energy_from_symbol, volume_density,
                     conformal_transform, resolve_fiber_nodes)
 from .grid import TorusGrid
-from .metrics import (ConformalMetric, RandersMetric, RiemannianMetric,
-                      base_metric, bilipschitz_ratio)
+from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
 from .solver import assemble, solve, convergence_study
 
 # Drift ratios are capped here: beyond it the slack 1 - |rho|^2 is dominated by
@@ -115,9 +123,9 @@ class ExperimentConfig:
     def from_text(cls, text):
         params = parse_config_text(text)
         kind = params.get("kind")
-        if kind not in RUNNERS:
+        if kind not in KINDS:
             raise ConfigError(f"unknown or missing experiment kind {kind!r}; "
-                              f"expected one of {sorted(RUNNERS)}")
+                              f"expected one of {sorted(KINDS)}")
         digest = hashlib.sha256(text.replace("\r\n", "\n").encode()).hexdigest()
         return cls(kind=kind, params=params, text=text, config_hash=digest[:16])
 
@@ -175,25 +183,19 @@ def build_metric(d):
 
 def threshold_eta(h, r=None, margin=0.0):
     """Smallest drift ratio for which the stretched-torus symbol satisfies
-    A >= 1/r^2, by bisecting s (1 + s) = 2 r^2 / h^2 on s in (0, 1].
+    A >= 1/r^2: eta = sqrt(1 - s^2) with s the root in (0, 1] of
+    s (1 + s) = t, t = 2 r^2 / h^2, taken in the cancellation-free form
+    s = 2 t / (1 + sqrt(1 + 4 t)).
 
-    margin > 0 shrinks the solved s by that relative amount, nudging the
-    returned ratio just past the threshold so the condition holds robustly
-    under roundoff.
+    margin > 0 shrinks s by that relative amount, nudging the returned ratio
+    just past the threshold so the condition holds robustly under roundoff.
     """
     h = float(h)
     r = 1.0 / h if r is None else float(r)
     target = 2.0 * r * r / (h * h)
     if target >= 2.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid * (1.0 + mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    s = 0.5 * (lo + hi) * (1.0 - margin)
+    s = 2.0 * target / (1.0 + np.sqrt(1.0 + 4.0 * target)) * (1.0 - margin)
     return min(float(np.sqrt(max(1.0 - s * s, 0.0))), ETA_CAP)
 
 
@@ -269,39 +271,20 @@ class Report:
     def _write_plots(self, out_dir):
         from .svgplot import line_plot
 
-        written = []
-
-        def emit(name, xs, series, **kwargs):
-            if len(xs) > 1:
-                path = out_dir / name
-                line_plot(path, xs, series, **kwargs)
-                written.append(path)
-
-        if self.kind == "torus-large-eigenvalue":
-            sweep = [r for r in self.rows if r.get("row_type") == "sweep"]
-            if sweep:
-                emit("lambda1_vol.svg", [r["h"] for r in sweep],
-                     {"lambda1 * vol": [r["lambda1_vol"] for r in sweep],
-                      "4 pi^2 / r^2": [r["target"] for r in sweep]},
-                     title="First eigenvalue times volume", xlabel="h",
-                     ylabel="lambda1 * vol", logy=True)
-        elif self.kind == "bilipschitz-check":
-            eig = [r for r in self.rows if r.get("row_type") == "eigenvalue"]
-            if eig:
-                emit("eigenvalue_ratios.svg", [r["k"] for r in eig],
-                     {"ratio": [r["ratio"] for r in eig],
-                      "S": [r["bound_upper"] for r in eig],
-                      "1/S'": [r["bound_lower"] for r in eig]},
-                     title="Eigenvalue ratios vs computable bound",
-                     xlabel="k", ylabel="lambda_k(F) / lambda_k(F0)")
-        elif self.kind == "convergence":
-            rows = [r for r in self.rows if r.get("error_lambda1")]
-            if rows:
-                emit("convergence.svg", [r["n"] for r in rows],
-                     {"|lambda1 error|": [r["error_lambda1"] for r in rows]},
-                     title="Grid convergence of lambda_1", xlabel="N",
-                     ylabel="error", logy=True)
-        return written
+        plot = KINDS[self.kind].plot
+        if plot is None:
+            return []
+        rows = [r for r in _rows_of(self.rows, plot.row_type)
+                if all(r.get(column) for column in plot.series.values())]
+        if len(rows) < 2:
+            return []
+        path = out_dir / plot.file
+        line_plot(path, [r[plot.x] for r in rows],
+                  {label: [r[column] for r in rows]
+                   for label, column in plot.series.items()},
+                  title=plot.title, xlabel=plot.xlabel, ylabel=plot.ylabel,
+                  logy=plot.logy)
+        return [path]
 
 
 def _echo_value(value):
@@ -329,23 +312,32 @@ def _flatten(params, prefix=""):
 
 def verdicts_from_rows(kind, rows):
     """Recompute all verdicts from result rows (as written to rows.csv)."""
-    if kind == "torus-large-eigenvalue":
-        return _verdicts_large_eigenvalue(rows)
-    if kind == "bilipschitz-check":
-        return _verdicts_bilipschitz(rows)
-    if kind == "randers-identities":
-        return _verdicts_randers_identities(rows)
-    if kind == "conformal-check":
-        return _verdicts_conformal(rows)
-    if kind == "convergence":
-        return _verdicts_convergence(rows)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    return KINDS[kind].verdicts(rows)
+
+
+def _rows_of(rows, row_type):
+    return [r for r in rows if r.get("row_type") == row_type]
+
+
+def _within_tolerance(rows, error, tol_key, name, criterion, measured):
+    """[Verdict] that the largest error over rows is at most the largest
+    tol_key value, or [] if there are no rows.  error is a column name or a
+    function of a row; the detail reads '<measured> = <error> (tol <tol>)'."""
+    if not rows:
+        return []
+    error = error if callable(error) else itemgetter(error)
+    err = max(error(r) for r in rows)
+    tol = max(r[tol_key] for r in rows)
+    return [Verdict(name, criterion, err <= tol,
+                    f"{measured} = {err:.3e} (tol {tol:g})")]
 
 
 def _verdicts_large_eigenvalue(rows):
     verdicts = []
-    sweep = [r for r in rows if r.get("row_type") == "sweep"]
-    baseline = [r for r in rows if r.get("row_type") == "baseline"]
+    sweep = _rows_of(rows, "sweep")
+    baseline = _rows_of(rows, "baseline")
 
     conditioned = [r for r in sweep if r["condition"]]
     if conditioned:
@@ -357,20 +349,15 @@ def _verdicts_large_eigenvalue(rows):
             f"{len(conditioned)} rows past the drift threshold; min "
             f"lambda1/((1-tol) 4pi^2/r^2) = {worst:.6f}"))
 
-    agree = max(abs(r["lambda1"] - r["lambda1_closed"]) / r["lambda1_closed"]
-                for r in sweep + baseline)
-    tol = max(r["tol_spectral"] for r in sweep + baseline)
-    verdicts.append(Verdict(
-        "lambda1-matches-constant-symbol", "fourier-oracle-equivalence",
-        agree <= tol,
-        f"max |lambda1 - 4pi^2 min(A,B)| / value = {agree:.3e} (tol {tol:g})"))
-
-    vol_err = max(abs(r["vol"] - r["h"] * r["r"]) for r in sweep + baseline)
-    vol_tol = max(r["tol_pointwise"] for r in sweep + baseline)
-    verdicts.append(Verdict(
-        "volume-equals-riemannian-volume", "randers-volume-identity",
-        vol_err <= vol_tol,
-        f"max |vol - h r| = {vol_err:.3e} (tol {vol_tol:g})"))
+    verdicts += _within_tolerance(
+        sweep + baseline,
+        lambda r: abs(r["lambda1"] - r["lambda1_closed"]) / r["lambda1_closed"],
+        "tol_spectral", "lambda1-matches-constant-symbol",
+        "fourier-oracle-equivalence", "max |lambda1 - 4pi^2 min(A,B)| / value")
+    verdicts += _within_tolerance(
+        sweep + baseline, lambda r: abs(r["vol"] - r["h"] * r["r"]),
+        "tol_pointwise", "volume-equals-riemannian-volume",
+        "randers-volume-identity", "max |vol - h r|")
 
     by_h = sorted({r["h"] for r in conditioned})
     if len(by_h) >= 2:
@@ -409,108 +396,74 @@ def _verdicts_large_eigenvalue(rows):
 
 
 def _verdicts_bilipschitz(rows):
-    verdicts = []
-    eig = [r for r in rows if r.get("row_type") == "eigenvalue"]
+    eig = _rows_of(rows, "eigenvalue")
     inside = all(r["bound_lower"] * (1.0 - r["bound_slack"]) <= r["ratio"]
                  <= r["bound_upper"] * (1.0 + r["bound_slack"]) for r in eig)
     margin = min(min(r["ratio"] / r["bound_lower"], r["bound_upper"] / r["ratio"])
                  for r in eig)
-    verdicts.append(Verdict(
+    return [Verdict(
         "spectral-ratio-within-computable-bound", "bilipschitz-spectral-control",
         inside,
         f"{len(eig)} eigenvalue ratios inside [1/S', S]; worst margin factor "
-        f"{margin:.6f}"))
-    expected = [r for r in eig if r.get("expect_ratio") not in (None, "")]
-    if expected:
-        err = max(abs(r["ratio"] - r["expect_ratio"]) / r["expect_ratio"]
-                  for r in expected)
-        tol = max(r["tol_scaling"] for r in expected)
-        verdicts.append(Verdict(
-            "ratio-matches-exact-scaling", "discrete-scaling-law",
-            err <= tol,
-            f"max |ratio - expected| / expected = {err:.3e} (tol {tol:g})"))
-    return verdicts
+        f"{margin:.6f}")] + _within_tolerance(
+        [r for r in eig if r.get("expect_ratio") not in (None, "")],
+        lambda r: abs(r["ratio"] - r["expect_ratio"]) / r["expect_ratio"],
+        "tol_scaling", "ratio-matches-exact-scaling", "discrete-scaling-law",
+        "max |ratio - expected| / expected")
 
 
 def _verdicts_randers_identities(rows):
-    verdicts = []
-    vol = [r for r in rows if r.get("row_type") == "volume"]
-    if vol:
-        err = max(r["max_mu_diff"] for r in vol)
-        tol = max(r["tol_pointwise"] for r in vol)
-        verdicts.append(Verdict(
+    integ = _rows_of(rows, "integral")
+    return (
+        _within_tolerance(
+            _rows_of(rows, "volume"), "max_mu_diff", "tol_pointwise",
             "volume-density-equals-base", "randers-volume-identity",
-            err <= tol, f"max |mu_randers - mu_base| = {err:.3e} (tol {tol:g})"))
-    integ = [r for r in rows if r.get("row_type") == "integral"]
-    if integ:
-        err = max(max(r["err_cos2"], r["err_sin2"]) for r in integ)
-        tol = max(r["tol_pointwise"] for r in integ)
-        verdicts.append(Verdict(
+            "max |mu_randers - mu_base|")
+        + _within_tolerance(
+            integ, lambda r: max(r["err_cos2"], r["err_sin2"]), "tol_pointwise",
             "angular-integrals-match-closed-forms", "drift-averaged-integrals",
-            err <= tol,
-            f"max quadrature error over eta sweep = {err:.3e} (tol {tol:g})"))
-        cross = max(abs(r["cross_quad"]) for r in integ)
-        ctol = max(r["tol_cross"] for r in integ)
-        verdicts.append(Verdict(
+            "max quadrature error over eta sweep")
+        + _within_tolerance(
+            integ, lambda r: abs(r["cross_quad"]), "tol_cross",
             "cross-term-vanishes", "drift-averaged-integrals",
-            cross <= ctol, f"max |cross integral| = {cross:.3e} (tol {ctol:g})"))
-    energy = [r for r in rows if r.get("row_type") == "energy"]
-    if energy:
-        err = max(r["rel_diff"] for r in energy)
-        tol = max(r["tol_energy"] for r in energy)
-        verdicts.append(Verdict(
+            "max |cross integral|")
+        + _within_tolerance(
+            _rows_of(rows, "energy"), "rel_diff", "tol_energy",
             "energy-two-route-agreement", "symbol-route-validation",
-            err <= tol,
-            f"max relative symbol-route vs fiber-route energy gap = {err:.3e} "
-            f"(tol {tol:g})"))
-    return verdicts
+            "max relative symbol-route vs fiber-route energy gap"))
 
 
 def _verdicts_conformal(rows):
-    verdicts = []
-    fld = [r for r in rows if r.get("row_type") == "field"]
-    if fld:
-        serr = max(r["max_sigma_rel_diff"] for r in fld)
-        merr = max(r["max_mu_ratio_err"] for r in fld)
-        tol = max(r["tol_pointwise"] for r in fld)
-        verdicts.append(Verdict(
+    fld = _rows_of(rows, "field")
+    return (
+        _within_tolerance(
+            fld, "max_sigma_rel_diff", "tol_pointwise",
             "symbol-pipeline-vs-transform", "conformal-rescaling-lemma",
-            serr <= tol,
-            f"max relative sigma* difference = {serr:.3e} (tol {tol:g})"))
-        verdicts.append(Verdict(
-            "volume-scales-as-exp-2f", "conformal-rescaling-lemma",
-            merr <= tol,
-            f"max |mu'/mu - exp(2f)| / exp(2f) = {merr:.3e} (tol {tol:g})"))
-    eig = [r for r in rows if r.get("row_type") == "eigenvalue"]
-    if eig:
-        err = max(r["scaling_err"] for r in eig)
-        tol = max(r["tol_scaling"] for r in eig)
-        verdicts.append(Verdict(
+            "max relative sigma* difference")
+        + _within_tolerance(
+            fld, "max_mu_ratio_err", "tol_pointwise", "volume-scales-as-exp-2f",
+            "conformal-rescaling-lemma", "max |mu'/mu - exp(2f)| / exp(2f)")
+        + _within_tolerance(
+            _rows_of(rows, "eigenvalue"), "scaling_err", "tol_scaling",
             "eigenvalues-scale-exactly", "discrete-scaling-law",
-            err <= tol,
-            f"max |lambda_conf exp(2f) - lambda_base| / lambda_base = {err:.3e} "
-            f"(tol {tol:g})"))
-    return verdicts
+            "max |lambda_conf exp(2f) - lambda_base| / lambda_base"))
 
 
 def _verdicts_convergence(rows):
-    verdicts = []
-    data = [r for r in rows if r.get("row_type") == "level"]
+    data = _rows_of(rows, "level")
     orders = [r["order_lambda1"] for r in data if r.get("order_lambda1") not in (None, "")]
     if data and data[0]["reference"] == "oracle":
         ok = all(1.678 <= o <= 2.322 for o in orders)  # error ratio 4x +/- 20%
-        verdicts.append(Verdict(
+        return [Verdict(
             "second-order-convergence", "discretization-order",
             bool(orders) and ok,
-            "observed lambda_1 orders: " + ", ".join(f"{o:.3f}" for o in orders)))
-    else:
-        gaps = [r["gap_lambda1"] for r in data if r.get("gap_lambda1") not in (None, "")]
-        ok = all(b < a for a, b in zip(gaps, gaps[1:]))
-        verdicts.append(Verdict(
-            "self-convergence-cauchy", "discretization-order",
-            len(gaps) >= 2 and ok,
-            "successive |lambda_1 gaps|: " + ", ".join(f"{g:.3e}" for g in gaps)))
-    return verdicts
+            "observed lambda_1 orders: " + ", ".join(f"{o:.3f}" for o in orders))]
+    gaps = [r["gap_lambda1"] for r in data if r.get("gap_lambda1") not in (None, "")]
+    ok = all(b < a for a, b in zip(gaps, gaps[1:]))
+    return [Verdict(
+        "self-convergence-cauchy", "discretization-order",
+        len(gaps) >= 2 and ok,
+        "successive |lambda_1 gaps|: " + ", ".join(f"{g:.3e}" for g in gaps))]
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +478,31 @@ def _require_closed_form(cfg):
     if nodes != "auto":
         raise ConfigError(f"{cfg.kind} uses the closed-form symbol field; "
                           f"fiber_nodes must be 'auto', got {nodes!r}")
+
+
+def _metric(cfg):
+    """The metric of the config's metric.* block, which the kind requires."""
+    block = cfg.get("metric")
+    if block is None:
+        raise ConfigError(f"{cfg.kind} needs a metric.* block")
+    return build_metric(block)
+
+
+def _solve(field, k, seed, solver_info):
+    """(problem, spectrum): assemble(field) and its first k+1 pairs.
+
+    Counts the route in solver_info["routes"] and keeps the largest residual
+    in solver_info["max_residual"].  assemble and solve are looked up in this
+    module at each call, so a wrapper bound to either name here sees every
+    solve of every runner.
+    """
+    problem = assemble(field)
+    spectrum = solve(problem, k, seed=seed)
+    routes = solver_info["routes"]
+    routes[spectrum.route] = routes.get(spectrum.route, 0) + 1
+    solver_info["max_residual"] = max(solver_info.get("max_residual", 0.0),
+                                      float(spectrum.residuals.max()))
+    return problem, spectrum
 
 
 def _stiffness_condition_estimate(problem):
@@ -549,8 +527,7 @@ def run_torus_large_eigenvalue(cfg):
 
     _require_closed_form(cfg)
     rows = []
-    solver_info = {"fiber_nodes": "closed-form"}
-    routes = Counter()
+    solver_info = {"fiber_nodes": "closed-form", "routes": {}}
 
     def run_case(h, eta, requested, grid_n, row_type):
         r = 1.0 / h
@@ -558,19 +535,13 @@ def run_torus_large_eigenvalue(cfg):
             spec = RandersMetric.axis_drift_torus(h, eta)
         else:
             spec = RiemannianMetric.stretched(h)
-        grid = TorusGrid.square(grid_n)
-        field = SymbolField.compute(spec, grid)
-        problem = assemble(field)
-        spectrum = solve(problem, max(k, 1), seed=seed)
+        field = SymbolField.compute(spec, TorusGrid.square(grid_n))
+        problem, spectrum = _solve(field, max(k, 1), seed, solver_info)
         A, B = randers_axis_symbol(h, r, eta)
         lam1 = float(spectrum.values[1])
         vol = field.total_volume()
-        solver_info["max_residual"] = max(solver_info.get("max_residual", 0.0),
-                                          float(spectrum.residuals.max()))
-        routes[spectrum.route] += 1
         rows.append({
             "row_type": row_type,
-            "config_hash": cfg.config_hash,
             "h": h, "r": r, "eta": eta, "requested_eta": str(requested),
             "grid": grid_n, "fiber_nodes": "closed-form",
             "A": A, "B": B,
@@ -598,7 +569,6 @@ def run_torus_large_eigenvalue(cfg):
             else:
                 eta = min(float(item), ETA_CAP)
             run_case(h, eta, item, n, "sweep")
-    solver_info["routes"] = dict(routes)
     return rows, solver_info
 
 
@@ -614,10 +584,7 @@ def _pencil_extremes(sig_f, sig_0):
 
 
 def run_bilipschitz_check(cfg):
-    metric_block = cfg.get("metric")
-    if metric_block is None:
-        raise ConfigError("bilipschitz-check needs a metric.* block")
-    spec = build_metric(metric_block)
+    spec = _metric(cfg)
     ref_block = cfg.get("reference", "base")
     ref = base_metric(spec) if ref_block == "base" else build_metric(ref_block)
 
@@ -639,15 +606,13 @@ def run_bilipschitz_check(cfg):
     S = float(hi_pencil.max()) * spread
     S_prime = float((1.0 / lo_pencil).max()) * spread
 
-    spec_f = solve(assemble(field_f), k, seed=seed)
-    spec_0 = solve(assemble(field_0), k, seed=seed)
-    c_lo, c_hi = bilipschitz_ratio(spec, ref)
+    solver_info = {"fiber_nodes": "closed-form", "routes": {}}
+    _, spec_f = _solve(field_f, k, seed, solver_info)
+    _, spec_0 = _solve(field_0, k, seed, solver_info)
 
     rows = [{
         "row_type": "pair-summary",
-        "config_hash": cfg.config_hash,
         "grid": n, "fiber_nodes": "closed-form", "k": k,
-        "C_lower": c_lo, "C_upper": c_hi,
         "S": S, "S_prime": S_prime,
         "mu_ratio_spread": spread,
     }]
@@ -655,7 +620,6 @@ def run_bilipschitz_check(cfg):
         ratio = float(spec_f.values[j] / spec_0.values[j])
         rows.append({
             "row_type": "eigenvalue",
-            "config_hash": cfg.config_hash,
             "k": j,
             "lambda_f": float(spec_f.values[j]),
             "lambda_ref": float(spec_0.values[j]),
@@ -666,10 +630,7 @@ def run_bilipschitz_check(cfg):
             "expect_ratio": float(expect_ratio) if expect_ratio is not None else "",
             "tol_scaling": tol_scaling,
         })
-    return rows, {"fiber_nodes": "closed-form",
-                  "max_residual": float(max(spec_f.residuals.max(),
-                                            spec_0.residuals.max())),
-                  "routes": dict(Counter([spec_f.route, spec_0.route]))}
+    return rows, solver_info
 
 
 _ENERGY_TRIALS = {
@@ -685,10 +646,7 @@ _ENERGY_TRIALS = {
 
 
 def run_randers_identities(cfg):
-    metric_block = cfg.get("metric")
-    if metric_block is None:
-        raise ConfigError("randers-identities needs a metric.* block")
-    spec = build_metric(metric_block)
+    spec = _metric(cfg)
     if not isinstance(spec, RandersMetric):
         raise ConfigError("randers-identities needs a Randers metric")
     n = int(cfg.get("grid", 48))
@@ -706,7 +664,6 @@ def run_randers_identities(cfg):
     mu_base = volume_density(spec.base, *grid.mesh(), quad)
     rows = [{
         "row_type": "volume",
-        "config_hash": cfg.config_hash,
         "grid": n, "fiber_nodes": nodes,
         "max_mu_diff": float(np.abs(field.mu - mu_base).max()),
         "tol_pointwise": tol_pointwise,
@@ -716,7 +673,6 @@ def run_randers_identities(cfg):
         c2_exact, _, s2_exact = randers_angular_closed_forms(eta)
         rows.append({
             "row_type": "integral",
-            "config_hash": cfg.config_hash,
             "eta": eta, "fiber_nodes": nodes,
             "cos2_quad": c2, "cos2_closed": c2_exact,
             "cross_quad": cross,
@@ -731,7 +687,6 @@ def run_randers_identities(cfg):
         e_dir = randers_energy_direct(spec, grad_fn, grid, quad)
         rows.append({
             "row_type": "energy",
-            "config_hash": cfg.config_hash,
             "trial": name,
             "energy_symbol": e_sym,
             "energy_direct": e_dir,
@@ -742,10 +697,7 @@ def run_randers_identities(cfg):
 
 
 def run_conformal_check(cfg):
-    metric_block = cfg.get("metric")
-    if metric_block is None:
-        raise ConfigError("conformal-check needs a metric.* block (the base)")
-    base = build_metric(metric_block)
+    base = _metric(cfg)
     f_field = as_field(cfg.get("f", 0.0))
     spec = ConformalMetric(base, f_field)
     n = int(cfg.get("grid", 32))
@@ -772,7 +724,6 @@ def run_conformal_check(cfg):
                        / np.exp(2.0 * f_values)).max())
     rows = [{
         "row_type": "field",
-        "config_hash": cfg.config_hash,
         "grid": n, "fiber_nodes": oracle.size,
         "max_sigma_rel_diff": sigma_err,
         "max_mu_rel_diff": mu_err,
@@ -781,33 +732,28 @@ def run_conformal_check(cfg):
     }]
 
     const_f = f_field.constant_value()
-    routes = Counter()
+    solver_info = {"fiber_nodes": oracle.size, "routes": {}}
     if const_f is not None:
         field_conf = SymbolField.compute(spec, grid)
-        spec_base = solve(assemble(field_base), k, seed=seed)
-        spec_conf = solve(assemble(field_conf), k, seed=seed)
-        routes.update([spec_base.route, spec_conf.route])
+        _, spec_base = _solve(field_base, k, seed, solver_info)
+        _, spec_conf = _solve(field_conf, k, seed, solver_info)
         scale = np.exp(2.0 * const_f)
         for j in range(1, k + 1):
             lb = float(spec_base.values[j])
             lc = float(spec_conf.values[j])
             rows.append({
                 "row_type": "eigenvalue",
-                "config_hash": cfg.config_hash,
                 "k": j,
                 "lambda_base": lb,
                 "lambda_conformal": lc,
                 "scaling_err": abs(lc * scale - lb) / lb,
                 "tol_scaling": tol_scaling,
             })
-    return rows, {"fiber_nodes": oracle.size, "routes": dict(routes)}
+    return rows, solver_info
 
 
 def run_convergence(cfg):
-    metric_block = cfg.get("metric")
-    if metric_block is None:
-        raise ConfigError("convergence needs a metric.* block")
-    spec = build_metric(metric_block)
+    spec = _metric(cfg)
     grids = [int(g) for g in cfg.get_list("grids", [16, 32, 64])]
     k = int(cfg.get("k", 1))
     _require_closed_form(cfg)
@@ -819,7 +765,6 @@ def run_convergence(cfg):
         lam1 = entry["lambda"][1] if k >= 1 else entry["lambda"][0]
         row = {
             "row_type": "level",
-            "config_hash": cfg.config_hash,
             "n": entry["n"],
             "lambda1": lam1,
             "reference": entry["reference"],
@@ -831,22 +776,67 @@ def run_convergence(cfg):
         prev_lambda1 = lam1
         rows.append(row)
     return rows, {"fiber_nodes": "closed-form",
-                  "routes": dict(Counter(entry["route"] for entry in study))}
+                  "routes": dict(Counter(entry["route"] for entry in study)),
+                  "max_residual": max(entry["max_residual"] for entry in study)}
 
 
-RUNNERS = {
-    "torus-large-eigenvalue": run_torus_large_eigenvalue,
-    "bilipschitz-check": run_bilipschitz_check,
-    "randers-identities": run_randers_identities,
-    "conformal-check": run_conformal_check,
-    "convergence": run_convergence,
+# ---------------------------------------------------------------------------
+# The kinds table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Plot:
+    """One SVG line plot: series label -> column, against column x, over
+    the rows of row_type whose plotted values are all set and nonzero."""
+
+    file: str
+    row_type: str
+    x: str
+    series: dict
+    title: str
+    xlabel: str
+    ylabel: str
+    logy: bool = False
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    run: Callable        # cfg -> (rows, solver_info)
+    verdicts: Callable   # rows -> [Verdict]
+    plot: Plot | None = None
+
+
+KINDS = {
+    "torus-large-eigenvalue": ExperimentKind(
+        run_torus_large_eigenvalue, _verdicts_large_eigenvalue,
+        Plot("lambda1_vol.svg", "sweep", "h",
+             {"lambda1 * vol": "lambda1_vol", "4 pi^2 / r^2": "target"},
+             "First eigenvalue times volume", "h", "lambda1 * vol",
+             logy=True)),
+    "bilipschitz-check": ExperimentKind(
+        run_bilipschitz_check, _verdicts_bilipschitz,
+        Plot("eigenvalue_ratios.svg", "eigenvalue", "k",
+             {"ratio": "ratio", "S": "bound_upper", "1/S'": "bound_lower"},
+             "Eigenvalue ratios vs computable bound", "k",
+             "lambda_k(F) / lambda_k(F0)")),
+    "randers-identities": ExperimentKind(
+        run_randers_identities, _verdicts_randers_identities),
+    "conformal-check": ExperimentKind(run_conformal_check, _verdicts_conformal),
+    "convergence": ExperimentKind(
+        run_convergence, _verdicts_convergence,
+        Plot("convergence.svg", "level", "n",
+             {"|lambda1 error|": "error_lambda1"},
+             "Grid convergence of lambda_1", "N", "error", logy=True)),
 }
 
 
 def run_experiment(cfg, out_dir=None, plots=False):
-    """Run one config; its runner returns the rows and solver_info of the Report."""
+    """Run one config through its kind's runner and verdicts; every row gets
+    the config hash, directly after its row_type."""
     t_start = time.time()
-    rows, solver_info = RUNNERS[cfg.kind](cfg)
+    rows, solver_info = KINDS[cfg.kind].run(cfg)
+    rows = [{"row_type": row["row_type"], "config_hash": cfg.config_hash, **row}
+            for row in rows]
     report = Report(kind=cfg.kind, config_hash=cfg.config_hash,
                     echo=_flatten(cfg.params), rows=rows,
                     verdicts=verdicts_from_rows(cfg.kind, rows),

@@ -232,39 +232,39 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     return vectors
 
 
-def _edge_rayleigh(problem, vectors):
-    """Rayleigh quotients u'Ku / u'Mu with u'Ku = sum_edges w_ab (u_a - u_b)^2.
+def _sorted_pairs(problem, values, vectors, count):
+    """The `count` lowest pairs, ascending, as (values, vectors, residuals,
+    relative residuals).
 
-    The edge form avoids the cancellation of K u on smooth vectors, whose
-    rounding is of order eps lambda_max and would swamp the smallest
-    eigenvalues.
+    The residual of a pair is ||K u - lambda M u|| / ||M u||; the relative
+    one divides it by max(|lambda|, lambda_1) (by max(lambda_0, 1) if there
+    is no lambda_1), the scale of the _RESTOL gate.
     """
+    order = np.argsort(values)[:count]
+    values = np.asarray(values)[order]
+    vectors = np.asarray(vectors)[:, order]
     mass = problem.mass.ravel()
-    edges = [(np.negative(offset), weight)
-             for offset, weight in zip(_OFFSETS, problem.weights)
-             if np.any(weight)]
-    quotients = np.empty(vectors.shape[1])
-    for col, v in enumerate(vectors.T):
-        u = v.reshape(problem.grid.nx, problem.grid.ny)
-        energy = 0.0
-        for step, weight in edges:
-            du = u - np.roll(u, step, axis=(0, 1))
-            energy += float((weight * du**2).sum())
-        quotients[col] = energy / float(mass @ v**2)
-    return quotients
+    residuals = np.empty(values.size)
+    for j, u in enumerate(vectors.T):
+        Mu = mass * u
+        residuals[j] = (np.linalg.norm(problem.K @ u - values[j] * Mu)
+                        / np.linalg.norm(Mu))
+    ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
+    return values, vectors, residuals, residuals / np.maximum(np.abs(values), ref)
 
 
 def _block_route(problem, k, shift):
-    """(values, vectors) by Fourier blocks along x, else along y, else None.
+    """``_sorted_pairs`` of the first k+1 pairs by Fourier blocks along x,
+    else along y, else None.
 
     A stencil qualifies along an axis if its two diagonal-offset weight
     arrays are all zero (no cross term, so every mode block is real and the
     mode sweep can stop early) and the weights along the axis, the weights
     within the grid lines across it and the mass repeat on every such line.
     The y axis is the x axis of the transposed arrays.  The eigenvalues are
-    the edge-form Rayleigh quotients of the block eigenvectors, accurate
-    relative to each eigenvalue where the dense block solve is accurate only
-    to roundoff in lambda_max.
+    the edge-form Rayleigh quotients (``rayleigh``) of the block
+    eigenvectors, accurate relative to each eigenvalue where the dense block
+    solve is accurate only to roundoff in lambda_max.
     """
     if np.any(problem.weights[2:]):
         return None
@@ -280,12 +280,14 @@ def _block_route(problem, k, shift):
         if transposed:
             vectors = vectors.reshape(ny, nx, -1).transpose(1, 0, 2)
             vectors = vectors.reshape(nx * ny, -1)
-        return _edge_rayleigh(problem, vectors), vectors
+        return _sorted_pairs(problem, [rayleigh(problem, v) for v in vectors.T],
+                             vectors, k + 1)
     return None
 
 
 def _shift_invert(problem, k, shift, seed):
-    """First k+1 pairs by ARPACK shift-invert about `shift`, seeded.
+    """``_sorted_pairs`` of the first k+1 pairs by ARPACK shift-invert about
+    `shift`, seeded.
 
     In exact arithmetic a single-vector Krylov space holds one direction of
     each eigenspace, so ARPACK can converge k+1 pairs that skip a copy of a
@@ -295,6 +297,11 @@ def _shift_invert(problem, k, shift, seed):
     value never lies below that pair's eigenvalue, so the check may stop at
     _CHECK_TOL: a value below the (k+1)-th one found is a missed pair, which
     is refined to full accuracy, joins the others, and the check repeats.
+
+    A pair at the edge of a degenerate cluster that ARPACK split can still
+    stop short of _RESTOL.  Each pair that misses it is solved again alone,
+    at full accuracy, as the lowest pair M-orthogonal to all the others,
+    started from its own vector; pairs that meet it cost nothing more.
     One LU factor of K - shift M serves every run.
     """
     n = problem.n_nodes
@@ -334,7 +341,17 @@ def _shift_invert(problem, k, shift, seed):
         value, vector = lowest(1, vectors, start=vector[:, 0])
         values = np.append(values, value)
         vectors = np.hstack([vectors, vector])
-    return values[:k + 1], vectors[:, :k + 1]
+
+    pairs = _sorted_pairs(problem, values, vectors, k + 1)
+    values, vectors, _, relative = pairs
+    misses = np.flatnonzero(relative > _RESTOL)
+    if misses.size == 0:
+        return pairs
+    for j in misses:
+        value, vector = lowest(1, np.delete(vectors, j, axis=1),
+                               start=vectors[:, j])
+        values[j], vectors[:, j] = value[0], vector[:, 0]
+    return _sorted_pairs(problem, values, vectors, k + 1)
 
 
 def solve(problem, k, seed=0):
@@ -349,14 +366,15 @@ def solve(problem, k, seed=0):
     sweep stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the
     current (k+1)-th value, a sound lower bound on that mode.  The kept
     vectors take one inverse-iteration step about the shift below, and the
-    eigenvalues are their edge-form Rayleigh quotients (``_edge_rayleigh``),
+    eigenvalues are their edge-form Rayleigh quotients (``rayleigh``),
     so small eigenvalues keep their relative accuracy.  Weights that repeat
     only to roundoff fail the exact test and are not reduced.
 
     Shift-invert route, for everything else (sheared one-axis fields too):
     ARPACK about the small negative shift -lambda_scale / 2, started from a
     seeded random vector, then deflated runs until none finds a pair below
-    the (k+1)-th value, so no copy of a repeated eigenvalue is skipped
+    the (k+1)-th value, so no copy of a repeated eigenvalue is skipped, and
+    a deflated re-solve of any pair that misses _RESTOL
     (``_shift_invert``).  Either route needs k + 2 < n.
 
     Residuals ||K u - lambda M u|| / ||M u||, one pair at a time, are
@@ -374,21 +392,7 @@ def solve(problem, k, seed=0):
     if pairs is None:
         pairs = _shift_invert(problem, k, shift, seed)
         route = "shift-invert"
-    values, vectors = pairs
-
-    order = np.argsort(values)
-    values = np.asarray(values)[order]
-    vectors = np.asarray(vectors)[:, order]
-
-    mass = problem.mass.ravel()
-    residuals = np.empty(values.size)
-    for j, u in enumerate(vectors.T):
-        Mu = mass * u
-        residuals[j] = (np.linalg.norm(problem.K @ u - values[j] * Mu)
-                        / np.linalg.norm(Mu))
-
-    ref = float(values[1]) if k >= 1 else max(float(values[0]), 1.0)
-    rel = residuals / np.maximum(np.abs(values), ref)
+    values, vectors, residuals, rel = pairs
     if float(rel.max()) > _RESTOL:
         raise SolverError(
             f"eigensolver residuals exceed tolerance: max rel residual "
@@ -403,13 +407,25 @@ def solve(problem, k, seed=0):
 
 
 def rayleigh(problem, f):
-    """Rayleigh quotient f'Kf / f'Mf of a grid function (flat or grid-shaped)."""
+    """Rayleigh quotient f'Kf / f'Mf of a grid function (flat or grid-shaped).
+
+    f'Kf is taken in edge form, sum over edges w_ab (f_a - f_b)^2, skipping
+    offsets whose weights are all zero.  This avoids the cancellation of K f
+    on smooth functions, whose rounding is of order eps lambda_max and would
+    swamp the smallest eigenvalues.
+    """
     f = np.asarray(f, dtype=float).ravel()
     if f.size != problem.n_nodes:
         raise ValueError("grid function has the wrong number of nodes")
     if not np.any(f):
         raise ValueError("Rayleigh quotient of the zero function")
-    return float(f @ (problem.K @ f)) / float(f @ (problem.M @ f))
+    u = f.reshape(problem.grid.nx, problem.grid.ny)
+    energy = 0.0
+    for offset, weight in zip(_OFFSETS, problem.weights):
+        if np.any(weight):
+            du = u - np.roll(u, np.negative(offset), axis=(0, 1))
+            energy += float((weight * du**2).sum())
+    return energy / float(problem.mass.ravel() @ f**2)
 
 
 def fourier_oracle(sigma, k):
@@ -488,8 +504,9 @@ def convergence_study(spec, grid_sizes, k=1):
 
     Each level uses the closed-form symbol field of spec.  The reference is
     the continuous Fourier oracle when sigma* and mu are constant on every
-    level, else the finest grid.  Rows carry n, lambdas, the solver route, the
-    reference, and error and order estimates for lambda_1.
+    level, else the finest grid.  Rows carry n, lambdas, the solver route and
+    its largest residual, the reference, and error and order estimates for
+    lambda_1.
     """
     from .fiber import SymbolField
 
@@ -501,17 +518,19 @@ def convergence_study(spec, grid_sizes, k=1):
     for n in sizes:
         field = SymbolField.compute(spec, TorusGrid.square(n))
         spectrum = solve(assemble(field), k)
-        runs.append((n, field, spectrum.values.copy(), spectrum.route))
+        runs.append((n, field, spectrum.values.copy(), spectrum.route,
+                     float(spectrum.residuals.max())))
 
     oracle_vals = None
-    sigs = [_constant_symbol(field) for _, field, _, _ in runs]
+    sigs = [_constant_symbol(run[1]) for run in runs]
     if all(s is not None for s in sigs):
         oracle_vals = fourier_oracle(sigs[0], k)
 
     ref_vals = oracle_vals if oracle_vals is not None else runs[-1][2]
     rows = []
-    for idx, (n, _, vals, route) in enumerate(runs):
+    for idx, (n, _, vals, route, residual) in enumerate(runs):
         row = {"n": n, "lambda": vals.tolist(), "route": route,
+               "max_residual": residual,
                "reference": "oracle" if oracle_vals is not None else "finest"}
         if oracle_vals is not None or idx < len(runs) - 1:
             row["error_lambda1"] = abs(vals[1] - ref_vals[1]) if k >= 1 else 0.0

@@ -206,6 +206,8 @@ class TestRunners:
         cfg = ExperimentConfig.from_text(BILIPSCHITZ_CFG)
         report = run_experiment(cfg)
         assert all(row["config_hash"] == cfg.config_hash for row in report.rows)
+        assert all(list(row)[:2] == ["row_type", "config_hash"]
+                   for row in report.rows)
 
     def test_eta_sweep_required(self):
         with pytest.raises(ConfigError):
@@ -281,6 +283,7 @@ class TestRunners:
         run_experiment(ExperimentConfig.from_text(text), out_dir=tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["solver"]["routes"] == routes
+        assert ("max_residual" in data["solver"]) == bool(routes)
 
     def test_report_json_contents(self, tmp_path):
         cfg = ExperimentConfig.from_text(CONVERGENCE_CFG)
