@@ -2,14 +2,16 @@
 
 Flux-form stiffness + diagonal mass on a periodic grid; the spectrum of the
 flat and drifted torus against the exact Fourier oracle, Rayleigh quotients,
-and a grid-refinement study showing second-order convergence.
+and a grid-refinement study showing second-order convergence, run as the
+config-driven ``convergence`` experiment.
 """
 
 import numpy as np
 
-from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
-                   SymbolField, TorusGrid, assemble, convergence_study,
-                   fourier_oracle, randers_axis_symbol, rayleigh, solve)
+from fspec import (ExperimentConfig, FiberQuadrature, RandersMetric,
+                   RiemannianMetric, SymbolField, TorusGrid, assemble,
+                   fourier_oracle, randers_axis_symbol, rayleigh,
+                   run_experiment, solve)
 
 quad = FiberQuadrature.trapezoid(256)
 FOUR_PI2 = 4 * np.pi**2
@@ -49,10 +51,12 @@ for label, f, target in [
     print(f"  R({label}) = {got_r:10.4f}  vs 4 pi^2 (A or B) = {target:10.4f}")
 
 print("\n== convergence study (errors shrink 4x per grid doubling)")
-rows = convergence_study(RiemannianMetric.euclidean(), [16, 32, 64, 128], k=1)
+report = run_experiment(ExperimentConfig.from_text(
+    "kind = convergence\nmetric.type = riemannian\n"
+    "grids = 16, 32, 64, 128\nk = 1\n"))
 print("    N    lambda_1      error        order")
-for row in rows:
-    order = row.get("order_lambda1")
-    print(f"  {row['n']:4d}   {row['lambda'][1]:.6f}   "
-          f"{row.get('error_lambda1', float('nan')):.3e}   "
+for row in report.rows:
+    order = row["order_lambda1"]
+    print(f"  {row['n']:4d}   {row['lambda1']:.6f}   "
+          f"{row['error_lambda1']:.3e}   "
           + (f"{order:.3f}" if order else "  -  "))

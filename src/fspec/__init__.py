@@ -20,8 +20,7 @@ from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
                     resolve_fiber_nodes, symbol_matrix, volume_density, weight)
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
-                     convergence_study, discrete_fourier_oracle,
-                     fourier_oracle, rayleigh, solve)
+                     discrete_fourier_oracle, fourier_oracle, rayleigh, solve)
 from .experiments import (ConfigError, ExperimentConfig, Report, Verdict,
                           build_metric, run_experiment, threshold_eta,
                           verdicts_from_rows)
@@ -41,7 +40,7 @@ __all__ = [
     "energy_from_symbol", "resolve_fiber_nodes",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
     "assemble", "solve", "rayleigh", "fourier_oracle",
-    "discrete_fourier_oracle", "convergence_study",
+    "discrete_fourier_oracle",
     "ExperimentConfig", "ConfigError", "Report", "Verdict",
     "build_metric", "run_experiment", "threshold_eta", "verdicts_from_rows",
     "__version__",

@@ -33,7 +33,6 @@ import hashlib
 import io
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from operator import itemgetter
 from pathlib import Path
@@ -48,7 +47,7 @@ from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     conformal_transform, resolve_fiber_nodes)
 from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
-from .solver import assemble, solve, convergence_study
+from .solver import _constant_symbol, assemble, fourier_oracle, solve
 
 # Drift ratios are capped here: beyond it the slack 1 - |rho|^2 is dominated by
 # double-precision rounding and the fiber integrand can no longer be resolved.
@@ -470,14 +469,18 @@ def _verdicts_convergence(rows):
 # Runners
 # ---------------------------------------------------------------------------
 
-def _require_closed_form(cfg):
-    """Raise ConfigError unless fiber_nodes is auto: the spectral kinds always
+def _closed_form_solver_info(cfg):
+    """The solver_info of a spectral kind before its first solve.
+
+    Raises ConfigError unless fiber_nodes is auto: the spectral kinds always
     use the closed-form symbol field, which a fiber rule would only reproduce
-    with quadrature error and at a higher cost."""
+    with quadrature error and at a higher cost.
+    """
     nodes = cfg.get("fiber_nodes", "auto")
     if nodes != "auto":
         raise ConfigError(f"{cfg.kind} uses the closed-form symbol field; "
                           f"fiber_nodes must be 'auto', got {nodes!r}")
+    return {"fiber_nodes": "closed-form", "routes": {}}
 
 
 def _metric(cfg):
@@ -488,14 +491,28 @@ def _metric(cfg):
     return build_metric(block)
 
 
+def _square_grid(n):
+    """TorusGrid.square(n), raising ConfigError for a size it rejects."""
+    try:
+        return TorusGrid.square(n)
+    except ValueError as exc:
+        raise ConfigError(f"grid {n}: {exc}") from exc
+
+
 def _solve(field, k, seed, solver_info):
     """(problem, spectrum): assemble(field) and its first k+1 pairs.
 
-    Counts the route in solver_info["routes"] and keeps the largest residual
-    in solver_info["max_residual"].  assemble and solve are looked up in this
+    Raises ConfigError unless 1 <= k and k + 2 < n for the n grid nodes:
+    every kind needs lambda_1, and the solver needs the margin.  Counts the
+    route in solver_info["routes"] and keeps the largest residual in
+    solver_info["max_residual"].  assemble and solve are looked up in this
     module at each call, so a wrapper bound to either name here sees every
     solve of every runner.
     """
+    n = field.grid.node_count
+    if not 1 <= k < n - 2:
+        raise ConfigError(f"k = {k} needs 1 <= k and k + 2 < {n}, the node "
+                          f"count of grid {field.grid.nx}x{field.grid.ny}")
     problem = assemble(field)
     spectrum = solve(problem, k, seed=seed)
     routes = solver_info["routes"]
@@ -525,9 +542,8 @@ def run_torus_large_eigenvalue(cfg):
     tol_spectral = cfg.tolerance("tol_spectral")
     tol_pointwise = cfg.tolerance("tol_pointwise")
 
-    _require_closed_form(cfg)
+    solver_info = _closed_form_solver_info(cfg)
     rows = []
-    solver_info = {"fiber_nodes": "closed-form", "routes": {}}
 
     def run_case(h, eta, requested, grid_n, row_type):
         r = 1.0 / h
@@ -535,7 +551,7 @@ def run_torus_large_eigenvalue(cfg):
             spec = RandersMetric.axis_drift_torus(h, eta)
         else:
             spec = RiemannianMetric.stretched(h)
-        field = SymbolField.compute(spec, TorusGrid.square(grid_n))
+        field = SymbolField.compute(spec, _square_grid(grid_n))
         problem, spectrum = _solve(field, max(k, 1), seed, solver_info)
         A, B = randers_axis_symbol(h, r, eta)
         lam1 = float(spectrum.values[1])
@@ -594,9 +610,9 @@ def run_bilipschitz_check(cfg):
     slack = cfg.tolerance("bound_slack")
     tol_scaling = cfg.tolerance("tol_scaling")
     expect_ratio = cfg.get("expect_ratio")
-    _require_closed_form(cfg)
+    solver_info = _closed_form_solver_info(cfg)
 
-    grid = TorusGrid.square(n)
+    grid = _square_grid(n)
     field_f = SymbolField.compute(spec, grid)
     field_0 = SymbolField.compute(ref, grid)
 
@@ -606,7 +622,6 @@ def run_bilipschitz_check(cfg):
     S = float(hi_pencil.max()) * spread
     S_prime = float((1.0 / lo_pencil).max()) * spread
 
-    solver_info = {"fiber_nodes": "closed-form", "routes": {}}
     _, spec_f = _solve(field_f, k, seed, solver_info)
     _, spec_0 = _solve(field_0, k, seed, solver_info)
 
@@ -659,7 +674,7 @@ def run_randers_identities(cfg):
     eta_values = [float(v) for v in cfg.get_list("eta_values",
                                                  [0.1, 0.5, 0.9, 0.99])]
 
-    grid = TorusGrid.square(n)
+    grid = _square_grid(n)
     field = SymbolField.compute(spec, grid, quad)
     mu_base = volume_density(spec.base, *grid.mesh(), quad)
     rows = [{
@@ -707,7 +722,7 @@ def run_conformal_check(cfg):
     tol_scaling = cfg.tolerance("tol_scaling")
     nodes = cfg.get("fiber_nodes", "auto")
 
-    grid = TorusGrid.square(n)
+    grid = _square_grid(n)
     oracle = (resolve_fiber_nodes(spec) if nodes == "auto"
               else FiberQuadrature.trapezoid(int(nodes)))
     field_base = SymbolField.compute(base, grid)
@@ -753,31 +768,44 @@ def run_conformal_check(cfg):
 
 
 def run_convergence(cfg):
-    spec = _metric(cfg)
-    grids = [int(g) for g in cfg.get_list("grids", [16, 32, 64])]
-    k = int(cfg.get("k", 1))
-    _require_closed_form(cfg)
+    """One level row per grid size, ascending: lambda_1, its error against
+    the reference and the observed order between successive sizes.
 
-    study = convergence_study(spec, grids, k=k)
-    rows = []
-    prev_lambda1 = None
-    for entry in study:
-        lam1 = entry["lambda"][1] if k >= 1 else entry["lambda"][0]
-        row = {
-            "row_type": "level",
-            "n": entry["n"],
-            "lambda1": lam1,
-            "reference": entry["reference"],
-            "error_lambda1": entry.get("error_lambda1", ""),
-            "order_lambda1": entry.get("order_lambda1", ""),
-            "gap_lambda1": (abs(lam1 - prev_lambda1)
-                            if prev_lambda1 is not None else ""),
-        }
-        prev_lambda1 = lam1
-        rows.append(row)
-    return rows, {"fiber_nodes": "closed-form",
-                  "routes": dict(Counter(entry["route"] for entry in study)),
-                  "max_residual": max(entry["max_residual"] for entry in study)}
+    The reference is the continuous Fourier oracle when sigma* and mu are
+    constant on every level, else the finest grid, which then has no error.
+    """
+    spec = _metric(cfg)
+    sizes = sorted(int(g) for g in cfg.get_list("grids", [16, 32, 64]))
+    k = int(cfg.get("k", 1))
+    if len(sizes) < 3:
+        raise ConfigError(f"convergence needs at least 3 grid sizes, "
+                          f"got {sizes}")
+    solver_info = _closed_form_solver_info(cfg)
+
+    lambdas, symbols = [], []
+    for n in sizes:
+        field = SymbolField.compute(spec, _square_grid(n))
+        _, spectrum = _solve(field, k, 0, solver_info)
+        lambdas.append(float(spectrum.values[1]))
+        symbols.append(_constant_symbol(field))
+    if all(sig is not None for sig in symbols):
+        reference, exact = "oracle", float(fourier_oracle(symbols[0], k)[1])
+    else:
+        reference, exact = "finest", lambdas[-1]
+
+    rows = [{"row_type": "level", "n": n, "lambda1": lam1,
+             "reference": reference, "error_lambda1": abs(lam1 - exact),
+             "order_lambda1": "", "gap_lambda1": ""}
+            for n, lam1 in zip(sizes, lambdas)]
+    if reference == "finest":
+        rows[-1]["error_lambda1"] = ""
+    for prev, cur in zip(rows, rows[1:]):
+        cur["gap_lambda1"] = abs(cur["lambda1"] - prev["lambda1"])
+        e0, e1 = prev["error_lambda1"], cur["error_lambda1"]
+        if e0 and e1 and cur["n"] != prev["n"]:
+            cur["order_lambda1"] = float(np.log2(e0 / e1)
+                                         / np.log2(cur["n"] / prev["n"]))
+    return rows, solver_info
 
 
 # ---------------------------------------------------------------------------

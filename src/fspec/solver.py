@@ -1,13 +1,18 @@
 """Weighted-Laplacian discretization and generalized eigensolvers on the torus.
 
+The module holds the operator, its two eigensolve routes and the Fourier
+oracles that check them; it takes a symbol field (``mu``, ``sigma*`` on a
+grid) as input and knows nothing of how the field was computed.
+
 The energy Int sigma*(df, df) mu dx dy is discretized in flux form on a
 periodic nx x ny grid: the diagonal coefficients D = mu sigma* act through
 edge-averaged fluxes, the mixed coefficient through symmetric centered
 cross-differences.  The result is a 9-point weighted graph Laplacian,
 f' K f = sum over edges w_ab (f_a - f_b)^2, whose edge weights for the
 offsets (1, 0), (0, 1), (1, 1) and (1, -1) are what ``SpectralProblem``
-stores; K is built from them, so it is symmetric with the constants exactly
-in its kernel, and f' K f reproduces the energy quadrature to second order.
+stores; K is written from them straight into CSR, so it is symmetric with
+the constants exactly in its kernel, and f' K f reproduces the energy
+quadrature to second order.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
@@ -99,28 +104,38 @@ class SpectralProblem:
 
 
 def _stiffness(weights, grid):
-    """K = sum over edges (a, b) of w_ab (e_a - e_b)(e_a - e_b)', built as COO.
+    """K = sum over edges (a, b) of w_ab (e_a - e_b)(e_a - e_b)', written
+    straight into CSR.
 
-    Edges whose weight is exactly zero are left out of the pattern; the
-    diagonal sums the weights of every edge at the node.
+    Row a holds the node, then its forward and backward neighbour
+    a +- offset for each offset whose weights are not all zero, so every
+    row has the same width and a cross term that is zero at some nodes
+    stores explicit zeros there (K then has 9n entries).  The diagonal sums
+    the weights of every edge at the node.  Each row is then sorted by
+    column, the canonical order in which products with K sum.
     """
-    node = np.arange(grid.node_count).reshape(grid.nx, grid.ny)
-    diagonal = np.zeros(node.shape)
-    rows, cols, data = [], [], []
-    for offset, weight in zip(_OFFSETS, weights):
-        diagonal += weight + np.roll(weight, offset, axis=(0, 1))
-        keep = weight != 0.0
-        a = node[keep]
-        b = np.roll(node, np.negative(offset), axis=(0, 1))[keep]
-        rows += [a, b]
-        cols += [b, a]
-        data += [-weight[keep]] * 2
-    rows.append(node.ravel())
-    cols.append(node.ravel())
-    data.append(diagonal.ravel())
-    return sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.node_count, grid.node_count)).tocsr()
+    live = [(offset, weight) for offset, weight in zip(_OFFSETS, weights)
+            if np.any(weight)]
+    width = 1 + 2 * len(live)
+    n = grid.node_count
+    index = np.int32 if width * n < 2**31 else np.int64
+    node = np.arange(n, dtype=index).reshape(grid.nx, grid.ny)
+    indices = np.empty(node.shape + (width,), dtype=index)
+    data = np.zeros(node.shape + (width,))
+    indices[..., 0] = node
+    for slot, (offset, weight) in enumerate(live, 1):
+        back = np.roll(weight, offset, axis=(0, 1))
+        data[..., 0] += weight + back
+        indices[..., 2 * slot - 1] = np.roll(node, np.negative(offset),
+                                             axis=(0, 1))
+        indices[..., 2 * slot] = np.roll(node, offset, axis=(0, 1))
+        data[..., 2 * slot - 1] = -weight
+        data[..., 2 * slot] = -back
+    K = sparse.csr_matrix(
+        (data.ravel(), indices.ravel(),
+         np.arange(0, width * n + 1, width, dtype=index)), shape=(n, n))
+    K.sort_indices()
+    return K
 
 
 def assemble(field):
@@ -498,47 +513,3 @@ def discrete_fourier_oracle(field, k):
             / (grid.dx * grid.dy))
     return np.sort(vals.ravel())[:k + 1]
 
-
-def convergence_study(spec, grid_sizes, k=1):
-    """Solve on a ladder of grids and report lambda errors and observed orders.
-
-    Each level uses the closed-form symbol field of spec.  The reference is
-    the continuous Fourier oracle when sigma* and mu are constant on every
-    level, else the finest grid.  Rows carry n, lambdas, the solver route and
-    its largest residual, the reference, and error and order estimates for
-    lambda_1.
-    """
-    from .fiber import SymbolField
-
-    sizes = sorted(int(n) for n in grid_sizes)
-    if len(sizes) < 3:
-        raise ValueError("a convergence study needs at least 3 grid sizes")
-
-    runs = []
-    for n in sizes:
-        field = SymbolField.compute(spec, TorusGrid.square(n))
-        spectrum = solve(assemble(field), k)
-        runs.append((n, field, spectrum.values.copy(), spectrum.route,
-                     float(spectrum.residuals.max())))
-
-    oracle_vals = None
-    sigs = [_constant_symbol(run[1]) for run in runs]
-    if all(s is not None for s in sigs):
-        oracle_vals = fourier_oracle(sigs[0], k)
-
-    ref_vals = oracle_vals if oracle_vals is not None else runs[-1][2]
-    rows = []
-    for idx, (n, _, vals, route, residual) in enumerate(runs):
-        row = {"n": n, "lambda": vals.tolist(), "route": route,
-               "max_residual": residual,
-               "reference": "oracle" if oracle_vals is not None else "finest"}
-        if oracle_vals is not None or idx < len(runs) - 1:
-            row["error_lambda1"] = abs(vals[1] - ref_vals[1]) if k >= 1 else 0.0
-        rows.append(row)
-    for prev, cur in zip(rows, rows[1:]):
-        e0 = prev.get("error_lambda1")
-        e1 = cur.get("error_lambda1")
-        if e0 and e1 and cur["n"] != prev["n"]:
-            span = np.log2(cur["n"] / prev["n"])
-            cur["order_lambda1"] = float(np.log2(e0 / e1) / span)
-    return rows

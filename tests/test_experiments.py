@@ -315,10 +315,18 @@ class TestCli:
         assert code == 1
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
+        # an unknown kind, a grid below 8 nodes a side, k + 2 >= the node
+        # count, a convergence ladder of two grids, and k = 0 (no lambda_1)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("kind = nonsense\n")
-        assert cli_main(["run", str(cfg_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        for text in ["kind = nonsense\n",
+                     BILIPSCHITZ_CFG + "grid = 4\n",
+                     BILIPSCHITZ_CFG + "grid = 8\nk = 62\n",
+                     BILIPSCHITZ_CFG + "k = 0\n",
+                     CONVERGENCE_CFG + "grids = 16, 32\n",
+                     CONVERGENCE_CFG + "k = 0\n"]:
+            cfg_path.write_text(text)
+            assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("text, cause", [
         ("kind = conformal-check\nmetric.type = torus\nmetric.h = 1\n"

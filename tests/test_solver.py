@@ -9,19 +9,20 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 import fspec.solver
-from fspec import (ConformalMetric, FiberQuadrature, Field, RandersMetric,
-                   RiemannianMetric, SolverError, SymbolField, TorusGrid,
-                   assemble, convergence_study, discrete_fourier_oracle,
-                   fourier_oracle, randers_axis_symbol, rayleigh, solve)
+from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
+                   FiberQuadrature, Field, RandersMetric, RiemannianMetric,
+                   SolverError, SymbolField, TorusGrid, assemble,
+                   discrete_fourier_oracle, fourier_oracle,
+                   randers_axis_symbol, rayleigh, run_experiment, solve)
 from conftest import random_spd
 
 QUAD = FiberQuadrature.trapezoid(256)
 FOUR_PI2 = 4 * np.pi**2
 
 
-def euclid_field(n):
+def euclid_field(n, quad=QUAD):
     return SymbolField.compute(RiemannianMetric.euclidean(), TorusGrid.square(n),
-                               QUAD)
+                               quad)
 
 
 def solve_routes(problem, k, route):
@@ -189,26 +190,27 @@ class TestSolve:
         spectrum = solve(assemble(field), 1)
         assert abs(spectrum.values[1] / np.pi**2 - 1.0) < 0.01
 
+    # closed-form fields: a rule's roundoff cross term would send both legs
+    # of solve_routes to shift-invert
     def test_eigenvectors_m_orthonormal(self):
-        problem = assemble(euclid_field(16))
-        for spectrum in solve_routes(problem, 4, "shift-invert"):
+        problem = assemble(euclid_field(16, quad=None))
+        for spectrum in solve_routes(problem, 4, "block"):
             gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
             np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
 
     def test_residuals_small(self):
-        problem = assemble(euclid_field(64))
-        for spectrum in solve_routes(problem, 5, "shift-invert"):
+        problem = assemble(euclid_field(64, quad=None))
+        for spectrum in solve_routes(problem, 5, "block"):
             rel = spectrum.residuals / np.maximum(spectrum.values,
                                                   spectrum.values[1])
             assert float(rel.max()) < 1e-9
 
     def test_dense_and_sparse_agree(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        field = SymbolField.compute(spec, TorusGrid.square(32), QUAD)
-        problem = assemble(field)
+        problem = assemble(SymbolField.compute(spec, TorusGrid.square(32)))
         dense = scipy.linalg.eigh(problem.K.toarray(), problem.M.toarray(),
                                   eigvals_only=True, subset_by_index=(0, 6))
-        for sparse_s in solve_routes(problem, 6, "shift-invert"):
+        for sparse_s in solve_routes(problem, 6, "block"):
             np.testing.assert_allclose(dense[1:], sparse_s.values[1:],
                                        rtol=1e-9)
 
@@ -586,9 +588,16 @@ class TestScaling:
         np.testing.assert_allclose(lam_scaled[1:] * t**2, lam[1:], rtol=1e-10)
 
 
+def convergence_rows(metric, grids="16, 32, 64"):
+    """Level rows of a k = 1 convergence experiment on the metric.* lines."""
+    cfg = ExperimentConfig.from_text(
+        f"kind = convergence\n{metric}grids = {grids}\nk = 1\n")
+    return run_experiment(cfg).rows
+
+
 class TestConvergence:
     def test_euclidean_second_order(self):
-        rows = convergence_study(RiemannianMetric.euclidean(), [16, 32, 64], k=1)
+        rows = convergence_rows("metric.type = riemannian\n")
         assert rows[0]["reference"] == "oracle"
         for row in rows[1:]:
             # errors shrink 4x per doubling, within 20 percent
@@ -596,20 +605,23 @@ class TestConvergence:
 
     def test_randers_constant_oracle_referenced(self):
         # sheared constant metrics get the oracle reference too
-        for spec in (RandersMetric.axis_drift_torus(2.0, 0.6),
-                     RiemannianMetric(1.0, 0.5, 1.0),
-                     RandersMetric(RiemannianMetric(2.0, 0.7, 0.8), 0.4, 0.3)):
-            rows = convergence_study(spec, [16, 32, 64], k=1)
+        for metric in ("metric.type = torus\nmetric.h = 2\nmetric.eta = 0.6\n",
+                       "metric.type = riemannian\nmetric.g12 = 0.5\n",
+                       "metric.type = randers\nmetric.g11 = 2\n"
+                       "metric.g12 = 0.7\nmetric.g22 = 0.8\n"
+                       "metric.rho_x = 0.4\nmetric.rho_y = 0.3\n"):
+            rows = convergence_rows(metric)
             assert rows[0]["reference"] == "oracle"
             for row in rows[1:]:
                 assert 1.678 <= row["order_lambda1"] <= 2.322
 
     def test_nonconstant_self_convergence(self):
-        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
-                                              profile="0.5 + 0.4*sin(2*pi*y)")
-        rows = convergence_study(spec, [16, 32, 64, 128], k=1)
+        rows = convergence_rows("metric.type = torus\nmetric.h = 2\n"
+                                "metric.eta = 0.9\n"
+                                "metric.profile = 0.5 + 0.4*sin(2*pi*y)\n",
+                                grids="16, 32, 64, 128")
         assert rows[0]["reference"] == "finest"
-        lams = [row["lambda"][1] for row in rows]
+        lams = [row["lambda1"] for row in rows]
         gaps = [abs(b - a) for a, b in zip(lams, lams[1:])]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -618,10 +630,11 @@ class TestConvergence:
         # while the spectrum moves; the second factor vanishes at the nodes
         # of the 16 and 32 grids and varies only on the 64 grid
         for f in ("0.3*sin(2*pi*x)", "0.3*sin(2*pi*16*x)"):
-            spec = ConformalMetric(RiemannianMetric.stretched(2.0), f)
-            rows = convergence_study(spec, [16, 32, 64], k=1)
+            rows = convergence_rows(f"metric.type = conformal\nmetric.f = {f}\n"
+                                    "metric.base.type = torus\n"
+                                    "metric.base.h = 2\n")
             assert rows[0]["reference"] == "finest"
 
     def test_needs_three_grids(self):
-        with pytest.raises(ValueError):
-            convergence_study(RiemannianMetric.euclidean(), [16, 32], k=1)
+        with pytest.raises(ConfigError):
+            convergence_rows("metric.type = riemannian\n", grids="16, 32")
