@@ -11,7 +11,7 @@ comments, dotted keys nest, commas make lists).  Five kinds are supported:
 * randers-identities     : volume identity, drift-averaged angular integrals
   vs closed forms, and the two-route energy agreement.
 * conformal-check        : from-scratch symbol of exp(f) F vs the transformed
-  symbol, and exact eigenvalue scaling for constant f.
+  symbol, and exact eigenvalue scaling when f is constant on the grid nodes.
 * convergence            : grid-refinement orders for lambda_1.
 
 Each kind is one entry of ``KINDS``: its runner, its verdict function and
@@ -43,7 +43,7 @@ import numpy as np
 from .fields import as_field
 from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     randers_angular_integrals, randers_axis_symbol,
-                    randers_energy_direct, energy_from_symbol, volume_density,
+                    randers_energy_direct, energy_from_symbol,
                     conformal_transform, resolve_fiber_nodes)
 from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
@@ -676,7 +676,7 @@ def run_randers_identities(cfg):
 
     grid = _square_grid(n)
     field = SymbolField.compute(spec, grid, quad)
-    mu_base = volume_density(spec.base, *grid.mesh(), quad)
+    mu_base = SymbolField.compute(spec.base, grid).mu
     rows = [{
         "row_type": "volume",
         "grid": n, "fiber_nodes": nodes,
@@ -746,7 +746,7 @@ def run_conformal_check(cfg):
         "tol_pointwise": tol_pointwise,
     }]
 
-    const_f = f_field.constant_value()
+    const_f = f_field.constant_value(*grid.mesh())
     solver_info = {"fiber_nodes": oracle.size, "routes": {}}
     if const_f is not None:
         field_conf = SymbolField.compute(spec, grid)
@@ -777,15 +777,16 @@ def run_convergence(cfg):
     spec = _metric(cfg)
     sizes = sorted(int(g) for g in cfg.get_list("grids", [16, 32, 64]))
     k = int(cfg.get("k", 1))
-    if len(sizes) < 3:
-        raise ConfigError(f"convergence needs at least 3 grid sizes, "
-                          f"got {sizes}")
+    seed = int(cfg.get("seed", 0))
+    if len(set(sizes)) < len(sizes) or len(sizes) < 3:
+        raise ConfigError(f"convergence needs at least 3 distinct grid "
+                          f"sizes, got {sizes}")
     solver_info = _closed_form_solver_info(cfg)
 
     lambdas, symbols = [], []
     for n in sizes:
         field = SymbolField.compute(spec, _square_grid(n))
-        _, spectrum = _solve(field, k, 0, solver_info)
+        _, spectrum = _solve(field, k, seed, solver_info)
         lambdas.append(float(spectrum.values[1]))
         symbols.append(_constant_symbol(field))
     if all(sig is not None for sig in symbols):
@@ -802,7 +803,7 @@ def run_convergence(cfg):
     for prev, cur in zip(rows, rows[1:]):
         cur["gap_lambda1"] = abs(cur["lambda1"] - prev["lambda1"])
         e0, e1 = prev["error_lambda1"], cur["error_lambda1"]
-        if e0 and e1 and cur["n"] != prev["n"]:
+        if e0 and e1:
             cur["order_lambda1"] = float(np.log2(e0 / e1)
                                          / np.log2(cur["n"] / prev["n"]))
     return rows, solver_info

@@ -24,10 +24,9 @@ density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 Both integrals come from one metric evaluation on the fiber
 (``_fiber_symbol``): grad = F* grad_p F* = spec.dual_gradient(p_hat).
 Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
-v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.  Over a
-grid it runs once per block of grid rows, so the fiber temporaries stay
-bounded.  ``volume_density`` takes F* from spec.dual instead, an independent
-route to the same mu.  The integrands are smooth and periodic, so the
+v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.
+``volume_density`` takes F* from spec.dual instead, an independent route to
+the same mu.  The integrands are smooth and periodic, so the
 trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them,
 which the adaptive doubling in ``resolve_fiber_nodes`` absorbs up to its
 cap, past which it raises QuadratureError.
@@ -35,6 +34,12 @@ cap, past which it raises QuadratureError.
 The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
 the g-orthonormal circle through the Cholesky factor of g, one cos and one
 sin coefficient per node, without forming the circle's direction vectors.
+
+Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule branch
+of ``SymbolField.compute``, ``binet_legendre``, ``randers_energy_direct``
+and the probe of ``resolve_fiber_nodes``) is a per-node kernel run by one
+loop, ``_over_nodes``, over blocks of about _BLOCK node x fiber pairs, so
+its fiber temporaries stay bounded on any grid.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ import numpy as np
 
 from .grid import TorusGrid
 from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                      RiemannianMetric, _apply_form, _pair, _symmetric,
-                      base_metric)
+                      RiemannianMetric, _apply_form, _eigen_extremes, _inverse,
+                      _pair, _symmetric, base_metric)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -97,61 +102,73 @@ class FiberQuadrature:
         return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
 
 
-def volume_density(spec, x, y, quad):
-    """Holmes-Thompson density mu(x) of the metric's volume against dx dy.
+def _over_nodes(kernel, x, y, fiber_size):
+    """Per-node arrays of kernel over the broadcast nodes of (x, y).
 
-    Evaluated over the broadcast nodes in blocks of about _BLOCK node x fiber
-    pairs, so the fiber temporaries stay bounded on any grid.
+    kernel(xs, ys) takes (m, 1) columns of node coordinates, m about
+    _BLOCK / fiber_size so its node x fiber temporaries stay bounded, and
+    returns a tuple of arrays whose leading axis runs over those m nodes.
+    Each comes back in the broadcast shape of (x, y) followed by its own
+    trailing axes: a scalar or a (2, 2) matrix for scalar input.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
-    flat_x, flat_y = x.ravel(), y.ravel()
-    mu = np.empty(flat_x.size)
-    step = max(1, _BLOCK // quad.size)
-    for lo in range(0, mu.size, step):
-        nodes = slice(lo, lo + step)
-        dual = spec.dual(flat_x[nodes, None], flat_y[nodes, None],
-                         quad.unit_covectors())
+    xs, ys = x.reshape(-1, 1), y.reshape(-1, 1)
+    step = max(1, _BLOCK // fiber_size)
+    out = None
+    for lo in range(0, xs.shape[0], step):
+        parts = kernel(xs[lo:lo + step], ys[lo:lo + step])
+        if out is None:
+            out = [np.empty(xs.shape[:1] + part.shape[1:]) for part in parts]
+        for whole, part in zip(out, parts):
+            whole[lo:lo + step] = part
+    return tuple(whole.reshape(x.shape + whole.shape[1:])[()] for whole in out)
+
+
+def volume_density(spec, x, y, quad):
+    """Holmes-Thompson density mu(x) of the metric's volume against dx dy."""
+    p = quad.unit_covectors()
+
+    def density(xs, ys):
+        dual = spec.dual(xs, ys, p)
         if np.any(dual < _DUAL_FLOOR):
             raise IllPosedMetricError(_COLLAPSED)
-        mu[nodes] = (quad.weights / dual**2).sum(axis=-1) / _TWO_PI
-    return mu.reshape(x.shape)[()]
+        return ((quad.weights / dual**2).sum(axis=-1) / _TWO_PI,)
+
+    return _over_nodes(density, x, y, quad.size)[0]
 
 
 def _fiber_symbol(spec, x, y, quad):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
-    grad = spec.dual_gradient(p_hat) = F* grad_p F* is the only call; Euler's
-    identity for the 1-homogeneous F* gives F*^2 = p_hat . grad, and
-    v = grad / F*.  Raises IllPosedMetricError if F* falls below _DUAL_FLOOR
-    on a fiber node, and QuadratureError if sigma* fails to be SPD, which
-    signals an under-resolved fiber rule.
+    grad = spec.dual_gradient(p_hat) = F* grad_p F* is the only call per
+    block of nodes; Euler's identity for the 1-homogeneous F* gives
+    F*^2 = p_hat . grad, and v = grad / F*.  Raises IllPosedMetricError if F*
+    falls below _DUAL_FLOOR on a fiber node, and QuadratureError if sigma*
+    fails to be SPD, which signals an under-resolved fiber rule.
     """
-    xs = np.asarray(x, dtype=float)[..., None]
-    ys = np.asarray(y, dtype=float)[..., None]
     p = quad.unit_covectors()
-    grad = spec.dual_gradient(xs, ys, p)
-    dual_sq = _pair(p, grad)
-    if not np.all(dual_sq >= _DUAL_FLOOR**2):
-        raise IllPosedMetricError(_COLLAPSED)
-    g1, g2 = grad[..., 0], grad[..., 1]
-    # density = w F*^-2 and v = grad / F*, so density v v' = w grad grad' F*^-4
-    density = quad.weights / dual_sq
-    mu = density.sum(axis=-1) / _TWO_PI
-    moment = density / dual_sq
-    norm = np.pi * mu
-    s11 = (moment * g1 * g1).sum(axis=-1) / norm
-    s12 = (moment * g1 * g2).sum(axis=-1) / norm
-    s22 = (moment * g2 * g2).sum(axis=-1) / norm
+
+    def moments(xs, ys):
+        grad = spec.dual_gradient(xs, ys, p)
+        dual_sq = _pair(p, grad)
+        if not np.all(dual_sq >= _DUAL_FLOOR**2):
+            raise IllPosedMetricError(_COLLAPSED)
+        g1, g2 = grad[..., 0], grad[..., 1]
+        # density = w F*^-2 and v = grad / F*, so density v v' = w grad grad' F*^-4
+        density = quad.weights / dual_sq
+        mu = density.sum(axis=-1) / _TWO_PI
+        moment = density / dual_sq
+        norm = np.pi * mu
+        return ((moment * g1 * g1).sum(axis=-1) / norm,
+                (moment * g1 * g2).sum(axis=-1) / norm,
+                (moment * g2 * g2).sum(axis=-1) / norm, mu)
+
+    s11, s12, s22, mu = _over_nodes(moments, x, y, quad.size)
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
-    sig = np.empty(np.shape(s11) + (2, 2))
-    sig[..., 0, 0] = s11
-    sig[..., 0, 1] = s12
-    sig[..., 1, 0] = s12
-    sig[..., 1, 1] = s22
-    return sig, mu
+    return _symmetric(s11, s12, s22), mu
 
 
 def symbol_matrix(spec, x, y, quad):
@@ -243,32 +260,25 @@ def binet_legendre(spec, x, y, quad):
     itself for Riemannian input; in general the metric is bi-Lipschitz to F
     with constants controlled by the quasireversibility.
     """
-    xs = np.asarray(x, dtype=float)[..., None]
-    ys = np.asarray(y, dtype=float)[..., None]
     u = quad.unit_covectors()  # tangent directions this time
-    fv = spec.value(xs, ys, u)
-    if np.any(fv < _DUAL_FLOOR):
-        raise IllPosedMetricError("forward norm collapsed on the unit circle")
-    r2 = fv**-2
-    r4 = r2 * r2
-    area = (quad.weights * r2).sum(axis=-1) * 0.5
-    n11 = (quad.weights * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
-    n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
-    n12 = (quad.weights * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
-    dual_form = np.empty(np.shape(area) + (2, 2))
-    dual_form[..., 0, 0] = 4.0 * n11 / area
-    dual_form[..., 0, 1] = 4.0 * n12 / area
-    dual_form[..., 1, 0] = dual_form[..., 0, 1]
-    dual_form[..., 1, 1] = 4.0 * n22 / area
-    det = (dual_form[..., 0, 0] * dual_form[..., 1, 1] - dual_form[..., 0, 1] ** 2)
+
+    def moments(xs, ys):
+        fv = spec.value(xs, ys, u)
+        if np.any(fv < _DUAL_FLOOR):
+            raise IllPosedMetricError("forward norm collapsed on the unit circle")
+        r2 = fv**-2
+        r4 = r2 * r2
+        area = (quad.weights * r2).sum(axis=-1) * 0.5
+        n11 = (quad.weights * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
+        n12 = (quad.weights * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
+        n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
+        return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
+
+    d11, d12, d22 = _over_nodes(moments, x, y, quad.size)
+    det = d11 * d22 - d12 * d12
     if np.any(det <= 0.0):
         raise QuadratureError("Binet-Legendre dual form is not positive-definite")
-    metric = np.empty_like(dual_form)
-    metric[..., 0, 0] = dual_form[..., 1, 1] / det
-    metric[..., 0, 1] = -dual_form[..., 0, 1] / det
-    metric[..., 1, 0] = metric[..., 0, 1]
-    metric[..., 1, 1] = dual_form[..., 0, 0] / det
-    return metric
+    return _inverse(d11, d12, d22, det)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +314,6 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
                           f"{change:.3e} (tol {tol:g})")
 
 
-def _row_blocks(grid, quad):
-    """Slices of grid rows holding about _BLOCK node x fiber pairs each."""
-    step = max(1, _BLOCK // (grid.ny * quad.size))
-    return [slice(lo, lo + step) for lo in range(0, grid.nx, step)]
-
-
 def _closed_form_symbol(spec, x, y):
     """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring)."""
     f = 0.0
@@ -322,7 +326,7 @@ def _closed_form_symbol(spec, x, y):
         raise TypeError(f"no closed-form symbol for {type(spec).__name__}; "
                         "pass a FiberQuadrature to integrate it on the fiber")
     g11, g12, g22, det = base._coefficients(x, y)
-    gi = _symmetric(g22 / det, -g12 / det, g11 / det)
+    gi = _inverse(g11, g12, g22, det)
     b = _apply_form(gi, rho)
     slack = 1.0 - _pair(rho, b)
     if np.any(slack <= 0.0):
@@ -351,17 +355,14 @@ class SymbolField:
         With no rule: the closed form (module docstring), which raises
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
         outside the three families.  With a FiberQuadrature: the trapezoid
-        oracle, one dual_gradient evaluation per block of grid rows holding
-        about _BLOCK node x fiber pairs.
+        oracle, one dual_gradient evaluation per block of about _BLOCK node x
+        fiber pairs.
         """
         x, y = grid.mesh()
         if quad is None:
             sig, mu = _closed_form_symbol(spec, x, y)
         else:
-            mu = np.empty((grid.nx, grid.ny))
-            sig = np.empty((grid.nx, grid.ny, 2, 2))
-            for rows in _row_blocks(grid, quad):
-                sig[rows], mu[rows] = _fiber_symbol(spec, x[rows], y, quad)
+            sig, mu = _fiber_symbol(spec, x, y, quad)
         return cls(grid=grid, sigma_star=sig, mu=mu,
                    fiber_nodes=0 if quad is None else quad.size)
 
@@ -372,10 +373,7 @@ class SymbolField:
 
     def sigma_min_eigenvalues(self):
         s = self.sigma_star
-        half_trace = 0.5 * (s[..., 0, 0] + s[..., 1, 1])
-        disc = np.sqrt(np.maximum(
-            (0.5 * (s[..., 0, 0] - s[..., 1, 1])) ** 2 + s[..., 0, 1] ** 2, 0.0))
-        return half_trace - disc
+        return _eigen_extremes(s[..., 0, 0], s[..., 0, 1], s[..., 1, 1])[0]
 
     def total_volume(self):
         return float(self.mu.sum()) * self.grid.cell_area
@@ -421,31 +419,34 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
     circle, e1 and e2 the columns of L'^-1 for the Cholesky factor g = L L'.
     A covector w pairs with v(t) as w1 cos t + w2 sin t, where
     w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
-    formed.  Evaluated in blocks of grid rows holding about _BLOCK node x
-    fiber pairs.  Agreement with ``energy_from_symbol`` validates the
-    dual-circle route end to end.
+    formed, and (df . v)^2 expands into w1^2 cos^2 + 2 w1 w2 cos sin +
+    w2^2 sin^2: the inner integral takes three moments of 1 / (1 + rho(v))
+    per node, one matrix product.  Agreement with ``energy_from_symbol``
+    validates the dual-circle route end to end.
     """
     base = base_metric(spec)
-    x, y = grid.mesh()
     cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
+    trig = quad.weights[:, None] * np.stack([cos * cos, 2.0 * cos * sin,
+                                             sin * sin], axis=-1)
 
-    def on_circle(w, l11, l21, l22):
-        w1 = w[..., 0] / l11
-        w2 = (w[..., 1] - l21 * w1) / l22
-        return w1[..., None] * cos + w2[..., None] * sin
-
-    total = 0.0
-    for rows in _row_blocks(grid, quad):
-        xs = x[rows]
-        a, b, c, det = base._coefficients(xs, y)
+    def density(xs, ys):
+        a, b, c, det = base._coefficients(xs, ys)
         l11 = np.sqrt(a)
         l21 = b / l11
         l22 = np.sqrt(c - l21**2)
-        pairing = on_circle(grad_fn(xs, y), l11, l21, l22)
-        rho_v = on_circle(spec.drift(xs, y), l11, l21, l22)
-        if np.any(1.0 + rho_v <= 0.0):
+
+        def on_circle(w):
+            w1 = w[..., 0] / l11
+            return w1, (w[..., 1] - l21 * w1) / l22
+
+        r1, r2 = on_circle(spec.drift(xs, ys))
+        den = 1.0 + r1 * cos + r2 * sin
+        if np.any(den <= 0.0):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
-        fiber = ((pairing**2 / (1.0 + rho_v)) * quad.weights).sum(axis=-1)
-        dens = fiber * np.sqrt(det) / np.pi
-        total += float(dens.sum())
-    return total * grid.cell_area
+        c2, cs, s2 = np.split((1.0 / den) @ trig, 3, axis=-1)
+        w1, w2 = on_circle(grad_fn(xs, ys))
+        fiber = w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2
+        return ((fiber * np.sqrt(det))[:, 0] / np.pi,)
+
+    dens = _over_nodes(density, *grid.mesh(), quad.size)[0]
+    return float(dens.sum()) * grid.cell_area

@@ -92,10 +92,9 @@ class Field:
 
         return cls(fn, f"<grid {nx}x{ny}>")
 
-    def constant_value(self, probe=13):
-        """Return the constant value if the field is constant on a probe mesh, else None."""
-        t = np.arange(probe) / probe
-        vals = self(t[:, None], t[None, :])
+    def constant_value(self, x, y):
+        """Return the constant value if the field is constant on the nodes (x, y), else None."""
+        vals = self(x, y)
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= 1e-14 * max(1.0, abs(hi), abs(lo)):
             return 0.5 * (lo + hi)

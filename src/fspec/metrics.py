@@ -75,6 +75,18 @@ def _symmetric(a, b, c):
     return m
 
 
+def _inverse(a, b, c, det):
+    """The inverse of [[a, b], [b, c]] given its determinant det."""
+    return _symmetric(c / det, -b / det, a / det)
+
+
+def _eigen_extremes(a, b, c):
+    """(smallest, largest) eigenvalue of [[a, b], [b, c]], elementwise."""
+    half_trace = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum((0.5 * (a - c)) ** 2 + b**2, 0.0))
+    return half_trace - disc, half_trace + disc
+
+
 def _require_nonzero(v, what):
     v = np.asarray(v, dtype=float)
     if np.any(np.all(v == 0.0, axis=-1)):
@@ -118,8 +130,7 @@ class RiemannianMetric:
         return _symmetric(a, b, c)
 
     def inverse_matrix(self, x, y):
-        a, b, c, det = self._coefficients(x, y)
-        return _symmetric(c / det, -b / det, a / det)
+        return _inverse(*self._coefficients(x, y))
 
     def value(self, x, y, v):
         v = np.asarray(v, dtype=float)
@@ -373,10 +384,7 @@ def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):
     hyy = (fsq(v + ey) - 2.0 * f0 + fsq(v - ey)) / h**2
     hxy = (fsq(v + ex + ey) - fsq(v + ex - ey)
            - fsq(v - ex + ey) + fsq(v - ex - ey)) / (4.0 * h**2)
-    half_trace = 0.5 * (hxx + hyy)
-    disc = np.sqrt(np.maximum((0.5 * (hxx - hyy)) ** 2 + hxy**2, 0.0))
-    lam_min = half_trace - disc
-    lam_max = half_trace + disc
+    lam_min, lam_max = _eigen_extremes(hxx, hxy, hyy)
     return bool(np.all(lam_max > 0.0) and np.all(lam_min > tol * lam_max))
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import fspec.experiments
 from fspec import (ConfigError, ExperimentConfig, RandersMetric,
                    RiemannianMetric, build_metric, run_experiment,
                    threshold_eta, verdicts_from_rows)
@@ -79,6 +80,15 @@ kind = convergence
 metric.type = torus
 metric.h = 1
 grids = 16, 32, 64
+k = 1
+"""
+
+CONVERGENCE_VARYING_CFG = """
+kind = convergence
+metric.type = torus
+metric.h = 2
+metric.eta = 0.9
+metric.profile = 0.5 + 0.4*sin(2*pi*y)
 k = 1
 """
 
@@ -316,17 +326,48 @@ class TestCli:
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         # an unknown kind, a grid below 8 nodes a side, k + 2 >= the node
-        # count, a convergence ladder of two grids, and k = 0 (no lambda_1)
+        # count, a convergence ladder of two grids, one with a repeated grid
+        # size (its zero gap used to fail the Cauchy verdict), and k = 0
+        # (no lambda_1)
         cfg_path = tmp_path / "exp.cfg"
         for text in ["kind = nonsense\n",
                      BILIPSCHITZ_CFG + "grid = 4\n",
                      BILIPSCHITZ_CFG + "grid = 8\nk = 62\n",
                      BILIPSCHITZ_CFG + "k = 0\n",
                      CONVERGENCE_CFG + "grids = 16, 32\n",
+                     CONVERGENCE_VARYING_CFG + "grids = 16, 32, 32, 64\n",
                      CONVERGENCE_CFG + "k = 0\n"]:
             cfg_path.write_text(text)
             assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+    def test_convergence_reads_seed(self, tmp_path, monkeypatch):
+        seeds = []
+        solve = fspec.experiments.solve
+
+        def recording(problem, k, seed=0):
+            seeds.append(seed)
+            return solve(problem, k, seed=seed)
+
+        monkeypatch.setattr(fspec.experiments, "solve", recording)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(CONVERGENCE_CFG + "seed = 5\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert seeds == [5, 5, 5]
+
+    def test_conformal_constant_only_on_probe_is_not_constant(self, tmp_path):
+        # every point of a 13 x 13 probe is a zero of this 1/13-periodic
+        # wave, but not every node of the 32 x 32 grid, so the exact scaling
+        # law does not apply and no eigenvalue rows may be written
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("kind = conformal-check\nmetric.type = torus\n"
+                            "metric.h = 2\nmetric.eta = 0.6\n"
+                            "f = 0.1*sin(26*pi*x)\ngrid = 32\nk = 5\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "rows.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["row_type"] for row in rows] == ["field"]
 
     @pytest.mark.parametrize("text, cause", [
         ("kind = conformal-check\nmetric.type = torus\nmetric.h = 1\n"

@@ -34,7 +34,8 @@ class TestQuadratureRule:
 
 class TestVolumeDensity:
     def test_euclidean_is_one(self):
-        mu = float(volume_density(RiemannianMetric.euclidean(), 0.3, 0.7, QUAD))
+        mu = volume_density(RiemannianMetric.euclidean(), 0.3, 0.7, QUAD)
+        assert isinstance(mu, np.floating)  # a scalar node gives a scalar
         np.testing.assert_allclose(mu, 1.0, rtol=1e-12)
 
     def test_riemannian_sqrt_det(self):
@@ -80,6 +81,7 @@ class TestVolumeDensity:
 class TestSymbol:
     def test_euclidean_identity(self):
         sig = symbol_matrix(RiemannianMetric.euclidean(), 0.2, 0.4, QUAD)
+        assert sig.shape == (2, 2)
         np.testing.assert_allclose(sig, np.eye(2), atol=1e-12)
 
     def test_riemannian_inverse(self, rng):
@@ -239,6 +241,7 @@ class TestWeight:
 class TestBinetLegendre:
     def test_euclidean_identity(self):
         bl = binet_legendre(RiemannianMetric.euclidean(), 0.2, 0.8, QUAD)
+        assert bl.shape == (2, 2)
         np.testing.assert_allclose(bl, np.eye(2), atol=1e-12)
 
     def test_riemannian_reduction(self, rng):
@@ -376,18 +379,22 @@ class TestSymbolField:
             return np.stack(np.broadcast_arrays(
                 2 * np.pi * np.cos(2 * np.pi * x), 0.0 * y), axis=-1)
 
+        x, y = grid.mesh()
         peaks = []
         for call in (lambda: randers_energy_direct(spec, grad, grid, quad),
-                     lambda: volume_density(spec.base, *grid.mesh(), quad)):
+                     lambda: volume_density(spec.base, x, y, quad),
+                     lambda: symbol_matrix(spec, x, y, quad),
+                     lambda: binet_legendre(spec, x, y, quad)):
             tracemalloc.start()
             try:
                 call()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # unblocked: 96.7 MiB for the energy and 48.2 MiB for the density
-        assert peaks[0] < 48 * 2**20
-        assert peaks[1] < 24 * 2**20
+        # unblocked: 96.7 MiB for the energy, 48.2 MiB for the density,
+        # 176.3 MiB for the symbol and 80.2 MiB for Binet-Legendre; the
+        # blocked rule field SymbolField.compute peaks at 22.2 MiB
+        assert all(peak < 24 * 2**20 for peak in peaks)
 
     def test_blocked_oracles_match_one_block(self, monkeypatch):
         # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks; a drift
@@ -405,15 +412,20 @@ class TestSymbolField:
                 axis=-1)
 
         def evaluate():
+            field = SymbolField.compute(spec, grid, quad)
             return (randers_energy_direct(spec, grad, grid, quad),
-                    volume_density(spec, x, y, quad))
+                    volume_density(spec, x, y, quad),
+                    symbol_matrix(spec, x, y, quad),
+                    field.sigma_star, field.mu,
+                    binet_legendre(spec, x, y, quad))
 
-        energy, mu = evaluate()
+        blocked = evaluate()
         monkeypatch.setattr(fspec.fiber, "_BLOCK", 2**40)
-        energy_one, mu_one = evaluate()
-        np.testing.assert_allclose(energy, energy_one, rtol=1e-14)
-        np.testing.assert_allclose(mu, mu_one, rtol=1e-14)
-        assert mu.shape == (40, 24)
+        for got, one_block in zip(blocked, evaluate()):
+            np.testing.assert_allclose(got, one_block, rtol=1e-14)
+        shapes = [np.shape(value) for value in blocked]
+        assert shapes == [(), (40, 24), (40, 24, 2, 2), (40, 24, 2, 2),
+                          (40, 24), (40, 24, 2, 2)]
 
     def test_csv_export(self, tmp_path):
         spec = RiemannianMetric.stretched(2.0)
