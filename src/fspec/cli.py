@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -55,10 +56,13 @@ def main(argv=None):
         return 0
 
     try:
-        cfg = ExperimentConfig.from_file(args.config)
-        cfg.override("grid", args.grid)
-        cfg.override("fiber_nodes", args.fiber_nodes)
-        cfg.override("k", args.k)
+        # each override is one more line of the config, so the hash, the
+        # text and the echo all cover it
+        text = Path(args.config).read_text()
+        for key in ("grid", "fiber_nodes", "k"):
+            if getattr(args, key) is not None:
+                text += f"\n{key} = {getattr(args, key)}"
+        cfg = ExperimentConfig.from_text(text)
         report = run_experiment(cfg, out_dir=args.out, plots=args.plots)
     except (ConfigError, FileNotFoundError, IllPosedMetricError,
             QuadratureError, SolverError) as exc:

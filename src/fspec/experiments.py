@@ -120,11 +120,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text):
+        """Parse a config; raises ConfigError for an unknown kind, a top-level
+        key the kind does not read, or a size (grid, grids, k, seed,
+        fiber_nodes other than 'auto') that is not an integer."""
         params = parse_config_text(text)
         kind = params.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown or missing experiment kind {kind!r}; "
                               f"expected one of {sorted(KINDS)}")
+        _reject_unknown(params, ("kind",) + KINDS[kind].keys, kind)
+        for key in ("grid", "grids", "k", "seed", "fiber_nodes"):
+            value = params.get(key, 0)
+            for item in value if key == "grids" and isinstance(value, list) else [value]:
+                if not isinstance(item, int) and (key, item) != ("fiber_nodes", "auto"):
+                    raise ConfigError(f"{key} must be an integer, got {item!r}")
         digest = hashlib.sha256(text.replace("\r\n", "\n").encode()).hexdigest()
         return cls(kind=kind, params=params, text=text, config_hash=digest[:16])
 
@@ -146,19 +155,34 @@ class ExperimentConfig:
             return list(default)
         return list(value) if isinstance(value, list) else [value]
 
-    def override(self, key, value):
-        if value is not None:
-            self.params[key] = value
-
     def tolerance(self, name):
         return float(self.get(name, _DEFAULT_TOLERANCES[name]))
 
 
+def _reject_unknown(params, known, owner):
+    """Raise ConfigError naming the keys of params that are not in known."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigError(f"{owner} reads no key {', '.join(unknown)}; "
+                          f"it reads {', '.join(known)}")
+
+
+# The keys each metric block type reads, besides its type
+_METRIC_KEYS = {"torus": ("h", "r", "eta", "profile"),
+                "riemannian": ("g11", "g12", "g22"),
+                "randers": ("g11", "g12", "g22", "rho_x", "rho_y"),
+                "conformal": ("f", "base")}
+
+
 def build_metric(d):
-    """Construct a metric from a config block (nested dict or 'base')."""
+    """Construct a metric from a config block (nested dict or 'base');
+    raises ConfigError for an unknown type or a key the type does not read."""
     if not isinstance(d, dict):
         raise ConfigError(f"expected a metric block, got {d!r}")
     kind = str(d.get("type", "torus")).lower()
+    if kind not in _METRIC_KEYS:
+        raise ConfigError(f"unknown metric type {kind!r}")
+    _reject_unknown(d, ("type",) + _METRIC_KEYS[kind], f"a {kind} metric block")
     if kind == "torus":
         h = float(d.get("h", 1.0))
         r = float(d["r"]) if "r" in d else None
@@ -166,18 +190,14 @@ def build_metric(d):
         if eta == 0.0:
             return RiemannianMetric.stretched(h, r)
         return RandersMetric.axis_drift_torus(h, eta, r, d.get("profile", 1.0))
-    if kind == "riemannian":
-        return RiemannianMetric(d.get("g11", 1.0), d.get("g12", 0.0),
-                                d.get("g22", 1.0))
-    if kind == "randers":
-        base = RiemannianMetric(d.get("g11", 1.0), d.get("g12", 0.0),
-                                d.get("g22", 1.0))
-        return RandersMetric(base, d.get("rho_x", 0.0), d.get("rho_y", 0.0))
     if kind == "conformal":
         if "base" not in d:
             raise ConfigError("conformal metric block needs a base.* block")
         return ConformalMetric(build_metric(d["base"]), d.get("f", 0.0))
-    raise ConfigError(f"unknown metric type {kind!r}")
+    g = RiemannianMetric(d.get("g11", 1.0), d.get("g12", 0.0), d.get("g22", 1.0))
+    if kind == "riemannian":
+        return g
+    return RandersMetric(g, d.get("rho_x", 0.0), d.get("rho_y", 0.0))
 
 
 def threshold_eta(h, r=None, margin=0.0):
@@ -536,9 +556,9 @@ def run_torus_large_eigenvalue(cfg):
     if not eta_items:
         raise ConfigError("torus-large-eigenvalue needs an eta sweep "
                           "(numbers and/or 'threshold')")
-    n = int(cfg.get("grid", 128))
-    k = int(cfg.get("k", 1))
-    seed = int(cfg.get("seed", 0))
+    n = cfg.get("grid", 128)
+    k = cfg.get("k", 1)
+    seed = cfg.get("seed", 0)
     tol_spectral = cfg.tolerance("tol_spectral")
     tol_pointwise = cfg.tolerance("tol_pointwise")
 
@@ -604,9 +624,9 @@ def run_bilipschitz_check(cfg):
     ref_block = cfg.get("reference", "base")
     ref = base_metric(spec) if ref_block == "base" else build_metric(ref_block)
 
-    n = int(cfg.get("grid", 64))
-    k = int(cfg.get("k", 10))
-    seed = int(cfg.get("seed", 0))
+    n = cfg.get("grid", 64)
+    k = cfg.get("k", 10)
+    seed = cfg.get("seed", 0)
     slack = cfg.tolerance("bound_slack")
     tol_scaling = cfg.tolerance("tol_scaling")
     expect_ratio = cfg.get("expect_ratio")
@@ -664,9 +684,9 @@ def run_randers_identities(cfg):
     spec = _metric(cfg)
     if not isinstance(spec, RandersMetric):
         raise ConfigError("randers-identities needs a Randers metric")
-    n = int(cfg.get("grid", 48))
+    n = cfg.get("grid", 48)
     nodes = cfg.get("fiber_nodes", 512)
-    nodes = 512 if nodes == "auto" else int(nodes)
+    nodes = 512 if nodes == "auto" else nodes
     quad = FiberQuadrature.trapezoid(nodes)
     tol_pointwise = cfg.tolerance("tol_pointwise")
     tol_cross = cfg.tolerance("tol_cross")
@@ -715,16 +735,16 @@ def run_conformal_check(cfg):
     base = _metric(cfg)
     f_field = as_field(cfg.get("f", 0.0))
     spec = ConformalMetric(base, f_field)
-    n = int(cfg.get("grid", 32))
-    k = int(cfg.get("k", 5))
-    seed = int(cfg.get("seed", 0))
+    n = cfg.get("grid", 32)
+    k = cfg.get("k", 5)
+    seed = cfg.get("seed", 0)
     tol_pointwise = cfg.tolerance("tol_pointwise")
     tol_scaling = cfg.tolerance("tol_scaling")
     nodes = cfg.get("fiber_nodes", "auto")
 
     grid = _square_grid(n)
     oracle = (resolve_fiber_nodes(spec) if nodes == "auto"
-              else FiberQuadrature.trapezoid(int(nodes)))
+              else FiberQuadrature.trapezoid(nodes))
     field_base = SymbolField.compute(base, grid)
     scratch = SymbolField.compute(spec, grid, oracle)
     sigma_scratch, mu_scratch = scratch.sigma_star, scratch.mu
@@ -775,9 +795,9 @@ def run_convergence(cfg):
     constant on every level, else the finest grid, which then has no error.
     """
     spec = _metric(cfg)
-    sizes = sorted(int(g) for g in cfg.get_list("grids", [16, 32, 64]))
-    k = int(cfg.get("k", 1))
-    seed = int(cfg.get("seed", 0))
+    sizes = sorted(cfg.get_list("grids", [16, 32, 64]))
+    k = cfg.get("k", 1)
+    seed = cfg.get("seed", 0)
     if len(set(sizes)) < len(sizes) or len(sizes) < 3:
         raise ConfigError(f"convergence needs at least 3 distinct grid "
                           f"sizes, got {sizes}")
@@ -832,27 +852,38 @@ class Plot:
 class ExperimentKind:
     run: Callable        # cfg -> (rows, solver_info)
     verdicts: Callable   # rows -> [Verdict]
+    keys: tuple          # the top-level config keys run reads, besides kind
     plot: Plot | None = None
 
 
 KINDS = {
     "torus-large-eigenvalue": ExperimentKind(
         run_torus_large_eigenvalue, _verdicts_large_eigenvalue,
+        ("h", "eta", "grid", "k", "seed", "fiber_nodes", "tol_spectral",
+         "tol_pointwise"),
         Plot("lambda1_vol.svg", "sweep", "h",
              {"lambda1 * vol": "lambda1_vol", "4 pi^2 / r^2": "target"},
              "First eigenvalue times volume", "h", "lambda1 * vol",
              logy=True)),
     "bilipschitz-check": ExperimentKind(
         run_bilipschitz_check, _verdicts_bilipschitz,
+        ("metric", "reference", "grid", "k", "seed", "fiber_nodes",
+         "expect_ratio", "bound_slack", "tol_scaling"),
         Plot("eigenvalue_ratios.svg", "eigenvalue", "k",
              {"ratio": "ratio", "S": "bound_upper", "1/S'": "bound_lower"},
              "Eigenvalue ratios vs computable bound", "k",
              "lambda_k(F) / lambda_k(F0)")),
     "randers-identities": ExperimentKind(
-        run_randers_identities, _verdicts_randers_identities),
-    "conformal-check": ExperimentKind(run_conformal_check, _verdicts_conformal),
+        run_randers_identities, _verdicts_randers_identities,
+        ("metric", "grid", "fiber_nodes", "eta_values", "tol_pointwise",
+         "tol_cross", "tol_energy")),
+    "conformal-check": ExperimentKind(
+        run_conformal_check, _verdicts_conformal,
+        ("metric", "f", "grid", "k", "seed", "fiber_nodes", "tol_pointwise",
+         "tol_scaling")),
     "convergence": ExperimentKind(
         run_convergence, _verdicts_convergence,
+        ("metric", "grids", "k", "seed", "fiber_nodes"),
         Plot("convergence.svg", "level", "n",
              {"|lambda1 error|": "error_lambda1"},
              "Grid convergence of lambda_1", "N", "error", logy=True)),

@@ -50,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid
-from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                      RiemannianMetric, _apply_form, _eigen_extremes, _inverse,
-                      _pair, _symmetric, base_metric)
+from .metrics import (IllPosedMetricError, _RandersCore, _apply_form,
+                      _eigen_extremes, _inverse, _pair, _symmetric)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -316,16 +315,10 @@ def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
 
 def _closed_form_symbol(spec, x, y):
     """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring)."""
-    f = 0.0
-    while isinstance(spec, ConformalMetric):
-        f = f + spec.exponent(x, y)
-        spec = spec.base
-    rho = spec.drift(x, y) if isinstance(spec, RandersMetric) else np.zeros(2)
-    base = base_metric(spec)
-    if not isinstance(base, RiemannianMetric):
+    if not isinstance(spec, _RandersCore):
         raise TypeError(f"no closed-form symbol for {type(spec).__name__}; "
                         "pass a FiberQuadrature to integrate it on the fiber")
-    g11, g12, g22, det = base._coefficients(x, y)
+    f, (g11, g12, g22, det), rho = spec._parts(x, y)
     gi = _inverse(g11, g12, g22, det)
     b = _apply_form(gi, rho)
     slack = 1.0 - _pair(rho, b)
@@ -411,12 +404,15 @@ def energy_from_symbol(field, grad_fn):
 
 
 def randers_energy_direct(spec, grad_fn, grid, quad):
-    """Tangent-circle route to the Randers energy, bypassing sigma* entirely:
+    """Tangent-circle route to the energy of any of the three families,
+    bypassing sigma* entirely:
 
         E(f) = (1/pi) Int_M [ Int (df . v(t))^2 / (1 + rho(v(t))) dt ] sqrt(det g) dx dy
 
     with v(t) = cos t e1 + sin t e2 running over the g-orthonormal unit
     circle, e1 and e2 the columns of L'^-1 for the Cholesky factor g = L L'.
+    On a surface the energy is conformally invariant, so the exponent f of
+    ``spec._parts`` drops out and (g, rho) is read unfolded.
     A covector w pairs with v(t) as w1 cos t + w2 sin t, where
     w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
     formed, and (df . v)^2 expands into w1^2 cos^2 + 2 w1 w2 cos sin +
@@ -424,13 +420,12 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
     per node, one matrix product.  Agreement with ``energy_from_symbol``
     validates the dual-circle route end to end.
     """
-    base = base_metric(spec)
     cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
     trig = quad.weights[:, None] * np.stack([cos * cos, 2.0 * cos * sin,
                                              sin * sin], axis=-1)
 
     def density(xs, ys):
-        a, b, c, det = base._coefficients(xs, ys)
+        _, (a, b, c, det), rho = spec._parts(xs, ys)
         l11 = np.sqrt(a)
         l21 = b / l11
         l22 = np.sqrt(c - l21**2)
@@ -439,7 +434,7 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
             w1 = w[..., 0] / l11
             return w1, (w[..., 1] - l21 * w1) / l22
 
-        r1, r2 = on_circle(spec.drift(xs, ys))
+        r1, r2 = on_circle(rho)
         den = 1.0 + r1 * cos + r2 * sin
         if np.any(den <= 0.0):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")

@@ -6,7 +6,10 @@ Three families, closed under every operation used downstream:
 * Randers:     F(x, v) = sqrt(v' g(x) v) + rho(x) . v,  with |rho|_{g*} < 1
 * Conformal:   F(x, v) = exp(f(x)) F_base(x, v)
 
-Each metric exposes the forward norm, the dual co-norm, the fiberwise
+Since exp(f) (sqrt(g) + rho) = sqrt(e^{2f} g) + e^f rho, every family is a
+Randers metric: each supplies its per-node (f, g, rho), and one shared core
+folds the factor into the pair (e^{2f} g, e^f rho) and writes each operation
+once.  Each metric exposes the forward norm, the dual co-norm, the fiberwise
 Legendre transform and its inverse gradient map, all vectorized: x and y
 broadcast against the leading axes of v or p, whose final axis has length 2.
 
@@ -94,7 +97,71 @@ def _require_nonzero(v, what):
     return v
 
 
-class RiemannianMetric:
+class _RandersCore:
+    """exp(f) (sqrt(g) + rho) = sqrt(e^{2f} g) + e^f rho: every family is Randers.
+
+    Each family supplies _parts(x, y) = (f, (g11, g12, g22, det), rho), and
+    the four operations are the Randers formulas on the folded pair
+    (e^{2f} g, e^f rho), folded once per node before any fiber axis joins.
+    dual and dual_gradient always require |rho|_{g*} < 1, which a conformal
+    factor leaves unchanged; value and legendre only while _check_forward.
+    """
+
+    _check_forward = True
+
+    def _folded(self, x, y, check=True):
+        """(g, g^-1, rho, w) of the folded pair with w = 1 - |rho|_{g*}^2;
+        raises IllPosedMetricError where w <= 0 if check."""
+        f, (a, b, c, det), rho = self._parts(x, y)
+        s = np.exp(f)
+        s2 = s * s
+        rho = rho * np.asarray(s)[..., None]
+        gi = _inverse(a, b, c, det * s2)
+        w = np.asarray(1.0 - _quad_form(gi, rho, rho))
+        if check and np.any(w <= 0.0):
+            raise IllPosedMetricError(
+                "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
+                "the metric is not admissible there")
+        return _symmetric(a * s2, b * s2, c * s2), gi, rho, w
+
+    def value(self, x, y, v):
+        v = np.asarray(v, dtype=float)
+        g, _, rho, _ = self._folded(x, y, self._check_forward)
+        return np.sqrt(np.maximum(_quad_form(g, v, v), 0.0)) + _pair(rho, v)
+
+    def dual(self, x, y, p):
+        p = np.asarray(p, dtype=float)
+        _, gi, rho, w = self._folded(x, y)
+        c = _pair(p, _apply_form(gi, rho))
+        q2 = _quad_form(gi, p, p)
+        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
+        return (root - c) / w
+
+    def legendre(self, x, y, v):
+        v = _require_nonzero(v, "the Legendre transform")
+        g, _, rho, _ = self._folded(x, y, self._check_forward)
+        alpha = np.sqrt(np.maximum(_quad_form(g, v, v), 0.0))
+        value = alpha + _pair(rho, v)
+        return value[..., None] * (_apply_form(g, v) / alpha[..., None] + rho)
+
+    def dual_gradient(self, x, y, p):
+        p = _require_nonzero(p, "the inverse Legendre map")
+        _, gi, rho, w = self._folded(x, y)
+        gi_rho = _apply_form(gi, rho)
+        gi_p = _apply_form(gi, p)
+        c = _pair(p, gi_rho)
+        q2 = _pair(p, gi_p)
+        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
+        dual = (root - c) / w
+        # F* grad_p F* with grad_p F* = ((w g^-1 p + c g^-1 rho) / root
+        # - g^-1 rho) / w, which folds to F* (g^-1 p - F* g^-1 rho) / root;
+        # one component at a time, as a trailing axis of 2 is slow to broadcast
+        scale = dual / root
+        return np.stack([scale * (gi_p[..., i] - dual * gi_rho[..., i])
+                         for i in (0, 1)], axis=-1)
+
+
+class RiemannianMetric(_RandersCore):
     """F(x, v) = sqrt(v' g(x) v) for a symmetric positive-definite matrix field g."""
 
     variant = "riemannian"
@@ -125,6 +192,9 @@ class RiemannianMetric:
                                       "at a sampled point")
         return a, b, c, det
 
+    def _parts(self, x, y):
+        return 0.0, self._coefficients(x, y), np.zeros(2)
+
     def matrix(self, x, y):
         a, b, c, _ = self._coefficients(x, y)
         return _symmetric(a, b, c)
@@ -132,31 +202,14 @@ class RiemannianMetric:
     def inverse_matrix(self, x, y):
         return _inverse(*self._coefficients(x, y))
 
-    def value(self, x, y, v):
-        v = np.asarray(v, dtype=float)
-        q = _quad_form(self.matrix(x, y), v, v)
-        return np.sqrt(np.maximum(q, 0.0))
 
-    def dual(self, x, y, p):
-        p = np.asarray(p, dtype=float)
-        q = _quad_form(self.inverse_matrix(x, y), p, p)
-        return np.sqrt(np.maximum(q, 0.0))
-
-    def legendre(self, x, y, v):
-        v = _require_nonzero(v, "the Legendre transform")
-        return _apply_form(self.matrix(x, y), v)
-
-    def dual_gradient(self, x, y, p):
-        p = _require_nonzero(p, "the inverse Legendre map")
-        return _apply_form(self.inverse_matrix(x, y), p)
-
-
-class RandersMetric:
+class RandersMetric(_RandersCore):
     """F = sqrt(g) + rho for a Riemannian base g and a drift 1-form rho.
 
     Admissibility requires |rho(x)|_{g*} < 1 at every sampled point; evaluation
     raises IllPosedMetricError otherwise.  Construct with check_admissible=False
-    only to probe deliberately ill-posed data (e.g. convexity diagnostics).
+    only to probe deliberately ill-posed data (e.g. convexity diagnostics):
+    value and legendre then skip the check.
     """
 
     variant = "randers"
@@ -184,99 +237,40 @@ class RandersMetric:
         rho[..., 1] = ry
         return rho
 
-    def _drift_slack(self, x, y, gi=None, rho=None):
-        # w = 1 - |rho|_{g*}^2; admissible iff w > 0
-        if gi is None:
-            gi = self.base.inverse_matrix(x, y)
-        if rho is None:
-            rho = self.drift(x, y)
-        return np.asarray(1.0 - _quad_form(gi, rho, rho))
+    @property
+    def _check_forward(self):
+        return self.check_admissible
 
-    def _require_admissible(self, w):
-        if np.any(w <= 0.0):
-            raise IllPosedMetricError(
-                "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
-                "the metric is not admissible there")
-
-    def value(self, x, y, v):
-        if self.check_admissible:
-            self._require_admissible(self._drift_slack(x, y))
-        v = np.asarray(v, dtype=float)
-        return self.base.value(x, y, v) + _pair(self.drift(x, y), v)
-
-    def dual(self, x, y, p):
-        p = np.asarray(p, dtype=float)
-        gi = self.base.inverse_matrix(x, y)
-        rho = self.drift(x, y)
-        w = self._drift_slack(x, y, gi, rho)
-        self._require_admissible(w)
-        c = _pair(p, _apply_form(gi, rho))
-        q2 = _quad_form(gi, p, p)
-        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
-        return (root - c) / w
-
-    def legendre(self, x, y, v):
-        v = _require_nonzero(v, "the Legendre transform")
-        g = self.base.matrix(x, y)
-        rho = self.drift(x, y)
-        alpha = np.sqrt(np.maximum(_quad_form(g, v, v), 0.0))
-        if self.check_admissible:
-            self._require_admissible(self._drift_slack(x, y))
-        value = alpha + _pair(rho, v)
-        return value[..., None] * (_apply_form(g, v) / alpha[..., None] + rho)
-
-    def dual_gradient(self, x, y, p):
-        p = _require_nonzero(p, "the inverse Legendre map")
-        gi = self.base.inverse_matrix(x, y)
-        rho = self.drift(x, y)
-        w = self._drift_slack(x, y, gi, rho)
-        self._require_admissible(w)
-        gi_rho = _apply_form(gi, rho)
-        gi_p = _apply_form(gi, p)
-        c = _pair(p, gi_rho)
-        q2 = _pair(p, gi_p)
-        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
-        dual = (root - c) / w
-        # F* grad_p F* with grad_p F* = ((w g^-1 p + c g^-1 rho) / root
-        # - g^-1 rho) / w, which folds to F* (g^-1 p - F* g^-1 rho) / root;
-        # one component at a time, as a trailing axis of 2 is slow to broadcast
-        scale = dual / root
-        return np.stack([scale * (gi_p[..., i] - dual * gi_rho[..., i])
-                         for i in (0, 1)], axis=-1)
+    def _parts(self, x, y):
+        return 0.0, self.base._coefficients(x, y), self.drift(x, y)
 
 
-class ConformalMetric:
+class ConformalMetric(_RandersCore):
     """F(x, v) = exp(f(x)) F_base(x, v) for a scalar exponent field f."""
 
     variant = "conformal"
 
     def __init__(self, base, exponent):
+        if not isinstance(base, _RandersCore):
+            raise TypeError("conformal base must be one of the three families")
         self.base = base
         self.exponent = as_field(exponent)
 
     def scale(self, x, y):
         return np.exp(self.exponent(x, y))
 
-    def value(self, x, y, v):
-        return self.scale(x, y) * self.base.value(x, y, v)
+    @property
+    def _check_forward(self):
+        return self.base._check_forward
 
-    def dual(self, x, y, p):
-        return self.base.dual(x, y, p) / self.scale(x, y)
-
-    def legendre(self, x, y, v):
-        s2 = self.scale(x, y) ** 2
-        return s2[..., None] * self.base.legendre(x, y, v)
-
-    def dual_gradient(self, x, y, p):
-        s2 = self.scale(x, y) ** 2
-        return self.base.dual_gradient(x, y, p) / s2[..., None]
+    def _parts(self, x, y):
+        f, g, rho = self.base._parts(x, y)
+        return self.exponent(x, y) + f, g, rho
 
 
 def base_metric(spec):
     """Strip Randers drift / conformal factors down to the Riemannian core."""
-    if isinstance(spec, RandersMetric):
-        return spec.base
-    if isinstance(spec, ConformalMetric):
+    if isinstance(spec, (RandersMetric, ConformalMetric)):
         return base_metric(spec.base)
     return spec
 

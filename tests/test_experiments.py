@@ -2,6 +2,8 @@
 
 import csv
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,11 +131,68 @@ class TestConfigParsing:
     def test_echo_prints_full_precision(self, tmp_path):
         cfg = ExperimentConfig.from_text(
             "kind = convergence\nmetric.type = torus\nmetric.h = 1\n"
-            "grids = 16, 32, 64\nalpha = 0.1\n")
+            "metric.eta = 0.1\ngrids = 16, 32, 64\n")
         report = run_experiment(cfg)
-        echoed = report.echo["alpha"]
+        echoed = report.echo["metric.eta"]
         assert echoed == "0.10000000000000001"
         assert float(echoed) == 0.1
+
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        # a misspelled key used to be ignored: this run took the default
+        # 64^2 grid and a constant drift, and passed
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("kind = bilipschitz-check\nmetric.type = torus\n"
+                            "metric.h = 2\nmetric.eta = 0.5\ngird = 16\n"
+                            "metric.profil = 0.5 + 0.3*sin(2*pi*y)\n"
+                            "tol_spectrl = 0.5\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "reads no key" in capsys.readouterr().err
+        # top-level keys the kind does not read, the tolerances included
+        for text in [BILIPSCHITZ_CFG + "gird = 16\n",
+                     BILIPSCHITZ_CFG + "tol_spectral = 0.5\n",
+                     CONVERGENCE_CFG + "grid = 16\n",
+                     IDENTITIES_CFG + "seed = 3\n",
+                     TORUS_CFG + "metric.h = 2\n"]:
+            with pytest.raises(ConfigError, match="reads no key"):
+                ExperimentConfig.from_text(text)
+        # metric.* and reference.* keys the block's type does not read
+        for block in [{"type": "torus", "h": 2, "profil": "0.5"},
+                      {"type": "riemannian", "g11": 2, "rho_x": 0.1},
+                      {"type": "randers", "eta": 0.5},
+                      {"type": "conformal", "h": 2, "base": {"type": "torus"}},
+                      {"type": "conformal", "base": {"type": "torus", "hh": 2}}]:
+            with pytest.raises(ConfigError, match="reads no key"):
+                build_metric(block)
+
+    def test_sizes_must_be_integers(self):
+        # 24.9 used to run as n = 24 while the echo said 24.899999999999999
+        for text in [CONVERGENCE_CFG + "grids = 16, 24.9, 32\n",
+                     CONVERGENCE_CFG + "k = 1.7\n",
+                     CONVERGENCE_CFG + "seed = 2.5\n",
+                     BILIPSCHITZ_CFG + "grid = 32.0\n",
+                     BILIPSCHITZ_CFG + "grid = 16, 32\n",
+                     IDENTITIES_CFG + "fiber_nodes = 512.5\n",
+                     IDENTITIES_CFG + "fiber_nodes = many\n"]:
+            with pytest.raises(ConfigError, match="must be an integer"):
+                ExperimentConfig.from_text(text)
+        cfg = ExperimentConfig.from_text(IDENTITIES_CFG + "fiber_nodes = auto\n")
+        assert cfg.get("fiber_nodes") == "auto"
+
+    def test_benchmark_configs_parse(self):
+        # every config the benchmark generates passes the key and size
+        # checks; workloads.py is compiled from its text, so no bytecode is
+        # written next to it
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        workloads = types.ModuleType("workloads")
+        exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+        for name in workloads.WORKLOADS:
+            for seed in range(3):
+                for config in workloads.generate(name, seed)["configs"]:
+                    cfg = ExperimentConfig.from_text(config["text"])
+                    assert cfg.config_hash == config["hash"]
+                    for block in (cfg.get("metric"), cfg.get("reference")):
+                        if isinstance(block, dict):
+                            build_metric(block)
 
 
 class TestMetricBuilding:
@@ -205,11 +264,10 @@ class TestRunners:
                              ids=["torus-large-eigenvalue", "bilipschitz-check",
                                   "convergence"])
     def test_spectral_kinds_reject_integer_fiber_nodes(self, text):
-        cfg = ExperimentConfig.from_text(text)
-        cfg.override("fiber_nodes", 256)
+        cfg = ExperimentConfig.from_text(text + "fiber_nodes = 256\n")
         with pytest.raises(ConfigError, match="fiber_nodes must be 'auto'"):
             run_experiment(cfg)
-        cfg.override("fiber_nodes", "auto")
+        cfg = ExperimentConfig.from_text(text + "fiber_nodes = auto\n")
         assert run_experiment(cfg).passed
 
     def test_rows_carry_config_hash(self):
@@ -387,7 +445,8 @@ class TestCli:
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(CONFORMAL_CONST_CFG)
-        out = tmp_path / "out"
+        plain, out = tmp_path / "plain", tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(plain)]) == 0
         code = cli_main(["run", str(cfg_path), "--out", str(out),
                          "--grid", "24", "--k", "3", "--fiber-nodes", "128"])
         assert code == 0
@@ -397,6 +456,14 @@ class TestCli:
         assert rows[0]["fiber_nodes"] == "128"
         eig_rows = [r for r in rows if r["row_type"] == "eigenvalue"]
         assert len(eig_rows) == 3
+        # each override is a line of the config: the rows of the two runs
+        # differ, so their hashes must too
+        report = json.loads((out / "report.json").read_text())
+        before = json.loads((plain / "report.json").read_text())
+        assert report["config_hash"] != before["config_hash"]
+        assert {row["config_hash"] for row in rows} == {report["config_hash"]}
+        assert (report["echo"]["grid"], report["echo"]["k"],
+                report["echo"]["fiber_nodes"]) == (24, 3, 128)
 
     def test_plots_emitted(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

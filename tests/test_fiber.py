@@ -541,6 +541,13 @@ class TestClosedFormSymbol:
             rtol=1e-12, atol=1e-15)
 
 
+def sin_x_cos_y_gradient(x, y):
+    """Gradient of sin(2 pi x) cos(2 pi y), shape (..., 2)."""
+    gx = 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    gy = -2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+
+
 class TestTwoRouteEnergy:
     def test_symbol_route_equals_fiber_route(self):
         # the sheared base and two-component drift reach every term of the
@@ -550,15 +557,24 @@ class TestTwoRouteEnergy:
                              "1 + 0.2*cos(2*pi*y)"),
             "0.5*sin(2*pi*(x + y))", "0.3*cos(2*pi*x)")
         grid = TorusGrid.square(24)
-
-        def grad(x, y):
-            gx = 2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-            gy = -2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-            return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
-
+        grad = sin_x_cos_y_gradient
         for spec in (RandersMetric.axis_drift_torus(
                 2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)"), sheared):
             field = SymbolField.compute(spec, grid, QUAD)
             e_sym = energy_from_symbol(field, grad)
             e_dir = randers_energy_direct(spec, grad, grid, QUAD)
             np.testing.assert_allclose(e_sym, e_dir, rtol=1e-6)
+
+    @pytest.mark.parametrize("spec", [
+        ConformalMetric(RandersMetric.axis_drift_torus(2.0, 0.6),
+                        "0.3*sin(2*pi*x)"),
+        RiemannianMetric(2.0, 0.3, 1.0),
+    ], ids=["conformal", "riemannian"])
+    def test_every_family_against_the_closed_form(self, spec):
+        # the energy is conformally invariant on a surface, so the tangent
+        # route reads (g, rho) of any family and meets the closed-form field
+        grid = TorusGrid.square(16)
+        grad = sin_x_cos_y_gradient
+        e_sym = energy_from_symbol(SymbolField.compute(spec, grid), grad)
+        e_dir = randers_energy_direct(spec, grad, grid, QUAD)
+        np.testing.assert_allclose(e_dir, e_sym, rtol=1e-12)

@@ -334,3 +334,58 @@ class TestDualityConsistency:
             np.testing.assert_allclose(
                 float(conf.dual(x, y, p)),
                 float(base.dual(x, y, p)) * np.exp(-amp), rtol=1e-13)
+
+
+def pointwise_randers(spec, x, y):
+    """(g, rho) with spec = sqrt(g) + rho at the point (x, y), read from the
+    public attributes of each family: a factor e^f gives (e^{2f} g, e^f rho)."""
+    if isinstance(spec, ConformalMetric):
+        g, rho = pointwise_randers(spec.base, x, y)
+        s = float(spec.scale(x, y))
+        return s * s * g, s * rho
+    if isinstance(spec, RandersMetric):
+        return spec.base.matrix(x, y), spec.drift(x, y)
+    return spec.matrix(x, y), np.zeros(2)
+
+
+class TestRandersCore:
+    def test_conformal_equals_folded_randers(self, rng):
+        # every family is the Randers metric of its folded pair
+        # (e^{2f} g, e^f rho); nested factors come from random_metric
+        for _ in range(60):
+            base = random_metric(rng)
+            amp = float(rng.uniform(-0.5, 0.5))
+            spec = ConformalMetric(base, f"{amp}*cos(2*pi*(x - y))")
+            x, y = random_point(rng)
+            g, rho = pointwise_randers(spec, x, y)
+            folded = RandersMetric(RiemannianMetric(g[0, 0], g[0, 1], g[1, 1]),
+                                   rho[0], rho[1])
+            for _ in range(3):
+                v = random_vector(rng)
+                for op in ("value", "dual", "legendre", "dual_gradient"):
+                    np.testing.assert_allclose(
+                        getattr(spec, op)(x, y, v), getattr(folded, op)(x, y, v),
+                        rtol=1e-13, err_msg=op)
+
+    def test_conformal_base_must_be_a_family(self):
+        # the factor folds into the base's (g, rho), which only the three
+        # families supply
+        with pytest.raises(TypeError):
+            ConformalMetric(object(), 0.1)
+
+    def test_unchecked_base_skips_forward_check_under_a_factor(self):
+        # value and legendre of check_admissible=False data skip the drift
+        # check, also through a conformal factor; the dual side never does
+        bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0,
+                            check_admissible=False)
+        for spec in (bad, ConformalMetric(bad, 0.2)):
+            assert np.isfinite(float(spec.value(0.3, 0.6, [1.0, 0.0])))
+            assert np.all(np.isfinite(spec.legendre(0.3, 0.6, [1.0, 0.0])))
+            for op in (spec.dual, spec.dual_gradient):
+                with pytest.raises(IllPosedMetricError):
+                    op(0.3, 0.6, [1.0, 0.0])
+        checked = ConformalMetric(RandersMetric(RiemannianMetric.euclidean(),
+                                                1.05, 0.0), 0.2)
+        for op in (checked.value, checked.legendre):
+            with pytest.raises(IllPosedMetricError):
+                op(0.3, 0.6, [1.0, 0.0])
