@@ -17,7 +17,7 @@ from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
                     binet_legendre, conformal_transform, energy_from_symbol,
                     randers_angular_closed_forms, randers_angular_integrals,
                     randers_axis_symbol, randers_energy_direct,
-                    resolve_fiber_nodes, symbol_matrix, volume_density, weight)
+                    symbol_matrix, volume_density, weight)
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
                      discrete_fourier_oracle, fourier_oracle, rayleigh, solve)
@@ -37,7 +37,7 @@ __all__ = [
     "volume_density", "symbol_matrix", "weight", "binet_legendre",
     "conformal_transform", "randers_axis_symbol", "randers_angular_integrals",
     "randers_angular_closed_forms", "randers_energy_direct",
-    "energy_from_symbol", "resolve_fiber_nodes",
+    "energy_from_symbol",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
     "assemble", "solve", "rayleigh", "fourier_oracle",
     "discrete_fourier_oracle",

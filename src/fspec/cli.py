@@ -29,8 +29,9 @@ def _build_parser():
     run.add_argument("--grid", type=int, default=None, help="override grid size")
     run.add_argument("--fiber-nodes", type=int, default=None,
                      help="override the fiber node count of the quadrature "
-                          "oracle (conformal-check, randers-identities); the "
-                          "spectral kinds accept only 'auto'")
+                          "oracle (conformal-check, randers-identities), whose "
+                          "default 'auto' is the rule settled on the run's "
+                          "own grid; the spectral kinds accept only 'auto'")
     run.add_argument("--k", type=int, default=None,
                      help="override eigenvalue count")
 

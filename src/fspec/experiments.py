@@ -44,7 +44,7 @@ from .fields import as_field
 from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     randers_angular_integrals, randers_axis_symbol,
                     randers_energy_direct, energy_from_symbol,
-                    conformal_transform, resolve_fiber_nodes)
+                    conformal_transform)
 from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
 from .solver import _constant_symbol, assemble, fourier_oracle, solve
@@ -156,7 +156,15 @@ class ExperimentConfig:
         return list(value) if isinstance(value, list) else [value]
 
     def tolerance(self, name):
-        return float(self.get(name, _DEFAULT_TOLERANCES[name]))
+        return _read(name, self.get(name, _DEFAULT_TOLERANCES[name]), float)
+
+
+def _read(key, value, convert):
+    """convert(value), raising ConfigError naming key for a value it rejects."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _reject_unknown(params, known, owner):
@@ -183,21 +191,25 @@ def build_metric(d):
     if kind not in _METRIC_KEYS:
         raise ConfigError(f"unknown metric type {kind!r}")
     _reject_unknown(d, ("type",) + _METRIC_KEYS[kind], f"a {kind} metric block")
+
+    def value(key, default, convert=as_field):
+        return _read(f"{key} of a {kind} metric block", d.get(key, default), convert)
+
     if kind == "torus":
-        h = float(d.get("h", 1.0))
-        r = float(d["r"]) if "r" in d else None
-        eta = min(float(d.get("eta", 0.0)), ETA_CAP)
+        h = value("h", 1.0, float)
+        r = value("r", None, float) if "r" in d else None
+        eta = min(value("eta", 0.0, float), ETA_CAP)
         if eta == 0.0:
             return RiemannianMetric.stretched(h, r)
-        return RandersMetric.axis_drift_torus(h, eta, r, d.get("profile", 1.0))
+        return RandersMetric.axis_drift_torus(h, eta, r, value("profile", 1.0))
     if kind == "conformal":
         if "base" not in d:
             raise ConfigError("conformal metric block needs a base.* block")
-        return ConformalMetric(build_metric(d["base"]), d.get("f", 0.0))
-    g = RiemannianMetric(d.get("g11", 1.0), d.get("g12", 0.0), d.get("g22", 1.0))
+        return ConformalMetric(build_metric(d["base"]), value("f", 0.0))
+    g = RiemannianMetric(value("g11", 1.0), value("g12", 0.0), value("g22", 1.0))
     if kind == "riemannian":
         return g
-    return RandersMetric(g, d.get("rho_x", 0.0), d.get("rho_y", 0.0))
+    return RandersMetric(g, value("rho_x", 0.0), value("rho_y", 0.0))
 
 
 def threshold_eta(h, r=None, margin=0.0):
@@ -511,6 +523,13 @@ def _metric(cfg):
     return build_metric(block)
 
 
+def _oracle_rule(cfg):
+    """The fiber rule of an oracle kind: "auto" (SymbolField.compute settles
+    it on the grid) or the trapezoid rule with fiber_nodes nodes."""
+    nodes = cfg.get("fiber_nodes", "auto")
+    return nodes if nodes == "auto" else _read("fiber_nodes", nodes, FiberQuadrature.trapezoid)
+
+
 def _square_grid(n):
     """TorusGrid.square(n), raising ConfigError for a size it rejects."""
     try:
@@ -549,7 +568,7 @@ def _stiffness_condition_estimate(problem):
 
 
 def run_torus_large_eigenvalue(cfg):
-    h_list = [float(h) for h in cfg.get_list("h", [2.0])]
+    h_list = [_read("h", h, float) for h in cfg.get_list("h", [2.0])]
     if any(h < 1.0 for h in h_list):
         raise ConfigError("stretch values must satisfy h >= 1")
     eta_items = cfg.get_list("eta")
@@ -629,7 +648,9 @@ def run_bilipschitz_check(cfg):
     seed = cfg.get("seed", 0)
     slack = cfg.tolerance("bound_slack")
     tol_scaling = cfg.tolerance("tol_scaling")
-    expect_ratio = cfg.get("expect_ratio")
+    expect_ratio = cfg.get("expect_ratio", "")
+    if expect_ratio != "":
+        expect_ratio = _read("expect_ratio", expect_ratio, float)
     solver_info = _closed_form_solver_info(cfg)
 
     grid = _square_grid(n)
@@ -662,7 +683,7 @@ def run_bilipschitz_check(cfg):
             "bound_lower": 1.0 / S_prime,
             "bound_upper": S,
             "bound_slack": slack,
-            "expect_ratio": float(expect_ratio) if expect_ratio is not None else "",
+            "expect_ratio": expect_ratio,
             "tol_scaling": tol_scaling,
         })
     return rows, solver_info
@@ -685,30 +706,28 @@ def run_randers_identities(cfg):
     if not isinstance(spec, RandersMetric):
         raise ConfigError("randers-identities needs a Randers metric")
     n = cfg.get("grid", 48)
-    nodes = cfg.get("fiber_nodes", 512)
-    nodes = 512 if nodes == "auto" else nodes
-    quad = FiberQuadrature.trapezoid(nodes)
     tol_pointwise = cfg.tolerance("tol_pointwise")
     tol_cross = cfg.tolerance("tol_cross")
     tol_energy = cfg.tolerance("tol_energy")
-    eta_values = [float(v) for v in cfg.get_list("eta_values",
-                                                 [0.1, 0.5, 0.9, 0.99])]
+    eta_values = [_read("eta_values", v, float)
+                  for v in cfg.get_list("eta_values", [0.1, 0.5, 0.9, 0.99])]
 
     grid = _square_grid(n)
-    field = SymbolField.compute(spec, grid, quad)
+    field = SymbolField.compute(spec, grid, _oracle_rule(cfg))
+    quad = FiberQuadrature.trapezoid(field.fiber_nodes)
     mu_base = SymbolField.compute(spec.base, grid).mu
     rows = [{
         "row_type": "volume",
-        "grid": n, "fiber_nodes": nodes,
+        "grid": n, "fiber_nodes": quad.size,
         "max_mu_diff": float(np.abs(field.mu - mu_base).max()),
         "tol_pointwise": tol_pointwise,
     }]
     for eta in eta_values:
-        c2, cross, s2 = randers_angular_integrals(eta, nodes)
+        c2, cross, s2 = randers_angular_integrals(eta, quad.size)
         c2_exact, _, s2_exact = randers_angular_closed_forms(eta)
         rows.append({
             "row_type": "integral",
-            "eta": eta, "fiber_nodes": nodes,
+            "eta": eta, "fiber_nodes": quad.size,
             "cos2_quad": c2, "cos2_closed": c2_exact,
             "cross_quad": cross,
             "sin2_quad": s2, "sin2_closed": s2_exact,
@@ -728,25 +747,22 @@ def run_randers_identities(cfg):
             "rel_diff": abs(e_sym - e_dir) / max(abs(e_dir), 1e-300),
             "tol_energy": tol_energy,
         })
-    return rows, {"fiber_nodes": nodes}
+    return rows, {"fiber_nodes": quad.size}
 
 
 def run_conformal_check(cfg):
     base = _metric(cfg)
-    f_field = as_field(cfg.get("f", 0.0))
+    f_field = _read("f", cfg.get("f", 0.0), as_field)
     spec = ConformalMetric(base, f_field)
     n = cfg.get("grid", 32)
     k = cfg.get("k", 5)
     seed = cfg.get("seed", 0)
     tol_pointwise = cfg.tolerance("tol_pointwise")
     tol_scaling = cfg.tolerance("tol_scaling")
-    nodes = cfg.get("fiber_nodes", "auto")
 
     grid = _square_grid(n)
-    oracle = (resolve_fiber_nodes(spec) if nodes == "auto"
-              else FiberQuadrature.trapezoid(nodes))
     field_base = SymbolField.compute(base, grid)
-    scratch = SymbolField.compute(spec, grid, oracle)
+    scratch = SymbolField.compute(spec, grid, _oracle_rule(cfg))
     sigma_scratch, mu_scratch = scratch.sigma_star, scratch.mu
     f_values = f_field(*grid.mesh())
     sigma_trans, mu_trans = conformal_transform(field_base.sigma_star,
@@ -759,7 +775,7 @@ def run_conformal_check(cfg):
                        / np.exp(2.0 * f_values)).max())
     rows = [{
         "row_type": "field",
-        "grid": n, "fiber_nodes": oracle.size,
+        "grid": n, "fiber_nodes": scratch.fiber_nodes,
         "max_sigma_rel_diff": sigma_err,
         "max_mu_rel_diff": mu_err,
         "max_mu_ratio_err": ratio_err,
@@ -767,7 +783,7 @@ def run_conformal_check(cfg):
     }]
 
     const_f = f_field.constant_value(*grid.mesh())
-    solver_info = {"fiber_nodes": oracle.size, "routes": {}}
+    solver_info = {"fiber_nodes": scratch.fiber_nodes, "routes": {}}
     if const_f is not None:
         field_conf = SymbolField.compute(spec, grid)
         _, spec_base = _solve(field_base, k, seed, solver_info)

@@ -27,19 +27,21 @@ Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
 v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.
 ``volume_density`` takes F* from spec.dual instead, an independent route to
 the same mu.  The integrands are smooth and periodic, so the
-trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them,
-which the adaptive doubling in ``resolve_fiber_nodes`` absorbs up to its
-cap, past which it raises QuadratureError.
+trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them.
+``SymbolField.compute(spec, grid, "auto")`` settles the rule on the grid's
+own nodes: it doubles the node count, evaluating only the new midpoints and
+merging them into the running mu and sigma*, until both stop moving at
+every node, and raises QuadratureError past its cap.
 
 The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
 the g-orthonormal circle through the Cholesky factor of g, one cos and one
 sin coefficient per node, without forming the circle's direction vectors.
 
-Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule branch
-of ``SymbolField.compute``, ``binet_legendre``, ``randers_energy_direct``
-and the probe of ``resolve_fiber_nodes``) is a per-node kernel run by one
-loop, ``_over_nodes``, over blocks of about _BLOCK node x fiber pairs, so
-its fiber temporaries stay bounded on any grid.
+Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule and
+settled branches of ``SymbolField.compute``, ``binet_legendre`` and
+``randers_energy_direct``) is a per-node kernel run by one loop,
+``_over_nodes``, over blocks of about _BLOCK node x fiber pairs, so its
+fiber temporaries stay bounded on any grid.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ _BLOCK = 2**18
 _DUAL_FLOOR = 1e-8
 _COLLAPSED = ("dual norm collapsed below 1e-8 on the fiber; "
               "the metric is numerically degenerate")
+
+# Start, cap and tolerance of the rule settled on a grid (``_settled_symbol``).
+_SETTLE_START = 256
+_SETTLE_CAP = 4096
+_SETTLE_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -284,33 +291,33 @@ def binet_legendre(spec, x, y, quad):
 # Field assembly over a grid
 # ---------------------------------------------------------------------------
 
-def resolve_fiber_nodes(spec, start=256, cap=4096, tol=1e-10, probe=8):
-    """Double the trapezoid node count until mu and sigma* both stabilize.
+def _settled_symbol(spec, x, y):
+    """(sigma*, mu, n) of the trapezoid rule settled at every node (x, y).
 
-    On an evenly spaced probe x probe point set, returns the first rule whose
-    doubling changed mu by less than tol and sigma* by less than tol times its
-    largest entry at each point; raises QuadratureError if none up to the cap
-    does.
+    Doubles from _SETTLE_START nodes until a doubling changes mu by less
+    than _SETTLE_TOL, and sigma* by less than _SETTLE_TOL times its largest
+    entry, at every node; raises QuadratureError if none up to _SETTLE_CAP
+    does.  The 2n-node rule is the n-node rule plus its midpoints, so each
+    doubling evaluates the fiber on the midpoints only and merges the halves
+    exactly: mu_2n = (mu_n + mu_mid) / 2, and sigma*, a mu-normalized moment,
+    sigma*_2n = (mu_n sigma*_n + mu_mid sigma*_mid) / (2 mu_2n).
     """
-    t = np.arange(probe) / probe
-    xs, ys = t[:, None], t[None, :]
-
-    n = max(int(start), 16)
-    sig_prev, mu_prev = _fiber_symbol(spec, xs, ys, FiberQuadrature.trapezoid(n))
-    change = np.inf
-    while n < cap:
-        n *= 2
-        quad = FiberQuadrature.trapezoid(n)
-        sig, mu = _fiber_symbol(spec, xs, ys, quad)
-        sig_change = (np.abs(sig - sig_prev).max(axis=(-2, -1))
-                      / np.abs(sig).max(axis=(-2, -1)))
-        change = max(np.abs(mu - mu_prev).max(), sig_change.max())
-        if change < tol:
-            return quad
-        mu_prev, sig_prev = mu, sig
-    raise QuadratureError(f"fiber rule did not settle by the cap of {cap} nodes: "
-                          f"the last doubling changed mu or sigma* by "
-                          f"{change:.3e} (tol {tol:g})")
+    n = _SETTLE_START
+    sig, mu = _fiber_symbol(spec, x, y, FiberQuadrature.trapezoid(n))
+    while n < _SETTLE_CAP:
+        q = FiberQuadrature.trapezoid(n)
+        sig_mid, mu_mid = _fiber_symbol(spec, x, y,
+                                        FiberQuadrature(q.nodes + np.pi / n, q.weights))
+        # sigma*_2n - sigma*_n = mu_mid (sigma*_mid - sigma*_n) / (2 mu_2n)
+        step = (mu_mid / (mu + mu_mid))[..., None, None] * (sig_mid - sig)
+        sig_change = np.abs(step).max(axis=(-2, -1)) / np.abs(sig + step).max(axis=(-2, -1))
+        change = max(0.5 * np.abs(mu_mid - mu).max(), sig_change.max())
+        sig, mu, n = sig + step, 0.5 * (mu + mu_mid), 2 * n
+        if change < _SETTLE_TOL:
+            return sig, mu, n
+    raise QuadratureError(f"fiber rule did not settle by the cap of {_SETTLE_CAP} "
+                          f"nodes: the last doubling changed mu or sigma* by "
+                          f"{change:.3e} (tol {_SETTLE_TOL:g})")
 
 
 def _closed_form_symbol(spec, x, y):
@@ -349,15 +356,18 @@ class SymbolField:
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
         outside the three families.  With a FiberQuadrature: the trapezoid
         oracle, one dual_gradient evaluation per block of about _BLOCK node x
-        fiber pairs.
+        fiber pairs.  With "auto": the trapezoid oracle at the rule settled
+        on this grid's nodes (``_settled_symbol``), whose node count is the
+        field's fiber_nodes; raises QuadratureError if it does not settle.
         """
         x, y = grid.mesh()
         if quad is None:
-            sig, mu = _closed_form_symbol(spec, x, y)
+            (sig, mu), nodes = _closed_form_symbol(spec, x, y), 0
+        elif quad == "auto":
+            sig, mu, nodes = _settled_symbol(spec, x, y)
         else:
-            sig, mu = _fiber_symbol(spec, x, y, quad)
-        return cls(grid=grid, sigma_star=sig, mu=mu,
-                   fiber_nodes=0 if quad is None else quad.size)
+            (sig, mu), nodes = _fiber_symbol(spec, x, y, quad), quad.size
+        return cls(grid=grid, sigma_star=sig, mu=mu, fiber_nodes=nodes)
 
     @property
     def a(self):

@@ -58,7 +58,10 @@ class Field:
     @classmethod
     def from_expression(cls, text):
         """Compile an expression in x, y (sin, cos, exp, log, sqrt, pi allowed)."""
-        code = compile(text, "<field>", "eval")
+        try:
+            code = compile(text, "<field>", "eval")
+        except SyntaxError as exc:
+            raise ValueError(f"unreadable field expression {text!r}: {exc.msg}") from exc
         unknown = set(code.co_names) - set(_EXPR_NAMES) - {"x", "y"}
         if unknown:
             raise ValueError(f"unknown name(s) in field expression: {sorted(unknown)}")
