@@ -13,9 +13,10 @@ at a time:
     PYTHONPATH=src python benchmarks/scaling.py --out BENCH.json
 
 Each stage is timed ``REPEATS`` times without tracemalloc (the minimum is
-kept), then run once more under tracemalloc for its peak, which counts numpy
-and Python allocations but not memory that compiled libraries allocate
-themselves (SuperLU's factors, for one).  The 2-D and the sheared field go to
+kept, and the minor page faults per call, the mean ``getrusage`` ``ru_minflt``
+delta over those runs, are recorded), then run once more under tracemalloc
+for its peak, which counts numpy and Python allocations but not memory that
+compiled libraries allocate themselves (SuperLU's factors, for one).  The 2-D and the sheared field go to
 shift-invert, whose LU factors grow much faster than the grid; a field that
 took shift-invert stops at ``_SHIFT_INVERT_MAX_GRID`` so the run stays within
 a few hundred MiB.  Grids and repeats are fixed so that the outputs of
@@ -40,7 +41,7 @@ import fspec
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, assemble, solve)
 
-SCHEMA = "fspec-scaling/2"
+SCHEMA = "fspec-scaling/3"
 K = 10
 GRIDS = (64, 128, 256, 512)
 REPEATS = 3
@@ -58,28 +59,36 @@ ORACLE_NODES = 512
 _ORACLE_MAX_GRID = 256
 
 
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _stage(fn):
-    """(result, min seconds over REPEATS, tracemalloc peak MiB of one more run)."""
+    """(result, min seconds over REPEATS, minor page faults per call over
+    those runs, tracemalloc peak MiB of one more run)."""
     best = np.inf
+    faults = _minor_faults()
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
+    faults = (_minor_faults() - faults) // REPEATS
     tracemalloc.start()
     try:
         result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, best, peak / 2**20
+    return result, best, faults, peak / 2**20
 
 
 def run_case(g, rho_x, rho_y, n):
     spec = RandersMetric(RiemannianMetric(*g), rho_x, rho_y)
     grid = TorusGrid.square(n)
-    field, t_field, m_field = _stage(lambda: SymbolField.compute(spec, grid))
-    problem, t_asm, m_asm = _stage(lambda: assemble(field))
-    spectrum, t_solve, m_solve = _stage(lambda: solve(problem, K))
+    field, t_field, f_field, m_field = _stage(
+        lambda: SymbolField.compute(spec, grid))
+    problem, t_asm, f_asm, m_asm = _stage(lambda: assemble(field))
+    spectrum, t_solve, f_solve, m_solve = _stage(lambda: solve(problem, K))
     case = {
         "grid": n, "nodes": grid.node_count, "k": K,
         "K_nnz": int(problem.K.nnz),
@@ -87,13 +96,16 @@ def run_case(g, rho_x, rho_y, n):
         "lambda1": float(spectrum.values[1]),
         "seconds": {"field": t_field, "assemble": t_asm, "solve": t_solve},
         "peak_mib": {"field": m_field, "assemble": m_asm, "solve": m_solve},
+        "minor_faults": {"field": f_field, "assemble": f_asm,
+                         "solve": f_solve},
     }
     if n <= _ORACLE_MAX_GRID:
         quad = FiberQuadrature.trapezoid(ORACLE_NODES)
-        oracle, t_oracle, m_oracle = _stage(
+        oracle, t_oracle, f_oracle, m_oracle = _stage(
             lambda: SymbolField.compute(spec, grid, quad))
         case["seconds"]["oracle"] = t_oracle
         case["peak_mib"]["oracle"] = m_oracle
+        case["minor_faults"]["oracle"] = f_oracle
         case["oracle_sigma_rel_diff"] = float(
             np.abs(oracle.sigma_star - field.sigma_star).max()
             / np.abs(field.sigma_star).max())
@@ -115,8 +127,9 @@ def main(argv=None):
                     **run_case(g, rho_x, rho_y, n)}
             cases.append(case)
             sec = case["seconds"]
-            oracle = (f"  oracle {sec['oracle']:.3f}s" if "oracle" in sec
-                      else "")
+            oracle = (f"  oracle {sec['oracle']:.3f}s "
+                      f"{case['minor_faults']['oracle']} faults"
+                      if "oracle" in sec else "")
             print(f"{name:14s} {n:4d}^2  {case['route']:12s} field "
                   f"{sec['field']:.3f}s  assemble {sec['assemble']:.3f}s  "
                   f"solve {sec['solve']:.3f}s  solve peak "

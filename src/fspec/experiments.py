@@ -199,6 +199,13 @@ def build_metric(d):
         h = value("h", 1.0, float)
         r = value("r", None, float) if "r" in d else None
         eta = min(value("eta", 0.0, float), ETA_CAP)
+        # a negative length or ratio would run the torus with its drift reversed
+        if not h > 0.0 or not (r is None or r > 0.0):
+            raise ConfigError("axis lengths h and r of a torus metric block "
+                              "must be positive")
+        if not eta >= 0.0:
+            raise ConfigError("the drift ratio eta of a torus metric block "
+                              "must satisfy eta >= 0")
         if eta == 0.0:
             return RiemannianMetric.stretched(h, r)
         return RandersMetric.axis_drift_torus(h, eta, r, value("profile", 1.0))

@@ -22,11 +22,11 @@ is the density of the Holmes-Thompson volume against dx dy and the fiber
 density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 
 Both integrals come from one metric evaluation on the fiber
-(``_fiber_symbol``): grad = F* grad_p F* = spec.dual_gradient(p_hat).
+(``_fiber_symbol``): grad = F* grad_p F*, the dual_gradient formula at p_hat.
 Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
 v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.
-``volume_density`` takes F* from spec.dual instead, an independent route to
-the same mu.  The integrands are smooth and periodic, so the
+``volume_density`` takes F* from the dual formula instead, an independent
+route to the same mu.  The integrands are smooth and periodic, so the
 trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them.
 ``SymbolField.compute(spec, grid, "auto")`` settles the rule on the grid's
 own nodes: it doubles the node count, evaluating only the new midpoints and
@@ -39,9 +39,13 @@ sin coefficient per node, without forming the circle's direction vectors.
 
 Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule and
 settled branches of ``SymbolField.compute``, ``binet_legendre`` and
-``randers_energy_direct``) is a per-node kernel run by one loop,
-``_over_nodes``, over blocks of about _BLOCK node x fiber pairs, so its
-fiber temporaries stay bounded on any grid.
+``randers_energy_direct``) folds once, then streams.  Its per-node columns
+(the folded metric of ``_fold``; for the energy the Cholesky pieces, rho and
+the trial gradient) are evaluated once over all nodes, and one loop,
+``_over_nodes``, hands its fiber kernel row slices of them in blocks of
+_BLOCK node x fiber pairs, so the kernel does fiber work only and its
+temporaries stay cache-sized on any grid.  The settled rule folds once for
+all of its doublings.
 """
 
 from __future__ import annotations
@@ -52,14 +56,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid
-from .metrics import (IllPosedMetricError, _RandersCore, _apply_form,
+from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _apply_form,
                       _eigen_extremes, _inverse, _pair, _symmetric)
 
 _TWO_PI = 2.0 * np.pi
 
-# Node x fiber pairs per block of a grid-wide fiber rule; bounds the fiber
-# temporaries to a few MiB each.
-_BLOCK = 2**18
+# Node x fiber pairs per block of a grid-wide fiber rule: each node x fiber
+# temporary is 64 KiB, so the ten or so live at once stay in L2, below
+# glibc's default mmap threshold of 128 KiB.  Measured on a 64^2 x 512 sigma*
+# field: at 2**18 (2 MiB temporaries) glibc handed the freed heap top back
+# after every block, 32520 minor page faults per call and 2.5x the time;
+# 2**13 and 2**14 ran equally fast, but 2**14 (128 KiB, at the threshold)
+# still took 20000-25000 faults and 1.5-2x the time in about half of fresh
+# processes, depending on the heap's layout, and 2**13 under 10 in all.
+_BLOCK = 2**13
 
 # F* below this on any fiber node means the metric degenerated numerically.
 _DUAL_FLOOR = 1e-8
@@ -108,59 +118,103 @@ class FiberQuadrature:
         return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
 
 
-def _over_nodes(kernel, x, y, fiber_size):
-    """Per-node arrays of kernel over the broadcast nodes of (x, y).
+class _Unfolded:
+    """A metric outside the three families on a block of nodes: its fiber
+    formulas are its own operations there, in ``_Folded``'s form."""
 
-    kernel(xs, ys) takes (m, 1) columns of node coordinates, m about
-    _BLOCK / fiber_size so its node x fiber temporaries stay bounded, and
-    returns a tuple of arrays whose leading axis runs over those m nodes.
-    Each comes back in the broadcast shape of (x, y) followed by its own
-    trailing axes: a scalar or a (2, 2) matrix for scalar input.
-    """
+    def __init__(self, spec, xs, ys):
+        self.spec, self.xs, self.ys = spec, xs, ys
+
+    def value(self, v):
+        return self.spec.value(self.xs, self.ys, v)
+
+    def dual(self, p):
+        return self.spec.dual(self.xs, self.ys, p)
+
+    def dual_gradient(self, p):
+        grad = self.spec.dual_gradient(self.xs, self.ys, p)
+        return grad[..., 0], grad[..., 1]
+
+
+def _columns(x, y):
+    """(N, 1) coordinate columns of the broadcast nodes of (x, y), and their shape."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
-    xs, ys = x.reshape(-1, 1), y.reshape(-1, 1)
+    return x.reshape(-1, 1), y.reshape(-1, 1), x.shape
+
+
+def _fold(spec, x, y, forward=False):
+    """(columns, at, shape) of spec at the broadcast nodes of (x, y).
+
+    A metric of the three families is folded once over all nodes
+    (``_RandersCore._folded``; checked like ``value`` if forward, else like
+    ``dual``): the columns are its (N, 1) folded pieces, and at(*rows) is the
+    ``_Folded`` of a row slice of them.  Any other metric keeps its node
+    coordinates as the columns and is evaluated block by block.
+    """
+    xs, ys, shape = _columns(x, y)
+    if isinstance(spec, _RandersCore):
+        check = spec._check_forward if forward else True
+        return spec._folded(xs, ys, check), _Folded, shape
+    return (xs, ys), lambda xs, ys: _Unfolded(spec, xs, ys), shape
+
+
+def _over_nodes(kernel, columns, shape, fiber_size):
+    """Per-node arrays of kernel over per-node columns, block by block.
+
+    The columns are evaluated once over all nodes, each broadcasting to
+    (N, 1) with N the node count of shape.  kernel(*rows) takes row slices
+    of them, about _BLOCK / fiber_size rows so its node x fiber temporaries
+    stay cache-sized, and returns a tuple of arrays whose leading axis runs
+    over those rows.  Each comes back in shape followed by its own trailing
+    axes: a scalar or a (2, 2) matrix for shape ().
+    """
+    n = int(np.prod(shape))
+    columns = [np.broadcast_to(column, (n, 1)) for column in columns]
     step = max(1, _BLOCK // fiber_size)
     out = None
-    for lo in range(0, xs.shape[0], step):
-        parts = kernel(xs[lo:lo + step], ys[lo:lo + step])
+    for lo in range(0, n, step):
+        parts = kernel(*(column[lo:lo + step] for column in columns))
         if out is None:
-            out = [np.empty(xs.shape[:1] + part.shape[1:]) for part in parts]
+            out = [np.empty((n,) + part.shape[1:]) for part in parts]
         for whole, part in zip(out, parts):
             whole[lo:lo + step] = part
-    return tuple(whole.reshape(x.shape + whole.shape[1:])[()] for whole in out)
+    return tuple(whole.reshape(shape + whole.shape[1:])[()] for whole in out)
 
 
 def volume_density(spec, x, y, quad):
     """Holmes-Thompson density mu(x) of the metric's volume against dx dy."""
     p = quad.unit_covectors()
+    columns, at, shape = _fold(spec, x, y)
 
-    def density(xs, ys):
-        dual = spec.dual(xs, ys, p)
+    def density(*rows):
+        dual = at(*rows).dual(p)
         if np.any(dual < _DUAL_FLOOR):
             raise IllPosedMetricError(_COLLAPSED)
         return ((quad.weights / dual**2).sum(axis=-1) / _TWO_PI,)
 
-    return _over_nodes(density, x, y, quad.size)[0]
+    return _over_nodes(density, columns, shape, quad.size)[0]
 
 
-def _fiber_symbol(spec, x, y, quad):
+def _fiber_symbol(nodes, quad):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
-    grad = spec.dual_gradient(p_hat) = F* grad_p F* is the only call per
-    block of nodes; Euler's identity for the 1-homogeneous F* gives
+    nodes is ``_fold``'s (columns, at, shape).  The gradient formula
+    grad = F* grad_p F* at p_hat is the only fiber evaluation per block of
+    nodes; Euler's identity for the 1-homogeneous F* gives
     F*^2 = p_hat . grad, and v = grad / F*.  Raises IllPosedMetricError if F*
     falls below _DUAL_FLOOR on a fiber node, and QuadratureError if sigma*
     fails to be SPD, which signals an under-resolved fiber rule.
     """
+    columns, at, shape = nodes
     p = quad.unit_covectors()
+    p1, p2 = p[:, 0], p[:, 1]
 
-    def moments(xs, ys):
-        grad = spec.dual_gradient(xs, ys, p)
-        dual_sq = _pair(p, grad)
+    def moments(*rows):
+        g1, g2 = at(*rows).dual_gradient(p)
+        dual_sq = p1 * g1 + p2 * g2
         if not np.all(dual_sq >= _DUAL_FLOOR**2):
             raise IllPosedMetricError(_COLLAPSED)
-        g1, g2 = grad[..., 0], grad[..., 1]
         # density = w F*^-2 and v = grad / F*, so density v v' = w grad grad' F*^-4
         density = quad.weights / dual_sq
         mu = density.sum(axis=-1) / _TWO_PI
@@ -170,7 +224,7 @@ def _fiber_symbol(spec, x, y, quad):
                 (moment * g1 * g2).sum(axis=-1) / norm,
                 (moment * g2 * g2).sum(axis=-1) / norm, mu)
 
-    s11, s12, s22, mu = _over_nodes(moments, x, y, quad.size)
+    s11, s12, s22, mu = _over_nodes(moments, columns, shape, quad.size)
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
@@ -183,7 +237,7 @@ def symbol_matrix(spec, x, y, quad):
     Raises QuadratureError if it fails to be SPD, which signals an
     under-resolved fiber rule.
     """
-    return _fiber_symbol(spec, x, y, quad)[0]
+    return _fiber_symbol(_fold(spec, x, y), quad)[0]
 
 
 def weight(sigma_star, mu):
@@ -267,9 +321,10 @@ def binet_legendre(spec, x, y, quad):
     with constants controlled by the quasireversibility.
     """
     u = quad.unit_covectors()  # tangent directions this time
+    columns, at, shape = _fold(spec, x, y, forward=True)
 
-    def moments(xs, ys):
-        fv = spec.value(xs, ys, u)
+    def moments(*rows):
+        fv = at(*rows).value(u)
         if np.any(fv < _DUAL_FLOOR):
             raise IllPosedMetricError("forward norm collapsed on the unit circle")
         r2 = fv**-2
@@ -280,7 +335,7 @@ def binet_legendre(spec, x, y, quad):
         n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
         return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
 
-    d11, d12, d22 = _over_nodes(moments, x, y, quad.size)
+    d11, d12, d22 = _over_nodes(moments, columns, shape, quad.size)
     det = d11 * d22 - d12 * d12
     if np.any(det <= 0.0):
         raise QuadratureError("Binet-Legendre dual form is not positive-definite")
@@ -300,13 +355,15 @@ def _settled_symbol(spec, x, y):
     does.  The 2n-node rule is the n-node rule plus its midpoints, so each
     doubling evaluates the fiber on the midpoints only and merges the halves
     exactly: mu_2n = (mu_n + mu_mid) / 2, and sigma*, a mu-normalized moment,
-    sigma*_2n = (mu_n sigma*_n + mu_mid sigma*_mid) / (2 mu_2n).
+    sigma*_2n = (mu_n sigma*_n + mu_mid sigma*_mid) / (2 mu_2n).  The metric
+    is folded once for every doubling.
     """
+    nodes = _fold(spec, x, y)
     n = _SETTLE_START
-    sig, mu = _fiber_symbol(spec, x, y, FiberQuadrature.trapezoid(n))
+    sig, mu = _fiber_symbol(nodes, FiberQuadrature.trapezoid(n))
     while n < _SETTLE_CAP:
         q = FiberQuadrature.trapezoid(n)
-        sig_mid, mu_mid = _fiber_symbol(spec, x, y,
+        sig_mid, mu_mid = _fiber_symbol(nodes,
                                         FiberQuadrature(q.nodes + np.pi / n, q.weights))
         # sigma*_2n - sigma*_n = mu_mid (sigma*_mid - sigma*_n) / (2 mu_2n)
         step = (mu_mid / (mu + mu_mid))[..., None, None] * (sig_mid - sig)
@@ -355,10 +412,11 @@ class SymbolField:
         With no rule: the closed form (module docstring), which raises
         IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
         outside the three families.  With a FiberQuadrature: the trapezoid
-        oracle, one dual_gradient evaluation per block of about _BLOCK node x
-        fiber pairs.  With "auto": the trapezoid oracle at the rule settled
-        on this grid's nodes (``_settled_symbol``), whose node count is the
-        field's fiber_nodes; raises QuadratureError if it does not settle.
+        oracle, the metric folded once and one dual_gradient fiber formula
+        per block of _BLOCK node x fiber pairs.  With "auto": the trapezoid
+        oracle at the rule settled on this grid's nodes
+        (``_settled_symbol``), whose node count is the field's fiber_nodes;
+        raises QuadratureError if it does not settle.
         """
         x, y = grid.mesh()
         if quad is None:
@@ -366,7 +424,7 @@ class SymbolField:
         elif quad == "auto":
             sig, mu, nodes = _settled_symbol(spec, x, y)
         else:
-            (sig, mu), nodes = _fiber_symbol(spec, x, y, quad), quad.size
+            (sig, mu), nodes = _fiber_symbol(_fold(spec, x, y), quad), quad.size
         return cls(grid=grid, sigma_star=sig, mu=mu, fiber_nodes=nodes)
 
     @property
@@ -433,25 +491,25 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
     cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
     trig = quad.weights[:, None] * np.stack([cos * cos, 2.0 * cos * sin,
                                              sin * sin], axis=-1)
+    xs, ys, _ = _columns(*grid.mesh())
+    _, (a, b, c, det), rho = spec._parts(xs, ys)
+    l11 = np.sqrt(a)
+    l21 = b / l11
+    l22 = np.sqrt(c - l21**2)
 
-    def density(xs, ys):
-        _, (a, b, c, det), rho = spec._parts(xs, ys)
-        l11 = np.sqrt(a)
-        l21 = b / l11
-        l22 = np.sqrt(c - l21**2)
+    def on_circle(w):
+        w1 = w[..., 0] / l11
+        return w1, (w[..., 1] - l21 * w1) / l22
 
-        def on_circle(w):
-            w1 = w[..., 0] / l11
-            return w1, (w[..., 1] - l21 * w1) / l22
-
-        r1, r2 = on_circle(rho)
+    def moments(r1, r2):
         den = 1.0 + r1 * cos + r2 * sin
         if np.any(den <= 0.0):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
-        c2, cs, s2 = np.split((1.0 / den) @ trig, 3, axis=-1)
-        w1, w2 = on_circle(grad_fn(xs, ys))
-        fiber = w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2
-        return ((fiber * np.sqrt(det))[:, 0] / np.pi,)
+        return ((1.0 / den) @ trig,)
 
-    dens = _over_nodes(density, *grid.mesh(), quad.size)[0]
+    moment = _over_nodes(moments, on_circle(rho), xs.shape[:1], quad.size)[0]
+    c2, cs, s2 = np.split(moment, 3, axis=-1)
+    w1, w2 = on_circle(grad_fn(xs, ys))
+    fiber = w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2
+    dens = (fiber * np.sqrt(det))[:, 0] / np.pi
     return float(dens.sum()) * grid.cell_area

@@ -35,6 +35,8 @@ round-trip to the identity on nonzero vectors.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .fields import as_field
@@ -46,7 +48,10 @@ class IllPosedMetricError(ValueError):
 
 # The 2x2 algebra below is written out in components: on the broadcast
 # (nodes, fiber) shapes of the quadrature oracle einsum falls back to its
-# generic loop, several times slower than these elementwise products.
+# generic loop, several times slower than these elementwise products.  The
+# matrix helpers serve the per-node fold; the fiber formulas of _Folded take
+# each piece as its own component array, so the node x fiber work neither
+# stacks a trailing axis of 2 nor reads one back through strided views.
 
 def _quad_form(g, u, w):
     """u' g w over the trailing axes of g (..., 2, 2), u and w (..., 2)."""
@@ -97,12 +102,77 @@ def _require_nonzero(v, what):
     return v
 
 
+class _Folded(NamedTuple):
+    """Per-node pieces of the folded pair (e^{2f} g, e^f rho), in components,
+    and each operation's fiber formula on them.
+
+    g = [[g11, g12], [g12, g22]], its inverse [[i11, i12], [i12, i22]],
+    rho = (r1, r2), b = g^-1 rho and w = 1 - |rho|_{g*}^2.  The pieces
+    broadcast against the leading axes of v or p (..., 2), whose components
+    are read once; the vector results (legendre, dual_gradient) come back as
+    their two components.
+    """
+
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
+    i11: np.ndarray
+    i12: np.ndarray
+    i22: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    w: np.ndarray
+
+    def _alpha_drift(self, v):
+        """(sqrt(v' g v), rho . v)."""
+        v0, v1 = v[..., 0], v[..., 1]
+        alpha_sq = (self.g11 * (v0 * v0) + self.g12 * (v0 * v1)
+                    + self.g12 * (v1 * v0) + self.g22 * (v1 * v1))
+        return np.sqrt(np.maximum(alpha_sq, 0.0)), self.r1 * v0 + self.r2 * v1
+
+    def value(self, v):
+        alpha, drift = self._alpha_drift(v)
+        return alpha + drift
+
+    def dual(self, p):
+        p0, p1 = p[..., 0], p[..., 1]
+        c = p0 * self.b1 + p1 * self.b2
+        q2 = (self.i11 * (p0 * p0) + self.i12 * (p0 * p1)
+              + self.i12 * (p1 * p0) + self.i22 * (p1 * p1))
+        root = np.sqrt(np.maximum(self.w * q2 + c * c, 0.0))
+        return (root - c) / self.w
+
+    def legendre(self, v):
+        alpha, drift = self._alpha_drift(v)
+        value = alpha + drift
+        v0, v1 = v[..., 0], v[..., 1]
+        return (value * ((self.g11 * v0 + self.g12 * v1) / alpha + self.r1),
+                value * ((self.g12 * v0 + self.g22 * v1) / alpha + self.r2))
+
+    def dual_gradient(self, p):
+        # F* grad_p F* with grad_p F* = ((w g^-1 p + c g^-1 rho) / root
+        # - g^-1 rho) / w, which folds to F* (g^-1 p - F* g^-1 rho) / root
+        p0, p1 = p[..., 0], p[..., 1]
+        gp1 = self.i11 * p0 + self.i12 * p1
+        gp2 = self.i12 * p0 + self.i22 * p1
+        c = p0 * self.b1 + p1 * self.b2
+        q2 = p0 * gp1 + p1 * gp2
+        root = np.sqrt(np.maximum(self.w * q2 + c * c, 0.0))
+        dual = (root - c) / self.w
+        scale = dual / root
+        return scale * (gp1 - dual * self.b1), scale * (gp2 - dual * self.b2)
+
+
 class _RandersCore:
     """exp(f) (sqrt(g) + rho) = sqrt(e^{2f} g) + e^f rho: every family is Randers.
 
     Each family supplies _parts(x, y) = (f, (g11, g12, g22, det), rho), and
-    the four operations are the Randers formulas on the folded pair
-    (e^{2f} g, e^f rho), folded once per node before any fiber axis joins.
+    each operation is the per-node fold of the pair (e^{2f} g, e^f rho),
+    ``_folded``, followed by its fiber formula on the folded pieces
+    (``_Folded``).  The fiber oracles of ``fspec.fiber`` fold once over all
+    their nodes and stream the fiber formula over blocks of them.
     dual and dual_gradient always require |rho|_{g*} < 1, which a conformal
     factor leaves unchanged; value and legendre only while _check_forward.
     """
@@ -110,55 +180,37 @@ class _RandersCore:
     _check_forward = True
 
     def _folded(self, x, y, check=True):
-        """(g, g^-1, rho, w) of the folded pair with w = 1 - |rho|_{g*}^2;
-        raises IllPosedMetricError where w <= 0 if check."""
+        """The _Folded pieces at the nodes (x, y); raises IllPosedMetricError
+        where w = 1 - |rho|_{g*}^2 <= 0 if check."""
         f, (a, b, c, det), rho = self._parts(x, y)
         s = np.exp(f)
         s2 = s * s
         rho = rho * np.asarray(s)[..., None]
         gi = _inverse(a, b, c, det * s2)
+        gi_rho = _apply_form(gi, rho)
         w = np.asarray(1.0 - _quad_form(gi, rho, rho))
         if check and np.any(w <= 0.0):
             raise IllPosedMetricError(
                 "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
                 "the metric is not admissible there")
-        return _symmetric(a * s2, b * s2, c * s2), gi, rho, w
+        return _Folded(a * s2, b * s2, c * s2,
+                       gi[..., 0, 0], gi[..., 0, 1], gi[..., 1, 1],
+                       rho[..., 0], rho[..., 1], gi_rho[..., 0], gi_rho[..., 1], w)
 
     def value(self, x, y, v):
-        v = np.asarray(v, dtype=float)
-        g, _, rho, _ = self._folded(x, y, self._check_forward)
-        return np.sqrt(np.maximum(_quad_form(g, v, v), 0.0)) + _pair(rho, v)
+        fold = self._folded(x, y, self._check_forward)
+        return fold.value(np.asarray(v, dtype=float))
 
     def dual(self, x, y, p):
-        p = np.asarray(p, dtype=float)
-        _, gi, rho, w = self._folded(x, y)
-        c = _pair(p, _apply_form(gi, rho))
-        q2 = _quad_form(gi, p, p)
-        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
-        return (root - c) / w
+        return self._folded(x, y).dual(np.asarray(p, dtype=float))
 
     def legendre(self, x, y, v):
         v = _require_nonzero(v, "the Legendre transform")
-        g, _, rho, _ = self._folded(x, y, self._check_forward)
-        alpha = np.sqrt(np.maximum(_quad_form(g, v, v), 0.0))
-        value = alpha + _pair(rho, v)
-        return value[..., None] * (_apply_form(g, v) / alpha[..., None] + rho)
+        return np.stack(self._folded(x, y, self._check_forward).legendre(v), axis=-1)
 
     def dual_gradient(self, x, y, p):
         p = _require_nonzero(p, "the inverse Legendre map")
-        _, gi, rho, w = self._folded(x, y)
-        gi_rho = _apply_form(gi, rho)
-        gi_p = _apply_form(gi, p)
-        c = _pair(p, gi_rho)
-        q2 = _pair(p, gi_p)
-        root = np.sqrt(np.maximum(w * q2 + c * c, 0.0))
-        dual = (root - c) / w
-        # F* grad_p F* with grad_p F* = ((w g^-1 p + c g^-1 rho) / root
-        # - g^-1 rho) / w, which folds to F* (g^-1 p - F* g^-1 rho) / root;
-        # one component at a time, as a trailing axis of 2 is slow to broadcast
-        scale = dual / root
-        return np.stack([scale * (gi_p[..., i] - dual * gi_rho[..., i])
-                         for i in (0, 1)], axis=-1)
+        return np.stack(self._folded(x, y).dual_gradient(p), axis=-1)
 
 
 class RiemannianMetric(_RandersCore):
@@ -179,6 +231,8 @@ class RiemannianMetric(_RandersCore):
     def stretched(cls, h, r=None):
         """Constant diag(h^2, r^2); r defaults to 1/h so the torus has unit area."""
         h = float(h)
+        if not (h > 0.0 and (r is None or float(r) > 0.0)):
+            raise ValueError("axis lengths must be positive")
         r = 1.0 / h if r is None else float(r)
         return cls(h * h, 0.0, r * r)
 

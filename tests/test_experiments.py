@@ -402,7 +402,9 @@ class TestCli:
         # count, a convergence ladder of two grids, one with a repeated grid
         # size (its zero gap used to fail the Cauchy verdict), and k = 0
         # (no lambda_1); then values that do not read as what their key
-        # takes: a number, a field expression, a rule of at least 16 nodes
+        # takes: a number, a field expression, a rule of at least 16 nodes;
+        # then torus axis lengths that are not positive and a negative drift
+        # ratio, which would run the torus with its drift reversed
         cfg_path = tmp_path / "exp.cfg"
         for text in ["kind = nonsense\n",
                      BILIPSCHITZ_CFG + "grid = 4\n",
@@ -421,7 +423,11 @@ class TestCli:
                      IDENTITIES_CFG + "fiber_nodes = 8\n",
                      IDENTITIES_CFG + "fiber_nodes = -4\n",
                      CONFORMAL_CFG + "fiber_nodes = 8\n",
-                     CONFORMAL_CFG + "fiber_nodes = -4\n"]:
+                     CONFORMAL_CFG + "fiber_nodes = -4\n",
+                     BILIPSCHITZ_CFG + "metric.h = -1\nmetric.eta = 0.5\n",
+                     BILIPSCHITZ_CFG + "metric.eta = -0.5\n",
+                     BILIPSCHITZ_CFG + "metric.h = 0\n",
+                     BILIPSCHITZ_CFG + "metric.r = -0.5\n"]:
             cfg_path.write_text(text)
             assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err.startswith("error:")

@@ -16,6 +16,7 @@ from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
                    randers_angular_closed_forms, randers_angular_integrals,
                    randers_axis_symbol, randers_energy_direct,
                    symbol_matrix, volume_density, weight)
+from fspec.metrics import _Folded
 from conftest import random_metric, random_point, random_randers
 
 QUAD = FiberQuadrature.trapezoid(256)
@@ -336,24 +337,48 @@ class TestSymbolField:
                  for e in etas.ravel()]
             np.testing.assert_allclose(field.a.ravel(), a, rtol=1e-10)
 
-    def test_compute_evaluates_dual_once(self):
-        # F*^2 comes from Euler's identity p . dual_gradient(p), so the one
-        # block of the 8 x 8 grid needs one dual_gradient call and no dual
+    def test_compute_evaluates_dual_once(self, monkeypatch):
+        # F*^2 comes from Euler's identity p . dual_gradient(p), so each
+        # block of the 8 x 8 grid needs one dual_gradient fiber formula on
+        # the folded metric and no dual
         calls = []
+        for name in ("dual", "dual_gradient"):
+            def counting(fold, p, name=name, formula=getattr(_Folded, name)):
+                calls.append(name)
+                return formula(fold, p)
 
-        class Counting(RandersMetric):
-            def dual(self, x, y, p):
-                calls.append("dual")
-                return super().dual(x, y, p)
+            monkeypatch.setattr(_Folded, name, counting)
+        SymbolField.compute(RandersMetric.axis_drift_torus(2.0, 0.6),
+                            TorusGrid.square(8), QUAD)
+        blocks = -(-64 * QUAD.size // fspec.fiber._BLOCK)
+        assert calls == ["dual_gradient"] * blocks
 
-            def dual_gradient(self, x, y, p):
-                calls.append("dual_gradient")
-                return super().dual_gradient(x, y, p)
+    def test_each_oracle_folds_once(self, monkeypatch):
+        # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks and the
+        # settled field two rules; every oracle reads the metric's per-node
+        # parts once and streams only fiber work over the blocks
+        spec = RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
+                             "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
+        grid = TorusGrid(40, 24)
+        quad = FiberQuadrature.trapezoid(1024)
+        x, y = grid.mesh()
+        calls = []
+        parts = RandersMetric._parts
 
-        base = RandersMetric.axis_drift_torus(2.0, 0.6)
-        spec = Counting(base.base, base.rho_x, base.rho_y)
-        SymbolField.compute(spec, TorusGrid.square(8), QUAD)
-        assert calls == ["dual_gradient"]
+        def counting(metric, x, y):
+            calls[-1] += 1
+            return parts(metric, x, y)
+
+        monkeypatch.setattr(RandersMetric, "_parts", counting)
+        for oracle in (lambda: SymbolField.compute(spec, grid, quad),
+                       lambda: SymbolField.compute(spec, grid, "auto"),
+                       lambda: randers_energy_direct(spec, sin_x_cos_y_gradient,
+                                                     grid, quad),
+                       lambda: volume_density(spec, x, y, quad),
+                       lambda: binet_legendre(spec, x, y, quad)):
+            calls.append(0)
+            oracle()
+        assert calls == [1, 1, 1, 1, 1]
 
     def test_compute_memory_is_blocked(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
@@ -366,8 +391,9 @@ class TestSymbolField:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one unblocked 64^2 x 512 fiber array alone is 16 MiB
-        assert peak < 48 * 2**20
+        # one unblocked 64^2 x 512 fiber array alone is 16 MiB; blocks of
+        # 2**18 node x fiber pairs peaked at 22.3 MiB, cache-sized ones at 1.2
+        assert peak < 4 * 2**20
 
     def test_oracle_energy_and_volume_memory_is_blocked(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
@@ -392,9 +418,10 @@ class TestSymbolField:
             finally:
                 tracemalloc.stop()
         # unblocked: 96.7 MiB for the energy, 48.2 MiB for the density,
-        # 176.3 MiB for the symbol and 80.2 MiB for Binet-Legendre; the
-        # blocked rule field SymbolField.compute peaks at 22.2 MiB
-        assert all(peak < 24 * 2**20 for peak in peaks)
+        # 176.3 MiB for the symbol and 80.2 MiB for Binet-Legendre; in
+        # blocks of 2**18 pairs 4.3, 10.2, 22.3 and 10.3 MiB, and in
+        # cache-sized blocks 0.7, 0.8, 1.2 and 0.9 MiB
+        assert all(peak < 4 * 2**20 for peak in peaks)
 
     def test_blocked_oracles_match_one_block(self, monkeypatch):
         # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks; a drift
@@ -413,19 +440,23 @@ class TestSymbolField:
 
         def evaluate():
             field = SymbolField.compute(spec, grid, quad)
+            settled = SymbolField.compute(spec, grid, "auto")
             return (randers_energy_direct(spec, grad, grid, quad),
                     volume_density(spec, x, y, quad),
                     symbol_matrix(spec, x, y, quad),
                     field.sigma_star, field.mu,
-                    binet_legendre(spec, x, y, quad))
+                    binet_legendre(spec, x, y, quad),
+                    settled.sigma_star, settled.mu, settled.fiber_nodes)
 
         blocked = evaluate()
-        monkeypatch.setattr(fspec.fiber, "_BLOCK", 2**40)
-        for got, one_block in zip(blocked, evaluate()):
-            np.testing.assert_allclose(got, one_block, rtol=1e-14)
+        # one block for all nodes, then one node per block
+        for size in (2**40, 1):
+            monkeypatch.setattr(fspec.fiber, "_BLOCK", size)
+            for got, other in zip(blocked, evaluate()):
+                np.testing.assert_allclose(got, other, rtol=1e-14)
         shapes = [np.shape(value) for value in blocked]
         assert shapes == [(), (40, 24), (40, 24, 2, 2), (40, 24, 2, 2),
-                          (40, 24), (40, 24, 2, 2)]
+                          (40, 24), (40, 24, 2, 2), (40, 24, 2, 2), (40, 24), ()]
 
     def test_csv_export(self, tmp_path):
         spec = RiemannianMetric.stretched(2.0)

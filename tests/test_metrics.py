@@ -43,6 +43,13 @@ class TestForwardNorm:
         g = RiemannianMetric.stretched(2.0, 0.5)
         assert np.isclose(float(g.value(0.3, 0.8, [1.0, 0.0])), 2.0, rtol=1e-15)
 
+    @pytest.mark.parametrize("h, r", [(0.0, None), (-1.0, None), (2.0, 0.0),
+                                      (2.0, -0.5)])
+    def test_stretched_rejects_nonpositive_lengths(self, h, r):
+        # squaring a negative length would hide its sign
+        with pytest.raises(ValueError, match="positive"):
+            RiemannianMetric.stretched(h, r)
+
     def test_randers_axis(self):
         # drift eta*h dx adds eta*h along the x axis
         spec = RandersMetric.axis_drift_torus(2.0, 0.6, r=0.5)
