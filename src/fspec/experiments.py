@@ -49,8 +49,10 @@ from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
 from .solver import _constant_symbol, assemble, fourier_oracle, solve
 
-# Drift ratios are capped here: beyond it the slack 1 - |rho|^2 is dominated by
-# double-precision rounding and the fiber integrand can no longer be resolved.
+# threshold_eta caps its ratio here: beyond it the slack 1 - |rho|^2 is
+# dominated by double-precision rounding and the fiber integrand can no
+# longer be resolved.  A requested ratio is never capped: one at or past 1
+# is refused where the metric is folded.
 ETA_CAP = 1.0 - 1e-9
 
 _DEFAULT_TOLERANCES = {
@@ -198,7 +200,7 @@ def build_metric(d):
     if kind == "torus":
         h = value("h", 1.0, float)
         r = value("r", None, float) if "r" in d else None
-        eta = min(value("eta", 0.0, float), ETA_CAP)
+        eta = value("eta", 0.0, float)
         # a negative length or ratio would run the torus with its drift reversed
         if not h > 0.0 or not (r is None or r > 0.0):
             raise ConfigError("axis lengths h and r of a torus metric block "
@@ -569,7 +571,8 @@ def _solve(field, k, seed, solver_info):
 
 
 def _stiffness_condition_estimate(problem):
-    gersh = np.asarray(abs(problem.K).sum(axis=1)).ravel()
+    K = problem.K  # CSR: the Gershgorin radii are row sums of |K.data|
+    gersh = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
     lam_max = float((gersh / problem.M.diagonal()).max())
     return lam_max / max(problem.lambda_scale, 1e-300)
 
@@ -629,7 +632,7 @@ def run_torus_large_eigenvalue(cfg):
                 # nudge just past the threshold so A >= 1/r^2 survives roundoff
                 eta = threshold_eta(h, margin=1e-6)
             else:
-                eta = min(float(item), ETA_CAP)
+                eta = float(item)
             run_case(h, eta, item, n, "sweep")
     return rows, solver_info
 
@@ -743,9 +746,9 @@ def run_randers_identities(cfg):
             "tol_pointwise": tol_pointwise,
             "tol_cross": tol_cross,
         })
-    for name, grad_fn in _ENERGY_TRIALS.items():
+    energies = randers_energy_direct(spec, _ENERGY_TRIALS.values(), grid, quad)
+    for (name, grad_fn), e_dir in zip(_ENERGY_TRIALS.items(), energies):
         e_sym = energy_from_symbol(field, grad_fn)
-        e_dir = randers_energy_direct(spec, grad_fn, grid, quad)
         rows.append({
             "row_type": "energy",
             "trial": name,

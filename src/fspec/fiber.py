@@ -8,6 +8,10 @@ of the spectral problem are, with b = g^-1 rho and s = sqrt(1 - |rho|_{g*}^2),
     sigma*(x)    = e^{-2f} [ 2/(1+s) g^-1 + 2/(s (1+s)^2) b b' ]
     a(x)         = mu(x) sqrt(det sigma*(x))
 
+The closed form (``_closed_form_symbol``) reads these off the folded pair
+(e^{2f} g, e^f rho) of ``_RandersCore._folded``, where the factor is already
+in: s is unchanged, and the same two formulas with f = 0 give mu and sigma*.
+
 The generic route, which the closed form is checked against, integrates on
 the dual direction circle.  Writing p_hat(phi) = (cos phi, sin phi) for the
 Euclidean-unit covector in direction phi,
@@ -35,13 +39,16 @@ every node, and raises QuadratureError past its cap.
 
 The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
 the g-orthonormal circle through the Cholesky factor of g, one cos and one
-sin coefficient per node, without forming the circle's direction vectors.
+sin coefficient per node, without forming the circle's direction vectors;
+its fiber moments serve every trial gradient it is given.
 
+Every symbol route starts at ``_fold``, which folds the metric once over
+all nodes and raises TypeError for a metric outside the three families.
 Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule and
 settled branches of ``SymbolField.compute``, ``binet_legendre`` and
 ``randers_energy_direct``) folds once, then streams.  Its per-node columns
-(the folded metric of ``_fold``; for the energy the Cholesky pieces, rho and
-the trial gradient) are evaluated once over all nodes, and one loop,
+(the folded metric; for the energy the folded drift on the Cholesky
+circle) are evaluated once over all nodes, and one loop,
 ``_over_nodes``, hands its fiber kernel row slices of them in blocks of
 _BLOCK node x fiber pairs, so the kernel does fiber work only and its
 temporaries stay cache-sized on any grid.  The settled rule folds once for
@@ -56,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid
-from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _apply_form,
-                      _eigen_extremes, _inverse, _pair, _symmetric)
+from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _eigen_extremes,
+                      _inverse, _symmetric)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -118,59 +125,34 @@ class FiberQuadrature:
         return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
 
 
-class _Unfolded:
-    """A metric outside the three families on a block of nodes: its fiber
-    formulas are its own operations there, in ``_Folded``'s form."""
-
-    def __init__(self, spec, xs, ys):
-        self.spec, self.xs, self.ys = spec, xs, ys
-
-    def value(self, v):
-        return self.spec.value(self.xs, self.ys, v)
-
-    def dual(self, p):
-        return self.spec.dual(self.xs, self.ys, p)
-
-    def dual_gradient(self, p):
-        grad = self.spec.dual_gradient(self.xs, self.ys, p)
-        return grad[..., 0], grad[..., 1]
-
-
-def _columns(x, y):
-    """(N, 1) coordinate columns of the broadcast nodes of (x, y), and their shape."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    return x.reshape(-1, 1), y.reshape(-1, 1), x.shape
-
-
 def _fold(spec, x, y, forward=False):
-    """(columns, at, shape) of spec at the broadcast nodes of (x, y).
+    """(fold, shape): spec folded once at the broadcast nodes of (x, y).
 
-    A metric of the three families is folded once over all nodes
-    (``_RandersCore._folded``; checked like ``value`` if forward, else like
-    ``dual``): the columns are its (N, 1) folded pieces, and at(*rows) is the
-    ``_Folded`` of a row slice of them.  Any other metric keeps its node
-    coordinates as the columns and is evaluated block by block.
+    fold is ``_RandersCore._folded`` there, checked like ``value`` if
+    forward, else like ``dual``; shape is the nodes' broadcast shape.  Every
+    symbol route starts here, so a metric outside the three families raises
+    the same TypeError on each.
     """
-    xs, ys, shape = _columns(x, y)
-    if isinstance(spec, _RandersCore):
-        check = spec._check_forward if forward else True
-        return spec._folded(xs, ys, check), _Folded, shape
-    return (xs, ys), lambda xs, ys: _Unfolded(spec, xs, ys), shape
+    if not isinstance(spec, _RandersCore):
+        raise TypeError(f"{type(spec).__name__} is not one of the three metric "
+                        "families; no symbol route can fold it")
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return spec._folded(x, y, spec._check_forward if forward else True), shape
 
 
 def _over_nodes(kernel, columns, shape, fiber_size):
     """Per-node arrays of kernel over per-node columns, block by block.
 
     The columns are evaluated once over all nodes, each broadcasting to
-    (N, 1) with N the node count of shape.  kernel(*rows) takes row slices
-    of them, about _BLOCK / fiber_size rows so its node x fiber temporaries
-    stay cache-sized, and returns a tuple of arrays whose leading axis runs
-    over those rows.  Each comes back in shape followed by its own trailing
-    axes: a scalar or a (2, 2) matrix for shape ().
+    shape, and are read as (N, 1) columns with N the node count of shape.
+    kernel(*rows) takes row slices of them, about _BLOCK / fiber_size rows
+    so its node x fiber temporaries stay cache-sized, and returns a tuple of
+    arrays whose leading axis runs over those rows.  Each comes back in
+    shape followed by its own trailing axes: a scalar or a (2, 2) matrix for
+    shape ().
     """
     n = int(np.prod(shape))
-    columns = [np.broadcast_to(column, (n, 1)) for column in columns]
+    columns = [np.broadcast_to(column, shape).reshape(n, 1) for column in columns]
     step = max(1, _BLOCK // fiber_size)
     out = None
     for lo in range(0, n, step):
@@ -185,33 +167,33 @@ def _over_nodes(kernel, columns, shape, fiber_size):
 def volume_density(spec, x, y, quad):
     """Holmes-Thompson density mu(x) of the metric's volume against dx dy."""
     p = quad.unit_covectors()
-    columns, at, shape = _fold(spec, x, y)
+    fold, shape = _fold(spec, x, y)
 
     def density(*rows):
-        dual = at(*rows).dual(p)
+        dual = _Folded(*rows).dual(p)
         if np.any(dual < _DUAL_FLOOR):
             raise IllPosedMetricError(_COLLAPSED)
         return ((quad.weights / dual**2).sum(axis=-1) / _TWO_PI,)
 
-    return _over_nodes(density, columns, shape, quad.size)[0]
+    return _over_nodes(density, fold, shape, quad.size)[0]
 
 
 def _fiber_symbol(nodes, quad):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
-    nodes is ``_fold``'s (columns, at, shape).  The gradient formula
+    nodes is ``_fold``'s (fold, shape).  The gradient formula
     grad = F* grad_p F* at p_hat is the only fiber evaluation per block of
     nodes; Euler's identity for the 1-homogeneous F* gives
     F*^2 = p_hat . grad, and v = grad / F*.  Raises IllPosedMetricError if F*
     falls below _DUAL_FLOOR on a fiber node, and QuadratureError if sigma*
     fails to be SPD, which signals an under-resolved fiber rule.
     """
-    columns, at, shape = nodes
+    fold, shape = nodes
     p = quad.unit_covectors()
     p1, p2 = p[:, 0], p[:, 1]
 
     def moments(*rows):
-        g1, g2 = at(*rows).dual_gradient(p)
+        g1, g2 = _Folded(*rows).dual_gradient(p)
         dual_sq = p1 * g1 + p2 * g2
         if not np.all(dual_sq >= _DUAL_FLOOR**2):
             raise IllPosedMetricError(_COLLAPSED)
@@ -224,7 +206,7 @@ def _fiber_symbol(nodes, quad):
                 (moment * g1 * g2).sum(axis=-1) / norm,
                 (moment * g2 * g2).sum(axis=-1) / norm, mu)
 
-    s11, s12, s22, mu = _over_nodes(moments, columns, shape, quad.size)
+    s11, s12, s22, mu = _over_nodes(moments, fold, shape, quad.size)
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
@@ -321,10 +303,10 @@ def binet_legendre(spec, x, y, quad):
     with constants controlled by the quasireversibility.
     """
     u = quad.unit_covectors()  # tangent directions this time
-    columns, at, shape = _fold(spec, x, y, forward=True)
+    fold, shape = _fold(spec, x, y, forward=True)
 
     def moments(*rows):
-        fv = at(*rows).value(u)
+        fv = _Folded(*rows).value(u)
         if np.any(fv < _DUAL_FLOOR):
             raise IllPosedMetricError("forward norm collapsed on the unit circle")
         r2 = fv**-2
@@ -335,7 +317,7 @@ def binet_legendre(spec, x, y, quad):
         n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
         return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
 
-    d11, d12, d22 = _over_nodes(moments, columns, shape, quad.size)
+    d11, d12, d22 = _over_nodes(moments, fold, shape, quad.size)
     det = d11 * d22 - d12 * d12
     if np.any(det <= 0.0):
         raise QuadratureError("Binet-Legendre dual form is not positive-definite")
@@ -378,22 +360,16 @@ def _settled_symbol(spec, x, y):
 
 
 def _closed_form_symbol(spec, x, y):
-    """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring)."""
-    if not isinstance(spec, _RandersCore):
-        raise TypeError(f"no closed-form symbol for {type(spec).__name__}; "
-                        "pass a FiberQuadrature to integrate it on the fiber")
-    f, (g11, g12, g22, det), rho = spec._parts(x, y)
-    gi = _inverse(g11, g12, g22, det)
-    b = _apply_form(gi, rho)
-    slack = 1.0 - _pair(rho, b)
-    if np.any(slack <= 0.0):
-        raise IllPosedMetricError("Randers drift reaches |rho|_{g*} >= 1 at a "
-                                  "grid node; the metric is not admissible there")
-    s = np.sqrt(slack)[..., None, None]
-    sigma = (2.0 / (1.0 + s) * gi
-             + 2.0 / (s * (1.0 + s) ** 2) * (b[..., :, None] * b[..., None, :]))
-    mu = np.sqrt(det)
-    return conformal_transform(sigma, mu, f)
+    """(sigma*, mu) of exp(f) (sqrt(g) + rho) in closed form (module docstring),
+    read off the folded pair (e^{2f} g, e^f rho) of ``_fold``."""
+    fold = _fold(spec, x, y)[0]
+    s = np.sqrt(fold.w)
+    t1 = 2.0 / (1.0 + s)
+    t2 = 2.0 / (s * (1.0 + s) ** 2)
+    sigma = _symmetric(t1 * fold.i11 + t2 * (fold.b1 * fold.b1),
+                       t1 * fold.i12 + t2 * (fold.b1 * fold.b2),
+                       t1 * fold.i22 + t2 * (fold.b2 * fold.b2))
+    return sigma, np.sqrt(fold.g11 * fold.g22 - fold.g12 * fold.g12)
 
 
 @dataclass
@@ -409,12 +385,12 @@ class SymbolField:
     def compute(cls, spec, grid, quad=None):
         """Evaluate mu and sigma* at every grid node.
 
-        With no rule: the closed form (module docstring), which raises
-        IllPosedMetricError where |rho|_{g*} >= 1 and TypeError for a metric
-        outside the three families.  With a FiberQuadrature: the trapezoid
-        oracle, the metric folded once and one dual_gradient fiber formula
-        per block of _BLOCK node x fiber pairs.  With "auto": the trapezoid
-        oracle at the rule settled on this grid's nodes
+        Every route raises TypeError for a metric outside the three
+        families and IllPosedMetricError where |rho|_{g*} >= 1.  With no
+        rule: the closed form (module docstring).  With a FiberQuadrature:
+        the trapezoid oracle, the metric folded once and one dual_gradient
+        fiber formula per block of _BLOCK node x fiber pairs.  With "auto":
+        the trapezoid oracle at the rule settled on this grid's nodes
         (``_settled_symbol``), whose node count is the field's fiber_nodes;
         raises QuadratureError if it does not settle.
         """
@@ -471,35 +447,37 @@ def energy_from_symbol(field, grad_fn):
     return float(dens.sum()) * field.grid.cell_area
 
 
-def randers_energy_direct(spec, grad_fn, grid, quad):
-    """Tangent-circle route to the energy of any of the three families,
-    bypassing sigma* entirely:
+def randers_energy_direct(spec, grad_fns, grid, quad):
+    """Tangent-circle route to the energies of trial functions under any of
+    the three families, bypassing sigma* entirely: one energy
 
         E(f) = (1/pi) Int_M [ Int (df . v(t))^2 / (1 + rho(v(t))) dt ] sqrt(det g) dx dy
 
-    with v(t) = cos t e1 + sin t e2 running over the g-orthonormal unit
-    circle, e1 and e2 the columns of L'^-1 for the Cholesky factor g = L L'.
-    On a surface the energy is conformally invariant, so the exponent f of
-    ``spec._parts`` drops out and (g, rho) is read unfolded.
+    per gradient field df in grad_fns, with v(t) = cos t e1 + sin t e2
+    running over the g-orthonormal unit circle, e1 and e2 the columns of
+    L'^-1 for the Cholesky factor g = L L'.  (g, rho) is the folded pair of
+    ``_fold``: on a surface the energy is conformally invariant, so folding
+    the factor in leaves it unchanged.
     A covector w pairs with v(t) as w1 cos t + w2 sin t, where
     w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
     formed, and (df . v)^2 expands into w1^2 cos^2 + 2 w1 w2 cos sin +
     w2^2 sin^2: the inner integral takes three moments of 1 / (1 + rho(v))
-    per node, one matrix product.  Agreement with ``energy_from_symbol``
-    validates the dual-circle route end to end.
+    per node, one matrix product, computed once for every trial.
+    Agreement with ``energy_from_symbol`` validates the dual-circle route
+    end to end.
     """
     cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
     trig = quad.weights[:, None] * np.stack([cos * cos, 2.0 * cos * sin,
                                              sin * sin], axis=-1)
-    xs, ys, _ = _columns(*grid.mesh())
-    _, (a, b, c, det), rho = spec._parts(xs, ys)
-    l11 = np.sqrt(a)
-    l21 = b / l11
-    l22 = np.sqrt(c - l21**2)
+    x, y = grid.mesh()
+    fold, shape = _fold(spec, x, y)
+    l11 = np.sqrt(fold.g11)
+    l21 = fold.g12 / l11
+    l22 = np.sqrt(fold.g22 - l21**2)
 
-    def on_circle(w):
-        w1 = w[..., 0] / l11
-        return w1, (w[..., 1] - l21 * w1) / l22
+    def on_circle(wx, wy):
+        w1 = wx / l11
+        return w1, (wy - l21 * w1) / l22
 
     def moments(r1, r2):
         den = 1.0 + r1 * cos + r2 * sin
@@ -507,9 +485,13 @@ def randers_energy_direct(spec, grad_fn, grid, quad):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
         return ((1.0 / den) @ trig,)
 
-    moment = _over_nodes(moments, on_circle(rho), xs.shape[:1], quad.size)[0]
-    c2, cs, s2 = np.split(moment, 3, axis=-1)
-    w1, w2 = on_circle(grad_fn(xs, ys))
-    fiber = w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2
-    dens = (fiber * np.sqrt(det))[:, 0] / np.pi
-    return float(dens.sum()) * grid.cell_area
+    moment = _over_nodes(moments, on_circle(fold.r1, fold.r2), shape, quad.size)[0]
+    c2, cs, s2 = moment[..., 0], moment[..., 1], moment[..., 2]
+    area = l11 * l22 * (grid.cell_area / np.pi)  # sqrt(det g) dx dy / pi
+    energies = []
+    for grad_fn in grad_fns:
+        grad = grad_fn(x, y)
+        w1, w2 = on_circle(grad[..., 0], grad[..., 1])
+        energies.append(float(((w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2)
+                               * area).sum()))
+    return energies

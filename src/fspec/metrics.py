@@ -49,29 +49,9 @@ class IllPosedMetricError(ValueError):
 # The 2x2 algebra below is written out in components: on the broadcast
 # (nodes, fiber) shapes of the quadrature oracle einsum falls back to its
 # generic loop, several times slower than these elementwise products.  The
-# matrix helpers serve the per-node fold; the fiber formulas of _Folded take
-# each piece as its own component array, so the node x fiber work neither
-# stacks a trailing axis of 2 nor reads one back through strided views.
-
-def _quad_form(g, u, w):
-    """u' g w over the trailing axes of g (..., 2, 2), u and w (..., 2)."""
-    u0, u1 = u[..., 0], u[..., 1]
-    w0, w1 = w[..., 0], w[..., 1]
-    return (g[..., 0, 0] * (u0 * w0) + g[..., 0, 1] * (u0 * w1)
-            + g[..., 1, 0] * (u1 * w0) + g[..., 1, 1] * (u1 * w1))
-
-
-def _apply_form(g, u):
-    """g u over the trailing axes of g (..., 2, 2) and u (..., 2)."""
-    u0, u1 = u[..., 0], u[..., 1]
-    return np.stack([g[..., 0, 0] * u0 + g[..., 0, 1] * u1,
-                     g[..., 1, 0] * u0 + g[..., 1, 1] * u1], axis=-1)
-
-
-def _pair(p, v):
-    """p . v over the trailing axes of p and v (..., 2)."""
-    return p[..., 0] * v[..., 0] + p[..., 1] * v[..., 1]
-
+# per-node fold and the fiber formulas of _Folded take each piece as its own
+# component array, so neither stacks a trailing axis of 2 nor reads one back
+# through strided views; (..., 2, 2) matrices are built only for results.
 
 def _symmetric(a, b, c):
     """The symmetric matrix field [[a, b], [b, c]], shape (..., 2, 2)."""
@@ -168,10 +148,12 @@ class _Folded(NamedTuple):
 class _RandersCore:
     """exp(f) (sqrt(g) + rho) = sqrt(e^{2f} g) + e^f rho: every family is Randers.
 
-    Each family supplies _parts(x, y) = (f, (g11, g12, g22, det), rho), and
+    Each family supplies _parts(x, y) = (f, (g11, g12, g22, det), (r1, r2)), and
     each operation is the per-node fold of the pair (e^{2f} g, e^f rho),
     ``_folded``, followed by its fiber formula on the folded pieces
-    (``_Folded``).  The fiber oracles of ``fspec.fiber`` fold once over all
+    (``_Folded``).  Every symbol route of ``fspec.fiber`` reads the metric
+    through ``_folded``: the closed form and the direct energy take the
+    folded pieces as they are, and the fiber oracles fold once over all
     their nodes and stream the fiber formula over blocks of them.
     dual and dual_gradient always require |rho|_{g*} < 1, which a conformal
     factor leaves unchanged; value and legendre only while _check_forward.
@@ -181,21 +163,22 @@ class _RandersCore:
 
     def _folded(self, x, y, check=True):
         """The _Folded pieces at the nodes (x, y); raises IllPosedMetricError
-        where w = 1 - |rho|_{g*}^2 <= 0 if check."""
-        f, (a, b, c, det), rho = self._parts(x, y)
+        where w = 1 - |rho|_{g*}^2 <= 0 if check.  Every symbol route reads
+        the families' _parts through here."""
+        f, (a, b, c, det), (r1, r2) = self._parts(x, y)
         s = np.exp(f)
         s2 = s * s
-        rho = rho * np.asarray(s)[..., None]
-        gi = _inverse(a, b, c, det * s2)
-        gi_rho = _apply_form(gi, rho)
-        w = np.asarray(1.0 - _quad_form(gi, rho, rho))
+        r1, r2 = r1 * s, r2 * s
+        det = det * s2
+        i11, i12, i22 = c / det, -b / det, a / det
+        b1 = i11 * r1 + i12 * r2
+        b2 = i12 * r1 + i22 * r2
+        w = 1.0 - (r1 * b1 + r2 * b2)
         if check and np.any(w <= 0.0):
             raise IllPosedMetricError(
                 "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
                 "the metric is not admissible there")
-        return _Folded(a * s2, b * s2, c * s2,
-                       gi[..., 0, 0], gi[..., 0, 1], gi[..., 1, 1],
-                       rho[..., 0], rho[..., 1], gi_rho[..., 0], gi_rho[..., 1], w)
+        return _Folded(a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
 
     def value(self, x, y, v):
         fold = self._folded(x, y, self._check_forward)
@@ -247,7 +230,7 @@ class RiemannianMetric(_RandersCore):
         return a, b, c, det
 
     def _parts(self, x, y):
-        return 0.0, self._coefficients(x, y), np.zeros(2)
+        return 0.0, self._coefficients(x, y), (0.0, 0.0)
 
     def matrix(self, x, y):
         a, b, c, _ = self._coefficients(x, y)
@@ -296,7 +279,8 @@ class RandersMetric(_RandersCore):
         return self.check_admissible
 
     def _parts(self, x, y):
-        return 0.0, self.base._coefficients(x, y), self.drift(x, y)
+        return (0.0, self.base._coefficients(x, y),
+                (self.rho_x(x, y), self.rho_y(x, y)))
 
 
 class ConformalMetric(_RandersCore):

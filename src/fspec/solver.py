@@ -272,28 +272,31 @@ def _sorted_pairs(problem, values, vectors, count):
 
 
 def _block_route(problem, k, shift):
-    """``_sorted_pairs`` of the first k+1 pairs by Fourier blocks along x,
-    else along y, else None.
+    """``_sorted_pairs`` of the first k+1 pairs by Fourier blocks along one
+    axis, else None.
 
     A stencil qualifies along an axis if its two diagonal-offset weight
     arrays are all zero (no cross term, so every mode block is real and the
     mode sweep can stop early) and the weights along the axis, the weights
     within the grid lines across it and the mass repeat on every such line.
-    The y axis is the x axis of the transposed arrays.  The eigenvalues are
-    the edge-form Rayleigh quotients (``rayleigh``) of the block
-    eigenvectors, accurate relative to each eigenvalue where the dense block
-    solve is accurate only to roundoff in lambda_max.
+    The y axis is the x axis of the transposed arrays.  Where both axes
+    qualify, the one with the shorter lines is taken: each mode block is a
+    dense solve of a line's width.  The eigenvalues are the edge-form
+    Rayleigh quotients (``rayleigh``) of the block eigenvectors, accurate
+    relative to each eigenvalue where the dense block solve is accurate only
+    to roundoff in lambda_max.
     """
     if np.any(problem.weights[2:]):
         return None
     nx, ny = problem.grid.nx, problem.grid.ny
-    w_ring, w_line, mass = *problem.weights[:2], problem.mass
-    for transposed in (False, True):
-        if transposed:
-            w_ring, w_line, mass = w_line.T, w_ring.T, mass.T
-        if any(np.any(a != a[0]) for a in (w_ring, w_line, mass)):
+    w_x, w_y, mass = *problem.weights[:2], problem.mass
+    orientations = [(False, w_x, w_y, mass), (True, w_y.T, w_x.T, mass.T)]
+    if ny > nx:
+        orientations.reverse()
+    for transposed, w_ring, w_line, line_mass in orientations:
+        if any(np.any(a != a[0]) for a in (w_ring, w_line, line_mass)):
             continue
-        vectors = _block_eigenvectors(w_ring[0], w_line[0], mass[0],
+        vectors = _block_eigenvectors(w_ring[0], w_line[0], line_mass[0],
                                       w_ring.shape[0], k, shift)
         if transposed:
             vectors = vectors.reshape(ny, nx, -1).transpose(1, 0, 2)

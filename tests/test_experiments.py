@@ -11,8 +11,9 @@ import pytest
 
 import fspec.experiments
 from fspec import (ConfigError, ExperimentConfig, RandersMetric,
-                   RiemannianMetric, build_metric, run_experiment,
-                   threshold_eta, verdicts_from_rows)
+                   RiemannianMetric, SymbolField, TorusGrid, assemble,
+                   build_metric, run_experiment, solve, threshold_eta,
+                   verdicts_from_rows)
 from fspec.cli import main as cli_main
 from fspec.experiments import parse_config_text
 
@@ -232,6 +233,17 @@ class TestMetricBuilding:
     def test_unknown_type(self):
         with pytest.raises(ConfigError):
             build_metric({"type": "hyperbolic"})
+
+    def test_profiled_drift_ratio_is_not_capped(self):
+        # eta = 1.5 with profile 0.5 asks for the admissible drift ratio
+        # 0.75; capping eta before the profile multiplied in ran another metric
+        grid = TorusGrid.square(16)
+        spectra = [solve(assemble(SymbolField.compute(build_metric(block), grid)),
+                         4).values
+                   for block in ({"type": "torus", "h": 2, "eta": 1.5,
+                                  "profile": 0.5},
+                                 {"type": "torus", "h": 2, "eta": 0.75})]
+        np.testing.assert_allclose(*spectra, rtol=1e-13)
 
 
 class TestThresholdEta:
@@ -473,7 +485,12 @@ class TestCli:
         ("kind = bilipschitz-check\nmetric.type = randers\n"
          "metric.rho_x = 1.2*sin(2*pi*y)\ngrid = 16\nk = 2\n",
          "not admissible"),
-    ], ids=["quadrature-error", "quadrature-error-off-probe", "ill-posed-metric"])
+        # a drift ratio past 1 is refused, not capped to 1 - 1e-9
+        (BILIPSCHITZ_CFG + "metric.eta = 1.5\n", "not admissible"),
+        ("kind = torus-large-eigenvalue\nh = 2\neta = 0.5, 1.7\ngrid = 16\n",
+         "not admissible"),
+    ], ids=["quadrature-error", "quadrature-error-off-probe", "ill-posed-metric",
+            "inadmissible-torus-drift", "inadmissible-eta-sweep"])
     def test_numerical_error_exit_two(self, tmp_path, capsys, text, cause):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)

@@ -372,8 +372,8 @@ class TestSymbolField:
         monkeypatch.setattr(RandersMetric, "_parts", counting)
         for oracle in (lambda: SymbolField.compute(spec, grid, quad),
                        lambda: SymbolField.compute(spec, grid, "auto"),
-                       lambda: randers_energy_direct(spec, sin_x_cos_y_gradient,
-                                                     grid, quad),
+                       lambda: randers_energy_direct(
+                           spec, [sin_x_cos_y_gradient], grid, quad),
                        lambda: volume_density(spec, x, y, quad),
                        lambda: binet_legendre(spec, x, y, quad)):
             calls.append(0)
@@ -407,7 +407,7 @@ class TestSymbolField:
 
         x, y = grid.mesh()
         peaks = []
-        for call in (lambda: randers_energy_direct(spec, grad, grid, quad),
+        for call in (lambda: randers_energy_direct(spec, [grad], grid, quad)[0],
                      lambda: volume_density(spec.base, x, y, quad),
                      lambda: symbol_matrix(spec, x, y, quad),
                      lambda: binet_legendre(spec, x, y, quad)):
@@ -441,7 +441,7 @@ class TestSymbolField:
         def evaluate():
             field = SymbolField.compute(spec, grid, quad)
             settled = SymbolField.compute(spec, grid, "auto")
-            return (randers_energy_direct(spec, grad, grid, quad),
+            return (randers_energy_direct(spec, [grad], grid, quad)[0],
                     volume_density(spec, x, y, quad),
                     symbol_matrix(spec, x, y, quad),
                     field.sigma_star, field.mu,
@@ -584,7 +584,7 @@ class TestClosedFormSymbol:
         with pytest.raises(IllPosedMetricError):
             SymbolField.compute(spec, TorusGrid.square(8))
 
-    def test_foreign_metric_needs_a_rule(self):
+    def test_foreign_metric_has_no_route(self):
         class Reversed:
             """F(x, v) = F_base(x, -v): a metric outside the three families."""
 
@@ -597,15 +597,13 @@ class TestClosedFormSymbol:
             def dual_gradient(self, x, y, p):
                 return -self.base.dual_gradient(x, y, -np.asarray(p))
 
+        # every symbol route reads the folded pair of the three families, so
+        # the closed form, a rule and the settled rule all refuse it alike
         spec = Reversed(RandersMetric.axis_drift_torus(2.0, 0.6))
         grid = TorusGrid.square(8)
-        with pytest.raises(TypeError):
-            SymbolField.compute(spec, grid)
-        field = SymbolField.compute(spec, grid, QUAD)
-        assert field.fiber_nodes == QUAD.size
-        np.testing.assert_allclose(
-            field.sigma_star, SymbolField.compute(spec.base, grid).sigma_star,
-            rtol=1e-12, atol=1e-15)
+        for quad in (None, QUAD, "auto"):
+            with pytest.raises(TypeError, match="three metric families"):
+                SymbolField.compute(spec, grid, quad)
 
 
 def sin_x_cos_y_gradient(x, y):
@@ -629,8 +627,32 @@ class TestTwoRouteEnergy:
                 2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)"), sheared):
             field = SymbolField.compute(spec, grid, QUAD)
             e_sym = energy_from_symbol(field, grad)
-            e_dir = randers_energy_direct(spec, grad, grid, QUAD)
+            e_dir = randers_energy_direct(spec, [grad], grid, QUAD)[0]
             np.testing.assert_allclose(e_sym, e_dir, rtol=1e-6)
+
+    def test_one_moment_pass_for_every_trial(self, monkeypatch):
+        # the fiber moments do not depend on the trial, so a list of trials
+        # takes one pass over the nodes and gives each trial's own energy
+        spec = RandersMetric.axis_drift_torus(2.0, 0.9,
+                                              profile="0.5 + 0.4*sin(2*pi*y)")
+        grid = TorusGrid.square(16)
+        trials = [sin_x_cos_y_gradient,
+                  lambda x, y: 2.0 * sin_x_cos_y_gradient(x, y),
+                  lambda x, y: sin_x_cos_y_gradient(y, x)[..., ::-1]]
+        alone = [randers_energy_direct(spec, [grad], grid, QUAD)[0]
+                 for grad in trials]
+        passes = []
+        over_nodes = fspec.fiber._over_nodes
+
+        def counting(*args):
+            passes.append(1)
+            return over_nodes(*args)
+
+        monkeypatch.setattr(fspec.fiber, "_over_nodes", counting)
+        together = randers_energy_direct(spec, trials, grid, QUAD)
+        assert len(passes) == 1
+        np.testing.assert_allclose(together, alone, rtol=1e-15)
+        np.testing.assert_allclose(together[1], 4.0 * together[0], rtol=1e-14)
 
     @pytest.mark.parametrize("spec", [
         ConformalMetric(RandersMetric.axis_drift_torus(2.0, 0.6),
@@ -643,5 +665,5 @@ class TestTwoRouteEnergy:
         grid = TorusGrid.square(16)
         grad = sin_x_cos_y_gradient
         e_sym = energy_from_symbol(SymbolField.compute(spec, grid), grad)
-        e_dir = randers_energy_direct(spec, grad, grid, QUAD)
+        e_dir = randers_energy_direct(spec, [grad], grid, QUAD)[0]
         np.testing.assert_allclose(e_dir, e_sym, rtol=1e-12)

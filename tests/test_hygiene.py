@@ -1,5 +1,6 @@
 """Source hygiene: no module, test or demo imports a name it never reads,
-and every package module imports only from layers below its own.
+every package module imports only from layers below its own, and only
+``fspec.metrics`` reads a metric family's per-node ``_parts``.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -101,3 +102,25 @@ def test_imports_go_down_the_layers():
                  for module in layering_violations(
                      name, ast.parse(modules[name].read_text()))]
     assert not offenders, "imports against the layering:\n" + "\n".join(offenders)
+
+
+def reads_parts(tree):
+    """Whether `tree` names ``_parts`` anywhere outside strings and comments."""
+    return any((isinstance(node, ast.Attribute) and node.attr == "_parts")
+               or (isinstance(node, ast.Name) and node.id == "_parts")
+               for node in ast.walk(tree))
+
+
+def test_parts_scan_flags_readers():
+    assert reads_parts(ast.parse("f, g, rho = spec._parts(x, y)\n"))
+    assert reads_parts(ast.parse("read = _parts\n"))
+    assert not reads_parts(ast.parse('"""reads _parts"""\n# _parts\n'))
+
+
+def test_only_metrics_reads_parts():
+    # every symbol route reads a family through its fold
+    # (``_RandersCore._folded``), so the per-node parts stay in one module
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "metrics.py"
+                 and reads_parts(ast.parse(path.read_text()))]
+    assert not offenders, "modules reading _parts: " + ", ".join(offenders)

@@ -2,40 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from fspec import (ConformalMetric, IllPosedMetricError, RandersMetric,
                    RiemannianMetric, bilipschitz_ratio, check_strong_convexity,
                    dual_gradient_numeric, dual_norm_sampled, legendre_numeric,
                    quasireversibility)
-from fspec.metrics import _apply_form, _pair, _quad_form
 from conftest import random_metric, random_point, random_randers, random_vector
-
-
-class TestFormHelpers:
-    # the component-wise 2x2 helpers against einsum, on broadcast shapes
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=4,
-                                             max_side=3),
-           st.integers(0, 2**32 - 1))
-    def test_match_einsum(self, shapes, seed):
-        rng = np.random.default_rng(seed)
-        g_shape, u_shape, w_shape = shapes.input_shapes
-        g = rng.standard_normal(g_shape + (2, 2))
-        u = rng.standard_normal(u_shape + (2,))
-        w = rng.standard_normal(w_shape + (2,))
-        cases = [
-            (_quad_form(g, u, w), "...ij,...i,...j->...", (g, u, w)),
-            (_apply_form(g, u), "...ij,...j->...i", (g, u)),
-            (_pair(u, w), "...i,...i->...", (u, w)),
-        ]
-        for got, subscripts, operands in cases:
-            want = np.einsum(subscripts, *operands)
-            scale = np.einsum(subscripts, *map(np.abs, operands))
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 class TestForwardNorm:

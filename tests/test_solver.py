@@ -484,6 +484,27 @@ class TestBlockRoute:
         u = spectrum.vectors[:, 1].reshape(16, 12)
         assert float(np.abs(u - u.mean(axis=0)).max()) > 1e-3
 
+    def test_blocks_run_along_the_shorter_lines(self, monkeypatch):
+        # a constant field qualifies along both axes; the dense block solves
+        # must be 8 wide, not 512, whichever way the grid lies
+        widths = []
+        block_eigenvectors = fspec.solver._block_eigenvectors
+
+        def recording(w_ring, w_line, mass, *args):
+            widths.append(mass.size)
+            return block_eigenvectors(w_ring, w_line, mass, *args)
+
+        monkeypatch.setattr(fspec.solver, "_block_eigenvectors", recording)
+        spec = RandersMetric.axis_drift_torus(4.0, 0.5)
+        for shape in ((8, 512), (512, 8)):
+            field = SymbolField.compute(spec, TorusGrid(*shape))
+            spectrum = solve(assemble(field), 10)
+            assert spectrum.route == "block"
+            np.testing.assert_allclose(spectrum.values[1:],
+                                       discrete_fourier_oracle(field, 10)[1:],
+                                       rtol=1e-10)
+        assert widths == [8, 8]
+
     def test_two_dimensional_field_takes_shift_invert(self):
         spec = RandersMetric(RiemannianMetric(1.5, 0.3, 1.0),
                              "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
