@@ -3,13 +3,14 @@
 Builds a Riemannian, a Randers, and a conformal metric on the flat 2-torus,
 then walks through the operations everything else is built on: forward norm,
 dual norm (with its brute-force support-function check), Legendre transform
-and its inverse, quasireversibility, and bi-Lipschitz ratios.
+and its inverse, quasireversibility, bi-Lipschitz ratios, and the
+admissibility check every operation makes.
 """
 
 import numpy as np
 
-from fspec import (ConformalMetric, RandersMetric, RiemannianMetric,
-                   bilipschitz_ratio, check_strong_convexity,
+from fspec import (ConformalMetric, IllPosedMetricError, RandersMetric,
+                   RiemannianMetric, bilipschitz_ratio, check_strong_convexity,
                    dual_norm_sampled, quasireversibility)
 
 h, eta = 2.0, 0.6
@@ -54,7 +55,8 @@ print(f"  F/F0 against the Riemannian base: [{lo:.6f}, {hi:.6f}] "
       f"(= [1 - eta, 1 + eta])")
 print(f"  strong convexity of admissible Randers: "
       f"{check_strong_convexity(randers, x, y)}")
-bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0,
-                    check_admissible=False)
-print(f"  strong convexity with |rho| = 1.05 (inadmissible): "
-      f"{check_strong_convexity(bad, x, y)}")
+bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0)
+try:
+    bad.value(x, y, v)
+except IllPosedMetricError as exc:
+    print(f"  |rho| = 1.05 (inadmissible): IllPosedMetricError: {exc}")

@@ -23,7 +23,6 @@ problem = assemble(field)
 spectrum = solve(problem, 5)
 print(f"  lambda_0..5 / 4pi^2 : "
       + ", ".join(f"{v / FOUR_PI2:.6f}" for v in spectrum.values))
-print(f"  multiplets: {spectrum.multiplets()}")
 print(f"  max residual ||Ku - lambda Mu||/||Mu|| = "
       f"{float(spectrum.residuals.max()):.2e}")
 

@@ -123,8 +123,9 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text):
         """Parse a config; raises ConfigError for an unknown kind, a top-level
-        key the kind does not read, or a size (grid, grids, k, seed,
-        fiber_nodes other than 'auto') that is not an integer."""
+        key the kind does not read, a size (grid, grids, k, seed,
+        fiber_nodes other than 'auto') that is not an integer, or a negative
+        seed."""
         params = parse_config_text(text)
         kind = params.get("kind")
         if kind not in KINDS:
@@ -136,6 +137,8 @@ class ExperimentConfig:
             for item in value if key == "grids" and isinstance(value, list) else [value]:
                 if not isinstance(item, int) and (key, item) != ("fiber_nodes", "auto"):
                     raise ConfigError(f"{key} must be an integer, got {item!r}")
+        if params.get("seed", 0) < 0:
+            raise ConfigError(f"seed must be non-negative, got {params['seed']}")
         digest = hashlib.sha256(text.replace("\r\n", "\n").encode()).hexdigest()
         return cls(kind=kind, params=params, text=text, config_hash=digest[:16])
 
@@ -601,7 +604,7 @@ def run_torus_large_eigenvalue(cfg):
         else:
             spec = RiemannianMetric.stretched(h)
         field = SymbolField.compute(spec, _square_grid(grid_n))
-        problem, spectrum = _solve(field, max(k, 1), seed, solver_info)
+        problem, spectrum = _solve(field, k, seed, solver_info)
         A, B = randers_axis_symbol(h, r, eta)
         lam1 = float(spectrum.values[1])
         vol = field.total_volume()

@@ -57,7 +57,6 @@ all of its doublings.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +124,11 @@ class FiberQuadrature:
         return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
 
 
-def _fold(spec, x, y, forward=False):
+def _fold(spec, x, y):
     """(fold, shape): spec folded once at the broadcast nodes of (x, y).
 
-    fold is ``_RandersCore._folded`` there, checked like ``value`` if
-    forward, else like ``dual``; shape is the nodes' broadcast shape.  Every
+    fold is ``_RandersCore._folded`` there, which raises IllPosedMetricError
+    where |rho|_{g*} >= 1; shape is the nodes' broadcast shape.  Every
     symbol route starts here, so a metric outside the three families raises
     the same TypeError on each.
     """
@@ -137,7 +136,7 @@ def _fold(spec, x, y, forward=False):
         raise TypeError(f"{type(spec).__name__} is not one of the three metric "
                         "families; no symbol route can fold it")
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return spec._folded(x, y, spec._check_forward if forward else True), shape
+    return spec._folded(x, y), shape
 
 
 def _over_nodes(kernel, columns, shape, fiber_size):
@@ -303,7 +302,7 @@ def binet_legendre(spec, x, y, quad):
     with constants controlled by the quasireversibility.
     """
     u = quad.unit_covectors()  # tangent directions this time
-    fold, shape = _fold(spec, x, y, forward=True)
+    fold, shape = _fold(spec, x, y)
 
     def moments(*rows):
         fv = _Folded(*rows).value(u)
@@ -414,22 +413,6 @@ class SymbolField:
 
     def total_volume(self):
         return float(self.mu.sum()) * self.grid.cell_area
-
-    def to_csv(self, path):
-        """Flat table (node, sigma11, sigma12, sigma22, mu, a) for inspection."""
-        s = self.sigma_star.reshape(-1, 2, 2)
-        mu = self.mu.ravel()
-        a = self.a.ravel()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "sigma11", "sigma12", "sigma22", "mu", "a"])
-            for n in range(mu.size):
-                writer.writerow([n,
-                                 format(s[n, 0, 0], ".17g"),
-                                 format(s[n, 0, 1], ".17g"),
-                                 format(s[n, 1, 1], ".17g"),
-                                 format(mu[n], ".17g"),
-                                 format(a[n], ".17g")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Scalar fields on the unit 2-torus.
 
 Metric coefficients, drift-form components, and conformal exponents are all
-plain scalar fields f(x, y) with x and y understood modulo 1.  Two concrete
-kinds are supported: closed-form expressions (trigonometric polynomials and
-friends) and grid-sampled arrays with periodic bilinear interpolation.
-Expression fields should be 1-periodic in both coordinates (use sin/cos of
+plain scalar fields f(x, y) with x and y understood modulo 1: constants,
+closed-form expressions (trigonometric polynomials and friends) and Python
+callables of (x, y).  Expression fields should be 1-periodic in both coordinates (use sin/cos of
 2*pi*k*x); coordinates are reduced mod 1 before evaluation either way.
 """
 
@@ -71,30 +70,6 @@ class Field:
 
         return cls(fn, text)
 
-    @classmethod
-    def from_grid(cls, values):
-        """Periodic bilinear interpolation of samples values[i, j] = f(i/nx, j/ny)."""
-        v = np.array(values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError("grid field needs a 2-d array, at least 2x2")
-        nx, ny = v.shape
-
-        def fn(x, y):
-            fx = x * nx
-            fy = y * ny
-            i0 = np.floor(fx).astype(int) % nx
-            j0 = np.floor(fy).astype(int) % ny
-            tx = fx - np.floor(fx)
-            ty = fy - np.floor(fy)
-            i1 = (i0 + 1) % nx
-            j1 = (j0 + 1) % ny
-            return ((1 - tx) * (1 - ty) * v[i0, j0]
-                    + tx * (1 - ty) * v[i1, j0]
-                    + (1 - tx) * ty * v[i0, j1]
-                    + tx * ty * v[i1, j1])
-
-        return cls(fn, f"<grid {nx}x{ny}>")
-
     def constant_value(self, x, y):
         """Return the constant value if the field is constant on the nodes (x, y), else None."""
         vals = self(x, y)
@@ -122,15 +97,15 @@ class Field:
 
 
 def as_field(obj):
-    """Coerce numbers, expression strings, 2-d arrays, and callables to Field."""
+    """Coerce numbers (a 0-d array included), expression strings and callables
+    to Field; raises TypeError for an array with axes."""
     if isinstance(obj, Field):
         return obj
     if isinstance(obj, str):
         return Field.from_expression(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            return Field.constant(float(obj))
-        return Field.from_grid(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        raise TypeError("a field is a number, an expression or a callable, "
+                        f"not an array of shape {obj.shape}")
     if callable(obj):
         return Field(obj, getattr(obj, "__name__", "<callable>"))
     return Field.constant(obj)

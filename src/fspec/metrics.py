@@ -12,6 +12,8 @@ folds the factor into the pair (e^{2f} g, e^f rho) and writes each operation
 once.  Each metric exposes the forward norm, the dual co-norm, the fiberwise
 Legendre transform and its inverse gradient map, all vectorized: x and y
 broadcast against the leading axes of v or p, whose final axis has length 2.
+Every operation raises IllPosedMetricError wherever |rho|_{g*} >= 1, where F
+fails to be strongly convex.
 
 Duality conventions.  The dual norm is the support function
 
@@ -155,16 +157,14 @@ class _RandersCore:
     through ``_folded``: the closed form and the direct energy take the
     folded pieces as they are, and the fiber oracles fold once over all
     their nodes and stream the fiber formula over blocks of them.
-    dual and dual_gradient always require |rho|_{g*} < 1, which a conformal
-    factor leaves unchanged; value and legendre only while _check_forward.
+    Every operation and every route thus requires |rho|_{g*} < 1, which a
+    conformal factor leaves unchanged.
     """
 
-    _check_forward = True
-
-    def _folded(self, x, y, check=True):
+    def _folded(self, x, y):
         """The _Folded pieces at the nodes (x, y); raises IllPosedMetricError
-        where w = 1 - |rho|_{g*}^2 <= 0 if check.  Every symbol route reads
-        the families' _parts through here."""
+        where w = 1 - |rho|_{g*}^2 <= 0.  Every symbol route reads the
+        families' _parts through here."""
         f, (a, b, c, det), (r1, r2) = self._parts(x, y)
         s = np.exp(f)
         s2 = s * s
@@ -174,22 +174,21 @@ class _RandersCore:
         b1 = i11 * r1 + i12 * r2
         b2 = i12 * r1 + i22 * r2
         w = 1.0 - (r1 * b1 + r2 * b2)
-        if check and np.any(w <= 0.0):
+        if np.any(w <= 0.0):
             raise IllPosedMetricError(
                 "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
                 "the metric is not admissible there")
         return _Folded(a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
 
     def value(self, x, y, v):
-        fold = self._folded(x, y, self._check_forward)
-        return fold.value(np.asarray(v, dtype=float))
+        return self._folded(x, y).value(np.asarray(v, dtype=float))
 
     def dual(self, x, y, p):
         return self._folded(x, y).dual(np.asarray(p, dtype=float))
 
     def legendre(self, x, y, v):
         v = _require_nonzero(v, "the Legendre transform")
-        return np.stack(self._folded(x, y, self._check_forward).legendre(v), axis=-1)
+        return np.stack(self._folded(x, y).legendre(v), axis=-1)
 
     def dual_gradient(self, x, y, p):
         p = _require_nonzero(p, "the inverse Legendre map")
@@ -232,32 +231,22 @@ class RiemannianMetric(_RandersCore):
     def _parts(self, x, y):
         return 0.0, self._coefficients(x, y), (0.0, 0.0)
 
-    def matrix(self, x, y):
-        a, b, c, _ = self._coefficients(x, y)
-        return _symmetric(a, b, c)
-
-    def inverse_matrix(self, x, y):
-        return _inverse(*self._coefficients(x, y))
-
 
 class RandersMetric(_RandersCore):
     """F = sqrt(g) + rho for a Riemannian base g and a drift 1-form rho.
 
-    Admissibility requires |rho(x)|_{g*} < 1 at every sampled point; evaluation
-    raises IllPosedMetricError otherwise.  Construct with check_admissible=False
-    only to probe deliberately ill-posed data (e.g. convexity diagnostics):
-    value and legendre then skip the check.
+    Admissibility requires |rho(x)|_{g*} < 1 at every sampled point; every
+    operation raises IllPosedMetricError otherwise.
     """
 
     variant = "randers"
 
-    def __init__(self, base, rho_x, rho_y, check_admissible=True):
+    def __init__(self, base, rho_x, rho_y):
         if not isinstance(base, RiemannianMetric):
             raise TypeError("Randers base must be a RiemannianMetric")
         self.base = base
         self.rho_x = as_field(rho_x)
         self.rho_y = as_field(rho_y)
-        self.check_admissible = bool(check_admissible)
 
     @classmethod
     def axis_drift_torus(cls, h, eta, r=None, profile=1.0):
@@ -265,18 +254,6 @@ class RandersMetric(_RandersCore):
         base = RiemannianMetric.stretched(h, r)
         rho_x = float(eta) * float(h) * as_field(profile)
         return cls(base, rho_x, 0.0)
-
-    def drift(self, x, y):
-        rx = self.rho_x(x, y)
-        ry = self.rho_y(x, y)
-        rho = np.empty(np.broadcast_shapes(np.shape(rx), np.shape(ry)) + (2,))
-        rho[..., 0] = rx
-        rho[..., 1] = ry
-        return rho
-
-    @property
-    def _check_forward(self):
-        return self.check_admissible
 
     def _parts(self, x, y):
         return (0.0, self.base._coefficients(x, y),
@@ -293,13 +270,6 @@ class ConformalMetric(_RandersCore):
             raise TypeError("conformal base must be one of the three families")
         self.base = base
         self.exponent = as_field(exponent)
-
-    def scale(self, x, y):
-        return np.exp(self.exponent(x, y))
-
-    @property
-    def _check_forward(self):
-        return self.base._check_forward
 
     def _parts(self, x, y):
         f, g, rho = self.base._parts(x, y)
@@ -400,8 +370,9 @@ def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):
 
     Central differences with step rel_step * |v| on Euclidean-unit directions;
     accepts iff the smallest Hessian eigenvalue exceeds tol times the largest
-    at every sampled direction.  Inadmissible Randers data can be diagnosed
-    when built with check_admissible=False.
+    at every sampled direction.  The three families raise IllPosedMetricError
+    on inadmissible data before F is ever sampled, so the test is for any
+    object with a ``value(x, y, v)`` method.
     """
 
     def fsq(v):

@@ -63,17 +63,6 @@ class Spectrum:
     residuals: np.ndarray   # ||K u - lambda M u|| / ||M u|| per pair
     route: str              # "block" or "shift-invert"
 
-    def multiplets(self, rel_tol=1e-6):
-        """Group eigenvalues within relative rel_tol into (value, count) pairs."""
-        groups = []
-        for lam in self.values:
-            if groups and abs(lam - groups[-1][0]) <= rel_tol * max(abs(lam), 1e-300):
-                value, count = groups[-1]
-                groups[-1] = ((value * count + lam) / (count + 1), count + 1)
-            else:
-                groups.append((float(lam), 1))
-        return groups
-
 
 @dataclass
 class SpectralProblem:

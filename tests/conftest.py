@@ -60,6 +60,13 @@ def random_metric(rng, allow_conformal=True):
     return ConformalMetric(inner, f"{amp}*sin(2*pi*x)")
 
 
+def metric_matrix(spec, x, y):
+    """The matrix g of a RiemannianMetric at the point (x, y), read from its
+    public coefficient fields."""
+    g11, g12, g22 = (float(field(x, y)) for field in (spec.g11, spec.g12, spec.g22))
+    return np.array([[g11, g12], [g12, g22]])
+
+
 def random_point(rng):
     return float(rng.random()), float(rng.random())
 

@@ -416,7 +416,14 @@ class TestCli:
         # (no lambda_1); then values that do not read as what their key
         # takes: a number, a field expression, a rule of at least 16 nodes;
         # then torus axis lengths that are not positive and a negative drift
-        # ratio, which would run the torus with its drift reversed
+        # ratio, which would run the torus with its drift reversed; then a
+        # torus sweep with k below 1, which used to run as k = 1, and a
+        # negative seed on the block route (ignored) and on shift-invert
+        # (numpy's seeding raised)
+        shift_invert = ("kind = bilipschitz-check\nmetric.type = randers\n"
+                        "metric.g12 = 0.2\n"
+                        "metric.rho_x = 0.3*sin(2*pi*x)*cos(2*pi*y)\n"
+                        "grid = 16\nk = 3\n")
         cfg_path = tmp_path / "exp.cfg"
         for text in ["kind = nonsense\n",
                      BILIPSCHITZ_CFG + "grid = 4\n",
@@ -439,7 +446,11 @@ class TestCli:
                      BILIPSCHITZ_CFG + "metric.h = -1\nmetric.eta = 0.5\n",
                      BILIPSCHITZ_CFG + "metric.eta = -0.5\n",
                      BILIPSCHITZ_CFG + "metric.h = 0\n",
-                     BILIPSCHITZ_CFG + "metric.r = -0.5\n"]:
+                     BILIPSCHITZ_CFG + "metric.r = -0.5\n",
+                     TORUS_CFG + "k = 0\n",
+                     TORUS_CFG + "k = -4\n",
+                     BILIPSCHITZ_CFG + "seed = -1\n",
+                     shift_invert + "seed = -1\n"]:
             cfg_path.write_text(text)
             assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err.startswith("error:")

@@ -17,7 +17,7 @@ from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
                    randers_axis_symbol, randers_energy_direct,
                    symbol_matrix, volume_density, weight)
 from fspec.metrics import _Folded
-from conftest import random_metric, random_point, random_randers
+from conftest import metric_matrix, random_metric, random_point, random_randers
 
 QUAD = FiberQuadrature.trapezoid(256)
 
@@ -91,7 +91,7 @@ class TestSymbol:
             while spec.variant != "riemannian":
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
-            gi = spec.inverse_matrix(x, y)
+            gi = np.linalg.inv(metric_matrix(spec, x, y))
             sig = symbol_matrix(spec, x, y, QUAD)
             assert float(np.abs(sig - gi).max() / np.abs(gi).max()) < 1e-8
 
@@ -252,7 +252,7 @@ class TestBinetLegendre:
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
             bl = binet_legendre(spec, x, y, QUAD)
-            g = spec.matrix(x, y)
+            g = metric_matrix(spec, x, y)
             assert float(np.abs(bl - g).max() / np.abs(g).max()) < 1e-6
 
     def test_randers_bilipschitz_bounds(self, rng):
@@ -458,18 +458,6 @@ class TestSymbolField:
         assert shapes == [(), (40, 24), (40, 24, 2, 2), (40, 24, 2, 2),
                           (40, 24), (40, 24, 2, 2), (40, 24, 2, 2), (40, 24), ()]
 
-    def test_csv_export(self, tmp_path):
-        spec = RiemannianMetric.stretched(2.0)
-        field = SymbolField.compute(spec, TorusGrid.square(8), QUAD)
-        out = tmp_path / "field.csv"
-        field.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "node,sigma11,sigma12,sigma22,mu,a"
-        assert len(lines) == 1 + 64
-        first = lines[1].split(",")
-        np.testing.assert_allclose(float(first[1]), 0.25, rtol=1e-12)
-        np.testing.assert_allclose(float(first[4]), 1.0, rtol=1e-10)
-
     def test_settled_rule_smooth(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
         field = SymbolField.compute(spec, TorusGrid.square(8), "auto")
@@ -580,9 +568,25 @@ class TestClosedFormSymbol:
         np.testing.assert_allclose(settled.mu, field.mu, rtol=1e-8)
 
     def test_inadmissible_drift_raises(self):
-        spec = RandersMetric(RiemannianMetric.euclidean(), "1.2*sin(2*pi*x)", 0.0)
-        with pytest.raises(IllPosedMetricError):
-            SymbolField.compute(spec, TorusGrid.square(8))
+        # every route reads the metric through its fold, which refuses
+        # |rho|_{g*} >= 1, also under a conformal factor
+        bad = RandersMetric(RiemannianMetric.euclidean(), "1.2*sin(2*pi*x)", 0.0)
+        grid = TorusGrid.square(8)
+        x, y = grid.mesh()
+        routes = {
+            "closed form": lambda spec: SymbolField.compute(spec, grid),
+            "rule": lambda spec: SymbolField.compute(spec, grid, QUAD),
+            "auto": lambda spec: SymbolField.compute(spec, grid, "auto"),
+            "volume_density": lambda spec: volume_density(spec, x, y, QUAD),
+            "symbol_matrix": lambda spec: symbol_matrix(spec, x, y, QUAD),
+            "binet_legendre": lambda spec: binet_legendre(spec, x, y, QUAD),
+            "randers_energy_direct": lambda spec: randers_energy_direct(
+                spec, [sin_x_cos_y_gradient], grid, QUAD),
+        }
+        for spec in (bad, ConformalMetric(bad, "0.3*sin(2*pi*y)")):
+            for route in routes.values():
+                with pytest.raises(IllPosedMetricError, match="not admissible"):
+                    route(spec)
 
     def test_foreign_metric_has_no_route(self):
         class Reversed:

@@ -1,6 +1,7 @@
 """Source hygiene: no module, test or demo imports a name it never reads,
-every package module imports only from layers below its own, and only
-``fspec.metrics`` reads a metric family's per-node ``_parts``.
+every package module imports only from layers below its own, only
+``fspec.metrics`` reads a metric family's per-node ``_parts``, and every demo
+runs to the end without leaving a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -8,12 +9,16 @@ is listed in the file's ``__all__`` (a re-export).
 """
 
 import ast
+import runpy
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for folder in ("src", "tests", "demos")
                  for path in (ROOT / folder).rglob("*.py"))
 PACKAGE = ROOT / "src" / "fspec"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the package's layers, lowest first; __init__ re-exports them all
 LAYERS = {"fields": 0, "grid": 0, "svgplot": 0, "metrics": 1, "fiber": 2,
           "solver": 2, "experiments": 3, "cli": 4}
@@ -124,3 +129,12 @@ def test_only_metrics_reads_parts():
                  if path.name != "metrics.py"
                  and reads_parts(ast.parse(path.read_text()))]
     assert not offenders, "modules reading _parts: " + ", ".join(offenders)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    # the demos call the public API end to end, so an API change that breaks
+    # one shows here
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert not list(tmp_path.iterdir()), "the demo left files behind"

@@ -8,7 +8,8 @@ from fspec import (ConformalMetric, IllPosedMetricError, RandersMetric,
                    RiemannianMetric, bilipschitz_ratio, check_strong_convexity,
                    dual_gradient_numeric, dual_norm_sampled, legendre_numeric,
                    quasireversibility)
-from conftest import random_metric, random_point, random_randers, random_vector
+from conftest import (metric_matrix, random_metric, random_point, random_randers,
+                      random_vector)
 
 
 class TestForwardNorm:
@@ -65,7 +66,7 @@ class TestDualNorm:
                 continue
             x, y = random_point(rng)
             p = random_vector(rng)
-            gi = spec.inverse_matrix(x, y)
+            gi = np.linalg.inv(metric_matrix(spec, x, y))
             np.testing.assert_allclose(float(spec.dual(x, y, p)),
                                        np.sqrt(p @ gi @ p), rtol=1e-14)
 
@@ -99,7 +100,7 @@ class TestLegendre:
         g = RiemannianMetric(3.0, 0.7, 2.0)
         v = random_vector(rng)
         np.testing.assert_allclose(g.legendre(0.2, 0.4, v),
-                                   g.matrix(0.2, 0.4) @ v, rtol=1e-14)
+                                   metric_matrix(g, 0.2, 0.4) @ v, rtol=1e-14)
 
     def test_legendre_identities(self, rng):
         # L(v)(v) = F(v)^2 and F*(L(v)) = F(v)
@@ -289,9 +290,15 @@ class TestStrongConvexity:
         assert check_strong_convexity(spec, 0.3, 0.6)
 
     def test_inadmissible_randers_fails(self):
-        bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0,
-                            check_admissible=False)
-        assert not check_strong_convexity(bad, 0.3, 0.6)
+        class Inadmissible:
+            """F = |v| + 1.05 v_x: a drift outside the unit ball, which the
+            three families refuse to evaluate."""
+
+            def value(self, x, y, v):
+                v = np.asarray(v, dtype=float)
+                return np.hypot(v[..., 0], v[..., 1]) + 1.05 * v[..., 0]
+
+        assert not check_strong_convexity(Inadmissible(), 0.3, 0.6)
 
 
 class TestDualityConsistency:
@@ -318,14 +325,16 @@ class TestDualityConsistency:
 
 def pointwise_randers(spec, x, y):
     """(g, rho) with spec = sqrt(g) + rho at the point (x, y), read from the
-    public attributes of each family: a factor e^f gives (e^{2f} g, e^f rho)."""
+    public coefficient fields of each family: a factor e^f gives
+    (e^{2f} g, e^f rho)."""
     if isinstance(spec, ConformalMetric):
         g, rho = pointwise_randers(spec.base, x, y)
-        s = float(spec.scale(x, y))
+        s = float(np.exp(spec.exponent(x, y)))
         return s * s * g, s * rho
     if isinstance(spec, RandersMetric):
-        return spec.base.matrix(x, y), spec.drift(x, y)
-    return spec.matrix(x, y), np.zeros(2)
+        rho = np.array([float(spec.rho_x(x, y)), float(spec.rho_y(x, y))])
+        return metric_matrix(spec.base, x, y), rho
+    return metric_matrix(spec, x, y), np.zeros(2)
 
 
 class TestRandersCore:
@@ -353,19 +362,11 @@ class TestRandersCore:
         with pytest.raises(TypeError):
             ConformalMetric(object(), 0.1)
 
-    def test_unchecked_base_skips_forward_check_under_a_factor(self):
-        # value and legendre of check_admissible=False data skip the drift
-        # check, also through a conformal factor; the dual side never does
-        bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0,
-                            check_admissible=False)
+    def test_inadmissible_drift_raises_under_a_factor(self):
+        # every operation checks |rho|_{g*} < 1, also through a conformal
+        # factor, which leaves |rho|_{g*} unchanged
+        bad = RandersMetric(RiemannianMetric.euclidean(), 1.05, 0.0)
         for spec in (bad, ConformalMetric(bad, 0.2)):
-            assert np.isfinite(float(spec.value(0.3, 0.6, [1.0, 0.0])))
-            assert np.all(np.isfinite(spec.legendre(0.3, 0.6, [1.0, 0.0])))
-            for op in (spec.dual, spec.dual_gradient):
+            for op in (spec.value, spec.legendre, spec.dual, spec.dual_gradient):
                 with pytest.raises(IllPosedMetricError):
                     op(0.3, 0.6, [1.0, 0.0])
-        checked = ConformalMetric(RandersMetric(RiemannianMetric.euclidean(),
-                                                1.05, 0.0), 0.2)
-        for op in (checked.value, checked.legendre):
-            with pytest.raises(IllPosedMetricError):
-                op(0.3, 0.6, [1.0, 0.0])

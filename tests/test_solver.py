@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fspec.solver
 from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
-                   FiberQuadrature, Field, RandersMetric, RiemannianMetric,
+                   FiberQuadrature, RandersMetric, RiemannianMetric,
                    SolverError, SymbolField, TorusGrid, assemble,
                    discrete_fourier_oracle, fourier_oracle,
                    randers_axis_symbol, rayleigh, run_experiment, solve)
@@ -180,9 +180,7 @@ class TestSolve:
         for k in (1, 2, 3):
             assert abs(lam[k] / FOUR_PI2 - 1.0) < 0.01
         # the first nonzero level is a single multiplet
-        groups = spectrum.multiplets()
-        assert groups[0][1] == 1
-        assert groups[1][1] >= 3
+        assert np.ptp(lam[1:4]) <= 1e-6 * lam[1]
 
     def test_anisotropic_first_eigenvalue(self):
         g = RiemannianMetric.stretched(2.0)
@@ -567,7 +565,11 @@ class TestMinMaxMonotonicity:
         lam_fine = solve(fine_problem, 1).values[1]
         coarse_spec = solve(coarse_problem, 1)
         u = coarse_spec.vectors[:, 1].reshape(16, 16)
-        u_fine = Field.from_grid(u)(*fine_field.grid.mesh()).ravel()
+        # bilinear prolongation: even fine nodes copy the coarse nodes, odd
+        # ones average their two periodic neighbours, along x then along y
+        along_x = np.stack([u, 0.5 * (u + np.roll(u, -1, axis=0))], axis=1).reshape(32, 16)
+        u_fine = np.stack([along_x, 0.5 * (along_x + np.roll(along_x, -1, axis=1))],
+                          axis=2).reshape(32, 32).ravel()
         m_diag = fine_problem.M.diagonal()
         u_fine -= (u_fine @ m_diag) / m_diag.sum()
         assert rayleigh(fine_problem, u_fine) >= lam_fine * (1 - 1e-12)
