@@ -492,21 +492,40 @@ def _verdicts_conformal(rows):
             "max |lambda_conf exp(2f) - lambda_base| / lambda_base"))
 
 
+def _second_order(orders):
+    """True if there is an order and each lies within 1.678-2.322, an error
+    ratio of 4x +/- 20% per doubling."""
+    return bool(orders) and all(1.678 <= o <= 2.322 for o in orders)
+
+
 def _verdicts_convergence(rows):
     data = _rows_of(rows, "level")
     orders = [r["order_lambda1"] for r in data if r.get("order_lambda1") not in (None, "")]
     if data and data[0]["reference"] == "oracle":
-        ok = all(1.678 <= o <= 2.322 for o in orders)  # error ratio 4x +/- 20%
         return [Verdict(
             "second-order-convergence", "discretization-order",
-            bool(orders) and ok,
+            _second_order(orders),
             "observed lambda_1 orders: " + ", ".join(f"{o:.3f}" for o in orders))]
-    gaps = [r["gap_lambda1"] for r in data if r.get("gap_lambda1") not in (None, "")]
+    gapped = [r for r in data if r.get("gap_lambda1") not in (None, "")]
+    gaps = [r["gap_lambda1"] for r in gapped]
     ok = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return [Verdict(
-        "self-convergence-cauchy", "discretization-order",
-        len(gaps) >= 2 and ok,
-        "successive |lambda_1 gaps|: " + ", ".join(f"{g:.3e}" for g in gaps))]
+    # gap_i / gap_{i+1} -> (n_{i+1} / n_i)^p on a geometric ladder of order
+    # p; a vanishing gap has no order, and reads inf
+    gap_orders = [float(np.log2(a["gap_lambda1"] / b["gap_lambda1"])
+                        / np.log2(b["n"] / a["n"]))
+                  if a["gap_lambda1"] > 0.0 and b["gap_lambda1"] > 0.0
+                  else float("inf")
+                  for a, b in zip(gapped, gapped[1:])]
+    return [
+        Verdict("self-convergence-cauchy", "discretization-order",
+                len(gaps) >= 2 and ok,
+                "successive |lambda_1 gaps|: "
+                + ", ".join(f"{g:.3e}" for g in gaps)),
+        Verdict("self-convergence-order", "discretization-order",
+                _second_order(gap_orders),
+                "observed lambda_1 gap orders: "
+                + ", ".join(f"{o:.3f}" for o in gap_orders)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +574,10 @@ def _solve(field, k, seed, solver_info):
 
     Raises ConfigError unless 1 <= k and k + 2 < n for the n grid nodes:
     every kind needs lambda_1, and the solver needs the margin.  Counts the
-    route in solver_info["routes"] and keeps the largest residual in
-    solver_info["max_residual"].  assemble and solve are looked up in this
+    route in solver_info["routes"], keeps the largest residual in
+    solver_info["max_residual"] and the largest residual-to-floor ratio of
+    a pair the rounding floor admitted (0.0 if none) in
+    solver_info["max_floor_ratio"].  assemble and solve are looked up in this
     module at each call, so a wrapper bound to either name here sees every
     solve of every runner.
     """
@@ -570,6 +591,8 @@ def _solve(field, k, seed, solver_info):
     routes[spectrum.route] = routes.get(spectrum.route, 0) + 1
     solver_info["max_residual"] = max(solver_info.get("max_residual", 0.0),
                                       float(spectrum.residuals.max()))
+    solver_info["max_floor_ratio"] = max(solver_info.get("max_floor_ratio", 0.0),
+                                         spectrum.floor_ratio)
     return problem, spectrum
 
 
@@ -818,7 +841,11 @@ def run_conformal_check(cfg):
 
 def run_convergence(cfg):
     """One level row per grid size, ascending: lambda_1, its error against
-    the reference and the observed order between successive sizes.
+    the reference and the observed order between successive sizes, and from
+    each size and the one below it (ratio r) the Richardson extrapolation
+    (r^2 lambda_n - lambda_prev) / (r^2 - 1) of a second-order scheme with
+    its error estimate |lambda_n - lambda_prev| / (r^2 - 1); for r = 2 these
+    are (4 lambda_n - lambda_{n/2}) / 3 and |lambda_n - lambda_{n/2}| / 3.
 
     The reference is the continuous Fourier oracle when sigma* and mu are
     constant on every level, else the finest grid, which then has no error.
@@ -845,12 +872,17 @@ def run_convergence(cfg):
 
     rows = [{"row_type": "level", "n": n, "lambda1": lam1,
              "reference": reference, "error_lambda1": abs(lam1 - exact),
-             "order_lambda1": "", "gap_lambda1": ""}
+             "order_lambda1": "", "gap_lambda1": "",
+             "lambda1_extrapolated": "", "error_estimate": ""}
             for n, lam1 in zip(sizes, lambdas)]
     if reference == "finest":
         rows[-1]["error_lambda1"] = ""
     for prev, cur in zip(rows, rows[1:]):
         cur["gap_lambda1"] = abs(cur["lambda1"] - prev["lambda1"])
+        r2 = (cur["n"] / prev["n"]) ** 2
+        cur["lambda1_extrapolated"] = ((r2 * cur["lambda1"] - prev["lambda1"])
+                                       / (r2 - 1.0))
+        cur["error_estimate"] = cur["gap_lambda1"] / (r2 - 1.0)
         e0, e1 = prev["error_lambda1"], cur["error_lambda1"]
         if e0 and e1:
             cur["order_lambda1"] = float(np.log2(e0 / e1)

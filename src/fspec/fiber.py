@@ -46,13 +46,17 @@ Every symbol route starts at ``_fold``, which folds the metric once over
 all nodes and raises TypeError for a metric outside the three families.
 Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule and
 settled branches of ``SymbolField.compute``, ``binet_legendre`` and
-``randers_energy_direct``) folds once, then streams.  Its per-node columns
-(the folded metric; for the energy the folded drift on the Cholesky
-circle) are evaluated once over all nodes, and one loop,
-``_over_nodes``, hands its fiber kernel row slices of them in blocks of
-_BLOCK node x fiber pairs, so the kernel does fiber work only and its
-temporaries stay cache-sized on any grid.  The settled rule folds once for
-all of its doublings.
+``randers_energy_direct``) folds once, drops the axes the fold repeats
+along, then streams.  Its per-node columns (the folded metric; for the
+energy the folded drift on the Cholesky circle) are evaluated once over
+all nodes.  One loop, ``_over_nodes``, drops every grid axis along which
+all of them repeat exactly, so a metric varying in y alone leaves one
+line of nodes and a constant one a single node, and hands its fiber
+kernel row slices of the distinct lines left in blocks of _BLOCK
+node x fiber pairs; the kernel does fiber work only and its temporaries
+stay cache-sized on any grid.  An oracle's cost thus scales with the
+distinct metric lines, not the grid nodes.  The settled rule folds once
+for all of its doublings.
 """
 
 from __future__ import annotations
@@ -142,16 +146,26 @@ def _fold(spec, x, y):
 def _over_nodes(kernel, columns, shape, fiber_size):
     """Per-node arrays of kernel over per-node columns, block by block.
 
-    The columns are evaluated once over all nodes, each broadcasting to
-    shape, and are read as (N, 1) columns with N the node count of shape.
-    kernel(*rows) takes row slices of them, about _BLOCK / fiber_size rows
-    so its node x fiber temporaries stay cache-sized, and returns a tuple of
-    arrays whose leading axis runs over those rows.  Each comes back in
-    shape followed by its own trailing axes: a scalar or a (2, 2) matrix for
-    shape ().
+    The columns are folded once over all nodes, each broadcasting to shape.
+    Each axis of shape in turn is dropped if every column equals its own
+    first slice along it exactly (==, so a metric constant in x drops x),
+    and the columns of the distinct lines left are read as (N, 1) columns,
+    N their count: the kernel runs once per distinct metric line, not per
+    node.  kernel(*rows) takes row slices of them, about
+    _BLOCK / fiber_size rows so its node x fiber temporaries stay
+    cache-sized, and returns a tuple of arrays whose leading axis runs over
+    those rows.  Each comes back in shape followed by its own trailing axes
+    (a scalar or a (2, 2) matrix for shape ()), broadcast over the dropped
+    axes into a fresh array.
     """
-    n = int(np.prod(shape))
-    columns = [np.broadcast_to(column, shape).reshape(n, 1) for column in columns]
+    columns = [np.broadcast_to(column, shape) for column in columns]
+    for axis in range(len(shape)):
+        first = (slice(None),) * axis + (slice(0, 1),)
+        if all(np.all(column == column[first]) for column in columns):
+            columns = [column[first] for column in columns]
+    lines = columns[0].shape
+    n = int(np.prod(lines))
+    columns = [column.reshape(n, 1) for column in columns]
     step = max(1, _BLOCK // fiber_size)
     out = None
     for lo in range(0, n, step):
@@ -160,7 +174,11 @@ def _over_nodes(kernel, columns, shape, fiber_size):
             out = [np.empty((n,) + part.shape[1:]) for part in parts]
         for whole, part in zip(out, parts):
             whole[lo:lo + step] = part
-    return tuple(whole.reshape(shape + whole.shape[1:])[()] for whole in out)
+    out = [whole.reshape(lines + whole.shape[1:]) for whole in out]
+    if lines != shape:
+        out = [np.broadcast_to(whole, shape + whole.shape[len(shape):]).copy()
+               for whole in out]
+    return tuple(whole[()] for whole in out)
 
 
 def volume_density(spec, x, y, quad):
@@ -388,7 +406,8 @@ class SymbolField:
         families and IllPosedMetricError where |rho|_{g*} >= 1.  With no
         rule: the closed form (module docstring).  With a FiberQuadrature:
         the trapezoid oracle, the metric folded once and one dual_gradient
-        fiber formula per block of _BLOCK node x fiber pairs.  With "auto":
+        fiber formula per block of _BLOCK node x fiber pairs over its
+        distinct lines (``_over_nodes``).  With "auto":
         the trapezoid oracle at the rule settled on this grid's nodes
         (``_settled_symbol``), whose node count is the field's fiber_nodes;
         raises QuadratureError if it does not settle.

@@ -21,6 +21,20 @@ from conftest import metric_matrix, random_metric, random_point, random_randers
 
 QUAD = FiberQuadrature.trapezoid(256)
 
+# One Randers metric per shape of variation over the grid
+VARYING_METRICS = {
+    "constant": RandersMetric(RiemannianMetric(1.5, 0.3, 1.0), 0.2, 0.1),
+    "x-only": RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
+                            "0.2*cos(2*pi*x)", 0.1),
+    "y-only": RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*y)", 0.3, 1.0),
+                            "0.2*cos(2*pi*y)", 0.1),
+    "2-d": RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
+                         "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)"),
+}
+# the drift profile steps up on the line x = 0.25 alone
+ONE_LINE_METRIC = RandersMetric.axis_drift_torus(
+    2.0, 0.9, profile=lambda x, y: 0.5 + 0.2 * (abs(x - 0.25) < 1e-12))
+
 
 class TestQuadratureRule:
     def test_weights_sum_to_2pi(self):
@@ -339,8 +353,9 @@ class TestSymbolField:
 
     def test_compute_evaluates_dual_once(self, monkeypatch):
         # F*^2 comes from Euler's identity p . dual_gradient(p), so each
-        # block of the 8 x 8 grid needs one dual_gradient fiber formula on
-        # the folded metric and no dual
+        # block of the nodes the kernel sees needs one dual_gradient fiber
+        # formula on the folded metric and no dual: one distinct line for a
+        # constant metric, all 64 nodes of the 8 x 8 grid for a 2-D one
         calls = []
         for name in ("dual", "dual_gradient"):
             def counting(fold, p, name=name, formula=getattr(_Folded, name)):
@@ -348,10 +363,85 @@ class TestSymbolField:
                 return formula(fold, p)
 
             monkeypatch.setattr(_Folded, name, counting)
-        SymbolField.compute(RandersMetric.axis_drift_torus(2.0, 0.6),
-                            TorusGrid.square(8), QUAD)
-        blocks = -(-64 * QUAD.size // fspec.fiber._BLOCK)
-        assert calls == ["dual_gradient"] * blocks
+        for spec, lines in ((RandersMetric.axis_drift_torus(2.0, 0.6), 1),
+                            (VARYING_METRICS["2-d"], 64)):
+            calls.clear()
+            SymbolField.compute(spec, TorusGrid.square(8), QUAD)
+            blocks = -(-lines * QUAD.size // fspec.fiber._BLOCK)
+            assert calls == ["dual_gradient"] * blocks
+
+    def test_kernel_rows_per_metric_shape(self, monkeypatch):
+        # every fiber oracle runs its kernel once per distinct metric line:
+        # the axes along which the folded metric repeats exactly are dropped
+        grid = TorusGrid(40, 24)
+        quad = FiberQuadrature.trapezoid(1024)
+        x, y = grid.mesh()
+        over_nodes = fspec.fiber._over_nodes
+        rows = []
+
+        def counting(kernel, columns, shape, fiber_size):
+            def counted(*block):
+                rows[-1] += len(block[0])
+                return kernel(*block)
+
+            return over_nodes(counted, columns, shape, fiber_size)
+
+        monkeypatch.setattr(fspec.fiber, "_over_nodes", counting)
+        for name, lines in (("constant", 1), ("x-only", 40), ("y-only", 24),
+                            ("2-d", 960)):
+            spec = VARYING_METRICS[name]
+            rows.clear()
+            for oracle in (lambda: SymbolField.compute(spec, grid, quad),
+                           lambda: randers_energy_direct(
+                               spec, [sin_x_cos_y_gradient], grid, quad),
+                           lambda: volume_density(spec, x, y, quad),
+                           lambda: symbol_matrix(spec, x, y, quad),
+                           lambda: binet_legendre(spec, x, y, quad)):
+                rows.append(0)
+                oracle()
+            assert rows == [lines] * 5, name
+
+    @pytest.mark.parametrize("name", [*VARYING_METRICS, "one-line"])
+    def test_oracles_equal_pointwise_evaluation(self, name):
+        # the field at a node is the oracle at that node alone, bit for bit;
+        # "one-line" differs from the rest on the interior line x = 0.25
+        # only, so a reduction that compares some lines and not all fails
+        spec = VARYING_METRICS.get(name, ONE_LINE_METRIC)
+        grid = TorusGrid(40, 24)
+        quad = FiberQuadrature.trapezoid(512)
+        x, y = grid.mesh()
+        field = SymbolField.compute(spec, grid, quad)
+        full = (volume_density(spec, x, y, quad), symbol_matrix(spec, x, y, quad),
+                binet_legendre(spec, x, y, quad), field.sigma_star, field.mu)
+        for i, j in ((0, 0), (10, 0), (10, 17), (11, 17), (39, 23), (23, 9)):
+            xi, yj = x[i, 0], y[0, j]
+            sig, mu = fspec.fiber._fiber_symbol(fspec.fiber._fold(spec, xi, yj),
+                                                quad)
+            point = (volume_density(spec, xi, yj, quad),
+                     symbol_matrix(spec, xi, yj, quad),
+                     binet_legendre(spec, xi, yj, quad), sig, mu)
+            for whole, value in zip(full, point):
+                assert np.array_equal(whole[i, j], value), (i, j)
+
+        # the energy takes a grid: a trial supported on node (10, 17) reads
+        # that node's moments, which must equal those of a twin metric that
+        # agrees there and varies in x and y elsewhere, so no axis drops.
+        # The moments come from one matrix product, whose last bits depend
+        # on the rows BLAS is handed at once, hence 1e-14 and not ==
+        def spike(x, y):
+            on = (np.abs(x - x[10, 0]) < 1e-12) & (np.abs(y - y[0, 17]) < 1e-12)
+            return np.stack(np.broadcast_arrays(np.where(on, 3.0, 0.0),
+                                                np.where(on, -2.0, 0.0)), axis=-1)
+
+        def off_node(x, y):
+            return 1e-3 * ((np.abs(x - 0.25) > 1e-12)
+                           | (np.abs(y - 17 / 24) > 1e-12))
+
+        twin = RandersMetric(spec.base, spec.rho_x, spec.rho_y + off_node)
+        energy = randers_energy_direct(spec, [spike], grid, quad)[0]
+        np.testing.assert_allclose(
+            energy, randers_energy_direct(twin, [spike], grid, quad)[0],
+            rtol=1e-14)
 
     def test_each_oracle_folds_once(self, monkeypatch):
         # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks and the

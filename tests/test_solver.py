@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
+import fspec.experiments
 import fspec.solver
 from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
                    FiberQuadrature, RandersMetric, RiemannianMetric,
@@ -468,6 +469,40 @@ class TestBlockRoute:
                                    discrete_fourier_oracle(field, 8)[1:],
                                    rtol=1e-12)
 
+    def test_long_rings_pass_within_their_rounding_floor(self, monkeypatch):
+        # rings of 16384 nodes leave relative residuals of up to 3.7e-9,
+        # above _RESTOL, yet within 2.2 rounding floors
+        # eps ||abs(K) abs(u)|| / ||M u||, where a gate of _RESTOL alone
+        # raised SolverError.  A 1e-6 error in one vector stays far outside
+        # both
+        field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
+                                    TorusGrid(16384, 8))
+        problem = assemble(field)
+        spectrum = solve(problem, 10)
+        assert spectrum.route == "block"
+        assert 1.0 < spectrum.floor_ratio <= fspec.solver._FLOOR_FACTOR
+        u = spectrum.vectors
+        floor = (np.finfo(float).eps
+                 * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
+                 / np.linalg.norm(problem.mass.ravel()[:, None] * u, axis=0))
+        # the mass is constant, so each value lies within its residual, and
+        # so within _FLOOR_FACTOR floors, of an exact discrete eigenvalue
+        error = np.abs(spectrum.values - discrete_fourier_oracle(field, 10))
+        assert np.all(error <= fspec.solver._FLOOR_FACTOR * floor)
+
+        blocks = fspec.solver._block_eigenvectors
+
+        def perturbed(*args):
+            vectors = blocks(*args)
+            noise = np.random.default_rng(0).standard_normal(vectors.shape[0])
+            vectors[:, 1] += (1e-6 * np.linalg.norm(vectors[:, 1])
+                              / np.linalg.norm(noise)) * noise
+            return vectors
+
+        monkeypatch.setattr(fspec.solver, "_block_eigenvectors", perturbed)
+        with pytest.raises(SolverError, match="rounding floor"):
+            solve(problem, 10)
+
     def test_low_modes_off_the_zero_mode(self):
         # g11 = 8 makes x the cheap direction: on a y-varying field the
         # first eigenvalues all come from x modes m != 0, which pruning
@@ -657,6 +692,47 @@ class TestConvergence:
                                     "metric.base.type = torus\n"
                                     "metric.base.h = 2\n")
             assert rows[0]["reference"] == "finest"
+
+    def test_first_order_ladder_fails_the_order_verdict(self, monkeypatch):
+        # a c/n term taken off lambda_1 makes the ladder first order: its gaps
+        # still shrink, so the Cauchy verdict passes, but the gap orders drop
+        # out of the second-order band
+        metric = ("metric.type = torus\nmetric.h = 2\nmetric.eta = 0.9\n"
+                  "metric.profile = 0.5 + 0.4*sin(2*pi*y)\n")
+        solve_exact = fspec.experiments.solve
+
+        def first_order(problem, k, seed=0):
+            spectrum = solve_exact(problem, k, seed=seed)
+            spectrum.values[1] -= 2.0 / problem.grid.nx
+            return spectrum
+
+        verdicts = {}
+        for perturb in (False, True):
+            if perturb:
+                monkeypatch.setattr(fspec.experiments, "solve", first_order)
+            cfg = ExperimentConfig.from_text(
+                f"kind = convergence\n{metric}grids = 16, 32, 64, 128\nk = 1\n")
+            verdicts[perturb] = {v.name: v.passed
+                                 for v in run_experiment(cfg).verdicts}
+        assert verdicts[False] == {"self-convergence-cauchy": True,
+                                   "self-convergence-order": True}
+        assert verdicts[True] == {"self-convergence-cauchy": True,
+                                  "self-convergence-order": False}
+
+    def test_extrapolated_lambda1(self):
+        # Richardson's (4 lambda_n - lambda_{n/2}) / 3 removes the h^2 term:
+        # from 32/64 and from 64/128 it agrees far closer than lambda_128
+        rows = convergence_rows("metric.type = torus\nmetric.h = 2\n"
+                                "metric.eta = 0.9\n"
+                                "metric.profile = 0.5 + 0.4*sin(2*pi*y)\n",
+                                grids="16, 32, 64, 128")
+        assert rows[0]["lambda1_extrapolated"] == rows[0]["error_estimate"] == ""
+        lam = [row["lambda1"] for row in rows]
+        extrapolated = [row["lambda1_extrapolated"] for row in rows[1:]]
+        assert extrapolated[1] == (4 * lam[2] - lam[1]) / 3
+        assert rows[3]["error_estimate"] == abs(lam[3] - lam[2]) / 3
+        assert (abs(extrapolated[2] - extrapolated[1])
+                < 0.01 * abs(lam[3] - extrapolated[2]))
 
     def test_needs_three_grids(self):
         with pytest.raises(ConfigError):
