@@ -498,6 +498,37 @@ def _second_order(orders):
     return bool(orders) and all(1.678 <= o <= 2.322 for o in orders)
 
 
+def _three_level_order(n0, n1, n2, ratio):
+    """The order p at which errors C n^-p on grids n0 < n1 < n2 leave the
+    gap ratio (n0^-p - n1^-p) / (n1^-p - n2^-p) = ratio, which is r^p on a
+    geometric ladder of ratio r.
+
+    The gap ratio rises strictly with p, from log(n1/n0) / log(n2/n1) as
+    p -> 0, so bisection finds p; a ratio at or below that limit fits no
+    positive order and reads 0.
+    """
+    up, down = np.log(n1 / n0), np.log(n2 / n1)
+
+    def excess(p):
+        # log of the gap ratio at order p, its terms multiplied by n1^p,
+        # less log(ratio)
+        return (np.log(np.expm1(p * up)) - np.log(-np.expm1(-p * down))
+                - np.log(ratio))
+
+    if ratio <= up / down:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while excess(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _verdicts_convergence(rows):
     data = _rows_of(rows, "level")
     orders = [r["order_lambda1"] for r in data if r.get("order_lambda1") not in (None, "")]
@@ -506,16 +537,14 @@ def _verdicts_convergence(rows):
             "second-order-convergence", "discretization-order",
             _second_order(orders),
             "observed lambda_1 orders: " + ", ".join(f"{o:.3f}" for o in orders))]
-    gapped = [r for r in data if r.get("gap_lambda1") not in (None, "")]
-    gaps = [r["gap_lambda1"] for r in gapped]
+    gaps = [r["gap_lambda1"] for r in data[1:]]
     ok = all(b < a for a, b in zip(gaps, gaps[1:]))
-    # gap_i / gap_{i+1} -> (n_{i+1} / n_i)^p on a geometric ladder of order
-    # p; a vanishing gap has no order, and reads inf
-    gap_orders = [float(np.log2(a["gap_lambda1"] / b["gap_lambda1"])
-                        / np.log2(b["n"] / a["n"]))
-                  if a["gap_lambda1"] > 0.0 and b["gap_lambda1"] > 0.0
+    # a vanishing gap has no order, and reads inf
+    gap_orders = [_three_level_order(lo["n"], mid["n"], hi["n"],
+                                     mid["gap_lambda1"] / hi["gap_lambda1"])
+                  if mid["gap_lambda1"] > 0.0 and hi["gap_lambda1"] > 0.0
                   else float("inf")
-                  for a, b in zip(gapped, gapped[1:])]
+                  for lo, mid, hi in zip(data, data[1:], data[2:])]
     return [
         Verdict("self-convergence-cauchy", "discretization-order",
                 len(gaps) >= 2 and ok,
