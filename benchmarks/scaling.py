@@ -2,10 +2,11 @@
 
 For four drifted tori (on the h = 2 stretched torus with eta = 0.9: a
 constant drift, a drift varying in y only and a drift varying in x and y;
-on a sheared base: a drift varying in y only) and the square grids
-``GRIDS``, times the three layers of one spectral problem, records the
-tracemalloc peak of each and the route ``solve`` took, and writes one JSON
-file.  Up to ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the
+on a sheared base: a drift varying in y only) and the hexagonal torus
+(g proportional to [[1, 1/2], [1/2, 1]], volume 1, the sheared constant
+case) and the square grids ``GRIDS``, times the three layers of one
+spectral problem, records the tracemalloc peak of each and the route
+``solve`` took, and writes one JSON file.  Up to ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the
 same symbol field by an ``ORACLE_NODES``-node fiber rule, and records its
 largest sigma* difference from the closed form.  Single process, one stage
 at a time:
@@ -16,11 +17,12 @@ Each stage is timed ``REPEATS`` times without tracemalloc (the minimum is
 kept, and the minor page faults per call, the mean ``getrusage`` ``ru_minflt``
 delta over those runs, are recorded), then run once more under tracemalloc
 for its peak, which counts numpy and Python allocations but not memory that
-compiled libraries allocate themselves (SuperLU's factors, for one).  The 2-D and the sheared field go to
-shift-invert, whose LU factors grow much faster than the grid; a field that
-took shift-invert stops at ``_SHIFT_INVERT_MAX_GRID`` so the run stays within
-a few hundred MiB.  Grids and repeats are fixed so that the outputs of
-different versions compare.
+compiled libraries allocate themselves (SuperLU's factors, for one).  The
+2-D and the sheared y-only field go to shift-invert, whose LU factors grow
+much faster than the grid; a field that took shift-invert stops at
+``_SHIFT_INVERT_MAX_GRID`` so the run stays within a few hundred MiB, while
+the fields on the Fourier and block routes run up to 1024^2.  Grids and
+repeats are fixed so that the outputs of different versions compare.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
 
 SCHEMA = "fspec-scaling/3"
 K = 10
-GRIDS = (64, 128, 256, 512)
+GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
 # name -> RandersMetric(RiemannianMetric(g11, g12, g22), rho_x, rho_y)
 FIELDS = {
@@ -53,6 +55,7 @@ FIELDS = {
             "0"),
     "sheared y-only": ((2.0, 0.7, 0.8), "0.3*(0.5 + 0.4*sin(2*pi*y))",
                        "0.2*(0.5 + 0.4*sin(2*pi*y))"),
+    "hexagonal": ((2.0 / 3.0**0.5, 1.0 / 3.0**0.5, 2.0 / 3.0**0.5), "0", "0"),
 }
 _SHIFT_INVERT_MAX_GRID = 256
 ORACLE_NODES = 512

@@ -1,6 +1,6 @@
 """Weighted-Laplacian discretization and generalized eigensolvers on the torus.
 
-The module holds the operator, its two eigensolve routes and the Fourier
+The module holds the operator, its three eigensolve routes and the Fourier
 oracles that check them; it takes a symbol field (``mu``, ``sigma*`` on a
 grid) as input and knows nothing of how the field was computed.
 
@@ -16,13 +16,17 @@ quadrature to second order.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
-When the two diagonal-offset weight arrays are all zero (no cross term) and
-the two axis weight arrays and the mass repeat on every grid line along x
-(or along y), the pencil splits exactly into one small real symmetric block
-per Fourier mode of that axis; ``solve`` then takes the block route.  Every
-other problem, a sheared one-axis field included, goes to ARPACK
-shift-invert.  Both routes are gated by the same residual and lambda_0
-checks against K and M.
+``solve`` tries three routes in turn.  When each of the four weight arrays
+and the mass is a single number on the whole grid (a cross term allowed),
+every grid Fourier mode is an exact eigenvector and the Fourier route reads
+the spectrum off the stencil's weights.  Otherwise, when the two
+diagonal-offset weight arrays are all zero (no cross term) and the two axis
+weight arrays and the mass repeat on every grid line along x (or along y),
+the pencil splits exactly into one small real symmetric block per Fourier
+mode of that axis; ``solve`` then takes the block route.  Every other
+problem, a sheared one-axis field included, goes to ARPACK shift-invert.
+All three routes are gated by the same residual and lambda_0 checks against
+K and M.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -66,7 +70,7 @@ class Spectrum:
     values: np.ndarray      # (k+1,) ascending
     vectors: np.ndarray     # (n_nodes, k+1)
     residuals: np.ndarray   # ||K u - lambda M u|| / ||M u|| per pair
-    route: str              # "block" or "shift-invert"
+    route: str              # "fourier", "block" or "shift-invert"
     floor_ratio: float      # largest residual / rounding floor of a pair
                             # the floor admitted (``_gate``), 0.0 if none
 
@@ -291,6 +295,61 @@ def _gate(problem, pairs):
     return misses[~admitted], float(ratio[admitted].max(initial=0.0))
 
 
+def _sin2(turns, n):
+    """4 sin^2(pi turns / n) for integer turns, the angle reduced to [0, pi/2]
+    first so that small values keep their relative accuracy."""
+    turns = np.mod(turns, n)
+    return 4.0 * np.sin(np.pi * np.minimum(turns, n - turns) / n) ** 2
+
+
+def _fourier_route(problem, k):
+    """``_sorted_pairs`` of the first k+1 pairs in exact grid Fourier modes,
+    else None.
+
+    A stencil qualifies if each of its four weight arrays and its mass is a
+    single number on the whole grid, a cross term allowed.  Mode (m, l),
+    theta = (2 pi m / nx, 2 pi l / ny), is then an eigenvector with
+    lambda = sum over offsets d of w_d 4 sin^2(theta . d / 2) / mass, and the
+    k+1 lowest of these are taken.  Modes (m, l) and (-m, -l) share lambda
+    and give the real vectors cos(theta . x) (the one of the two with the
+    smaller flat index) and sin(theta . x) (the other), scaled by
+    sqrt(2 / (n mass)); a self-conjugate mode (2m = 0 mod nx, 2l = 0 mod ny)
+    gives cos(theta . x) alone, scaled by sqrt(1 / (n mass)).  Each phase is
+    reduced to an integer m i mod nx (l j mod ny) before it is scaled by
+    2 pi, so the vectors stay exact to roundoff on large grids.
+    """
+    weights, mass = problem.weights, problem.mass
+    if any(np.any(a != a.flat[0]) for a in (*weights, mass)):
+        return None
+    nx, ny = problem.grid.nx, problem.grid.ny
+    i, j = np.arange(nx), np.arange(ny)  # mode or node indices along x, y
+    w = weights[:, 0, 0]  # in the order of _OFFSETS
+    values = w[0] * _sin2(i, nx)[:, None] + w[1] * _sin2(j, ny)[None, :]
+    if w[2] or w[3]:
+        # theta . (1, +-1) / 2 = pi (m ny +- l nx) / (nx ny)
+        m_ny, l_nx = i[:, None] * ny, j[None, :] * nx
+        values = (values + w[2] * _sin2(m_ny + l_nx, nx * ny)
+                  + w[3] * _sin2(m_ny - l_nx, nx * ny))
+    values = values.ravel() / mass.flat[0]
+    chosen = np.argpartition(values, k)[:k + 1]
+
+    n = nx * ny
+    vectors = np.empty((k + 1, n))  # one vector per row: each is written whole
+    for col, index in enumerate(chosen):
+        m, l = divmod(int(index), ny)
+        conjugate = (-m % nx) * ny + (-l % ny)
+        x = 2.0 * np.pi * (m * i % nx) / nx
+        y = 2.0 * np.pi * (l * j % ny) / ny
+        cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+        if index <= conjugate:
+            wave = np.outer(cx, cy) - np.outer(sx, sy)
+        else:
+            wave = np.outer(sx, cy) + np.outer(cx, sy)
+        share = 1.0 if index == conjugate else 2.0
+        vectors[col] = np.sqrt(share / (n * mass.flat[0])) * wave.ravel()
+    return _sorted_pairs(problem, values[chosen], vectors.T, k + 1)
+
+
 def _block_route(problem, k, shift):
     """``_sorted_pairs`` of the first k+1 pairs by Fourier blocks along one
     axis, else None.
@@ -299,21 +358,18 @@ def _block_route(problem, k, shift):
     arrays are all zero (no cross term, so every mode block is real and the
     mode sweep can stop early) and the weights along the axis, the weights
     within the grid lines across it and the mass repeat on every such line.
-    The y axis is the x axis of the transposed arrays.  Where both axes
-    qualify, the one with the shorter lines is taken: each mode block is a
-    dense solve of a line's width.  The eigenvalues are the edge-form
-    Rayleigh quotients (``rayleigh``) of the block eigenvectors, accurate
-    relative to each eigenvalue where the dense block solve is accurate only
-    to roundoff in lambda_max.
+    The y axis is the x axis of the transposed arrays.  A stencil that
+    qualifies along both is constant and takes the Fourier route first.  The
+    eigenvalues are the edge-form Rayleigh quotients (``rayleigh``) of the
+    block eigenvectors, accurate relative to each eigenvalue where the dense
+    block solve is accurate only to roundoff in lambda_max.
     """
     if np.any(problem.weights[2:]):
         return None
     nx, ny = problem.grid.nx, problem.grid.ny
     w_x, w_y, mass = *problem.weights[:2], problem.mass
-    orientations = [(False, w_x, w_y, mass), (True, w_y.T, w_x.T, mass.T)]
-    if ny > nx:
-        orientations.reverse()
-    for transposed, w_ring, w_line, line_mass in orientations:
+    for transposed, w_ring, w_line, line_mass in [
+            (False, w_x, w_y, mass), (True, w_y.T, w_x.T, mass.T)]:
         if any(np.any(a != a[0]) for a in (w_ring, w_line, line_mass)):
             continue
         vectors = _block_eigenvectors(w_ring[0], w_line[0], line_mass[0],
@@ -399,6 +455,15 @@ def _shift_invert(problem, k, shift, seed):
 def solve(problem, k, seed=0):
     """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
+    Three routes are tried in this order.
+
+    Fourier route: if each of the four weight arrays and the mass is a
+    single number on the whole grid (a cross term allowed), every grid
+    Fourier mode is an exact eigenvector; the eigenvalues are the stencil's
+    own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest are
+    taken, and their real cos/sin vectors are built from integer-reduced
+    phases (``_fourier_route``).
+
     Block route: if the stencil has no cross term (its (1, 1) and (1, -1)
     weights are all zero) and its x and y edge weights and the mass repeat
     on every grid line along x, or along y, the pencil splits exactly into
@@ -409,15 +474,16 @@ def solve(problem, k, seed=0):
     current (k+1)-th value, a sound lower bound on that mode.  The kept
     vectors take one inverse-iteration step about the shift below, and the
     eigenvalues are their edge-form Rayleigh quotients (``rayleigh``),
-    so small eigenvalues keep their relative accuracy.  Weights that repeat
-    only to roundoff fail the exact test and are not reduced.
+    so small eigenvalues keep their relative accuracy.  On either reduced
+    route, weights that repeat only to roundoff fail the exact test and are
+    not reduced.
 
     Shift-invert route, for everything else (sheared one-axis fields too):
     ARPACK about the small negative shift -lambda_scale / 2, started from a
     seeded random vector, then deflated runs until none finds a pair below
     the (k+1)-th value, so no copy of a repeated eigenvalue is skipped, and
     a deflated re-solve of any pair that fails the residual gate
-    (``_shift_invert``).  Either route needs k + 2 < n.
+    (``_shift_invert``).  Every route needs k + 2 < n.
 
     Residuals ||K u - lambda M u|| / ||M u||, one pair at a time, pass
     within _RESTOL relative to each eigenvalue's own scale, or within
@@ -432,11 +498,11 @@ def solve(problem, k, seed=0):
         raise ValueError(f"requested {k + 1} eigenpairs from a {n}-node "
                          "problem; the solver needs k + 2 < n")
     shift = -0.5 * max(problem.lambda_scale, 1e-12)  # below the spectrum
-    pairs = _block_route(problem, k, shift)
-    route = "block"
+    pairs, route = _fourier_route(problem, k), "fourier"
     if pairs is None:
-        pairs = _shift_invert(problem, k, shift, seed)
-        route = "shift-invert"
+        pairs, route = _block_route(problem, k, shift), "block"
+    if pairs is None:
+        pairs, route = _shift_invert(problem, k, shift, seed), "shift-invert"
     values, vectors, residuals, rel = pairs
     failures, floor_ratio = _gate(problem, pairs)
     if failures.size:
@@ -482,11 +548,15 @@ def fourier_oracle(sigma, k):
     first k+1 values with multiplicities, enumerating a lattice window large
     enough that no omitted mode could undercut the returned ones: outside
     max(|m|, |l|) <= mmax every value is at least 4 pi^2 lambda_min(sigma)
-    (mmax+1)^2.
+    (mmax+1)^2.  Raises ValueError on a non-finite symbol entry and on a
+    window value that overflows where the answer depends on it (NaN, or an
+    infinite (k+1)-th value), which no wider window can mend.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (2, 2) or sigma[0, 1] != sigma[1, 0]:
         raise ValueError("oracle symbol must be a symmetric 2x2 matrix")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("oracle symbol entries must be finite")
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     if lam_min <= 0.0:
         raise ValueError("oracle symbol must be positive-definite")
@@ -495,10 +565,14 @@ def fourier_oracle(sigma, k):
     mmax = 4
     while True:
         m = np.arange(-mmax, mmax + 1)
-        vals = 4.0 * np.pi**2 * (sigma[0, 0] * m[:, None] ** 2
-                                 + 2.0 * sigma[0, 1] * m[:, None] * m[None, :]
-                                 + sigma[1, 1] * m[None, :] ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = 4.0 * np.pi**2 * (sigma[0, 0] * m[:, None] ** 2
+                                     + 2.0 * sigma[0, 1] * m[:, None] * m[None, :]
+                                     + sigma[1, 1] * m[None, :] ** 2)
         vals = np.sort(vals.ravel())
+        if np.isnan(vals[-1]) or (vals.size > k and np.isinf(vals[k])):
+            raise ValueError("oracle values overflow: the symbol is too "
+                             "large to enumerate")
         outside = 4.0 * np.pi**2 * lam_min * (mmax + 1) ** 2
         if vals.size > k and vals[k] < outside:
             return vals[:k + 1]

@@ -365,13 +365,13 @@ class TestRunners:
         assert a.rows_csv_text() == b.rows_csv_text()
 
     @pytest.mark.parametrize("text, routes", [
-        (TORUS_CFG, {"block": 3}), (BILIPSCHITZ_CFG, {"block": 2}),
+        (TORUS_CFG, {"fourier": 3}), (BILIPSCHITZ_CFG, {"fourier": 2}),
         (BILIPSCHITZ_CFG.replace("metric.eta = 0.5", "metric.eta = 0.5\n"
                                  "metric.profile = 0.5 + 0.3*sin(2*pi*x)"
                                  "*cos(2*pi*y)"),
-         {"shift-invert": 1, "block": 1}),
-        (CONFORMAL_CFG, {}), (CONFORMAL_CONST_CFG, {"block": 2}),
-        (CONVERGENCE_CFG, {"block": 3})],
+         {"shift-invert": 1, "fourier": 1}),
+        (CONFORMAL_CFG, {}), (CONFORMAL_CONST_CFG, {"fourier": 2}),
+        (CONVERGENCE_CFG, {"fourier": 3})],
         ids=["torus", "bilipschitz", "bilipschitz-2d", "conformal",
              "conformal-const", "convergence"])
     def test_solver_routes_recorded(self, tmp_path, text, routes):
@@ -549,9 +549,13 @@ class TestCli:
         k, lam = lines[1].split()
         assert k == "1"
         np.testing.assert_allclose(float(lam), 4 * np.pi**2, rtol=1e-15)
-        # bad input is an error line; unchecked, a negative count would widen
-        # the oracle's lattice window without end
+        # bad input is an error line; unchecked, a negative count, a
+        # non-finite coefficient or one whose values overflow would widen the
+        # oracle's lattice window without end
         for args in (["--A", "1", "--B", "1", "--k", "-1"],
-                     ["--A", "0", "--B", "1", "--k", "3"]):
+                     ["--A", "0", "--B", "1", "--k", "3"],
+                     ["--A", "inf", "--B", "1", "--k", "1"],
+                     ["--A", "1", "--B", "nan", "--k", "1"],
+                     ["--A", "1e308", "--B", "1e308", "--k", "1"]):
             assert cli_main(["oracle", *args]) == 2
             assert capsys.readouterr().err.startswith("error:")

@@ -26,16 +26,36 @@ def euclid_field(n, quad=QUAD):
                                quad)
 
 
-def solve_routes(problem, k, route):
-    """solve(problem, k) as is, where it must take `route`, then with the
-    block route switched off, so that shift-invert is checked on problems the
-    block route would take."""
-    spectra = [solve(problem, k)]
+# every route solve can take, in the order it tries them
+ALL_ROUTES = ["fourier", "block", "shift-invert"]
+
+
+def switch_off(patch, *routes):
+    for route in routes:
+        patch.setattr(fspec.solver, f"_{route}_route", lambda *args: None)
+
+
+def solve_routes(problem, k, routes):
+    """solve(problem, k) once per route in `routes`, the routes the problem
+    qualifies for in the order solve tries them: as is, then with each
+    route switched off after its turn, so that every later route is checked
+    on problems an earlier one would take."""
+    spectra = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fspec.solver, "_block_route", lambda *args: None)
-        spectra.append(solve(problem, k))
-    assert [s.route for s in spectra] == [route, "shift-invert"]
+        for route in routes:
+            spectra.append(solve(problem, k))
+            if route != "shift-invert":
+                switch_off(patch, route)
+    assert [s.route for s in spectra] == list(routes)
     return spectra
+
+
+def constant_routes(field):
+    """The routes a constant field qualifies for: all three, less the block
+    route where sigma* has a cross term."""
+    if np.any(field.sigma_star[..., 0, 1]):
+        return ["fourier", "shift-invert"]
+    return ALL_ROUTES
 
 
 def make_constant_field(n, sig, mu):
@@ -189,17 +209,17 @@ class TestSolve:
         spectrum = solve(assemble(field), 1)
         assert abs(spectrum.values[1] / np.pi**2 - 1.0) < 0.01
 
-    # closed-form fields: a rule's roundoff cross term would send both legs
-    # of solve_routes to shift-invert
+    # closed-form fields: a rule's roundoff cross term would rule out the
+    # block route
     def test_eigenvectors_m_orthonormal(self):
         problem = assemble(euclid_field(16, quad=None))
-        for spectrum in solve_routes(problem, 4, "block"):
+        for spectrum in solve_routes(problem, 4, ALL_ROUTES):
             gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
             np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
 
     def test_residuals_small(self):
         problem = assemble(euclid_field(64, quad=None))
-        for spectrum in solve_routes(problem, 5, "block"):
+        for spectrum in solve_routes(problem, 5, ALL_ROUTES):
             rel = spectrum.residuals / np.maximum(spectrum.values,
                                                   spectrum.values[1])
             assert float(rel.max()) < 1e-9
@@ -209,7 +229,7 @@ class TestSolve:
         problem = assemble(SymbolField.compute(spec, TorusGrid.square(32)))
         dense = scipy.linalg.eigh(problem.K.toarray(), problem.M.toarray(),
                                   eigvals_only=True, subset_by_index=(0, 6))
-        for sparse_s in solve_routes(problem, 6, "block"):
+        for sparse_s in solve_routes(problem, 6, ALL_ROUTES):
             np.testing.assert_allclose(dense[1:], sparse_s.values[1:],
                                        rtol=1e-9)
 
@@ -297,6 +317,16 @@ class TestFourierOracle:
             with pytest.raises(ValueError):
                 fourier_oracle(sig, 3)
 
+    def test_overflow_only_where_the_answer_needs_it(self):
+        # window values past the largest double do not matter while the
+        # (k+1)-th value is finite; an infinite one or a NaN does
+        np.testing.assert_allclose(fourier_oracle(np.diag([1e306, 1.0]), 1),
+                                   [0.0, FOUR_PI2], rtol=1e-15)
+        for sig in (np.diag([1e308, 1e308]), np.diag([np.inf, 1.0]),
+                    np.array([[1e308, -0.99e308], [-0.99e308, 1e308]])):
+            with pytest.raises(ValueError):
+                fourier_oracle(sig, 1)
+
 
 @st.composite
 def constant_metrics(draw):
@@ -334,13 +364,12 @@ def constant_metrics(draw):
 class TestDiscreteFourierOracle:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(constant_metrics(),
-           st.sampled_from([(16, 20), (20, 12), (12, 16), (24, 24)]),
+           st.sampled_from([(16, 20), (20, 12), (12, 16), (24, 24), (9, 15)]),
            st.integers(1, 8))
     def test_solver_matches_discrete_oracle(self, spec, shape, k):
+        # (9, 15) has odd sides, so no mode but (0, 0) is self-conjugate
         field = SymbolField.compute(spec, TorusGrid(*shape))
-        cross = np.any(field.sigma_star[..., 0, 1])
-        spectra = solve_routes(assemble(field), k,
-                               "shift-invert" if cross else "block")
+        spectra = solve_routes(assemble(field), k, constant_routes(field))
         want = discrete_fourier_oracle(field, k)
         assert want[0] == 0.0
         for spectrum in spectra:
@@ -356,7 +385,7 @@ class TestDiscreteFourierOracle:
                                     TorusGrid.square(32))
         problem = assemble(field)
         want = discrete_fourier_oracle(field, 10)
-        monkeypatch.setattr(fspec.solver, "_block_route", lambda *args: None)
+        switch_off(monkeypatch, "fourier", "block")
         for seed in range(8):
             spectrum = solve(problem, 10, seed=seed)
             assert spectrum.route == "shift-invert"
@@ -371,7 +400,7 @@ class TestDiscreteFourierOracle:
                  (RiemannianMetric.euclidean(), 32, 1, 18),
                  (RiemannianMetric.euclidean(), 16, 7, 35),
                  (RandersMetric.axis_drift_torus(1.0, 0.5), 32, 5, 38)]
-        monkeypatch.setattr(fspec.solver, "_block_route", lambda *args: None)
+        switch_off(monkeypatch, "fourier", "block")
         for spec, n, k, seed in cases:
             field = SymbolField.compute(spec, TorusGrid.square(n))
             spectrum = solve(assemble(field), k, seed=seed)
@@ -390,6 +419,50 @@ class TestDiscreteFourierOracle:
         for field in (drifted, varying_mu):
             with pytest.raises(ValueError, match="constant"):
                 discrete_fourier_oracle(field, 4)
+
+
+class TestFourierRoute:
+    @pytest.mark.parametrize("grid", [TorusGrid.square(32), TorusGrid(8, 40)],
+                             ids=["32x32", "8x40"])
+    def test_hexagonal_torus_matches_oracle(self, grid):
+        # g proportional to [[1, 1/2], [1/2, 1]] with volume 1: a cross term,
+        # so the block route declines and this used to take shift-invert
+        c = 2.0 / np.sqrt(3.0)
+        field = SymbolField.compute(RiemannianMetric(c, 0.5 * c, c), grid)
+        problem = assemble(field)
+        spectrum = solve(problem, 10)
+        assert spectrum.route == "fourier"
+        want = discrete_fourier_oracle(field, 10)
+        assert abs(spectrum.values[0]) <= 1e-10 * want[1]
+        np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-12)
+        gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
+        np.testing.assert_allclose(gram, np.eye(11), rtol=0, atol=1e-12)
+
+    def test_square_torus_splits_a_fourfold_lambda1(self):
+        # k = 2 keeps two of the four modes (+-1, 0), (0, +-1) of lambda_1
+        field = euclid_field(16, quad=None)
+        problem = assemble(field)
+        spectrum = solve(problem, 2)
+        assert spectrum.route == "fourier"
+        want = discrete_fourier_oracle(field, 4)
+        assert np.ptp(want[1:]) <= 1e-14 * want[1]
+        np.testing.assert_allclose(spectrum.values, want[:3], rtol=1e-14)
+        gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
+        np.testing.assert_allclose(gram, np.eye(3), rtol=0, atol=1e-12)
+        assert float(spectrum.residuals.max()) <= 1e-12 * want[1]
+
+    def test_one_ulp_of_mass_leaves_the_route(self):
+        problem = assemble(make_constant_field(12, [[1.5, 0.3], [0.3, 0.8]],
+                                               1.2))
+        assert solve(problem, 4).route == "fourier"
+        mass = problem.mass.copy()
+        mass[3, 5] = np.nextafter(mass[3, 5], np.inf)
+        perturbed = dataclasses.replace(problem, mass=mass)
+        assert fspec.solver._fourier_route(perturbed, 4) is None
+        spectrum = solve(perturbed, 4)
+        assert spectrum.route == "shift-invert"
+        np.testing.assert_allclose(spectrum.values[1:],
+                                   dense_spectrum(perturbed, 4)[1:], rtol=1e-9)
 
 
 @st.composite
@@ -446,21 +519,29 @@ class TestBlockRoute:
         field = SymbolField.compute(spec, TorusGrid(*shape))
         problem = assemble(field)
         spectrum = solve(problem, k)
-        # a cross term makes the mode blocks complex: those go to shift-invert
+        # a constant draw takes the Fourier route; otherwise a cross term
+        # makes the mode blocks complex: those go to shift-invert
+        constant = (np.all(field.sigma_star == field.sigma_star[0, 0])
+                    and np.all(field.mu == field.mu[0, 0]))
         cross = np.any(field.sigma_star[..., 0, 1])
-        assert spectrum.route == ("shift-invert" if cross else "block")
+        assert spectrum.route == ("fourier" if constant else
+                                  "shift-invert" if cross else "block")
         want = dense_spectrum(problem, k)
         assert abs(spectrum.values[0]) <= 1e-10 * want[1]
         np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-9)
         gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
         np.testing.assert_allclose(gram, np.eye(k + 1), rtol=0, atol=1e-12)
 
-    def test_small_eigenvalues_exact_on_a_fine_grid(self):
+    # the constant fields of the next two tests would take the Fourier
+    # route; each switches it off to check the block route on them
+
+    def test_small_eigenvalues_exact_on_a_fine_grid(self, monkeypatch):
         # lambda_max / lambda_1 grows like n^2: at 512^2 the vectors of a
         # plain dense block solve miss _RESTOL (max rel residual 1.6e-9) and
         # their Rayleigh quotients K u . u lose about 1e-10 of lambda_1; the
         # inverse-iteration step and the edge-form quotients keep both at
         # roundoff
+        switch_off(monkeypatch, "fourier")
         field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
                                     TorusGrid.square(512))
         spectrum = solve(assemble(field), 8)
@@ -475,6 +556,7 @@ class TestBlockRoute:
         # eps ||abs(K) abs(u)|| / ||M u||, where a gate of _RESTOL alone
         # raised SolverError.  A 1e-6 error in one vector stays far outside
         # both
+        switch_off(monkeypatch, "fourier")
         field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
                                     TorusGrid(16384, 8))
         problem = assemble(field)
@@ -517,27 +599,6 @@ class TestBlockRoute:
         u = spectrum.vectors[:, 1].reshape(16, 12)
         assert float(np.abs(u - u.mean(axis=0)).max()) > 1e-3
 
-    def test_blocks_run_along_the_shorter_lines(self, monkeypatch):
-        # a constant field qualifies along both axes; the dense block solves
-        # must be 8 wide, not 512, whichever way the grid lies
-        widths = []
-        block_eigenvectors = fspec.solver._block_eigenvectors
-
-        def recording(w_ring, w_line, mass, *args):
-            widths.append(mass.size)
-            return block_eigenvectors(w_ring, w_line, mass, *args)
-
-        monkeypatch.setattr(fspec.solver, "_block_eigenvectors", recording)
-        spec = RandersMetric.axis_drift_torus(4.0, 0.5)
-        for shape in ((8, 512), (512, 8)):
-            field = SymbolField.compute(spec, TorusGrid(*shape))
-            spectrum = solve(assemble(field), 10)
-            assert spectrum.route == "block"
-            np.testing.assert_allclose(spectrum.values[1:],
-                                       discrete_fourier_oracle(field, 10)[1:],
-                                       rtol=1e-10)
-        assert widths == [8, 8]
-
     def test_two_dimensional_field_takes_shift_invert(self):
         spec = RandersMetric(RiemannianMetric(1.5, 0.3, 1.0),
                              "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
@@ -549,10 +610,10 @@ class TestBlockRoute:
 
     def test_perturbed_stiffness_takes_shift_invert(self):
         # one edge weight nudged: K stays symmetric with zero row sums but is
-        # no longer invariant along either axis
+        # no longer constant, nor invariant along either axis
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
         problem = assemble(SymbolField.compute(spec, TorusGrid(12, 16)))
-        assert solve(problem, 4).route == "block"
+        solve_routes(problem, 4, ALL_ROUTES)
         weights = problem.weights.copy()
         weights[1, 0, 5] *= 1 + 1e-9  # the y-edge between nodes 5 and 6
         perturbed = dataclasses.replace(problem, weights=weights)
@@ -568,13 +629,11 @@ class TestOracleEquivalence:
         # the per-k truncation error scales like lambda_k^2 / min(A, B), so the
         # lambda_1-scale bound only applies at k = 1
         # the quadrature field of the first two tori carries a roundoff
-        # cross term (|sigma*_12| ~ 1e-17 to 1e-16), which sends them to
-        # shift-invert; the closed-form field takes the block route
+        # cross term (|sigma*_12| ~ 1e-17 to 1e-16), which rules out the
+        # block route; the closed-form field takes all three routes
         n = 64
         grid = TorusGrid.square(n)
-        for h, eta, quad_route in [(1.0, 0.0, "shift-invert"),
-                                   (2.0, 0.6, "shift-invert"),
-                                   (1.0, 0.9, "block")]:
+        for h, eta in [(1.0, 0.0), (2.0, 0.6), (1.0, 0.9)]:
             if eta > 0:
                 spec = RandersMetric.axis_drift_torus(h, eta)
             else:
@@ -583,9 +642,10 @@ class TestOracleEquivalence:
             want = fourier_oracle(np.diag([A, B]), 10)
             lam1_bound = 1.5 * (FOUR_PI2 * max(A, B)) * (np.pi / n) ** 2
             bounds = 1.5 * (np.pi / n) ** 2 * want[1:] ** 2 / (FOUR_PI2 * min(A, B))
-            for field, route in [(SymbolField.compute(spec, grid, QUAD), quad_route),
-                                 (SymbolField.compute(spec, grid), "block")]:
-                for spectrum in solve_routes(assemble(field), 10, route):
+            for field in (SymbolField.compute(spec, grid, QUAD),
+                          SymbolField.compute(spec, grid)):
+                for spectrum in solve_routes(assemble(field), 10,
+                                             constant_routes(field)):
                     got = spectrum.values
                     assert abs(got[1] - want[1]) < lam1_bound
                     assert np.all(np.abs(got[1:] - want[1:]) < bounds)
