@@ -5,11 +5,14 @@ constant drift, a drift varying in y only and a drift varying in x and y;
 on a sheared base: a drift varying in y only) and the hexagonal torus
 (g proportional to [[1, 1/2], [1/2, 1]], volume 1, the sheared constant
 case) and the square grids ``GRIDS``, times the three layers of one
-spectral problem, records the tracemalloc peak of each and the route
-``solve`` took, and writes one JSON file.  Up to ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the
-same symbol field by an ``ORACLE_NODES``-node fiber rule, and records its
-largest sigma* difference from the closed form.  Single process, one stage
-at a time:
+spectral problem, records the tracemalloc peak of each, the route
+``solve`` took, its largest eigenpair residual and its floor ratio (how
+close the pairs the rounding-floor gate admitted came to that gate's
+bound, 0.0 if none needed it), and writes one JSON file.  Up to
+``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the same symbol
+field by an ``ORACLE_NODES``-node fiber rule, and records its largest
+sigma* difference from the closed form.  Single process, one stage at a
+time:
 
     PYTHONPATH=src python benchmarks/scaling.py --out BENCH.json
 
@@ -43,7 +46,7 @@ import fspec
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, assemble, solve)
 
-SCHEMA = "fspec-scaling/3"
+SCHEMA = "fspec-scaling/4"
 K = 10
 GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
@@ -97,6 +100,8 @@ def run_case(g, rho_x, rho_y, n):
         "K_nnz": int(problem.K.nnz),
         "route": spectrum.route,
         "lambda1": float(spectrum.values[1]),
+        "max_residual": float(spectrum.residuals.max()),
+        "floor_ratio": spectrum.floor_ratio,
         "seconds": {"field": t_field, "assemble": t_asm, "solve": t_solve},
         "peak_mib": {"field": m_field, "assemble": m_asm, "solve": m_solve},
         "minor_faults": {"field": f_field, "assemble": f_asm,

@@ -464,13 +464,13 @@ def randers_energy_direct(spec, grad_fns, grid, quad):
     w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
     formed, and (df . v)^2 expands into w1^2 cos^2 + 2 w1 w2 cos sin +
     w2^2 sin^2: the inner integral takes three moments of 1 / (1 + rho(v))
-    per node, one matrix product, computed once for every trial.
+    per node, computed once for every trial and, row by row, independently
+    of how many nodes share a block.
     Agreement with ``energy_from_symbol`` validates the dual-circle route
     end to end.
     """
     cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
-    trig = quad.weights[:, None] * np.stack([cos * cos, 2.0 * cos * sin,
-                                             sin * sin], axis=-1)
+    trig = quad.weights * np.stack([cos * cos, 2.0 * cos * sin, sin * sin])
     x, y = grid.mesh()
     fold, shape = _fold(spec, x, y)
     l11 = np.sqrt(fold.g11)
@@ -485,7 +485,9 @@ def randers_energy_direct(spec, grad_fns, grid, quad):
         den = 1.0 + r1 * cos + r2 * sin
         if np.any(den <= 0.0):
             raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
-        return ((1.0 / den) @ trig,)
+        # einsum, not BLAS: a row's moments must not depend on how many
+        # rows share the block
+        return (np.einsum("rf,cf->rc", 1.0 / den, trig),)
 
     moment = _over_nodes(moments, on_circle(fold.r1, fold.r2), shape, quad.size)[0]
     c2, cs, s2 = moment[..., 0], moment[..., 1], moment[..., 2]

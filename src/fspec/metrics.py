@@ -299,9 +299,10 @@ def _point_mesh(n_points):
     return t[:, None, None], t[None, :, None]
 
 
-def _refine_peak(vals, axis=-1, mode="max"):
-    """Sharpen a sampled periodic extremum with a 3-point parabola fit."""
-    vals = np.moveaxis(np.asarray(vals, dtype=float), axis, -1)
+def _refine_peak(vals, mode="max"):
+    """Sharpen a sampled periodic extremum along the last axis with a 3-point
+    parabola fit."""
+    vals = np.asarray(vals, dtype=float)
     idx = np.argmax(vals, axis=-1) if mode == "max" else np.argmin(vals, axis=-1)
     n = vals.shape[-1]
     f0 = np.take_along_axis(vals, idx[..., None], -1)[..., 0]
@@ -315,19 +316,16 @@ def _refine_peak(vals, axis=-1, mode="max"):
     return np.where(good, vertex, f0)
 
 
-def dual_norm_sampled(spec, x, y, p, n_directions=10_000, refine=True):
+def dual_norm_sampled(spec, x, y, p, n_directions=10_000):
     """Brute-force support function: maximize p(v)/F(x, v) over unit directions.
 
-    With refine=True the sampled maximum is sharpened by a parabola fit, which
-    drops the O((2pi/n)^2) sampling bias to O((2pi/n)^4).
+    The sampled maximum is sharpened by a parabola fit, which drops the
+    O((2pi/n)^2) sampling bias to O((2pi/n)^4).
     """
     u = unit_directions(n_directions)
     fv = spec.value(x, y, u)
     p = np.asarray(p, dtype=float)
-    ratios = np.einsum("...i,ki->...k", p, u) / fv
-    if refine:
-        return _refine_peak(ratios)
-    return ratios.max(axis=-1)
+    return _refine_peak(np.einsum("...i,ki->...k", p, u) / fv)
 
 
 def quasireversibility(spec, direction_samples=1024, point_samples=256, refine=True):
@@ -350,36 +348,33 @@ def quasireversibility(spec, direction_samples=1024, point_samples=256, refine=T
     return float(ratio.max())
 
 
-def bilipschitz_ratio(spec, reference, direction_samples=1024, point_samples=256,
-                      refine=True):
-    """Sampled (inf, sup) of F/F_reference over points and nonzero directions."""
+def bilipschitz_ratio(spec, reference, direction_samples=1024, point_samples=256):
+    """Sampled (inf, sup) of F/F_reference over points and nonzero directions,
+    each direction extremum sharpened by a parabola fit."""
     if direction_samples < 16 or point_samples < 16:
         raise ValueError("bilipschitz_ratio needs at least 16 samples each way")
     xs, ys = _point_mesh(point_samples)
     u = unit_directions(direction_samples)
     ratio = spec.value(xs, ys, u) / reference.value(xs, ys, u)
-    if refine:
-        lo = float(np.min(_refine_peak(ratio, mode="min")))
-        hi = float(np.max(_refine_peak(ratio, mode="max")))
-        return lo, hi
-    return float(ratio.min()), float(ratio.max())
+    return (float(np.min(_refine_peak(ratio, mode="min"))),
+            float(np.max(_refine_peak(ratio, mode="max"))))
 
 
-def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):
+def check_strong_convexity(spec, x, y):
     """Finite-difference test that the v-Hessian of F^2 is positive-definite.
 
-    Central differences with step rel_step * |v| on Euclidean-unit directions;
-    accepts iff the smallest Hessian eigenvalue exceeds tol times the largest
-    at every sampled direction.  The three families raise IllPosedMetricError
-    on inadmissible data before F is ever sampled, so the test is for any
-    object with a ``value(x, y, v)`` method.
+    Central differences with step 1e-5 on 64 Euclidean-unit directions;
+    accepts iff the smallest Hessian eigenvalue exceeds 1e-10 times the
+    largest at every sampled direction.  The three families raise
+    IllPosedMetricError on inadmissible data before F is ever sampled, so
+    the test is for any object with a ``value(x, y, v)`` method.
     """
 
     def fsq(v):
         return spec.value(x, y, v) ** 2
 
-    v = unit_directions(samples)
-    h = rel_step
+    v = unit_directions(64)
+    h = 1e-5
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
     f0 = fsq(v)
@@ -388,13 +383,14 @@ def check_strong_convexity(spec, x, y, samples=64, rel_step=1e-5, tol=1e-10):
     hxy = (fsq(v + ex + ey) - fsq(v + ex - ey)
            - fsq(v - ex + ey) + fsq(v - ex - ey)) / (4.0 * h**2)
     lam_min, lam_max = _eigen_extremes(hxx, hxy, hyy)
-    return bool(np.all(lam_max > 0.0) and np.all(lam_min > tol * lam_max))
+    return bool(np.all(lam_max > 0.0) and np.all(lam_min > 1e-10 * lam_max))
 
 
-def legendre_numeric(spec, x, y, v, rel_step=1e-5):
-    """Generic-path Legendre transform: central differences of F^2 / 2."""
+def legendre_numeric(spec, x, y, v):
+    """Generic-path Legendre transform: central differences of F^2 / 2, step
+    1e-5 |v|."""
     v = np.asarray(v, dtype=float)
-    h = rel_step * float(np.linalg.norm(v))
+    h = 1e-5 * float(np.linalg.norm(v))
     if h == 0.0:
         raise ValueError("the Legendre transform is undefined on the zero vector")
     out = np.empty(2)
@@ -404,15 +400,16 @@ def legendre_numeric(spec, x, y, v, rel_step=1e-5):
     return out
 
 
-def dual_gradient_numeric(spec, x, y, p, rel_step=1e-5, n_directions=200_000):
-    """Generic-path inverse Legendre map: differences of the sampled F*^2 / 2."""
+def dual_gradient_numeric(spec, x, y, p):
+    """Generic-path inverse Legendre map: central differences, step 1e-5 |p|,
+    of F*^2 / 2 sampled on 200000 directions."""
     p = np.asarray(p, dtype=float)
-    h = rel_step * float(np.linalg.norm(p))
+    h = 1e-5 * float(np.linalg.norm(p))
     if h == 0.0:
         raise ValueError("the inverse Legendre map is undefined on the zero covector")
 
     def half_dual_sq(q):
-        return 0.5 * float(dual_norm_sampled(spec, x, y, q, n_directions)) ** 2
+        return 0.5 * float(dual_norm_sampled(spec, x, y, q, 200_000)) ** 2
 
     out = np.empty(2)
     for i, e in enumerate(np.eye(2)):

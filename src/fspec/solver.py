@@ -16,17 +16,35 @@ quadrature to second order.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
-``solve`` tries three routes in turn.  When each of the four weight arrays
-and the mass is a single number on the whole grid (a cross term allowed),
-every grid Fourier mode is an exact eigenvector and the Fourier route reads
-the spectrum off the stencil's weights.  Otherwise, when the two
-diagonal-offset weight arrays are all zero (no cross term) and the two axis
-weight arrays and the mass repeat on every grid line along x (or along y),
-the pencil splits exactly into one small real symmetric block per Fourier
-mode of that axis; ``solve`` then takes the block route.  Every other
-problem, a sheared one-axis field included, goes to ARPACK shift-invert.
-All three routes are gated by the same residual and lambda_0 checks against
-K and M.
+``solve`` tries three routes in turn; each hands back raw eigenpairs, and
+``solve`` alone orders them, forms their residuals and gates them.
+
+Fourier route (``_fourier_route``): if each of the four weight arrays and
+the mass is a single number on the whole grid (a cross term allowed),
+every grid Fourier mode is an exact eigenvector; the eigenvalues are the
+stencil's own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest
+are taken, and their real cos/sin vectors are built from integer-reduced
+phases.
+
+Block route (``_block_route``): if the two diagonal-offset weight arrays
+are all zero (no cross term) and the two axis weight arrays and the mass
+repeat on every grid line along x (or along y), the pencil splits exactly
+into one real symmetric block per Fourier mode m of that axis,
+B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
+(``_block_eigenvectors``).  Modes are visited in increasing m and the sweep
+stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the current
+(k+1)-th value, a sound lower bound on that mode.  The kept vectors take
+one inverse-iteration step about a shift below the spectrum, and the
+eigenvalues are their edge-form Rayleigh quotients (``rayleigh``), so small
+eigenvalues keep their relative accuracy.  On either reduced route, weights
+that repeat only to roundoff fail the exact test and are not reduced.
+
+Shift-invert route (``_shift_invert``), for everything else, sheared
+one-axis fields too: ARPACK about the small negative shift
+-lambda_scale / 2, started from a seeded random vector, then deflated runs
+until none finds a pair below the (k+1)-th value, so no copy of a repeated
+eigenvalue is skipped, and a deflated re-solve of any pair that fails the
+residual gate.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -68,7 +86,7 @@ class Spectrum:
     """Sorted eigenvalues with M-orthonormal eigenvectors and residuals."""
 
     values: np.ndarray      # (k+1,) ascending
-    vectors: np.ndarray     # (n_nodes, k+1)
+    vectors: np.ndarray     # (n_nodes, k+1), each column contiguous
     residuals: np.ndarray   # ||K u - lambda M u|| / ||M u|| per pair
     route: str              # "fourier", "block" or "shift-invert"
     floor_ratio: float      # largest residual / rounding floor of a pair
@@ -151,8 +169,9 @@ def assemble(field):
     either fails (symmetry as K r = K' r for a fixed r in [1, 2)^n).
     """
     grid = field.grid
-    D = field.mu[..., None, None] * field.sigma_star
-    d11, d22, d12 = D[..., 0, 0], D[..., 1, 1], D[..., 0, 1]
+    mu, sig = field.mu, field.sigma_star
+    d11, d22 = mu * sig[..., 0, 0], mu * sig[..., 1, 1]
+    d12 = mu * sig[..., 0, 1]
     d12_east = np.roll(d12, -1, axis=0)
     weights = np.stack([
         0.5 * (d11 + np.roll(d11, -1, axis=0)) * (grid.dy / grid.dx),
@@ -200,8 +219,9 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
     scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
-    by 1/sqrt(rings).  Vectors are M-orthonormal, ravelled line by line and
-    in ascending eigenvalue order.
+    by 1/sqrt(rings).  Vectors are M-orthonormal, ravelled line by line,
+    in ascending order of their block eigenvalues and stored column by
+    column (Fortran order).
     """
     width = mass.size
     scale = 1.0 / np.sqrt(mass)
@@ -241,7 +261,7 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
         modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
 
     phases = np.arange(rings)
-    vectors = np.empty((rings * width, len(pool)))
+    vectors = np.empty((len(pool), rings * width)).T  # columns contiguous
     for col, (_, m, j, part) in enumerate(pool):
         phase = 2.0 * np.pi * m * phases / rings
         wave = np.sin(phase) if part == "sin" else np.cos(phase)
@@ -250,49 +270,40 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     return vectors
 
 
-def _sorted_pairs(problem, values, vectors, count):
-    """The `count` lowest pairs, ascending, as (values, vectors, residuals,
-    relative residuals).
+def _gate(problem, values, vectors):
+    """(residuals, failures, floor_ratio) of ascending eigenpairs.
 
-    The residual of a pair is ||K u - lambda M u|| / ||M u||; the relative
-    one divides it by max(|lambda|, lambda_1) (by max(lambda_0, 1) if there
-    is no lambda_1), the scale of the _RESTOL gate.
+    The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
+    column at a time.  A pair passes if its residual relative to
+    max(|lambda|, lambda_1) (max(lambda_0, 1) if there is no lambda_1) is
+    at most _RESTOL, or if its residual is at most _FLOOR_FACTOR times its
+    rounding floor eps ||abs(K) abs(u)|| / ||M u||, the residual that
+    rounding u to a stored vector alone leaves, which grows with the grid.
+    The floor is computed only for pairs that miss _RESTOL.  failures holds
+    the indices of the pairs that fail; floor_ratio is the largest
+    residual-to-floor ratio of a pair that passes by the floor alone, 0.0
+    if none does.
     """
-    order = np.argsort(values)[:count]
-    values = np.asarray(values)[order]
-    vectors = np.asarray(vectors)[:, order]
     mass = problem.mass.ravel()
     residuals = np.empty(values.size)
-    for j, u in enumerate(vectors.T):
+    for j, value in enumerate(values):
+        u = vectors[:, j]
         Mu = mass * u
-        residuals[j] = (np.linalg.norm(problem.K @ u - values[j] * Mu)
+        residuals[j] = (np.linalg.norm(problem.K @ u - value * Mu)
                         / np.linalg.norm(Mu))
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
-    return values, vectors, residuals, residuals / np.maximum(np.abs(values), ref)
-
-
-def _gate(problem, pairs):
-    """(failures, floor_ratio): the residual gate on ``_sorted_pairs``.
-
-    A pair passes if its relative residual is at most _RESTOL, or if its
-    residual is at most _FLOOR_FACTOR times its rounding floor
-    eps ||abs(K) abs(u)|| / ||M u||, the residual that rounding u to a
-    stored vector alone leaves, which grows with the grid.  The floor is
-    computed only for pairs that miss _RESTOL.  failures holds the indices
-    of the pairs that fail; floor_ratio is the largest residual-to-floor
-    ratio of a pair that passes by the floor alone, 0.0 if none does.
-    """
-    _, vectors, residuals, relative = pairs
+    relative = residuals / np.maximum(np.abs(values), ref)
     misses = np.flatnonzero(relative > _RESTOL)
     if misses.size == 0:
-        return misses, 0.0
+        return residuals, misses, 0.0
     u = vectors[:, misses]
     floor = (np.finfo(float).eps
              * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
-             / np.linalg.norm(problem.mass.ravel()[:, None] * u, axis=0))
+             / np.linalg.norm(mass[:, None] * u, axis=0))
     ratio = residuals[misses] / floor
     admitted = ratio <= _FLOOR_FACTOR
-    return misses[~admitted], float(ratio[admitted].max(initial=0.0))
+    return (residuals, misses[~admitted],
+            float(ratio[admitted].max(initial=0.0)))
 
 
 def _sin2(turns, n):
@@ -303,8 +314,7 @@ def _sin2(turns, n):
 
 
 def _fourier_route(problem, k):
-    """``_sorted_pairs`` of the first k+1 pairs in exact grid Fourier modes,
-    else None.
+    """The first k+1 pairs in exact grid Fourier modes, ascending, else None.
 
     A stencil qualifies if each of its four weight arrays and its mass is a
     single number on the whole grid, a cross term allowed.  Mode (m, l),
@@ -332,6 +342,7 @@ def _fourier_route(problem, k):
                   + w[3] * _sin2(m_ny - l_nx, nx * ny))
     values = values.ravel() / mass.flat[0]
     chosen = np.argpartition(values, k)[:k + 1]
+    chosen = chosen[np.argsort(values[chosen])]
 
     n = nx * ny
     vectors = np.empty((k + 1, n))  # one vector per row: each is written whole
@@ -347,12 +358,11 @@ def _fourier_route(problem, k):
             wave = np.outer(sx, cy) + np.outer(cx, sy)
         share = 1.0 if index == conjugate else 2.0
         vectors[col] = np.sqrt(share / (n * mass.flat[0])) * wave.ravel()
-    return _sorted_pairs(problem, values[chosen], vectors.T, k + 1)
+    return values[chosen], vectors.T
 
 
 def _block_route(problem, k, shift):
-    """``_sorted_pairs`` of the first k+1 pairs by Fourier blocks along one
-    axis, else None.
+    """The first k+1 pairs by Fourier blocks along one axis, else None.
 
     A stencil qualifies along an axis if its two diagonal-offset weight
     arrays are all zero (no cross term, so every mode block is real and the
@@ -374,17 +384,15 @@ def _block_route(problem, k, shift):
             continue
         vectors = _block_eigenvectors(w_ring[0], w_line[0], line_mass[0],
                                       w_ring.shape[0], k, shift)
-        if transposed:
-            vectors = vectors.reshape(ny, nx, -1).transpose(1, 0, 2)
-            vectors = vectors.reshape(nx * ny, -1)
-        return _sorted_pairs(problem, [rayleigh(problem, v) for v in vectors.T],
-                             vectors, k + 1)
+        if transposed:  # vectors come ravelled (ny, nx): re-ravel (nx, ny)
+            vectors = vectors.T.reshape(-1, ny, nx).transpose(0, 2, 1)
+            vectors = vectors.reshape(-1, nx * ny).T
+        return np.array([rayleigh(problem, v) for v in vectors.T]), vectors
     return None
 
 
 def _shift_invert(problem, k, shift, seed):
-    """``_sorted_pairs`` of the first k+1 pairs by ARPACK shift-invert about
-    `shift`, seeded.
+    """The first k+1 pairs by ARPACK shift-invert about `shift`, seeded.
 
     In exact arithmetic a single-vector Krylov space holds one direction of
     each eigenspace, so ARPACK can converge k+1 pairs that skip a copy of a
@@ -440,57 +448,29 @@ def _shift_invert(problem, k, shift, seed):
         values = np.append(values, value)
         vectors = np.hstack([vectors, vector])
 
-    pairs = _sorted_pairs(problem, values, vectors, k + 1)
-    values, vectors = pairs[:2]
-    misses = _gate(problem, pairs)[0]
-    if misses.size == 0:
-        return pairs
-    for j in misses:
+    order = np.argsort(values)[:k + 1]
+    values, vectors = values[order], vectors[:, order]
+    for j in _gate(problem, values, vectors)[1]:
         value, vector = lowest(1, np.delete(vectors, j, axis=1),
                                start=vectors[:, j])
         values[j], vectors[:, j] = value[0], vector[:, 0]
-    return _sorted_pairs(problem, values, vectors, k + 1)
+    return values, vectors
 
 
 def solve(problem, k, seed=0):
-    """First k+1 eigenpairs of K u = lambda M u, ascending, M-orthonormal.
+    """First k+1 eigenpairs of K u = lambda M u as a Spectrum: ascending,
+    M-orthonormal and gated.
 
-    Three routes are tried in this order.
-
-    Fourier route: if each of the four weight arrays and the mass is a
-    single number on the whole grid (a cross term allowed), every grid
-    Fourier mode is an exact eigenvector; the eigenvalues are the stencil's
-    own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest are
-    taken, and their real cos/sin vectors are built from integer-reduced
-    phases (``_fourier_route``).
-
-    Block route: if the stencil has no cross term (its (1, 1) and (1, -1)
-    weights are all zero) and its x and y edge weights and the mass repeat
-    on every grid line along x, or along y, the pencil splits exactly into
-    one real symmetric block per Fourier mode m of that axis,
-    B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
-    (``_block_eigenvectors``).  Modes are visited in increasing m and the
-    sweep stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the
-    current (k+1)-th value, a sound lower bound on that mode.  The kept
-    vectors take one inverse-iteration step about the shift below, and the
-    eigenvalues are their edge-form Rayleigh quotients (``rayleigh``),
-    so small eigenvalues keep their relative accuracy.  On either reduced
-    route, weights that repeat only to roundoff fail the exact test and are
-    not reduced.
-
-    Shift-invert route, for everything else (sheared one-axis fields too):
-    ARPACK about the small negative shift -lambda_scale / 2, started from a
-    seeded random vector, then deflated runs until none finds a pair below
-    the (k+1)-th value, so no copy of a repeated eigenvalue is skipped, and
-    a deflated re-solve of any pair that fails the residual gate
-    (``_shift_invert``).  Every route needs k + 2 < n.
-
-    Residuals ||K u - lambda M u|| / ||M u||, one pair at a time, pass
-    within _RESTOL relative to each eigenvalue's own scale, or within
-    _FLOOR_FACTOR times the pair's rounding floor (``_gate``), which
-    exceeds _RESTOL on grids of 1024^2 and on long rings; the Spectrum's
-    floor_ratio reports how close to that bound the floor-admitted pairs
-    came.  lambda_0 must be a numerical zero.  ``discrete_fourier_oracle``
+    The routes are tried in the order the module docstring gives; each
+    needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
+    ascending order, with each vector a contiguous column (copied only if
+    the route returned them out of order or otherwise stored).  Residuals
+    ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
+    eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
+    rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
+    and on long rings; the Spectrum's floor_ratio reports how close to that
+    bound the floor-admitted pairs came.  lambda_0 must be a numerical zero.
+    SolverError is raised if either check fails.  ``discrete_fourier_oracle``
     gives the exact eigenvalues on constant fields.
     """
     n = problem.n_nodes
@@ -503,13 +483,19 @@ def solve(problem, k, seed=0):
         pairs, route = _block_route(problem, k, shift), "block"
     if pairs is None:
         pairs, route = _shift_invert(problem, k, shift, seed), "shift-invert"
-    values, vectors, residuals, rel = pairs
-    failures, floor_ratio = _gate(problem, pairs)
+    values, vectors = pairs
+    order = np.argsort(values)[:k + 1]
+    if not (np.array_equal(order, np.arange(values.size))
+            and vectors.flags.f_contiguous):
+        vectors = vectors.T[order].T  # gathered as rows: columns contiguous
+    values = values[order]
+    residuals, failures, floor_ratio = _gate(problem, values, vectors)
     if failures.size:
         raise SolverError(
-            f"eigensolver residuals exceed tolerance: max rel residual "
-            f"{rel[failures].max():.3e} > {_RESTOL:.1e} and above "
-            f"{_FLOOR_FACTOR:g} times its rounding floor (n = {n})")
+            f"eigensolver residuals exceed tolerance: max residual "
+            f"{residuals[failures].max():.3e} above {_RESTOL:.1e} of its "
+            f"eigenvalue's scale and {_FLOOR_FACTOR:g} times its rounding "
+            f"floor (n = {n})")
     if k >= 1 and abs(float(values[0])) > 1e-10 * float(values[1]):
         raise SolverError(
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "

@@ -425,9 +425,7 @@ class TestSymbolField:
 
         # the energy takes a grid: a trial supported on node (10, 17) reads
         # that node's moments, which must equal those of a twin metric that
-        # agrees there and varies in x and y elsewhere, so no axis drops.
-        # The moments come from one matrix product, whose last bits depend
-        # on the rows BLAS is handed at once, hence 1e-14 and not ==
+        # agrees there and varies in x and y elsewhere, so no axis drops
         def spike(x, y):
             on = (np.abs(x - x[10, 0]) < 1e-12) & (np.abs(y - y[0, 17]) < 1e-12)
             return np.stack(np.broadcast_arrays(np.where(on, 3.0, 0.0),
@@ -439,9 +437,7 @@ class TestSymbolField:
 
         twin = RandersMetric(spec.base, spec.rho_x, spec.rho_y + off_node)
         energy = randers_energy_direct(spec, [spike], grid, quad)[0]
-        np.testing.assert_allclose(
-            energy, randers_energy_direct(twin, [spike], grid, quad)[0],
-            rtol=1e-14)
+        assert energy == randers_energy_direct(twin, [spike], grid, quad)[0]
 
     def test_each_oracle_folds_once(self, monkeypatch):
         # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks and the

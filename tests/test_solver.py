@@ -239,6 +239,34 @@ class TestSolve:
             with pytest.raises(ValueError):
                 solve(problem, k)
 
+    @pytest.mark.parametrize("route", ALL_ROUTES)
+    def test_pairs_in_any_order_give_one_spectrum(self, monkeypatch, route):
+        # each route hands back raw pairs and solve orders them: a route
+        # that returns its pairs reversed gives the same Spectrum, up to the
+        # order among pairs of one eigenvalue, with contiguous vector columns
+        problem = assemble(SymbolField.compute(
+            RandersMetric.axis_drift_torus(2.0, 0.6), TorusGrid(12, 16)))
+        switch_off(monkeypatch, *ALL_ROUTES[:ALL_ROUTES.index(route)])
+        want = solve(problem, 6)
+        name = "_shift_invert" if route == "shift-invert" else f"_{route}_route"
+        original = getattr(fspec.solver, name)
+
+        def reversed_pairs(*args):
+            values, vectors = original(*args)
+            return values[::-1], vectors[:, ::-1]
+
+        monkeypatch.setattr(fspec.solver, name, reversed_pairs)
+        got = solve(problem, 6)
+        assert got.route == want.route == route
+        assert want.vectors.flags.f_contiguous and got.vectors.flags.f_contiguous
+        assert np.array_equal(got.values, want.values)
+        assert got.floor_ratio == want.floor_ratio
+        for value in np.unique(want.values):
+            tie = np.flatnonzero(want.values == value)
+            pairs = [sorted((s.residuals[j], s.vectors[:, j].tobytes())
+                            for j in tie) for s in (got, want)]
+            assert pairs[0] == pairs[1]
+
 
 class TestRayleigh:
     def test_constant_in_kernel(self):
