@@ -8,7 +8,9 @@ case) and the square grids ``GRIDS``, times the three layers of one
 spectral problem, records the tracemalloc peak of each, the route
 ``solve`` took, its largest eigenpair residual and its floor ratio (how
 close the pairs the rounding-floor gate admitted came to that gate's
-bound, 0.0 if none needed it), and writes one JSON file.  Up to
+bound, 0.0 if none needed it), the stored nonzeros of the stiffness K
+where the solve built it (``K_nnz``; the Fourier and block routes read the
+edge weights and build no K), and writes one JSON file.  Up to
 ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the same symbol
 field by an ``ORACLE_NODES``-node fiber rule, and records its largest
 sigma* difference from the closed form.  Single process, one stage at a
@@ -46,7 +48,7 @@ import fspec
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, assemble, solve)
 
-SCHEMA = "fspec-scaling/4"
+SCHEMA = "fspec-scaling/5"
 K = 10
 GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
@@ -97,7 +99,6 @@ def run_case(g, rho_x, rho_y, n):
     spectrum, t_solve, f_solve, m_solve = _stage(lambda: solve(problem, K))
     case = {
         "grid": n, "nodes": grid.node_count, "k": K,
-        "K_nnz": int(problem.K.nnz),
         "route": spectrum.route,
         "lambda1": float(spectrum.values[1]),
         "max_residual": float(spectrum.residuals.max()),
@@ -107,6 +108,8 @@ def run_case(g, rho_x, rho_y, n):
         "minor_faults": {"field": f_field, "assemble": f_asm,
                          "solve": f_solve},
     }
+    if "K" in vars(problem):  # reading problem.K would build it
+        case["K_nnz"] = int(problem.K.nnz)
     if n <= _ORACLE_MAX_GRID:
         quad = FiberQuadrature.trapezoid(ORACLE_NODES)
         oracle, t_oracle, f_oracle, m_oracle = _stage(

@@ -42,21 +42,24 @@ the g-orthonormal circle through the Cholesky factor of g, one cos and one
 sin coefficient per node, without forming the circle's direction vectors;
 its fiber moments serve every trial gradient it is given.
 
-Every symbol route starts at ``_fold``, which folds the metric once over
-all nodes and raises TypeError for a metric outside the three families.
-Every fiber oracle (``volume_density``, ``symbol_matrix``, the rule and
-settled branches of ``SymbolField.compute``, ``binet_legendre`` and
-``randers_energy_direct``) folds once, drops the axes the fold repeats
-along, then streams.  Its per-node columns (the folded metric; for the
-energy the folded drift on the Cholesky circle) are evaluated once over
-all nodes.  One loop, ``_over_nodes``, drops every grid axis along which
-all of them repeat exactly, so a metric varying in y alone leaves one
-line of nodes and a constant one a single node, and hands its fiber
-kernel row slices of the distinct lines left in blocks of _BLOCK
-node x fiber pairs; the kernel does fiber work only and its temporaries
-stay cache-sized on any grid.  An oracle's cost thus scales with the
-distinct metric lines, not the grid nodes.  The settled rule folds once
-for all of its doublings.
+Every symbol route starts at ``_fold``, which folds the metric once and
+raises TypeError for a metric outside the three families.  Field values
+keep the shape their expressions broadcast to, so the fold's arithmetic
+runs on the distinct metric lines only: a metric varying in y alone folds
+to one row (1, ny), a constant one to a single node.  ``_fold`` then cuts
+every piece to the grid axes along which some piece varies
+(``fspec.grid.cut_to_lines``, the one exact test), so a field that
+repeats exactly along an axis is cut even where its expression is not.
+Every symbol route, closed form and fiber oracle alike (``volume_density``,
+``symbol_matrix``, the rule and settled branches of
+``SymbolField.compute``, ``binet_legendre`` and ``randers_energy_direct``),
+works at that shape; ``SymbolField`` keeps sigma* and mu there, and the
+public oracles return broadcast views at the nodes' shape.  One loop,
+``_over_nodes``, hands a fiber kernel row slices of the distinct lines in
+blocks of _BLOCK node x fiber pairs; the kernel does fiber work only and
+its temporaries stay cache-sized on any grid.  An oracle's cost thus
+scales with the distinct metric lines, not the grid nodes.  The settled
+rule folds once for all of its doublings.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TorusGrid
-from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _eigen_extremes,
-                      _inverse, _symmetric)
+from .grid import TorusGrid, cut_to_lines
+from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _inverse,
+                      _symmetric)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -132,7 +135,8 @@ def _fold(spec, x, y):
     """(fold, shape): spec folded once at the broadcast nodes of (x, y).
 
     fold is ``_RandersCore._folded`` there, which raises IllPosedMetricError
-    where |rho|_{g*} >= 1; shape is the nodes' broadcast shape.  Every
+    where |rho|_{g*} >= 1, with its pieces cut to the lines of nodes they
+    vary over (``cut_to_lines``); shape is the nodes' broadcast shape.  Every
     symbol route starts here, so a metric outside the three families raises
     the same TypeError on each.
     """
@@ -140,32 +144,25 @@ def _fold(spec, x, y):
         raise TypeError(f"{type(spec).__name__} is not one of the three metric "
                         "families; no symbol route can fold it")
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return spec._folded(x, y), shape
+    fold = [np.broadcast_to(piece, shape) for piece in spec._folded(x, y)]
+    return _Folded(*cut_to_lines(shape, *fold)), shape
 
 
-def _over_nodes(kernel, columns, shape, fiber_size):
-    """Per-node arrays of kernel over per-node columns, block by block.
+def _over_nodes(kernel, columns, fiber_size):
+    """Per-line arrays of kernel over per-line columns, block by block.
 
-    The columns are folded once over all nodes, each broadcasting to shape.
-    Each axis of shape in turn is dropped if every column equals its own
-    first slice along it exactly (==, so a metric constant in x drops x),
-    and the columns of the distinct lines left are read as (N, 1) columns,
-    N their count: the kernel runs once per distinct metric line, not per
-    node.  kernel(*rows) takes row slices of them, about
-    _BLOCK / fiber_size rows so its node x fiber temporaries stay
-    cache-sized, and returns a tuple of arrays whose leading axis runs over
-    those rows.  Each comes back in shape followed by its own trailing axes
-    (a scalar or a (2, 2) matrix for shape ()), broadcast over the dropped
-    axes into a fresh array.
+    The columns share the shape of a fold's distinct metric lines
+    (``_fold``) and are read as (N, 1) columns, N their count:
+    the kernel runs once per distinct metric line, not per node.
+    kernel(*rows) takes row slices of them, about _BLOCK / fiber_size rows
+    so its node x fiber temporaries stay cache-sized, and returns a tuple of
+    arrays whose leading axis runs over those rows.  Each comes back in the
+    lines' shape followed by its own trailing axes (a scalar or a (2, 2)
+    matrix for shape ()).
     """
-    columns = [np.broadcast_to(column, shape) for column in columns]
-    for axis in range(len(shape)):
-        first = (slice(None),) * axis + (slice(0, 1),)
-        if all(np.all(column == column[first]) for column in columns):
-            columns = [column[first] for column in columns]
-    lines = columns[0].shape
+    lines = np.shape(columns[0])
     n = int(np.prod(lines))
-    columns = [column.reshape(n, 1) for column in columns]
+    columns = [np.reshape(column, (n, 1)) for column in columns]
     step = max(1, _BLOCK // fiber_size)
     out = None
     for lo in range(0, n, step):
@@ -174,11 +171,7 @@ def _over_nodes(kernel, columns, shape, fiber_size):
             out = [np.empty((n,) + part.shape[1:]) for part in parts]
         for whole, part in zip(out, parts):
             whole[lo:lo + step] = part
-    out = [whole.reshape(lines + whole.shape[1:]) for whole in out]
-    if lines != shape:
-        out = [np.broadcast_to(whole, shape + whole.shape[len(shape):]).copy()
-               for whole in out]
-    return tuple(whole[()] for whole in out)
+    return tuple(whole.reshape(lines + whole.shape[1:])[()] for whole in out)
 
 
 def volume_density(spec, x, y, quad):
@@ -192,20 +185,20 @@ def volume_density(spec, x, y, quad):
             raise IllPosedMetricError(_COLLAPSED)
         return ((quad.weights / dual**2).sum(axis=-1) / _TWO_PI,)
 
-    return _over_nodes(density, fold, shape, quad.size)[0]
+    return np.broadcast_to(_over_nodes(density, fold, quad.size)[0], shape)[()]
 
 
 def _fiber_symbol(nodes, quad):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
-    nodes is ``_fold``'s (fold, shape).  The gradient formula
+    nodes is ``_fold``'s (fold, shape); both come back at the fold's lines of
+    nodes.  The gradient formula
     grad = F* grad_p F* at p_hat is the only fiber evaluation per block of
     nodes; Euler's identity for the 1-homogeneous F* gives
     F*^2 = p_hat . grad, and v = grad / F*.  Raises IllPosedMetricError if F*
     falls below _DUAL_FLOOR on a fiber node, and QuadratureError if sigma*
     fails to be SPD, which signals an under-resolved fiber rule.
     """
-    fold, shape = nodes
     p = quad.unit_covectors()
     p1, p2 = p[:, 0], p[:, 1]
 
@@ -223,7 +216,7 @@ def _fiber_symbol(nodes, quad):
                 (moment * g1 * g2).sum(axis=-1) / norm,
                 (moment * g2 * g2).sum(axis=-1) / norm, mu)
 
-    s11, s12, s22, mu = _over_nodes(moments, fold, shape, quad.size)
+    s11, s12, s22, mu = _over_nodes(moments, nodes[0], quad.size)
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
@@ -236,7 +229,8 @@ def symbol_matrix(spec, x, y, quad):
     Raises QuadratureError if it fails to be SPD, which signals an
     under-resolved fiber rule.
     """
-    return _fiber_symbol(_fold(spec, x, y), quad)[0]
+    nodes = _fold(spec, x, y)
+    return np.broadcast_to(_fiber_symbol(nodes, quad)[0], nodes[1] + (2, 2))
 
 
 def weight(sigma_star, mu):
@@ -334,11 +328,11 @@ def binet_legendre(spec, x, y, quad):
         n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
         return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
 
-    d11, d12, d22 = _over_nodes(moments, fold, shape, quad.size)
+    d11, d12, d22 = _over_nodes(moments, fold, quad.size)
     det = d11 * d22 - d12 * d12
     if np.any(det <= 0.0):
         raise QuadratureError("Binet-Legendre dual form is not positive-definite")
-    return _inverse(d11, d12, d22, det)
+    return np.broadcast_to(_inverse(d11, d12, d22, det), shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +385,29 @@ def _closed_form_symbol(spec, x, y):
 
 @dataclass
 class SymbolField:
-    """Per-node symbol data on a torus grid: sigma* (SPD), mu > 0, weight a."""
+    """Per-node symbol data on a torus grid: sigma* (SPD), mu > 0, weight a.
+
+    sigma* and mu may be given as anything that broadcasts to the grid.
+    They are kept cut to the lines of nodes they vary over
+    (``cut_to_lines``), as the pair ``reduced``; sigma_star and mu read them
+    as read-only (nx, ny, ...) views.
+    """
 
     grid: TorusGrid
     sigma_star: np.ndarray  # (nx, ny, 2, 2)
     mu: np.ndarray          # (nx, ny)
     fiber_nodes: int        # 0 for the closed form
 
+    def __post_init__(self):
+        nodes = (self.grid.nx, self.grid.ny)
+        self.reduced = tuple(cut_to_lines(nodes, np.broadcast_to(
+            self.sigma_star, nodes + (2, 2)), np.broadcast_to(self.mu, nodes)))
+        self.sigma_star, self.mu = map(np.broadcast_to, self.reduced, (nodes + (2, 2), nodes))
+
     @classmethod
     def compute(cls, spec, grid, quad=None):
-        """Evaluate mu and sigma* at every grid node.
+        """Evaluate mu and sigma* on the grid, at the distinct lines of
+        nodes of the folded metric only (``_fold``).
 
         Every route raises TypeError for a metric outside the three
         families and IllPosedMetricError where |rho|_{g*} >= 1.  With no
@@ -426,12 +433,10 @@ class SymbolField:
         """Weight a = mu sqrt(det sigma*) at every node (see ``weight``)."""
         return weight(self.sigma_star, self.mu)
 
-    def sigma_min_eigenvalues(self):
-        s = self.sigma_star
-        return _eigen_extremes(s[..., 0, 0], s[..., 0, 1], s[..., 1, 1])[0]
-
     def total_volume(self):
-        return float(self.mu.sum()) * self.grid.cell_area
+        # summed over a contiguous copy: numpy sums a broadcast view in
+        # another order, which moves the last bits
+        return float(self.mu.ravel().sum()) * self.grid.cell_area
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +494,13 @@ def randers_energy_direct(spec, grad_fns, grid, quad):
         # rows share the block
         return (np.einsum("rf,cf->rc", 1.0 / den, trig),)
 
-    moment = _over_nodes(moments, on_circle(fold.r1, fold.r2), shape, quad.size)[0]
+    moment = _over_nodes(moments, on_circle(fold.r1, fold.r2), quad.size)[0]
     c2, cs, s2 = moment[..., 0], moment[..., 1], moment[..., 2]
     area = l11 * l22 * (grid.cell_area / np.pi)  # sqrt(det g) dx dy / pi
     energies = []
     for grad_fn in grad_fns:
         grad = grad_fn(x, y)
         w1, w2 = on_circle(grad[..., 0], grad[..., 1])
-        energies.append(float(((w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2)
-                               * area).sum()))
+        energies.append(float(np.broadcast_to(
+            (w1 * w1 * c2 + w1 * w2 * cs + w2 * w2 * s2) * area, shape).sum()))
     return energies

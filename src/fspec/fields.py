@@ -4,7 +4,9 @@ Metric coefficients, drift-form components, and conformal exponents are all
 plain scalar fields f(x, y) with x and y understood modulo 1: constants,
 closed-form expressions (trigonometric polynomials and friends) and Python
 callables of (x, y).  Expression fields should be 1-periodic in both coordinates (use sin/cos of
-2*pi*k*x); coordinates are reduced mod 1 before evaluation either way.
+2*pi*k*x); coordinates are reduced mod 1 before evaluation either way.  A
+field's values keep the shape its expression broadcasts to, so a constant
+stays one number on any nodes.
 """
 
 from __future__ import annotations
@@ -38,13 +40,10 @@ class Field:
         self.description = description
 
     def __call__(self, x, y):
-        x = reduce_mod1(x)
-        y = reduce_mod1(y)
-        out = np.asarray(self._fn(x, y), dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-        return out
+        """The field at the nodes (x, y), in the shape its expression broadcasts
+        to: a constant stays a single number, and on ``TorusGrid.mesh`` nodes a
+        field of y alone stays one row (1, ny)."""
+        return np.asarray(self._fn(reduce_mod1(x), reduce_mod1(y)), dtype=float)
 
     def __repr__(self):
         return f"Field({self.description!r})"
@@ -71,7 +70,12 @@ class Field:
         return cls(fn, text)
 
     def constant_value(self, x, y):
-        """Return the constant value if the field is constant on the nodes (x, y), else None."""
+        """Return the constant value if the field is constant on the nodes (x, y), else None.
+
+        Constant to 1e-14 relative, not exactly (``fspec.grid.cut_to_lines``
+        is the exact test): an expression such as sin(x)**2 + cos(x)**2 is
+        constant only up to roundoff.
+        """
         vals = self(x, y)
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= 1e-14 * max(1.0, abs(hi), abs(lo)):

@@ -1,4 +1,5 @@
-"""Uniform periodic grids on the unit 2-torus.
+"""Uniform periodic grids on the unit 2-torus, and the one test of which
+grid axes a field varies along.
 
 Nodes sit at (i/nx, j/ny) and are flattened in C order, node index
 n = i * ny + j, with periodic wraparound in both directions.
@@ -45,3 +46,23 @@ class TorusGrid:
         x = (np.arange(self.nx) * self.dx)[:, None]
         y = (np.arange(self.ny) * self.dy)[None, :]
         return x, y
+
+
+def cut_to_lines(shape, *arrays):
+    """The node arrays cut to the lines of nodes they vary over, as views.
+
+    Each array has the axes of the node shape `shape` first, each of that
+    length or 1, then any axes of its own.  A node axis stays whole if some
+    array differs from its own first slice along it (==, so roundoff counts
+    as variation), and is cut to its first slice otherwise.  On a grid the
+    cut shape is (1, 1), (nx, 1), (1, ny) or (nx, ny).  This is the one
+    exact symmetry test: the fold, ``SymbolField`` and ``SpectralProblem``
+    keep their arrays at the shape it decides.
+    """
+    # an axis an array was broadcast along (stride 0) repeats without a look
+    owned = [a[tuple(slice(None if step else 1) for step in a.strides[:len(shape)])]
+             for a in arrays]
+    varies = [any(a.shape[axis] > 1 and not np.all(a == a.take([0], axis))
+                  for a in owned) for axis in range(len(shape))]
+    cut = tuple(slice(None if whole else 1) for whole in varies)
+    return [a[cut] for a in arrays]

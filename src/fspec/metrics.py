@@ -12,6 +12,8 @@ folds the factor into the pair (e^{2f} g, e^f rho) and writes each operation
 once.  Each metric exposes the forward norm, the dual co-norm, the fiberwise
 Legendre transform and its inverse gradient map, all vectorized: x and y
 broadcast against the leading axes of v or p, whose final axis has length 2.
+Each per-node piece keeps the shape its fields broadcast to, so a constant
+metric yields one value per direction whatever the shape of x and y.
 Every operation raises IllPosedMetricError wherever |rho|_{g*} >= 1, where F
 fails to be strongly convex.
 

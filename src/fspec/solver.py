@@ -10,25 +10,31 @@ edge-averaged fluxes, the mixed coefficient through symmetric centered
 cross-differences.  The result is a 9-point weighted graph Laplacian,
 f' K f = sum over edges w_ab (f_a - f_b)^2, whose edge weights for the
 offsets (1, 0), (0, 1), (1, 1) and (1, -1) are what ``SpectralProblem``
-stores; K is written from them straight into CSR, so it is symmetric with
-the constants exactly in its kernel, and f' K f reproduces the energy
-quadrature to second order.
+stores, with the masses, at the lines of nodes they vary over: one node
+for a constant stencil, one grid line for a stencil invariant along an
+axis (``fspec.grid.cut_to_lines``, the one exact test of that symmetry).
+The routes qualify by that shape.  K is written from the weights straight
+into CSR, so it is symmetric with the constants exactly in its kernel, and
+f' K f reproduces the energy quadrature to second order; it is built, and
+scipy imported, only where a route needs it (shift-invert, and the
+rounding floor of a pair that misses the residual bound).
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
 ``solve`` tries three routes in turn; each hands back raw eigenpairs, and
-``solve`` alone orders them, forms their residuals and gates them.
+``solve`` alone orders them, forms their residuals (K u in edge form from
+the weights) and gates them.
 
-Fourier route (``_fourier_route``): if each of the four weight arrays and
-the mass is a single number on the whole grid (a cross term allowed),
-every grid Fourier mode is an exact eigenvector; the eigenvalues are the
+Fourier route (``_fourier_route``): if the weights and mass reduce to a
+single node (a cross term allowed), every grid Fourier mode is an exact
+eigenvector; the eigenvalues are the
 stencil's own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest
 are taken, and their real cos/sin vectors are built from integer-reduced
 phases.
 
 Block route (``_block_route``): if the two diagonal-offset weight arrays
-are all zero (no cross term) and the two axis weight arrays and the mass
-repeat on every grid line along x (or along y), the pencil splits exactly
+are all zero (no cross term) and the weights and mass reduce to one grid
+line across x (or across y), the pencil splits exactly
 into one real symmetric block per Fourier mode m of that axis,
 B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
 (``_block_eigenvectors``).  Modes are visited in increasing m and the sweep
@@ -57,11 +63,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
-from .grid import TorusGrid
+from .grid import TorusGrid, cut_to_lines
+from .metrics import _eigen_extremes
 
 _RESTOL = 1e-9  # eigenpair residual bound, relative to each eigenvalue's scale
 # A pair that misses _RESTOL still passes within this many times its rounding
@@ -98,9 +102,15 @@ class SpectralProblem:
     """The flux-form stencil: edge weights and nodal masses on a grid.
 
     weights[e][i, j] weights the edge from node (i, j) to node
-    (i, j) + _OFFSETS[e], periodically; mass[i, j] = mu dx dy.  The stiffness
-    K (symmetric PSD, constants in the kernel) and the diagonal mass M are
-    built from them on first use and kept.
+    (i, j) + _OFFSETS[e], periodically; mass[i, j] = mu dx dy.  Both may be
+    given as anything that broadcasts to the grid.  They are kept cut to the
+    lines of nodes they vary over (``cut_to_lines``), as the pair
+    ``reduced``, which the routes qualify by; weights and mass read them as
+    read-only (4, nx, ny) and (nx, ny) views.  The stiffness K and the
+    diagonal mass M are built from them on first use and kept.  K is
+    symmetric with the constants in its kernel by construction; both are
+    checked on K as built, raising SolverError if either fails (symmetry as
+    K r = K' r for a fixed r in [1, 2)^n).
     """
 
     weights: np.ndarray     # (4, nx, ny), one array per offset in _OFFSETS
@@ -108,12 +118,31 @@ class SpectralProblem:
     grid: TorusGrid
     lambda_scale: float
 
+    def __post_init__(self):
+        nodes = (self.grid.nx, self.grid.ny)
+        *weights, mass = cut_to_lines(nodes, *np.broadcast_to(
+            self.weights, (4,) + nodes), np.broadcast_to(self.mass, nodes))
+        self.reduced = np.stack(weights), mass
+        self.weights, self.mass = map(np.broadcast_to, self.reduced, ((4,) + nodes, nodes))
+
     @cached_property
     def K(self):
-        return _stiffness(self.weights, self.grid)
+        K = _stiffness(self.reduced[0], self.grid)
+        scale = float(np.abs(K.data).max()) if K.nnz else 1.0
+        # K' of a CSR matrix is a CSC view, so the probe copies no entries of K
+        probe = np.random.default_rng(0).uniform(1.0, 2.0, K.shape[0])
+        asym = float(np.abs(K @ probe - K.T @ probe).max())
+        if asym > 1e-12 * scale:
+            raise SolverError(f"stiffness assembly lost symmetry: "
+                              f"max |(K - K') r| = {asym:.3e} for r in [1, 2)")
+        row_sum = float(np.abs(K @ np.ones(K.shape[0])).max())
+        if row_sum > 1e-12 * scale:
+            raise SolverError(f"stiffness rows do not sum to zero: max |K 1| = {row_sum:.3e}")
+        return K
 
     @cached_property
     def M(self):
+        import scipy.sparse as sparse
         return sparse.diags(self.mass.ravel())
 
     @property
@@ -130,10 +159,11 @@ def _stiffness(weights, grid):
     row has the same width and a cross term that is zero at some nodes
     stores explicit zeros there (K then has 9n entries).  The diagonal sums
     the weights of every edge at the node.  Each row is then sorted by
-    column, the canonical order in which products with K sum.
+    column, the canonical order in which products with K sum.  The weights
+    broadcast to the grid.
     """
-    live = [(offset, weight) for offset, weight in zip(_OFFSETS, weights)
-            if np.any(weight)]
+    import scipy.sparse as sparse
+    live = [(offset, w) for offset, w in zip(_OFFSETS, weights) if np.any(w)]
     width = 1 + 2 * len(live)
     n = grid.node_count
     index = np.int32 if width * n < 2**31 else np.int64
@@ -144,8 +174,7 @@ def _stiffness(weights, grid):
     for slot, (offset, weight) in enumerate(live, 1):
         back = np.roll(weight, offset, axis=(0, 1))
         data[..., 0] += weight + back
-        indices[..., 2 * slot - 1] = np.roll(node, np.negative(offset),
-                                             axis=(0, 1))
+        indices[..., 2 * slot - 1] = np.roll(node, np.negative(offset), axis=(0, 1))
         indices[..., 2 * slot] = np.roll(node, offset, axis=(0, 1))
         data[..., 2 * slot - 1] = -weight
         data[..., 2 * slot] = -back
@@ -164,12 +193,11 @@ def assemble(field):
     Gx' diag(c) Gy + transpose of the centered differences Gx, Gy, with
     c = D12 dx dy, couples only diagonal neighbours, so it folds onto the
     offsets (1, 1) and (1, -1) with the weights +-(c at the cell's two other
-    corners) / (4 dx dy).  K is symmetric with the constants in its kernel by
-    construction; both are checked on K as built, raising SolverError if
-    either fails (symmetry as K r = K' r for a fixed r in [1, 2)^n).
+    corners) / (4 dx dy).  Everything is formed at the lines of nodes the
+    field varies over (``SymbolField.reduced``); K is not built here.
     """
     grid = field.grid
-    mu, sig = field.mu, field.sigma_star
+    sig, mu = field.reduced
     d11, d22 = mu * sig[..., 0, 0], mu * sig[..., 1, 1]
     d12 = mu * sig[..., 0, 1]
     d12_east = np.roll(d12, -1, axis=0)
@@ -178,22 +206,9 @@ def assemble(field):
         0.5 * (d22 + np.roll(d22, -1, axis=1)) * (grid.dx / grid.dy),
         0.25 * (d12_east + np.roll(d12, -1, axis=1)),
         -0.25 * (d12_east + np.roll(d12, 1, axis=1))])
-    lambda_scale = 4.0 * np.pi**2 * float(field.sigma_min_eigenvalues().min())
-    problem = SpectralProblem(weights=weights, mass=field.mu * grid.cell_area,
-                              grid=grid, lambda_scale=lambda_scale)
-
-    K = problem.K
-    scale = float(np.abs(K.data).max()) if K.nnz else 1.0
-    # K' of a CSR matrix is a CSC view, so the probe copies no entries of K
-    probe = np.random.default_rng(0).uniform(1.0, 2.0, K.shape[0])
-    asym = float(np.abs(K @ probe - K.T @ probe).max())
-    if asym > 1e-12 * scale:
-        raise SolverError(f"stiffness assembly lost symmetry: "
-                          f"max |(K - K') r| = {asym:.3e} for r in [1, 2)")
-    row_sum = float(np.abs(K @ np.ones(K.shape[0])).max())
-    if row_sum > 1e-12 * scale:
-        raise SolverError(f"stiffness rows do not sum to zero: max |K 1| = {row_sum:.3e}")
-    return problem
+    lam_min = _eigen_extremes(sig[..., 0, 0], sig[..., 0, 1], sig[..., 1, 1])[0]
+    return SpectralProblem(weights=weights, mass=mu * grid.cell_area, grid=grid,
+                           lambda_scale=4.0 * np.pi**2 * float(lam_min.min()))
 
 
 def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
@@ -223,6 +238,7 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     in ascending order of their block eigenvalues and stored column by
     column (Fortran order).
     """
+    import scipy.linalg
     width = mass.size
     scale = 1.0 / np.sqrt(mass)
     nodes = np.arange(width)
@@ -274,23 +290,27 @@ def _gate(problem, values, vectors):
     """(residuals, failures, floor_ratio) of ascending eigenpairs.
 
     The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
-    column at a time.  A pair passes if its residual relative to
+    column at a time, with K u in edge form from the weights, as in
+    ``rayleigh``.  A pair passes if its residual relative to
     max(|lambda|, lambda_1) (max(lambda_0, 1) if there is no lambda_1) is
     at most _RESTOL, or if its residual is at most _FLOOR_FACTOR times its
     rounding floor eps ||abs(K) abs(u)|| / ||M u||, the residual that
     rounding u to a stored vector alone leaves, which grows with the grid.
-    The floor is computed only for pairs that miss _RESTOL.  failures holds
-    the indices of the pairs that fail; floor_ratio is the largest
-    residual-to-floor ratio of a pair that passes by the floor alone, 0.0
-    if none does.
+    The floor, and K with it, is built only for pairs that miss _RESTOL.
+    failures holds the indices of the pairs that fail; floor_ratio is the
+    largest residual-to-floor ratio of a pair that passes by the floor
+    alone, 0.0 if none does.
     """
-    mass = problem.mass.ravel()
     residuals = np.empty(values.size)
     for j, value in enumerate(values):
-        u = vectors[:, j]
-        Mu = mass * u
-        residuals[j] = (np.linalg.norm(problem.K @ u - value * Mu)
-                        / np.linalg.norm(Mu))
+        u = vectors[:, j].reshape(problem.grid.nx, problem.grid.ny)
+        Mu = problem.reduced[1] * u
+        r = -value * Mu  # K u - lambda M u, with K u added edge by edge
+        for offset, weight, du in _edges(problem, u):
+            du *= weight  # the flux w_ab (u_a - u_b), out of a and into b
+            r += du
+            r -= np.roll(du, offset, axis=(0, 1))
+        residuals[j] = np.linalg.norm(r) / np.linalg.norm(Mu)
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
     relative = residuals / np.maximum(np.abs(values), ref)
     misses = np.flatnonzero(relative > _RESTOL)
@@ -299,7 +319,7 @@ def _gate(problem, values, vectors):
     u = vectors[:, misses]
     floor = (np.finfo(float).eps
              * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
-             / np.linalg.norm(mass[:, None] * u, axis=0))
+             / np.linalg.norm(problem.mass.reshape(-1, 1) * u, axis=0))
     ratio = residuals[misses] / floor
     admitted = ratio <= _FLOOR_FACTOR
     return (residuals, misses[~admitted],
@@ -316,8 +336,8 @@ def _sin2(turns, n):
 def _fourier_route(problem, k):
     """The first k+1 pairs in exact grid Fourier modes, ascending, else None.
 
-    A stencil qualifies if each of its four weight arrays and its mass is a
-    single number on the whole grid, a cross term allowed.  Mode (m, l),
+    A stencil qualifies if its weights and mass reduce to a single node
+    (``SpectralProblem.reduced``), a cross term allowed.  Mode (m, l),
     theta = (2 pi m / nx, 2 pi l / ny), is then an eigenvector with
     lambda = sum over offsets d of w_d 4 sin^2(theta . d / 2) / mass, and the
     k+1 lowest of these are taken.  Modes (m, l) and (-m, -l) share lambda
@@ -328,8 +348,8 @@ def _fourier_route(problem, k):
     reduced to an integer m i mod nx (l j mod ny) before it is scaled by
     2 pi, so the vectors stay exact to roundoff on large grids.
     """
-    weights, mass = problem.weights, problem.mass
-    if any(np.any(a != a.flat[0]) for a in (*weights, mass)):
+    weights, mass = problem.reduced
+    if mass.shape != (1, 1):
         return None
     nx, ny = problem.grid.nx, problem.grid.ny
     i, j = np.arange(nx), np.arange(ny)  # mode or node indices along x, y
@@ -340,7 +360,7 @@ def _fourier_route(problem, k):
         m_ny, l_nx = i[:, None] * ny, j[None, :] * nx
         values = (values + w[2] * _sin2(m_ny + l_nx, nx * ny)
                   + w[3] * _sin2(m_ny - l_nx, nx * ny))
-    values = values.ravel() / mass.flat[0]
+    values = values.ravel() / mass[0, 0]
     chosen = np.argpartition(values, k)[:k + 1]
     chosen = chosen[np.argsort(values[chosen])]
 
@@ -357,7 +377,7 @@ def _fourier_route(problem, k):
         else:
             wave = np.outer(sx, cy) + np.outer(cx, sy)
         share = 1.0 if index == conjugate else 2.0
-        vectors[col] = np.sqrt(share / (n * mass.flat[0])) * wave.ravel()
+        vectors[col] = np.sqrt(share / (n * mass[0, 0])) * wave.ravel()
     return values[chosen], vectors.T
 
 
@@ -366,29 +386,28 @@ def _block_route(problem, k, shift):
 
     A stencil qualifies along an axis if its two diagonal-offset weight
     arrays are all zero (no cross term, so every mode block is real and the
-    mode sweep can stop early) and the weights along the axis, the weights
-    within the grid lines across it and the mass repeat on every such line.
-    The y axis is the x axis of the transposed arrays.  A stencil that
-    qualifies along both is constant and takes the Fourier route first.  The
+    mode sweep can stop early) and its weights and mass reduce to a single
+    grid line across the axis (``SpectralProblem.reduced``).  The y axis is
+    the x axis of the transposed arrays.  A stencil that qualifies along
+    both is constant and takes the Fourier route first.  The
     eigenvalues are the edge-form Rayleigh quotients (``rayleigh``) of the
     block eigenvectors, accurate relative to each eigenvalue where the dense
     block solve is accurate only to roundoff in lambda_max.
     """
-    if np.any(problem.weights[2:]):
+    (w_x, w_y, *cross), mass = problem.reduced
+    if np.any(cross) or min(mass.shape) > 1:
         return None
     nx, ny = problem.grid.nx, problem.grid.ny
-    w_x, w_y, mass = *problem.weights[:2], problem.mass
-    for transposed, w_ring, w_line, line_mass in [
-            (False, w_x, w_y, mass), (True, w_y.T, w_x.T, mass.T)]:
-        if any(np.any(a != a[0]) for a in (w_ring, w_line, line_mass)):
-            continue
-        vectors = _block_eigenvectors(w_ring[0], w_line[0], line_mass[0],
-                                      w_ring.shape[0], k, shift)
-        if transposed:  # vectors come ravelled (ny, nx): re-ravel (nx, ny)
-            vectors = vectors.T.reshape(-1, ny, nx).transpose(0, 2, 1)
-            vectors = vectors.reshape(-1, nx * ny).T
-        return np.array([rayleigh(problem, v) for v in vectors.T]), vectors
-    return None
+    transposed = mass.shape[0] > 1  # a line along x, repeated along y
+    lines, rings, width = (((w_y.T, w_x.T, mass.T), ny, nx) if transposed
+                           else ((w_x, w_y, mass), nx, ny))
+    # a constant stencil (reached with the Fourier route off) keeps one
+    # node, which the line arrays spread over the whole line
+    vectors = _block_eigenvectors(*(np.ascontiguousarray(
+        np.broadcast_to(a[0], width)) for a in lines), rings, k, shift)
+    if transposed:  # vectors come ravelled (ny, nx): re-ravel (nx, ny)
+        vectors = vectors.T.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny).T
+    return np.array([rayleigh(problem, v) for v in vectors.T]), vectors
 
 
 def _shift_invert(problem, k, shift, seed):
@@ -410,6 +429,7 @@ def _shift_invert(problem, k, shift, seed):
     more.
     One LU factor of K - shift M serves every run.
     """
+    import scipy.sparse.linalg as spla
     n = problem.n_nodes
     K, M = problem.K.tocsc(), problem.M.tocsc()
     mass = problem.mass.ravel()
@@ -518,13 +538,17 @@ def rayleigh(problem, f):
         raise ValueError("grid function has the wrong number of nodes")
     if not np.any(f):
         raise ValueError("Rayleigh quotient of the zero function")
-    u = f.reshape(problem.grid.nx, problem.grid.ny)
-    energy = 0.0
-    for offset, weight in zip(_OFFSETS, problem.weights):
-        if np.any(weight):
-            du = u - np.roll(u, np.negative(offset), axis=(0, 1))
-            energy += float((weight * du**2).sum())
+    energy = sum(float((weight * du**2).sum()) for _, weight, du in
+                 _edges(problem, f.reshape(problem.grid.nx, problem.grid.ny)))
     return energy / float(problem.mass.ravel() @ f**2)
+
+
+def _edges(problem, u):
+    """(offset, weight, u_a - u_b) per offset whose weights are not all zero,
+    for a grid-shaped u: the edge form that ``rayleigh`` and ``_gate`` read."""
+    for offset, weight in zip(_OFFSETS, problem.reduced[0]):
+        if np.any(weight):
+            yield offset, weight, u - np.roll(u, np.negative(offset), axis=(0, 1))
 
 
 def fourier_oracle(sigma, k):
@@ -567,7 +591,11 @@ def fourier_oracle(sigma, k):
 
 def _constant_symbol(field):
     """sigma* at node 0 if sigma* and mu are the same at every node to roundoff,
-    else None."""
+    else None.
+
+    Not the exact test of ``cut_to_lines``: a field computed by quadrature,
+    or from an expression constant only up to roundoff, still counts here.
+    """
     sig = field.sigma_star[0, 0]
     mu = float(field.mu[0, 0])
     if (np.abs(field.sigma_star - sig).max() <= 1e-12 * np.abs(sig).max()

@@ -346,7 +346,7 @@ class TestSymbolField:
                                        symbol_matrix(spec, x, y, quad),
                                        rtol=1e-14)
             # a = h r sqrt(A B) with the local drift ratio eta p(x, y)
-            etas = eta * as_field(prof)(x, y)
+            etas = eta * np.broadcast_to(as_field(prof)(x, y), field.mu.shape)
             a = [h * r * np.sqrt(np.prod(randers_axis_symbol(h, r, e)))
                  for e in etas.ravel()]
             np.testing.assert_allclose(field.a.ravel(), a, rtol=1e-10)
@@ -379,12 +379,12 @@ class TestSymbolField:
         over_nodes = fspec.fiber._over_nodes
         rows = []
 
-        def counting(kernel, columns, shape, fiber_size):
+        def counting(kernel, columns, fiber_size):
             def counted(*block):
                 rows[-1] += len(block[0])
                 return kernel(*block)
 
-            return over_nodes(counted, columns, shape, fiber_size)
+            return over_nodes(counted, columns, fiber_size)
 
         monkeypatch.setattr(fspec.fiber, "_over_nodes", counting)
         for name, lines in (("constant", 1), ("x-only", 40), ("y-only", 24),

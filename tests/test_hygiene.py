@@ -1,7 +1,8 @@
 """Source hygiene: no module, test or demo imports a name it never reads,
-every package module imports only from layers below its own, only
-``fspec.metrics`` reads a metric family's per-node ``_parts``, and every demo
-runs to the end without leaving a file behind.
+every package module imports only from layers below its own, no package
+module imports scipy when it is imported (a Fourier-route run never does),
+only ``fspec.metrics`` reads a metric family's per-node ``_parts``, and
+every demo runs to the end without leaving a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -9,7 +10,10 @@ is listed in the file's ``__all__`` (a re-export).
 """
 
 import ast
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,6 +111,64 @@ def test_imports_go_down_the_layers():
                  for module in layering_violations(
                      name, ast.parse(modules[name].read_text()))]
     assert not offenders, "imports against the layering:\n" + "\n".join(offenders)
+
+
+def eager_imports(tree):
+    """Sorted top-level packages that `tree` imports when it is executed:
+    every import outside a function body."""
+    found = set()
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_eager_import_scan_flags_module_level_imports():
+    tree = ast.parse("import numpy as np\n"
+                     "from .grid import TorusGrid\n"
+                     "try:\n"
+                     "    import scipy.sparse\n"
+                     "except ImportError:\n"
+                     "    pass\n"
+                     "class A:\n"
+                     "    from scipy import linalg\n"
+                     "    def f(self):\n"
+                     "        import os\n"
+                     "def g():\n"
+                     "    import scipy.sparse.linalg as spla\n")
+    assert eager_imports(tree) == ["numpy", "scipy"]
+
+
+def test_scipy_is_imported_where_it_is_used():
+    # importing scipy.sparse costs more than the rest of the package, and
+    # only the block and shift-invert routes and a built K need it
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "scipy" in eager_imports(ast.parse(path.read_text()))]
+    assert not offenders, "modules importing scipy at import: " + ", ".join(offenders)
+
+
+def test_fourier_route_run_never_imports_scipy():
+    code = ("import sys\n"
+            "import fspec.cli\n"
+            "from fspec import RiemannianMetric, SymbolField, TorusGrid, "
+            "assemble, solve\n"
+            "field = SymbolField.compute(RiemannianMetric.stretched(2.0), "
+            "TorusGrid.square(32))\n"
+            "assert solve(assemble(field), 4).route == 'fourier'\n"
+            "print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ,
+                                         "PYTHONPATH": str(PACKAGE.parent)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def reads_parts(tree):

@@ -58,6 +58,29 @@ def constant_routes(field):
     return ALL_ROUTES
 
 
+# one metric per symmetry, with the shape its field and stencil are kept at
+# on TorusGrid(24, 40)
+SHAPED_METRICS = {
+    "constant": (RandersMetric(RiemannianMetric(1.5, 0.3, 1.0), 0.2, 0.1),
+                 (1, 1)),
+    "x-only": (RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.0, 1.0),
+                             "0.2*cos(2*pi*x)", 0.0), (24, 1)),
+    "y-only": (RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*y)", 0.0, 1.0),
+                             "0.2*cos(2*pi*y)", 0.0), (1, 40)),
+    # a cross term rules out the block route, not the cut to one line
+    "sheared y-only": (RandersMetric(
+        RiemannianMetric("1.5 + 0.2*sin(2*pi*y)", 0.3, 1.0),
+        "0.2*cos(2*pi*y)", 0.1), (1, 40)),
+    "2-d": (RandersMetric(RiemannianMetric(1.0, 0.0, 1.0),
+                          "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)"), (24, 40)),
+    "sheared 2-d": (RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
+                                  "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)"), (24, 40)),
+}
+ROUTE_OF_SHAPED = {"constant": "fourier", "x-only": "block", "y-only": "block",
+                   "sheared y-only": "shift-invert", "2-d": "shift-invert",
+                   "sheared 2-d": "shift-invert"}
+
+
 def make_constant_field(n, sig, mu):
     grid = TorusGrid.square(n)
     shape = (n, n)
@@ -175,8 +198,26 @@ class TestAssembly:
             return K + bump * sparse.identity(K.shape[0], format="csr")
 
         monkeypatch.setattr(fspec.solver, "_stiffness", broken)
+        problem = assemble(euclid_field(12))  # K is built on first use
         with pytest.raises(SolverError, match=message):
-            assemble(euclid_field(12))
+            problem.K
+
+    @pytest.mark.parametrize("name", SHAPED_METRICS)
+    @pytest.mark.parametrize("quad", [None, QUAD], ids=["closed", "rule"])
+    def test_field_and_stencil_keep_the_shape_they_vary_over(self, name, quad):
+        spec, shape = SHAPED_METRICS[name]
+        field = SymbolField.compute(spec, TorusGrid(24, 40), quad)
+        problem = assemble(field)
+        sigma, mu = field.reduced
+        weights, mass = problem.reduced
+        assert (sigma.shape, mu.shape) == (shape + (2, 2), shape)
+        assert (weights.shape, mass.shape) == ((4,) + shape, shape)
+        # the public arrays read the kept ones at every node
+        for public, kept, full in ((field.sigma_star, sigma, (24, 40, 2, 2)),
+                                   (field.mu, mu, (24, 40)),
+                                   (problem.weights, weights, (4, 24, 40)),
+                                   (problem.mass, mass, (24, 40))):
+            assert np.array_equal(public, np.broadcast_to(kept, full))
 
     def test_randers_rayleigh_of_sine_y(self):
         # R(sin 2 pi y) -> 4 pi^2 B for the drifted torus
@@ -232,6 +273,26 @@ class TestSolve:
         for sparse_s in solve_routes(problem, 6, ALL_ROUTES):
             np.testing.assert_allclose(dense[1:], sparse_s.values[1:],
                                        rtol=1e-9)
+
+    @pytest.mark.parametrize("name", SHAPED_METRICS)
+    def test_gate_reads_the_weights(self, name):
+        # only shift-invert builds K; the residuals the gate forms in edge
+        # form match ||K u - lambda M u|| / ||M u|| from CSR within one
+        # rounding floor eps ||abs(K) abs(u)|| / ||M u|| (0.42 at most on
+        # these and on 64^2 and 256 x 8 grids)
+        problem = assemble(SymbolField.compute(SHAPED_METRICS[name][0],
+                                               TorusGrid(24, 40)))
+        spectrum = solve(problem, 8)
+        assert spectrum.route == ROUTE_OF_SHAPED[name]
+        assert ("K" in problem.__dict__) == (spectrum.route == "shift-invert")
+        u = spectrum.vectors
+        Mu = problem.mass.reshape(-1, 1) * u
+        csr = (np.linalg.norm(problem.K @ u - spectrum.values * Mu, axis=0)
+               / np.linalg.norm(Mu, axis=0))
+        floor = (np.finfo(float).eps
+                 * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
+                 / np.linalg.norm(Mu, axis=0))
+        assert np.all(np.abs(spectrum.residuals - csr) <= floor)
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
@@ -480,12 +541,21 @@ class TestFourierRoute:
         assert float(spectrum.residuals.max()) <= 1e-12 * want[1]
 
     def test_one_ulp_of_mass_leaves_the_route(self):
+        # the field is given as full arrays that repeat exactly: the field
+        # and the stencil keep one node, and so does a full copy of the
+        # mass, where one ulp at one node keeps them whole
         problem = assemble(make_constant_field(12, [[1.5, 0.3], [0.3, 0.8]],
                                                1.2))
         assert solve(problem, 4).route == "fourier"
+        field = make_constant_field(12, [[1.5, 0.3], [0.3, 0.8]], 1.2)
+        mu = field.mu.copy()
+        mu[3, 5] = np.nextafter(mu[3, 5], np.inf)
+        assert dataclasses.replace(field, mu=mu).reduced[1].shape == (12, 12)
         mass = problem.mass.copy()
+        assert dataclasses.replace(problem, mass=mass).reduced[1].shape == (1, 1)
         mass[3, 5] = np.nextafter(mass[3, 5], np.inf)
         perturbed = dataclasses.replace(problem, mass=mass)
+        assert perturbed.reduced[1].shape == (12, 12)
         assert fspec.solver._fourier_route(perturbed, 4) is None
         spectrum = solve(perturbed, 4)
         assert spectrum.route == "shift-invert"
