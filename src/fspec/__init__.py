@@ -2,8 +2,9 @@
 
 Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
 / weight fields checked by fiber-circle quadrature, a flux-form weighted
-Laplacian with an exact Fourier-block eigensolve for fields invariant along
-one axis without a cross term and shift-invert for the rest, and
+Laplacian with three eigensolve routes (exact 2-D Fourier modes for constant
+stencils, cross term included; exact Fourier blocks for stencils invariant
+along one axis without a cross term; shift-invert for the rest), and
 config-driven experiments.
 """
 

@@ -47,7 +47,8 @@ from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
                     conformal_transform)
 from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
-from .solver import _OFFSETS, _constant_symbol, assemble, fourier_oracle, solve
+from .solver import (_constant_symbol, _stiffness_condition_estimate, assemble,
+                     fourier_oracle, solve)
 
 # threshold_eta caps its ratio here: beyond it the slack 1 - |rho|^2 is
 # dominated by double-precision rounding and the fiber integrand can no
@@ -623,16 +624,6 @@ def _solve(field, k, seed, solver_info):
     solver_info["max_floor_ratio"] = max(solver_info.get("max_floor_ratio", 0.0),
                                          spectrum.floor_ratio)
     return problem, spectrum
-
-
-def _stiffness_condition_estimate(problem):
-    # Gershgorin off the weights, so K is not built: row a of K holds the
-    # weights w of the edges at a (forward, and backward as rolled b),
-    # summed on the diagonal in K's order and negated at the neighbours
-    weights, mass = problem.reduced
-    edges = [(w, np.roll(w, offset, axis=(0, 1))) for offset, w in zip(_OFFSETS, weights)]
-    row = abs(sum(w + b for w, b in edges)) + sum(abs(w) + abs(b) for w, b in edges)
-    return float((row / mass).max()) / max(problem.lambda_scale, 1e-300)
 
 
 def run_torus_large_eigenvalue(cfg):

@@ -13,11 +13,14 @@ offsets (1, 0), (0, 1), (1, 1) and (1, -1) are what ``SpectralProblem``
 stores, with the masses, at the lines of nodes they vary over: one node
 for a constant stencil, one grid line for a stencil invariant along an
 axis (``fspec.grid.cut_to_lines``, the one exact test of that symmetry).
-The routes qualify by that shape.  K is written from the weights straight
-into CSR, so it is symmetric with the constants exactly in its kernel, and
-f' K f reproduces the energy quadrature to second order; it is built, and
-scipy imported, only where a route needs it (shift-invert, and the
-rounding floor of a pair that misses the residual bound).
+The routes qualify by that shape.  K is the sum over offsets of
+D' diag(w) D, with D the forward difference along the offset, so it is
+symmetric with the constants exactly in its kernel, and f' K f reproduces
+the energy quadrature to second order; it is built, and scipy imported,
+only where a route needs it (shift-invert, and the rounding floor of a pair
+that misses the residual bound).  This module is the one reader of the
+weights' layout: the routes, the gate, K and the Gershgorin condition
+estimate of K all read the weights here, each at the shape it needs.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
@@ -40,10 +43,14 @@ B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
 (``_block_eigenvectors``).  Modes are visited in increasing m and the sweep
 stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the current
 (k+1)-th value, a sound lower bound on that mode.  The kept vectors take
-one inverse-iteration step about a shift below the spectrum, and the
-eigenvalues are their edge-form Rayleigh quotients (``rayleigh``), so small
-eigenvalues keep their relative accuracy.  On either reduced route, weights
-that repeat only to roundoff fail the exact test and are not reduced.
+one inverse-iteration step about a shift below the spectrum, and each
+eigenvalue is the edge-form quotient of its line vector, the grid vector's
+``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
+relative accuracy.  The pairs are ordered by these quotients before any grid
+vector is written, and each vector is written once, in the grid's node
+order, so ``solve`` takes them without a copy.  On either reduced route,
+weights that repeat only to roundoff fail the exact test and are not
+reduced.
 
 Shift-invert route (``_shift_invert``), for everything else, sheared
 one-axis fields too: ARPACK about the small negative shift
@@ -151,38 +158,36 @@ class SpectralProblem:
 
 
 def _stiffness(weights, grid):
-    """K = sum over edges (a, b) of w_ab (e_a - e_b)(e_a - e_b)', written
-    straight into CSR.
-
-    Row a holds the node, then its forward and backward neighbour
-    a +- offset for each offset whose weights are not all zero, so every
-    row has the same width and a cross term that is zero at some nodes
-    stores explicit zeros there (K then has 9n entries).  The diagonal sums
-    the weights of every edge at the node.  Each row is then sorted by
-    column, the canonical order in which products with K sum.  The weights
-    broadcast to the grid.
+    """K = sum over offsets e of D_e' diag(w_e) D_e, with (D_e u)_a =
+    u_a - u_(a + e) the forward difference along e: f' K f is the edge sum
+    of w_ab (f_a - f_b)^2.  Offsets whose weights are all zero are skipped;
+    the sparse products store no zeros, so a weight that is zero at some
+    nodes leaves no entry there.  The weights broadcast to the grid.
     """
     import scipy.sparse as sparse
-    live = [(offset, w) for offset, w in zip(_OFFSETS, weights) if np.any(w)]
-    width = 1 + 2 * len(live)
     n = grid.node_count
-    index = np.int32 if width * n < 2**31 else np.int64
-    node = np.arange(n, dtype=index).reshape(grid.nx, grid.ny)
-    indices = np.empty(node.shape + (width,), dtype=index)
-    data = np.zeros(node.shape + (width,))
-    indices[..., 0] = node
-    for slot, (offset, weight) in enumerate(live, 1):
-        back = np.roll(weight, offset, axis=(0, 1))
-        data[..., 0] += weight + back
-        indices[..., 2 * slot - 1] = np.roll(node, np.negative(offset), axis=(0, 1))
-        indices[..., 2 * slot] = np.roll(node, offset, axis=(0, 1))
-        data[..., 2 * slot - 1] = -weight
-        data[..., 2 * slot] = -back
-    K = sparse.csr_matrix(
-        (data.ravel(), indices.ravel(),
-         np.arange(0, width * n + 1, width, dtype=index)), shape=(n, n))
+    node = np.arange(n).reshape(grid.nx, grid.ny)
+    K = sparse.csr_matrix((n, n))
+    for offset, w in zip(_OFFSETS, weights):
+        if np.any(w):
+            ahead = np.roll(node, np.negative(offset), axis=(0, 1)).ravel()
+            D = sparse.identity(n, format="csr") - sparse.csr_matrix(
+                (np.ones(n), ahead, np.arange(n + 1)), shape=(n, n))
+            K = K + D.T @ sparse.diags(np.broadcast_to(w, node.shape).ravel()) @ D
     K.sort_indices()
     return K
+
+
+def _stiffness_condition_estimate(problem):
+    """Gershgorin bound on lambda_max(M^-1 K) over lambda_scale, read off the
+    weights at their kept shape, so K is not built."""
+    # row a of K holds the weights w of the edges at a (forward, and
+    # backward as rolled b), summed on the diagonal in K's order and negated
+    # at the neighbours
+    weights, mass = problem.reduced
+    edges = [(w, np.roll(w, offset, axis=(0, 1))) for offset, w in zip(_OFFSETS, weights)]
+    row = abs(sum(w + b for w, b in edges)) + sum(abs(w) + abs(b) for w, b in edges)
+    return float((row / mass).max()) / max(problem.lambda_scale, 1e-300)
 
 
 def assemble(field):
@@ -211,8 +216,8 @@ def assemble(field):
                            lambda_scale=4.0 * np.pi**2 * float(lam_min.min()))
 
 
-def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
-    """First k+1 eigenvectors of a stencil made of `rings` identical lines.
+def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
+    """First k+1 pairs of a stencil made of `rings` identical lines.
 
     Each line has mass.size nodes; w_line[j] weights the edge from node j to
     node j + 1 of a line (periodically) and w_ring[j] the edge from node j
@@ -229,14 +234,19 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     The dense solve leaves errors of order eps lambda_max in the vectors.
     One inverse-iteration step about `shift` (below the spectrum) on each
     kept mode damps them; a Cholesky QR of the M-normalized columns restores
-    M-orthonormality.
+    M-orthonormality.  Each eigenvalue is then the edge-form quotient of its
+    line vector u, (sum w_line (u_j - u_j+1)^2
+    + 4 sin^2(pi m / rings) sum w_ring u_j^2) / sum mass u_j^2, the grid
+    vector's ``rayleigh`` quotient in exact arithmetic, accurate relative to
+    itself where the dense solve is accurate only to roundoff in lambda_max.
 
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
     scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
-    by 1/sqrt(rings).  Vectors are M-orthonormal, ravelled line by line,
-    in ascending order of their block eigenvalues and stored column by
-    column (Fortran order).
+    by 1/sqrt(rings).  Returns (values, vectors), ascending by value, the
+    vectors M-orthonormal and each written once as a contiguous column in
+    the grid's node order: lines along the grid's last axis, or along its
+    first if `transposed`.
     """
     import scipy.linalg
     width = mass.size
@@ -249,14 +259,12 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     last = min(k, width - 1)
 
     def block(m):
-        gap = 4.0 * np.sin(np.pi * m / rings) ** 2
-        return laplacian + np.diag(gap * w_ring)
+        return laplacian + np.diag(_sin2(m, rings) * w_ring)
 
     pool = []   # (value, m, j, part): the k+1 smallest found so far
     modes = {}  # m -> eigenvectors of B_m, for the modes in the pool
     for m in range(rings // 2 + 1):
-        if (len(pool) > k
-                and 4.0 * np.sin(np.pi * m / rings) ** 2 * rate > pool[k][0]):
+        if len(pool) > k and _sin2(m, rings) * rate > pool[k][0]:
             break
         w, u = scipy.linalg.eigh(scale[:, None] * block(m) * scale[None, :],
                                  subset_by_index=(0, last))
@@ -269,12 +277,18 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
         kept = {entry[1] for entry in pool}
         modes = {mode: u for mode, u in modes.items() if mode in kept}
 
+    quotients = {}
     for m, u in modes.items():
         y = scipy.linalg.solve(block(m) - shift * np.diag(mass),
                                mass[:, None] * u, assume_a="sym")
         y = y / np.sqrt(mass @ y**2)
         chol = np.linalg.cholesky(y.T @ (mass[:, None] * y))
-        modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
+        u = modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
+        du = u - np.roll(u, -1, axis=0)
+        quotients[m] = ((w_line @ du**2 + _sin2(m, rings) * (w_ring @ u**2))
+                        / (mass @ u**2))
+    pool = sorted(((quotients[m][j], m, j, part) for _, m, j, part in pool),
+                  key=lambda entry: entry[0])
 
     phases = np.arange(rings)
     vectors = np.empty((len(pool), rings * width)).T  # columns contiguous
@@ -282,8 +296,10 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
         phase = 2.0 * np.pi * m * phases / rings
         wave = np.sin(phase) if part == "sin" else np.cos(phase)
         norm = np.sqrt(2.0 / rings) if part != "one" else 1.0 / np.sqrt(rings)
-        vectors[:, col] = (norm * wave[:, None] * modes[m][None, :, j]).ravel()
-    return vectors
+        ring, line = norm * wave, modes[m][:, j]
+        vectors[:, col] = (np.outer(line, ring) if transposed
+                           else np.outer(ring, line)).ravel()
+    return np.array([entry[0] for entry in pool]), vectors
 
 
 def _gate(problem, values, vectors):
@@ -389,10 +405,9 @@ def _block_route(problem, k, shift):
     mode sweep can stop early) and its weights and mass reduce to a single
     grid line across the axis (``SpectralProblem.reduced``).  The y axis is
     the x axis of the transposed arrays.  A stencil that qualifies along
-    both is constant and takes the Fourier route first.  The
-    eigenvalues are the edge-form Rayleigh quotients (``rayleigh``) of the
-    block eigenvectors, accurate relative to each eigenvalue where the dense
-    block solve is accurate only to roundoff in lambda_max.
+    both is constant and takes the Fourier route first.  The pairs come
+    from ``_block_eigenvectors``: ascending, with eigenvalues read off the
+    line vectors and each vector written in the grid's node order.
     """
     (w_x, w_y, *cross), mass = problem.reduced
     if np.any(cross) or min(mass.shape) > 1:
@@ -403,11 +418,8 @@ def _block_route(problem, k, shift):
                            else ((w_x, w_y, mass), nx, ny))
     # a constant stencil (reached with the Fourier route off) keeps one
     # node, which the line arrays spread over the whole line
-    vectors = _block_eigenvectors(*(np.ascontiguousarray(
-        np.broadcast_to(a[0], width)) for a in lines), rings, k, shift)
-    if transposed:  # vectors come ravelled (ny, nx): re-ravel (nx, ny)
-        vectors = vectors.T.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny).T
-    return np.array([rayleigh(problem, v) for v in vectors.T]), vectors
+    return _block_eigenvectors(*(np.ascontiguousarray(
+        np.broadcast_to(a[0], width)) for a in lines), rings, k, shift, transposed)
 
 
 def _shift_invert(problem, k, shift, seed):
@@ -484,7 +496,8 @@ def solve(problem, k, seed=0):
     The routes are tried in the order the module docstring gives; each
     needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
     ascending order, with each vector a contiguous column (copied only if
-    the route returned them out of order or otherwise stored).  Residuals
+    the route returned them out of order or otherwise stored; the Fourier
+    and block routes do not).  Residuals
     ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
     eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2

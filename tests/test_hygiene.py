@@ -1,8 +1,9 @@
 """Source hygiene: no module, test or demo imports a name it never reads,
 every package module imports only from layers below its own, no package
 module imports scipy when it is imported (a Fourier-route run never does),
-only ``fspec.metrics`` reads a metric family's per-node ``_parts``, and
-every demo runs to the end without leaving a file behind.
+only ``fspec.metrics`` reads a metric family's per-node ``_parts``, only
+``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, and every
+demo runs to the end without leaving a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -171,26 +172,43 @@ def test_fourier_route_run_never_imports_scipy():
     assert run.stdout.strip() == "[]"
 
 
-def reads_parts(tree):
-    """Whether `tree` names ``_parts`` anywhere outside strings and comments."""
-    return any((isinstance(node, ast.Attribute) and node.attr == "_parts")
-               or (isinstance(node, ast.Name) and node.id == "_parts")
+def reads_name(tree, name):
+    """Whether `tree` imports or reads `name` anywhere outside strings and
+    comments."""
+    return any((isinstance(node, ast.Attribute) and node.attr == name)
+               or (isinstance(node, ast.Name) and node.id == name)
+               or (isinstance(node, ast.alias) and node.name == name)
                for node in ast.walk(tree))
 
 
 def test_parts_scan_flags_readers():
-    assert reads_parts(ast.parse("f, g, rho = spec._parts(x, y)\n"))
-    assert reads_parts(ast.parse("read = _parts\n"))
-    assert not reads_parts(ast.parse('"""reads _parts"""\n# _parts\n'))
+    assert reads_name(ast.parse("f, g, rho = spec._parts(x, y)\n"), "_parts")
+    assert reads_name(ast.parse("read = _parts\n"), "_parts")
+    assert not reads_name(ast.parse('"""reads _parts"""\n# _parts\n'), "_parts")
+    assert reads_name(ast.parse("from .solver import _OFFSETS as o\n"), "_OFFSETS")
+    assert reads_name(ast.parse("from . import solver\nsolver._OFFSETS\n"),
+                      "_OFFSETS")
+
+
+def readers(name, owner):
+    """Package modules other than `owner` that import or read `name`."""
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != owner and reads_name(ast.parse(path.read_text()), name)]
 
 
 def test_only_metrics_reads_parts():
     # every symbol route reads a family through its fold
     # (``_RandersCore._folded``), so the per-node parts stay in one module
-    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "metrics.py"
-                 and reads_parts(ast.parse(path.read_text()))]
+    offenders = readers("_parts", "metrics.py")
     assert not offenders, "modules reading _parts: " + ", ".join(offenders)
+
+
+def test_only_solver_reads_the_stencil_layout():
+    # the edge offsets of the stencil's weights are the solver's layout:
+    # every reader of the weights (routes, gate, K, condition estimate)
+    # lives there
+    offenders = readers("_OFFSETS", "solver.py")
+    assert not offenders, "modules reading _OFFSETS: " + ", ".join(offenders)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])

@@ -669,19 +669,50 @@ class TestBlockRoute:
         # so within _FLOOR_FACTOR floors, of an exact discrete eigenvalue
         error = np.abs(spectrum.values - discrete_fourier_oracle(field, 10))
         assert np.all(error <= fspec.solver._FLOOR_FACTOR * floor)
+        # the values read off the line vectors are the grid vectors' own
+        # edge-form quotients (lambda_0 is gated as a numerical zero)
+        quotients = [rayleigh(problem, v) for v in u.T[1:]]
+        np.testing.assert_allclose(spectrum.values[1:], quotients, rtol=1e-13,
+                                   atol=0)
 
         blocks = fspec.solver._block_eigenvectors
 
         def perturbed(*args):
-            vectors = blocks(*args)
+            values, vectors = blocks(*args)
             noise = np.random.default_rng(0).standard_normal(vectors.shape[0])
             vectors[:, 1] += (1e-6 * np.linalg.norm(vectors[:, 1])
                               / np.linalg.norm(noise)) * noise
-            return vectors
+            return values, vectors
 
         monkeypatch.setattr(fspec.solver, "_block_eigenvectors", perturbed)
         with pytest.raises(SolverError, match="rounding floor"):
             solve(problem, 10)
+
+    @pytest.mark.parametrize("axis", ["y", "x"])
+    def test_pairs_come_back_ascending_and_written_once(self, monkeypatch, axis):
+        # a varying-field draw whose cos/sin pairs used to come back one ulp
+        # out of order: the block is now written once, ascending and in the
+        # grid's node order (the x-only field's too), so solve keeps it
+        # without a copy; each value is the grid vector's edge-form quotient
+        spec = RandersMetric.axis_drift_torus(
+            2.0, 0.9, profile=f"0.5 + 0.35*sin(2*pi*{axis})")
+        problem = assemble(SymbolField.compute(spec, TorusGrid.square(128)))
+        blocks = fspec.solver._block_eigenvectors
+        written = []
+
+        def kept(*args):
+            written.append(blocks(*args))
+            return written[-1]
+
+        monkeypatch.setattr(fspec.solver, "_block_eigenvectors", kept)
+        spectrum = solve(problem, 10)
+        assert spectrum.route == "block"
+        values, vectors = written[0]
+        assert np.all(np.diff(values) >= 0)
+        assert np.shares_memory(spectrum.vectors, vectors)
+        quotients = [rayleigh(problem, v) for v in spectrum.vectors.T[1:]]
+        np.testing.assert_allclose(spectrum.values[1:], quotients, rtol=1e-13,
+                                   atol=0)
 
     def test_low_modes_off_the_zero_mode(self):
         # g11 = 8 makes x the cheap direction: on a y-varying field the
