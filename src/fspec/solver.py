@@ -39,11 +39,14 @@ Block route (``_block_route``): if the two diagonal-offset weight arrays
 are all zero (no cross term) and the weights and mass reduce to one grid
 line across x (or across y), the pencil splits exactly
 into one real symmetric block per Fourier mode m of that axis,
-B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), each solved densely
-(``_block_eigenvectors``).  Modes are visited in increasing m and the sweep
-stops once 4 sin^2(pi m / n) min(w_ring / mass) exceeds the current
-(k+1)-th value, a sound lower bound on that mode.  The kept vectors take
-one inverse-iteration step about a shift below the spectrum, and each
+B_m = L_line + 4 sin^2(pi m / n) diag(w_ring), periodic tridiagonal, kept
+in banded form (``_block_eigenvectors``): no w x w array is formed for a
+line of w nodes.  Modes are visited in increasing m, and banded bisection
+asks each only for the indices j whose Weyl bound
+lambda_j(B_0) + 4 sin^2(pi m / n) min(w_ring / mass) does not exceed the
+current (k+1)-th value; the sweep stops once the bound of j = 0 does.
+Banded inverse iteration forms line vectors only for the pairs kept, and
+one more step about a shift below the spectrum refines them.  Each
 eigenvalue is the edge-form quotient of its line vector, the grid vector's
 ``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
 relative accuracy.  The pairs are ordered by these quotients before any grid
@@ -86,6 +89,10 @@ _CHECK_TOL = 1e-8
 # grid offsets (di, dj) of the stencil's edges, in the order of
 # SpectralProblem.weights
 _OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1))
+# the block route's inverse iteration: shifts sit this far below each
+# eigenvalue, relative to max(|lambda|, |shift|), and take this many steps
+_BLOCK_MARGIN = 1e-12
+_BLOCK_STEPS = 3
 
 
 class SolverError(RuntimeError):
@@ -224,21 +231,34 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     of a line to node j of the next.  Fourier mode m across the lines
     reduces the pencil to the real symmetric block
     B_m = L_line + 4 sin^2(pi m / rings) diag(w_ring) against diag(mass),
-    where L_line is the periodic tridiagonal Laplacian of w_line; each is
-    solved by dense eigh after symmetric scaling by mass^(-1/2).
-    B_0 = L_line is PSD, so no eigenvalue of mode m lies below
-    4 sin^2(pi m / rings) min(w_ring / mass); modes are visited in
-    increasing m and the sweep stops once that bound exceeds the current
-    (k+1)-th value.
+    where L_line is the periodic tridiagonal Laplacian of w_line.  In the
+    zigzag node order 0, w-1, 1, w-2, ... every line edge joins positions at
+    most 2 apart, so each block is kept in upper banded form (3 x w) and no
+    w x w array is formed.
 
-    The dense solve leaves errors of order eps lambda_max in the vectors.
+    Eigenvalues come from banded bisection of mass^(-1/2) B_m mass^(-1/2),
+    asked only for the indices j that can still enter the pool of the k+1
+    smallest: that matrix is the one of B_0 plus
+    4 sin^2(pi m / rings) diag(w_ring / mass), so by Weyl
+    lambda_j(B_m) >= lambda_j(B_0) + 4 sin^2(pi m / rings) min(w_ring / mass).
+    Modes are visited in increasing m, and the sweep stops once the bound of
+    j = 0 (lambda_0(B_0) = 0) exceeds the current (k+1)-th value.
+
+    Line vectors are formed only for the pairs left in the pool, one per
+    (m, j), so a cos/sin pair shares one: _BLOCK_STEPS steps of banded
+    inverse iteration shifted just below each eigenvalue (by _BLOCK_MARGIN
+    of max(|lambda|, |shift|), so an exact eigenvalue such as mode 0's
+    lambda = 0 leaves no singular system), from a fixed start vector per j
+    and orthogonalized at each step against the block's earlier vectors, so
+    that a repeated or nearly repeated eigenvalue of one block gets
+    independent vectors.
     One inverse-iteration step about `shift` (below the spectrum) on each
-    kept mode damps them; a Cholesky QR of the M-normalized columns restores
-    M-orthonormality.  Each eigenvalue is then the edge-form quotient of its
-    line vector u, (sum w_line (u_j - u_j+1)^2
+    kept mode then damps their errors; a Cholesky QR of the M-normalized
+    columns restores M-orthonormality.  Each eigenvalue is then the
+    edge-form quotient of its line vector u, (sum w_line (u_j - u_j+1)^2
     + 4 sin^2(pi m / rings) sum w_ring u_j^2) / sum mass u_j^2, the grid
     vector's ``rayleigh`` quotient in exact arithmetic, accurate relative to
-    itself where the dense solve is accurate only to roundoff in lambda_max.
+    itself where bisection is accurate only to roundoff in lambda_max.
 
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
@@ -250,44 +270,81 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     """
     import scipy.linalg
     width = mass.size
-    scale = 1.0 / np.sqrt(mass)
     nodes = np.arange(width)
-    after = np.roll(nodes, -1)
-    laplacian = np.diag(w_line + np.roll(w_line, 1))
-    laplacian[nodes, after] = laplacian[after, nodes] = -w_line
+    order = np.column_stack([nodes, nodes[::-1]]).ravel()[:width]  # zigzag
+    position = np.argsort(order)
+    # L_line in upper banded form: row 2 - d holds the entries d above the
+    # diagonal, each in the column of its lower position
+    ends = np.sort([position, np.roll(position, -1)], axis=0)
+    laplacian = np.zeros((3, width))
+    laplacian[2 - (ends[1] - ends[0]), ends[1]] = -w_line
+    laplacian[2] = (w_line + np.roll(w_line, 1))[order]
+    ring, weight = w_ring[order], mass[order]
+    scale = 1.0 / np.sqrt(weight)
+    scale_ij = scale * np.stack([np.roll(scale, 2), np.roll(scale, 1), scale])
     rate = float((w_ring / mass).min())
     last = min(k, width - 1)
 
-    def block(m):
-        return laplacian + np.diag(_sin2(m, rings) * w_ring)
+    def block(m, shifted=0.0):
+        """B_m - shifted M, upper banded in zigzag order."""
+        band = laplacian.copy()
+        band[2] += _sin2(m, rings) * ring
+        band[2] -= shifted * weight
+        return band
 
-    pool = []   # (value, m, j, part): the k+1 smallest found so far
-    modes = {}  # m -> eigenvectors of B_m, for the modes in the pool
+    pool = []  # (value, m, j, part): the k+1 smallest found so far
     for m in range(rings // 2 + 1):
-        if len(pool) > k and _sin2(m, rings) * rate > pool[k][0]:
-            break
-        w, u = scipy.linalg.eigh(scale[:, None] * block(m) * scale[None, :],
-                                 subset_by_index=(0, last))
-        modes[m] = scale[:, None] * u
+        count = last + 1
+        if len(pool) > k:
+            count = int(np.count_nonzero(
+                floor + _sin2(m, rings) * rate <= pool[k][0]))
+            if count == 0:
+                break
+        w = scipy.linalg.eigvals_banded(block(m) * scale_ij, select="i",
+                                        select_range=(0, count - 1),
+                                        check_finite=False)
+        if m == 0:
+            floor = np.concatenate([[0.0], w[1:]])  # lambda_j of mode 0
         parts = ("cos", "sin") if 2 * m % rings else ("one",)
         pool += [(float(w[j]), m, j, part)
                  for j in range(w.size) for part in parts]
         pool.sort(key=lambda entry: entry[0])
         del pool[k + 1:]
-        kept = {entry[1] for entry in pool}
-        modes = {mode: u for mode, u in modes.items() if mode in kept}
 
-    quotients = {}
-    for m, u in modes.items():
-        y = scipy.linalg.solve(block(m) - shift * np.diag(mass),
-                               mass[:, None] * u, assume_a="sym")
+    starts = np.random.default_rng(0).standard_normal((last + 1, width))
+    kept = {}  # m -> {j: eigenvalue}
+    for value, m, j, _ in pool:
+        kept.setdefault(m, {})[j] = value
+    lines, quotients = {}, {}
+    for m, found in kept.items():
+        index = sorted(found)
+        upper = block(m) * scale_ij
+        full = np.zeros((5, width))  # solve_banded's form, l = u = 2
+        full[:3] = upper
+        full[3, :-1], full[4, :-2] = upper[1, 1:], upper[0, 2:]
+        x = np.empty((width, len(index)))
+        for col, j in enumerate(index):
+            target = found[j] - _BLOCK_MARGIN * max(abs(found[j]), -shift)
+            full[2] = upper[2] - target
+            v = starts[j]
+            for _ in range(_BLOCK_STEPS):
+                v = scipy.linalg.solve_banded((2, 2), full, v,
+                                              check_finite=False)
+                v -= x[:, :col] @ (x[:, :col].T @ v)
+                v /= np.linalg.norm(v)
+            x[:, col] = v
+        u = scale[:, None] * x  # M-normalized, in zigzag order
+        y = scipy.linalg.solveh_banded(block(m, shift), weight[:, None] * u,
+                                       check_finite=False)[position]
         y = y / np.sqrt(mass @ y**2)
         chol = np.linalg.cholesky(y.T @ (mass[:, None] * y))
-        u = modes[m] = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
+        u = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
         du = u - np.roll(u, -1, axis=0)
-        quotients[m] = ((w_line @ du**2 + _sin2(m, rings) * (w_ring @ u**2))
-                        / (mass @ u**2))
-    pool = sorted(((quotients[m][j], m, j, part) for _, m, j, part in pool),
+        quotient = ((w_line @ du**2 + _sin2(m, rings) * (w_ring @ u**2))
+                    / (mass @ u**2))
+        for col, j in enumerate(index):
+            lines[m, j], quotients[m, j] = u[:, col], quotient[col]
+    pool = sorted(((quotients[m, j], m, j, part) for _, m, j, part in pool),
                   key=lambda entry: entry[0])
 
     phases = np.arange(rings)
@@ -296,9 +353,12 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
         phase = 2.0 * np.pi * m * phases / rings
         wave = np.sin(phase) if part == "sin" else np.cos(phase)
         norm = np.sqrt(2.0 / rings) if part != "one" else 1.0 / np.sqrt(rings)
-        ring, line = norm * wave, modes[m][:, j]
-        vectors[:, col] = (np.outer(line, ring) if transposed
-                           else np.outer(ring, line)).ravel()
+        if transposed:
+            np.outer(lines[m, j], norm * wave,
+                     out=vectors[:, col].reshape(width, rings))
+        else:
+            np.outer(norm * wave, lines[m, j],
+                     out=vectors[:, col].reshape(rings, width))
     return np.array([entry[0] for entry in pool]), vectors
 
 
@@ -317,15 +377,21 @@ def _gate(problem, values, vectors):
     largest residual-to-floor ratio of a pair that passes by the floor
     alone, 0.0 if none does.
     """
+    nx, ny = problem.grid.nx, problem.grid.ny
+    edges = _edges(problem)
+    mass = problem.reduced[1]
+    Mu, r, du = np.empty((nx, ny)), np.empty((nx, ny)), np.empty((nx, ny))
     residuals = np.empty(values.size)
     for j, value in enumerate(values):
-        u = vectors[:, j].reshape(problem.grid.nx, problem.grid.ny)
-        Mu = problem.reduced[1] * u
-        r = -value * Mu  # K u - lambda M u, with K u added edge by edge
-        for offset, weight, du in _edges(problem, u):
+        u = vectors[:, j].reshape(nx, ny)
+        np.multiply(mass, u, out=Mu)
+        np.multiply(Mu, -value, out=r)  # K u - lambda M u, K u added edge by edge
+        for weight, ahead, behind in edges:
+            _difference(u, ahead, du)
             du *= weight  # the flux w_ab (u_a - u_b), out of a and into b
             r += du
-            r -= np.roll(du, offset, axis=(0, 1))
+            for target, source in behind:
+                r[target] -= du[source]
         residuals[j] = np.linalg.norm(r) / np.linalg.norm(Mu)
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
     relative = residuals / np.maximum(np.abs(values), ref)
@@ -388,12 +454,15 @@ def _fourier_route(problem, k):
         x = 2.0 * np.pi * (m * i % nx) / nx
         y = 2.0 * np.pi * (l * j % ny) / ny
         cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+        wave = vectors[col].reshape(nx, ny)  # written in place
         if index <= conjugate:
-            wave = np.outer(cx, cy) - np.outer(sx, sy)
+            np.outer(cx, cy, out=wave)
+            wave -= np.outer(sx, sy)
         else:
-            wave = np.outer(sx, cy) + np.outer(cx, sy)
+            np.outer(sx, cy, out=wave)
+            wave += np.outer(cx, sy)
         share = 1.0 if index == conjugate else 2.0
-        vectors[col] = np.sqrt(share / (n * mass[0, 0])) * wave.ravel()
+        wave *= np.sqrt(share / (n * mass[0, 0]))
     return values[chosen], vectors.T
 
 
@@ -551,17 +620,44 @@ def rayleigh(problem, f):
         raise ValueError("grid function has the wrong number of nodes")
     if not np.any(f):
         raise ValueError("Rayleigh quotient of the zero function")
-    energy = sum(float((weight * du**2).sum()) for _, weight, du in
-                 _edges(problem, f.reshape(problem.grid.nx, problem.grid.ny)))
+    u = f.reshape(problem.grid.nx, problem.grid.ny)
+    du = np.empty_like(u)
+    energy = 0
+    for weight, ahead, _ in _edges(problem):
+        np.square(_difference(u, ahead, du), out=du)
+        du *= weight
+        energy += float(du.sum())
     return energy / float(problem.mass.ravel() @ f**2)
 
 
-def _edges(problem, u):
-    """(offset, weight, u_a - u_b) per offset whose weights are not all zero,
-    for a grid-shaped u: the edge form that ``rayleigh`` and ``_gate`` read."""
-    for offset, weight in zip(_OFFSETS, problem.reduced[0]):
-        if np.any(weight):
-            yield offset, weight, u - np.roll(u, np.negative(offset), axis=(0, 1))
+def _edges(problem):
+    """(weight, ahead, behind) per offset e whose weights are not all zero:
+    the edge form that ``rayleigh`` and ``_gate`` read.  ahead and behind
+    are ``_rolled`` slice pairs, for u(a + e) and for f(a - e) on a grid array.
+    """
+    shape = (problem.grid.nx, problem.grid.ny)
+    return [(weight, _rolled(np.negative(offset), shape), _rolled(offset, shape))
+            for offset, weight in zip(_OFFSETS, problem.reduced[0])
+            if np.any(weight)]
+
+
+def _rolled(offset, shape):
+    """(target, source) slice pairs with y[target] = x[source] for
+    y = np.roll(x, offset, axis=(0, 1)): the periodic shift as at most four
+    blocks, so a shifted array is read without a copy."""
+    axes = []
+    for step, n in zip(offset, shape):
+        step %= n
+        axes.append([(slice(step, n), slice(0, n - step))]
+                    + ([(slice(0, step), slice(n - step, n))] if step else []))
+    return [((t0, t1), (s0, s1)) for t0, s0 in axes[0] for t1, s1 in axes[1]]
+
+
+def _difference(u, ahead, out):
+    """out = u_a - u_(a + e), written block by block from ``_rolled`` pairs."""
+    for target, source in ahead:
+        np.subtract(u[target], u[source], out=out[target])
+    return out
 
 
 def fourier_oracle(sigma, k):

@@ -1,6 +1,7 @@
 """Discrete operators, eigensolvers, oracles, and convergence behavior."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -634,11 +635,11 @@ class TestBlockRoute:
     # route; each switches it off to check the block route on them
 
     def test_small_eigenvalues_exact_on_a_fine_grid(self, monkeypatch):
-        # lambda_max / lambda_1 grows like n^2: at 512^2 the vectors of a
-        # plain dense block solve miss _RESTOL (max rel residual 1.6e-9) and
-        # their Rayleigh quotients K u . u lose about 1e-10 of lambda_1; the
-        # inverse-iteration step and the edge-form quotients keep both at
-        # roundoff
+        # lambda_max / lambda_1 grows like n^2: at 512^2 vectors accurate
+        # only to eps lambda_max (a dense block solve's) miss _RESTOL (max
+        # rel residual 1.6e-9) and their Rayleigh quotients K u . u lose
+        # about 1e-10 of lambda_1; the inverse-iteration step about the
+        # negative shift and the edge-form quotients keep both at roundoff
         switch_off(monkeypatch, "fourier")
         field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
                                     TorusGrid.square(512))
@@ -713,6 +714,55 @@ class TestBlockRoute:
         quotients = [rayleigh(problem, v) for v in spectrum.vectors.T[1:]]
         np.testing.assert_allclose(spectrum.values[1:], quotients, rtol=1e-13,
                                    atol=0)
+
+    @pytest.mark.parametrize("width", [16, 128])
+    @pytest.mark.parametrize("cluster", ["split", "double"])
+    def test_cluster_inside_one_block(self, monkeypatch, width, cluster):
+        # two eigenvalues of one mode block, 1e-10 apart or equal, each need
+        # a vector of their own.  "split": a y-only g11 whose cos(4 pi y)
+        # part splits the line's l = +-1 pair by about 1e-10 relative in
+        # modes 0 and 1.  "double": a constant line, with the Fourier route
+        # off, whose blocks have exact double eigenvalues
+        if cluster == "split":
+            spec = RiemannianMetric("1 + 1e-10*cos(4*pi*y)", 0.0, 1.0)
+        else:
+            switch_off(monkeypatch, "fourier")
+            spec = RiemannianMetric.euclidean()
+        problem = assemble(SymbolField.compute(spec, TorusGrid(8, width)))
+        spectrum = solve(problem, 10)
+        assert spectrum.route == "block"
+        want = dense_spectrum(problem, 10)
+        gaps = np.diff(want[1:]) / want[2:]
+        if cluster == "split":
+            assert np.any((gaps > 5e-11) & (gaps < 2e-10))
+        else:
+            assert np.count_nonzero(gaps == 0.0) >= 3
+        np.testing.assert_allclose(spectrum.values[1:], want[1:], rtol=1e-12,
+                                   atol=0)
+        gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
+        np.testing.assert_allclose(gram, np.eye(11), rtol=0, atol=1e-12)
+
+    def test_memory_grows_with_the_line_not_its_square(self, monkeypatch):
+        # lines of 2048 nodes: one dense 2048-wide block alone takes 32 MiB,
+        # where the banded blocks and the kept line vectors take O(k w)
+        # (scipy.linalg is imported above, so its import is not counted)
+        spec = RandersMetric(RiemannianMetric(4.0, 0.0, 0.25),
+                             "1.8*(0.5 + 0.4*sin(2*pi*y))", "0")
+        problem = assemble(SymbolField.compute(spec, TorusGrid(8, 2048)))
+        blocks = fspec.solver._block_eigenvectors
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return blocks(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(fspec.solver, "_block_eigenvectors", traced)
+        assert solve(problem, 10).route == "block"
+        assert peaks[0] < 8 * 2**20
 
     def test_low_modes_off_the_zero_mode(self):
         # g11 = 8 makes x the cheap direction: on a y-varying field the
