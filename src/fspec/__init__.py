@@ -8,7 +8,7 @@ along one axis without a cross term; shift-invert for the rest), and
 config-driven experiments.
 """
 
-from .fields import Field, as_field, reduce_mod1
+from .fields import Field, as_field
 from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
                       RiemannianMetric, base_metric, bilipschitz_ratio,
                       check_strong_convexity, dual_gradient_numeric,
@@ -29,7 +29,7 @@ from .experiments import (ConfigError, ExperimentConfig, Report, Verdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "as_field", "reduce_mod1",
+    "Field", "as_field",
     "RiemannianMetric", "RandersMetric", "ConformalMetric", "base_metric",
     "IllPosedMetricError", "quasireversibility", "bilipschitz_ratio",
     "check_strong_convexity", "dual_norm_sampled", "dual_gradient_numeric",

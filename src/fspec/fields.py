@@ -82,23 +82,6 @@ class Field:
             return 0.5 * (lo + hi)
         return None
 
-    def _combine(self, other, op, sym):
-        other = as_field(other)
-        fn = self._fn
-        ofn = other._fn
-        return Field(lambda x, y: op(fn(x, y), ofn(x, y)),
-                     f"({self.description} {sym} {other.description})")
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, "+")
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, "*")
-
-    __rmul__ = __mul__
-
 
 def as_field(obj):
     """Coerce numbers (a 0-d array included), expression strings and callables

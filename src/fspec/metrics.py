@@ -200,8 +200,6 @@ class _RandersCore:
 class RiemannianMetric(_RandersCore):
     """F(x, v) = sqrt(v' g(x) v) for a symmetric positive-definite matrix field g."""
 
-    variant = "riemannian"
-
     def __init__(self, g11, g12=0.0, g22=1.0):
         self.g11 = as_field(g11)
         self.g12 = as_field(g12)
@@ -241,8 +239,6 @@ class RandersMetric(_RandersCore):
     operation raises IllPosedMetricError otherwise.
     """
 
-    variant = "randers"
-
     def __init__(self, base, rho_x, rho_y):
         if not isinstance(base, RiemannianMetric):
             raise TypeError("Randers base must be a RiemannianMetric")
@@ -254,8 +250,8 @@ class RandersMetric(_RandersCore):
     def axis_drift_torus(cls, h, eta, r=None, profile=1.0):
         """diag(h^2, r^2) base with drift eta*h*profile(x, y) dx; r defaults to 1/h."""
         base = RiemannianMetric.stretched(h, r)
-        rho_x = float(eta) * float(h) * as_field(profile)
-        return cls(base, rho_x, 0.0)
+        scale, profile = float(eta) * float(h), as_field(profile)
+        return cls(base, lambda x, y: profile(x, y) * scale, 0.0)
 
     def _parts(self, x, y):
         return (0.0, self.base._coefficients(x, y),
@@ -264,8 +260,6 @@ class RandersMetric(_RandersCore):
 
 class ConformalMetric(_RandersCore):
     """F(x, v) = exp(f(x)) F_base(x, v) for a scalar exponent field f."""
-
-    variant = "conformal"
 
     def __init__(self, base, exponent):
         if not isinstance(base, _RandersCore):

@@ -46,7 +46,7 @@ asks each only for the indices j whose Weyl bound
 lambda_j(B_0) + 4 sin^2(pi m / n) min(w_ring / mass) does not exceed the
 current (k+1)-th value; the sweep stops once the bound of j = 0 does.
 Banded inverse iteration forms line vectors only for the pairs kept, and
-one more step about a shift below the spectrum refines them.  Each
+leaves them M-orthonormal once scaled by M^(-1/2), with no other step.  Each
 eigenvalue is the edge-form quotient of its line vector, the grid vector's
 ``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
 relative accuracy.  The pairs are ordered by these quotients before any grid
@@ -79,9 +79,10 @@ from .metrics import _eigen_extremes
 
 _RESTOL = 1e-9  # eigenpair residual bound, relative to each eigenvalue's scale
 # A pair that misses _RESTOL still passes within this many times its rounding
-# floor (``_gate``): the block route's pairs sit at up to 2.8 floors on long
-# rings (4096 x 16) and at 0.29 on square grids, while a 1e-6 error in a
-# vector puts a pair some 1e9 floors out
+# floor (``_gate``): the block route's pairs sit at up to 1.7 floors on the
+# constant RandersMetric.axis_drift_torus(4, 0.5) on TorusGrid(16384, 8), with
+# the Fourier route off, and at 0 on the square grids of benchmarks/scaling.py,
+# while a 1e-6 error in a vector puts a pair some 1e9 floors out
 _FLOOR_FACTOR = 8.0
 # ARPACK tolerance of the shift-invert completeness check; its Ritz value
 # errs by about the square of it
@@ -236,10 +237,10 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     most 2 apart, so each block is kept in upper banded form (3 x w) and no
     w x w array is formed.
 
-    Eigenvalues come from banded bisection of mass^(-1/2) B_m mass^(-1/2),
-    asked only for the indices j that can still enter the pool of the k+1
-    smallest: that matrix is the one of B_0 plus
-    4 sin^2(pi m / rings) diag(w_ring / mass), so by Weyl
+    The band is scaled once, to mass^(-1/2) B_m mass^(-1/2), and eigenvalues
+    come from its banded bisection, asked only for the indices j that can
+    still enter the pool of the k+1 smallest: that matrix is the one of B_0
+    plus 4 sin^2(pi m / rings) diag(w_ring / mass), so by Weyl
     lambda_j(B_m) >= lambda_j(B_0) + 4 sin^2(pi m / rings) min(w_ring / mass).
     Modes are visited in increasing m, and the sweep stops once the bound of
     j = 0 (lambda_0(B_0) = 0) exceeds the current (k+1)-th value.
@@ -251,11 +252,11 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     lambda = 0 leaves no singular system), from a fixed start vector per j
     and orthogonalized at each step against the block's earlier vectors, so
     that a repeated or nearly repeated eigenvalue of one block gets
-    independent vectors.
-    One inverse-iteration step about `shift` (below the spectrum) on each
-    kept mode then damps their errors; a Cholesky QR of the M-normalized
-    columns restores M-orthonormality.  Each eigenvalue is then the
-    edge-form quotient of its line vector u, (sum w_line (u_j - u_j+1)^2
+    independent vectors.  Iteration at the eigenvalue leaves residuals at
+    rounding level and the orthogonalization leaves a block's vectors
+    orthonormal, so mass^(-1/2) times them, put back into node order, is
+    M-orthonormal as it stands.  Each eigenvalue is the edge-form quotient
+    of its line vector u, (sum w_line (u_j - u_j+1)^2
     + 4 sin^2(pi m / rings) sum w_ring u_j^2) / sum mass u_j^2, the grid
     vector's ``rayleigh`` quotient in exact arithmetic, accurate relative to
     itself where bisection is accurate only to roundoff in lambda_max.
@@ -279,17 +280,17 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     laplacian = np.zeros((3, width))
     laplacian[2 - (ends[1] - ends[0]), ends[1]] = -w_line
     laplacian[2] = (w_line + np.roll(w_line, 1))[order]
-    ring, weight = w_ring[order], mass[order]
-    scale = 1.0 / np.sqrt(weight)
-    scale_ij = scale * np.stack([np.roll(scale, 2), np.roll(scale, 1), scale])
-    rate = float((w_ring / mass).min())
+    # scaled once by M^(-1/2) on both sides: entry (i, j) by scale_i scale_j
+    scale = 1.0 / np.sqrt(mass[order])
+    laplacian *= scale * np.stack([np.roll(scale, 2), np.roll(scale, 1), scale])
+    ring = (w_ring / mass)[order]
+    rate = float(ring.min())
     last = min(k, width - 1)
 
-    def block(m, shifted=0.0):
-        """B_m - shifted M, upper banded in zigzag order."""
+    def block(m):
+        """M^(-1/2) B_m M^(-1/2), upper banded in zigzag order."""
         band = laplacian.copy()
         band[2] += _sin2(m, rings) * ring
-        band[2] -= shifted * weight
         return band
 
     pool = []  # (value, m, j, part): the k+1 smallest found so far
@@ -300,7 +301,7 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
                 floor + _sin2(m, rings) * rate <= pool[k][0]))
             if count == 0:
                 break
-        w = scipy.linalg.eigvals_banded(block(m) * scale_ij, select="i",
+        w = scipy.linalg.eigvals_banded(block(m), select="i",
                                         select_range=(0, count - 1),
                                         check_finite=False)
         if m == 0:
@@ -318,11 +319,11 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     lines, quotients = {}, {}
     for m, found in kept.items():
         index = sorted(found)
-        upper = block(m) * scale_ij
+        upper = block(m)
         full = np.zeros((5, width))  # solve_banded's form, l = u = 2
         full[:3] = upper
         full[3, :-1], full[4, :-2] = upper[1, 1:], upper[0, 2:]
-        x = np.empty((width, len(index)))
+        x = np.empty((len(index), width))  # one line vector per row
         for col, j in enumerate(index):
             target = found[j] - _BLOCK_MARGIN * max(abs(found[j]), -shift)
             full[2] = upper[2] - target
@@ -330,20 +331,15 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
             for _ in range(_BLOCK_STEPS):
                 v = scipy.linalg.solve_banded((2, 2), full, v,
                                               check_finite=False)
-                v -= x[:, :col] @ (x[:, :col].T @ v)
+                v -= x[:col].T @ (x[:col] @ v)
                 v /= np.linalg.norm(v)
-            x[:, col] = v
-        u = scale[:, None] * x  # M-normalized, in zigzag order
-        y = scipy.linalg.solveh_banded(block(m, shift), weight[:, None] * u,
-                                       check_finite=False)[position]
-        y = y / np.sqrt(mass @ y**2)
-        chol = np.linalg.cholesky(y.T @ (mass[:, None] * y))
-        u = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
-        du = u - np.roll(u, -1, axis=0)
-        quotient = ((w_line @ du**2 + _sin2(m, rings) * (w_ring @ u**2))
-                    / (mass @ u**2))
+            x[col] = v
+        u = (x * scale)[:, position]  # M-orthonormal rows, in node order
+        du = u - np.roll(u, -1, axis=1)
+        quotient = ((du**2 @ w_line + _sin2(m, rings) * (u**2 @ w_ring))
+                    / (u**2 @ mass))
         for col, j in enumerate(index):
-            lines[m, j], quotients[m, j] = u[:, col], quotient[col]
+            lines[m, j], quotients[m, j] = u[col], quotient[col]
     pool = sorted(((quotients[m, j], m, j, part) for _, m, j, part in pool),
                   key=lambda entry: entry[0])
 

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import fspec.experiments
-from fspec import (ConfigError, ExperimentConfig, RandersMetric,
-                   RiemannianMetric, SymbolField, TorusGrid, assemble,
-                   build_metric, run_experiment, solve, threshold_eta,
-                   verdicts_from_rows)
+from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
+                   RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
+                   assemble, build_metric, run_experiment, solve,
+                   threshold_eta, verdicts_from_rows)
 from fspec.cli import main as cli_main
 from fspec.experiments import parse_config_text
 
@@ -180,6 +180,15 @@ class TestConfigParsing:
         assert table == {kind: entry.keys
                          for kind, entry in fspec.experiments.KINDS.items()}
 
+    def test_readme_tolerance_defaults_match(self):
+        # the paragraph that opens with "Tolerance defaults:" pairs each
+        # tolerance key with its default, both in backticks
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme.split("Tolerance defaults:", 1)[1].split("\n\n", 1)[0]
+        pairs = re.findall(r"`([a-z_]+)` `([^`]+)`", paragraph)
+        assert {key: float(value) for key, value in pairs} == \
+            fspec.experiments._DEFAULT_TOLERANCES
+
     def test_sizes_must_be_integers(self):
         # 24.9 used to run as n = 24 while the echo said 24.899999999999999
         for text in [CONVERGENCE_CFG + "grids = 16, 24.9, 32\n",
@@ -227,8 +236,8 @@ class TestMetricBuilding:
             "base": {"type": "randers", "g11": 4.0, "g22": 0.25,
                      "rho_x": "0.5*(0.5 + 0.4*sin(2*pi*y))"},
         })
-        assert spec.variant == "conformal"
-        assert spec.base.variant == "randers"
+        assert isinstance(spec, ConformalMetric)
+        assert isinstance(spec.base, RandersMetric)
 
     def test_unknown_type(self):
         with pytest.raises(ConfigError):

@@ -638,8 +638,8 @@ class TestBlockRoute:
         # lambda_max / lambda_1 grows like n^2: at 512^2 vectors accurate
         # only to eps lambda_max (a dense block solve's) miss _RESTOL (max
         # rel residual 1.6e-9) and their Rayleigh quotients K u . u lose
-        # about 1e-10 of lambda_1; the inverse-iteration step about the
-        # negative shift and the edge-form quotients keep both at roundoff
+        # about 1e-10 of lambda_1; inverse iteration at each eigenvalue and
+        # the edge-form quotients keep both at roundoff
         switch_off(monkeypatch, "fourier")
         field = SymbolField.compute(RandersMetric.axis_drift_torus(4.0, 0.5),
                                     TorusGrid.square(512))
