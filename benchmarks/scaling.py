@@ -20,9 +20,11 @@ time:
 
 Each stage is timed ``REPEATS`` times without tracemalloc (the minimum is
 kept, and the minor page faults per call, the mean ``getrusage`` ``ru_minflt``
-delta over those runs, are recorded), then run once more under tracemalloc
-for its peak, which counts numpy and Python allocations but not memory that
-compiled libraries allocate themselves (SuperLU's factors, for one).  The
+delta over those runs, are recorded), then ``REPEATS`` times more under
+tracemalloc, and the least of those peaks is kept: one traced run carries
+sub-KiB allocator noise.  The peak counts numpy and Python allocations but
+not memory that compiled libraries allocate themselves (SuperLU's factors,
+for one).  The
 2-D and the sheared y-only field go to shift-invert, whose LU factors grow
 much faster than the grid; a field that took shift-invert stops at
 ``_SHIFT_INVERT_MAX_GRID`` so the run stays within a few hundred MiB, while
@@ -48,7 +50,7 @@ import fspec
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, assemble, solve)
 
-SCHEMA = "fspec-scaling/5"
+SCHEMA = "fspec-scaling/6"
 K = 10
 GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
@@ -73,7 +75,7 @@ def _minor_faults():
 
 def _stage(fn):
     """(result, min seconds over REPEATS, minor page faults per call over
-    those runs, tracemalloc peak MiB of one more run)."""
+    those runs, least tracemalloc peak MiB over REPEATS more runs)."""
     best = np.inf
     faults = _minor_faults()
     for _ in range(REPEATS):
@@ -81,12 +83,14 @@ def _stage(fn):
         fn()
         best = min(best, time.perf_counter() - start)
     faults = (_minor_faults() - faults) // REPEATS
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = np.inf
+    for _ in range(REPEATS):
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = min(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     return result, best, faults, peak / 2**20
 
 

@@ -687,7 +687,8 @@ def run_torus_large_eigenvalue(cfg):
 
 
 def _pencil_extremes(sig_f, sig_0):
-    """Per-node extreme generalized eigenvalues of sigma*_F against sigma*_F0."""
+    """Per-node extreme generalized eigenvalues of sigma*_F against sigma*_F0,
+    on arrays of (..., 2, 2) symbols that broadcast against each other."""
     f11, f12, f22 = sig_f[..., 0, 0], sig_f[..., 0, 1], sig_f[..., 1, 1]
     o11, o12, o22 = sig_0[..., 0, 0], sig_0[..., 0, 1], sig_0[..., 1, 1]
     a2 = o11 * o22 - o12**2
@@ -716,8 +717,11 @@ def run_bilipschitz_check(cfg):
     field_f = SymbolField.compute(spec, grid)
     field_0 = SymbolField.compute(ref, grid)
 
-    lo_pencil, hi_pencil = _pencil_extremes(field_f.sigma_star, field_0.sigma_star)
-    mu_ratio = field_f.mu / field_0.mu
+    # on the fields' reduced arrays, which broadcast to at most the grid:
+    # the extremes are taken over the same per-node values
+    (sig_f, mu_f), (sig_0, mu_0) = field_f.reduced, field_0.reduced
+    lo_pencil, hi_pencil = _pencil_extremes(sig_f, sig_0)
+    mu_ratio = mu_f / mu_0
     spread = float(mu_ratio.max() / mu_ratio.min())
     S = float(hi_pencil.max()) * spread
     S_prime = float((1.0 / lo_pencil).max()) * spread

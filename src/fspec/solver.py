@@ -26,14 +26,16 @@ K u = lambda M u.
 
 ``solve`` tries three routes in turn; each hands back raw eigenpairs, and
 ``solve`` alone orders them, forms their residuals (K u in edge form from
-the weights) and gates them.
+the weights) and gates them.  The edge form reads each periodic shift of a
+grid array as a flat shift, in at most two contiguous blocks, and rewrites
+the one column whose rows the shift ran past (``_rolled``).
 
 Fourier route (``_fourier_route``): if the weights and mass reduce to a
 single node (a cross term allowed), every grid Fourier mode is an exact
 eigenvector; the eigenvalues are the
 stencil's own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest
 are taken, and their real cos/sin vectors are built from integer-reduced
-phases.
+phases, all k+1 by one batched product of per-mode x and y factors.
 
 Block route (``_block_route``): if the two diagonal-offset weight arrays
 are all zero (no cross term) and the weights and mass reduce to one grid
@@ -45,15 +47,16 @@ line of w nodes.  Modes are visited in increasing m, and banded bisection
 asks each only for the indices j whose Weyl bound
 lambda_j(B_0) + 4 sin^2(pi m / n) min(w_ring / mass) does not exceed the
 current (k+1)-th value; the sweep stops once the bound of j = 0 does.
-Banded inverse iteration forms line vectors only for the pairs kept, and
-leaves them M-orthonormal once scaled by M^(-1/2), with no other step.  Each
+Banded inverse iteration forms line vectors only for the pairs kept, with
+one LU factor of each shifted band (LAPACK gbtrf) serving all its steps,
+and leaves them M-orthonormal once scaled by M^(-1/2), with no other step.  Each
 eigenvalue is the edge-form quotient of its line vector, the grid vector's
 ``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
 relative accuracy.  The pairs are ordered by these quotients before any grid
-vector is written, and each vector is written once, in the grid's node
-order, so ``solve`` takes them without a copy.  On either reduced route,
-weights that repeat only to roundoff fail the exact test and are not
-reduced.
+vector is written, and all are written once, in the grid's node order, by
+one batched outer product, so ``solve`` takes them without a copy.  On
+either reduced route, weights that repeat only to roundoff fail the exact
+test and are not reduced.
 
 Shift-invert route (``_shift_invert``), for everything else, sheared
 one-axis fields too: ARPACK about the small negative shift
@@ -249,7 +252,10 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     (m, j), so a cos/sin pair shares one: _BLOCK_STEPS steps of banded
     inverse iteration shifted just below each eigenvalue (by _BLOCK_MARGIN
     of max(|lambda|, |shift|), so an exact eigenvalue such as mode 0's
-    lambda = 0 leaves no singular system), from a fixed start vector per j
+    lambda = 0 leaves no singular system; a band that is singular all the
+    same, LAPACK gbtrf info > 0, raises SolverError), each shifted band
+    factored once and its LU factor used for every step (gbtrf, then gbtrs
+    per step: the two halves of gbsv), from a fixed start vector per j
     and orthogonalized at each step against the block's earlier vectors, so
     that a repeated or nearly repeated eigenvalue of one block gets
     independent vectors.  Iteration at the eigenvalue leaves residuals at
@@ -265,11 +271,14 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
     scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
     by 1/sqrt(rings).  Returns (values, vectors), ascending by value, the
-    vectors M-orthonormal and each written once as a contiguous column in
-    the grid's node order: lines along the grid's last axis, or along its
-    first if `transposed`.
+    vectors M-orthonormal and all written once, as contiguous columns in
+    the grid's node order, by one batched product of the waves
+    (count, rings, 1) and line vectors (count, 1, width): lines along the
+    grid's last axis, or, by the transposed product, along its first if
+    `transposed`.
     """
     import scipy.linalg
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
     width = mass.size
     nodes = np.arange(width)
     order = np.column_stack([nodes, nodes[::-1]]).ravel()[:width]  # zigzag
@@ -320,17 +329,21 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     for m, found in kept.items():
         index = sorted(found)
         upper = block(m)
-        full = np.zeros((5, width))  # solve_banded's form, l = u = 2
-        full[:3] = upper
-        full[3, :-1], full[4, :-2] = upper[1, 1:], upper[0, 2:]
+        full = np.zeros((7, width), order="F")  # gbtrf's form, kl = ku = 2
+        full[2:5] = upper
+        full[5, :-1], full[6, :-2] = upper[1, 1:], upper[0, 2:]
         x = np.empty((len(index), width))  # one line vector per row
         for col, j in enumerate(index):
             target = found[j] - _BLOCK_MARGIN * max(abs(found[j]), -shift)
-            full[2] = upper[2] - target
+            full[4] = upper[2] - target
+            lu, pivots, info = dgbtrf(full, 2, 2)
+            if info > 0:
+                raise SolverError(
+                    f"block route: the band of mode {m} shifted to "
+                    f"{target:.6e} is exactly singular (dgbtrf info {info})")
             v = starts[j]
             for _ in range(_BLOCK_STEPS):
-                v = scipy.linalg.solve_banded((2, 2), full, v,
-                                              check_finite=False)
+                v = dgbtrs(lu, 2, 2, v, pivots)[0]
                 v -= x[:col].T @ (x[:col] @ v)
                 v /= np.linalg.norm(v)
             x[col] = v
@@ -343,19 +356,22 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     pool = sorted(((quotients[m, j], m, j, part) for _, m, j, part in pool),
                   key=lambda entry: entry[0])
 
-    phases = np.arange(rings)
-    vectors = np.empty((len(pool), rings * width)).T  # columns contiguous
-    for col, (_, m, j, part) in enumerate(pool):
-        phase = 2.0 * np.pi * m * phases / rings
-        wave = np.sin(phase) if part == "sin" else np.cos(phase)
-        norm = np.sqrt(2.0 / rings) if part != "one" else 1.0 / np.sqrt(rings)
-        if transposed:
-            np.outer(lines[m, j], norm * wave,
-                     out=vectors[:, col].reshape(width, rings))
-        else:
-            np.outer(norm * wave, lines[m, j],
-                     out=vectors[:, col].reshape(rings, width))
-    return np.array([entry[0] for entry in pool]), vectors
+    # one wave and one line vector per pair: one batched product writes
+    # their outer products straight into the grid's node order
+    line = np.array([lines[m, j] for _, m, j, _ in pool])
+    values, m, _, part = map(np.array, zip(*pool))
+    phase = 2.0 * np.pi * m[:, None] * np.arange(rings) / rings
+    norm = np.where(part == "one", 1.0 / np.sqrt(rings), np.sqrt(2.0 / rings))
+    waves = norm[:, None] * np.where((part == "sin")[:, None], np.sin(phase),
+                                     np.cos(phase))
+    vectors = np.empty((values.size, rings * width))
+    if transposed:
+        np.matmul(line[:, :, None], waves[:, None, :],
+                  out=vectors.reshape(-1, width, rings))
+    else:
+        np.matmul(waves[:, :, None], line[:, None, :],
+                  out=vectors.reshape(-1, rings, width))
+    return values, vectors.T
 
 
 def _gate(problem, values, vectors):
@@ -363,11 +379,15 @@ def _gate(problem, values, vectors):
 
     The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
     column at a time, with K u in edge form from the weights, as in
-    ``rayleigh``.  A pair passes if its residual relative to
-    max(|lambda|, lambda_1) (max(lambda_0, 1) if there is no lambda_1) is
-    at most _RESTOL, or if its residual is at most _FLOOR_FACTOR times its
-    rounding floor eps ||abs(K) abs(u)|| / ||M u||, the residual that
-    rounding u to a stored vector alone leaves, which grows with the grid.
+    ``rayleigh``: per offset e, the flux w (u_a - u_(a+e)) is added at a and
+    subtracted at a + e, its shift by e copied first (``_shift``) into the
+    M u buffer, whose norm is taken by then, so the gate holds three grid
+    buffers whatever the number of pairs.  A pair passes if its residual
+    relative to max(|lambda|, lambda_1) (max(lambda_0, 1) if there is no
+    lambda_1) is at most _RESTOL, or if its residual is at most
+    _FLOOR_FACTOR times its rounding floor eps ||abs(K) abs(u)|| / ||M u||,
+    the residual that rounding u to a stored vector alone leaves, which
+    grows with the grid.
     The floor, and K with it, is built only for pairs that miss _RESTOL.
     failures holds the indices of the pairs that fail; floor_ratio is the
     largest residual-to-floor ratio of a pair that passes by the floor
@@ -381,14 +401,14 @@ def _gate(problem, values, vectors):
     for j, value in enumerate(values):
         u = vectors[:, j].reshape(nx, ny)
         np.multiply(mass, u, out=Mu)
+        norm = np.linalg.norm(Mu)
         np.multiply(Mu, -value, out=r)  # K u - lambda M u, K u added edge by edge
         for weight, ahead, behind in edges:
             _difference(u, ahead, du)
             du *= weight  # the flux w_ab (u_a - u_b), out of a and into b
             r += du
-            for target, source in behind:
-                r[target] -= du[source]
-        residuals[j] = np.linalg.norm(r) / np.linalg.norm(Mu)
+            r -= _shift(du, behind, Mu)  # Mu, its norm taken, holds the inflow
+        residuals[j] = np.linalg.norm(r) / norm
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
     relative = residuals / np.maximum(np.abs(values), ref)
     misses = np.flatnonzero(relative > _RESTOL)
@@ -424,7 +444,9 @@ def _fourier_route(problem, k):
     sqrt(2 / (n mass)); a self-conjugate mode (2m = 0 mod nx, 2l = 0 mod ny)
     gives cos(theta . x) alone, scaled by sqrt(1 / (n mass)).  Each phase is
     reduced to an integer m i mod nx (l j mod ny) before it is scaled by
-    2 pi, so the vectors stay exact to roundoff on large grids.
+    2 pi, so the vectors stay exact to roundoff on large grids.  All k+1
+    vectors come from one batched product of (k+1, nx, 2) by (k+1, 2, ny)
+    factors: scale [cos x, -sin x] (or [sin x, cos x]) by [cos y; sin y].
     """
     weights, mass = problem.reduced
     if mass.shape != (1, 1):
@@ -442,24 +464,20 @@ def _fourier_route(problem, k):
     chosen = np.argpartition(values, k)[:k + 1]
     chosen = chosen[np.argsort(values[chosen])]
 
-    n = nx * ny
-    vectors = np.empty((k + 1, n))  # one vector per row: each is written whole
-    for col, index in enumerate(chosen):
-        m, l = divmod(int(index), ny)
-        conjugate = (-m % nx) * ny + (-l % ny)
-        x = 2.0 * np.pi * (m * i % nx) / nx
-        y = 2.0 * np.pi * (l * j % ny) / ny
-        cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
-        wave = vectors[col].reshape(nx, ny)  # written in place
-        if index <= conjugate:
-            np.outer(cx, cy, out=wave)
-            wave -= np.outer(sx, sy)
-        else:
-            np.outer(sx, cy, out=wave)
-            wave += np.outer(cx, sy)
-        share = 1.0 if index == conjugate else 2.0
-        wave *= np.sqrt(share / (n * mass[0, 0]))
-    return values[chosen], vectors.T
+    m, l = np.divmod(chosen, ny)
+    conjugate = (-m % nx) * ny + (-l % ny)
+    scale = np.sqrt(np.where(chosen == conjugate, 1.0, 2.0)
+                    / (nx * ny * mass[0, 0]))[:, None]
+    cos = (chosen <= conjugate)[:, None]
+    x = 2.0 * np.pi * (m[:, None] * i % nx) / nx  # one row of phases per mode
+    y = 2.0 * np.pi * (l[:, None] * j % ny) / ny
+    cx, sx = np.cos(x), np.sin(x)
+    # cos(x + y) = [cos x, -sin x] [cos y; sin y],
+    # sin(x + y) = [sin x, cos x] [cos y; sin y]
+    left = np.stack([np.where(cos, cx, sx) * scale,
+                     np.where(cos, -sx, cx) * scale], axis=-1)
+    vectors = left @ np.stack([np.cos(y), np.sin(y)], axis=1)  # (k+1, nx, ny)
+    return values[chosen], vectors.reshape(k + 1, nx * ny).T
 
 
 def _block_route(problem, k, shift):
@@ -629,7 +647,8 @@ def rayleigh(problem, f):
 def _edges(problem):
     """(weight, ahead, behind) per offset e whose weights are not all zero:
     the edge form that ``rayleigh`` and ``_gate`` read.  ahead and behind
-    are ``_rolled`` slice pairs, for u(a + e) and for f(a - e) on a grid array.
+    are the ``_rolled`` shifts of a grid array by -e and by e, for u(a + e)
+    and for f(a - e).
     """
     shape = (problem.grid.nx, problem.grid.ny)
     return [(weight, _rolled(np.negative(offset), shape), _rolled(offset, shape))
@@ -638,20 +657,50 @@ def _edges(problem):
 
 
 def _rolled(offset, shape):
-    """(target, source) slice pairs with y[target] = x[source] for
-    y = np.roll(x, offset, axis=(0, 1)): the periodic shift as at most four
-    blocks, so a shifted array is read without a copy."""
-    axes = []
-    for step, n in zip(offset, shape):
-        step %= n
-        axes.append([(slice(step, n), slice(0, n - step))]
-                    + ([(slice(0, step), slice(n - step, n))] if step else []))
-    return [((t0, t1), (s0, s1)) for t0, s0 in axes[0] for t1, s1 in axes[1]]
+    """(s, wrap) for y = np.roll(x, offset, axis=(0, 1)) on C-ordered grid
+    arrays of `shape`, |dj| < ny.
+
+    y is x shifted by s = (di ny + dj) mod (nx ny) as a flat array, read in
+    at most two contiguous blocks, except on the |dj| columns whose rows the
+    flat shift ran past (column 0 for dj = 1, column ny - 1 for dj = -1).
+    wrap holds the (target, source) slice pairs, at most two, that rewrite
+    those columns, y[target] = x[source]; it is empty if dj = 0.
+    """
+    (di, dj), (nx, ny) = offset, shape
+    s = (di * ny + dj) % (nx * ny)
+    if dj == 0:
+        return s, []
+    di %= nx
+    target, source = ((slice(0, dj), slice(ny - dj, ny)) if dj > 0
+                      else (slice(ny + dj, ny), slice(0, -dj)))
+    rows = [(slice(di, nx), slice(0, nx - di))] + (
+        [(slice(0, di), slice(nx - di, nx))] if di else [])
+    return s, [((t, target), (f, source)) for t, f in rows]
 
 
-def _difference(u, ahead, out):
-    """out = u_a - u_(a + e), written block by block from ``_rolled`` pairs."""
-    for target, source in ahead:
+def _shift(x, rolled, out):
+    """out = np.roll(x, offset, axis=(0, 1)) for rolled = _rolled(offset):
+    two contiguous block copies of the flat arrays, then the wrap columns."""
+    s, wrap = rolled
+    n = x.size
+    flat_x, flat_out = x.reshape(n), out.reshape(n)
+    flat_out[s:] = flat_x[:n - s]
+    flat_out[:s] = flat_x[n - s:]
+    for target, source in wrap:
+        out[target] = x[source]
+    return out
+
+
+def _difference(u, rolled, out):
+    """out = u - np.roll(u, offset, axis=(0, 1)) for rolled = _rolled(offset),
+    as ``_shift`` reads the rolled array: two contiguous blocks, then the
+    wrap columns."""
+    s, wrap = rolled
+    n = u.size
+    flat_u, flat_out = u.reshape(n), out.reshape(n)
+    np.subtract(flat_u[s:], flat_u[:n - s], out=flat_out[s:])
+    np.subtract(flat_u[:s], flat_u[n - s:], out=flat_out[:s])
+    for target, source in wrap:
         np.subtract(u[target], u[source], out=out[target])
     return out
 

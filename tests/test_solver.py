@@ -16,6 +16,7 @@ from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
                    SolverError, SymbolField, TorusGrid, assemble,
                    discrete_fourier_oracle, fourier_oracle,
                    randers_axis_symbol, rayleigh, run_experiment, solve)
+from fspec.cli import main as cli_main
 from conftest import random_spd
 
 QUAD = FiberQuadrature.trapezoid(256)
@@ -294,6 +295,35 @@ class TestSolve:
                  * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
                  / np.linalg.norm(Mu, axis=0))
         assert np.all(np.abs(spectrum.residuals - csr) <= floor)
+
+    @pytest.mark.parametrize("shape", [(8, 13), (13, 8), (9, 8)])
+    def test_flat_shifts_equal_roll(self, rng, shape):
+        # the gate and rayleigh read every periodic shift as a flat shift in
+        # two blocks plus the wrap column; both kernels equal np.roll exactly
+        x = rng.standard_normal(shape)
+        out = np.empty(shape)
+        for offset in fspec.solver._OFFSETS:
+            for step in (offset, tuple(np.negative(offset))):
+                rolled = fspec.solver._rolled(step, shape)
+                want = np.roll(x, step, axis=(0, 1))
+                assert np.array_equal(fspec.solver._shift(x, rolled, out), want)
+                assert np.array_equal(
+                    fspec.solver._difference(x, rolled, out), x - want)
+
+    def test_gate_matches_csr_on_random_vectors(self, rng):
+        # random vectors, not eigenpairs: an eigenvector smooth across the
+        # wrap column hides a wrong shift there.  A sheared 2-D field on a
+        # non-square grid keeps all four offsets live
+        problem = assemble(SymbolField.compute(SHAPED_METRICS["sheared 2-d"][0],
+                                               TorusGrid(24, 40)))
+        assert all(np.any(w) for w in problem.reduced[0])
+        u = np.asfortranarray(rng.standard_normal((problem.n_nodes, 5)))
+        values = np.sort(rng.uniform(0.0, 100.0, 5))
+        Mu = problem.mass.reshape(-1, 1) * u
+        csr = (np.linalg.norm(problem.K @ u - values * Mu, axis=0)
+               / np.linalg.norm(Mu, axis=0))
+        residuals = fspec.solver._gate(problem, values, u)[0]
+        np.testing.assert_allclose(residuals, csr, rtol=1e-13, atol=0)
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
@@ -763,6 +793,30 @@ class TestBlockRoute:
         monkeypatch.setattr(fspec.solver, "_block_eigenvectors", traced)
         assert solve(problem, 10).route == "block"
         assert peaks[0] < 8 * 2**20
+
+    def test_singular_band_raises_solver_error(self, monkeypatch, tmp_path,
+                                               capsys):
+        # an exactly singular shifted band (dgbtrf info > 0) is a solver
+        # failure, which the CLI reports with exit code 2
+        factor = scipy.linalg.lapack.dgbtrf
+
+        def singular(*args):
+            lu, pivots, _ = factor(*args)
+            return lu, pivots, 3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
+        spec = RandersMetric(RiemannianMetric(4.0, 0.0, 0.25),
+                             "1.8*(0.5 + 0.4*sin(2*pi*y))", "0")
+        problem = assemble(SymbolField.compute(spec, TorusGrid(16, 12)))
+        with pytest.raises(SolverError, match="exactly singular"):
+            solve(problem, 4)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("kind = bilipschitz-check\nmetric.type = torus\n"
+                            "metric.h = 2\nmetric.eta = 0.5\n"
+                            "metric.profile = 0.5 + 0.3*sin(2*pi*y)\n"
+                            "grid = 16\nk = 2\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "exactly singular" in capsys.readouterr().err
 
     def test_low_modes_off_the_zero_mode(self):
         # g11 = 8 makes x the cheap direction: on a y-varying field the
