@@ -1,11 +1,13 @@
-"""Layer-by-layer scaling of the spectral pipeline: field, assemble, solve.
+"""Layer-by-layer scaling of the spectral pipeline: field, assemble, solve, vectors.
 
 For four drifted tori (on the h = 2 stretched torus with eta = 0.9: a
 constant drift, a drift varying in y only and a drift varying in x and y;
 on a sheared base: a drift varying in y only) and the hexagonal torus
 (g proportional to [[1, 1/2], [1/2, 1]], volume 1, the sheared constant
 case) and the square grids ``GRIDS``, times the three layers of one
-spectral problem, records the tracemalloc peak of each, the route
+spectral problem and the first read of the spectrum's eigenvectors
+(``vectors``: the solve keeps them factored and forms the (n, k+1) array
+only when it is read), records the tracemalloc peak of each, the route
 ``solve`` took, its largest eigenpair residual and its floor ratio (how
 close the pairs the rounding-floor gate admitted came to that gate's
 bound, 0.0 if none needed it), the stored nonzeros of the stiffness K
@@ -35,6 +37,7 @@ repeats are fixed so that the outputs of different versions compare.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -50,7 +53,7 @@ import fspec
 from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, assemble, solve)
 
-SCHEMA = "fspec-scaling/6"
+SCHEMA = "fspec-scaling/7"
 K = 10
 GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
@@ -101,16 +104,20 @@ def run_case(g, rho_x, rho_y, n):
         lambda: SymbolField.compute(spec, grid))
     problem, t_asm, f_asm, m_asm = _stage(lambda: assemble(field))
     spectrum, t_solve, f_solve, m_solve = _stage(lambda: solve(problem, K))
+    # a copy of the Spectrum has not formed its vectors yet
+    _, t_vec, f_vec, m_vec = _stage(lambda: dataclasses.replace(spectrum).vectors)
     case = {
         "grid": n, "nodes": grid.node_count, "k": K,
         "route": spectrum.route,
         "lambda1": float(spectrum.values[1]),
         "max_residual": float(spectrum.residuals.max()),
         "floor_ratio": spectrum.floor_ratio,
-        "seconds": {"field": t_field, "assemble": t_asm, "solve": t_solve},
-        "peak_mib": {"field": m_field, "assemble": m_asm, "solve": m_solve},
+        "seconds": {"field": t_field, "assemble": t_asm, "solve": t_solve,
+                    "vectors": t_vec},
+        "peak_mib": {"field": m_field, "assemble": m_asm, "solve": m_solve,
+                     "vectors": m_vec},
         "minor_faults": {"field": f_field, "assemble": f_asm,
-                         "solve": f_solve},
+                         "solve": f_solve, "vectors": f_vec},
     }
     if "K" in vars(problem):  # reading problem.K would build it
         case["K_nnz"] = int(problem.K.nnz)
@@ -148,7 +155,8 @@ def main(argv=None):
             print(f"{name:14s} {n:4d}^2  {case['route']:12s} field "
                   f"{sec['field']:.3f}s  assemble {sec['assemble']:.3f}s  "
                   f"solve {sec['solve']:.3f}s  solve peak "
-                  f"{case['peak_mib']['solve']:.1f} MiB{oracle}", flush=True)
+                  f"{case['peak_mib']['solve']:.1f} MiB  vectors "
+                  f"{sec['vectors']:.3f}s{oracle}", flush=True)
 
     result = {
         "schema": SCHEMA,

@@ -24,18 +24,23 @@ estimate of K all read the weights here, each at the shape it needs.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
-``solve`` tries three routes in turn; each hands back raw eigenpairs, and
-``solve`` alone orders them, forms their residuals (K u in edge form from
-the weights) and gates them.  The edge form reads each periodic shift of a
-grid array as a flat shift, in at most two contiguous blocks, and rewrites
-the one column whose rows the shift ran past (``_rolled``).
+``solve`` tries three routes in turn.  Each hands back its eigenvalues and
+a writer that forms pair j's grid vector, from the factors the route
+computed, into a given (nx, ny) buffer; no route stores its vectors at grid
+size.  ``solve`` alone orders the pairs, by permuting indices, and gates
+them, forming one vector at a time into one reused buffer and its residual
+(K u in edge form from the weights).  The vectors array of the Spectrum is
+formed by the same writer when it is first read.  The edge form reads each
+periodic shift of a grid array as a flat shift, in at most two contiguous
+blocks, and rewrites the one column whose rows the shift ran past
+(``_rolled``).
 
 Fourier route (``_fourier_route``): if the weights and mass reduce to a
 single node (a cross term allowed), every grid Fourier mode is an exact
 eigenvector; the eigenvalues are the
 stencil's own symbol sum w_d 4 sin^2(theta . d / 2) / mass, the k+1 lowest
-are taken, and their real cos/sin vectors are built from integer-reduced
-phases, all k+1 by one batched product of per-mode x and y factors.
+are taken, and each one's real cos/sin vector is the product of its
+(nx, 2) and (2, ny) factors of integer-reduced phases.
 
 Block route (``_block_route``): if the two diagonal-offset weight arrays
 are all zero (no cross term) and the weights and mass reduce to one grid
@@ -52,9 +57,9 @@ one LU factor of each shifted band (LAPACK gbtrf) serving all its steps,
 and leaves them M-orthonormal once scaled by M^(-1/2), with no other step.  Each
 eigenvalue is the edge-form quotient of its line vector, the grid vector's
 ``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
-relative accuracy.  The pairs are ordered by these quotients before any grid
-vector is written, and all are written once, in the grid's node order, by
-one batched outer product, so ``solve`` takes them without a copy.  On
+relative accuracy.  The pairs come back ordered by these quotients, and
+each grid vector is the outer product of its pair's wave across the lines
+and its line vector, written straight into the grid's node order.  On
 either reduced route, weights that repeat only to roundoff fail the exact
 test and are not reduced.
 
@@ -63,7 +68,7 @@ one-axis fields too: ARPACK about the small negative shift
 -lambda_scale / 2, started from a seeded random vector, then deflated runs
 until none finds a pair below the (k+1)-th value, so no copy of a repeated
 eigenvalue is skipped, and a deflated re-solve of any pair that fails the
-residual gate.
+residual gate.  Its writer copies out ARPACK's dense columns.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -72,7 +77,7 @@ spectra, and the exact discrete spectrum of the stencil gates the eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
@@ -105,14 +110,26 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Sorted eigenvalues with M-orthonormal eigenvectors and residuals."""
+    """Sorted eigenvalues with M-orthonormal eigenvectors and residuals.
+
+    The eigenvectors stay in the form their route computed them in:
+    write(j, out) forms pair j's grid vector in out, an (nx, ny) array.
+    ``vectors`` is formed by it when first read, and kept, so its columns
+    are bitwise the ones the residual gate read.
+    """
 
     values: np.ndarray      # (k+1,) ascending
-    vectors: np.ndarray     # (n_nodes, k+1), each column contiguous
     residuals: np.ndarray   # ||K u - lambda M u|| / ||M u|| per pair
     route: str              # "fourier", "block" or "shift-invert"
     floor_ratio: float      # largest residual / rounding floor of a pair
                             # the floor admitted (``_gate``), 0.0 if none
+    grid: TorusGrid
+    write: object = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self):
+        """(n_nodes, k+1) F-contiguous: each pair's grid vector a column."""
+        return _columns(self.write, range(self.values.size), self.grid)
 
 
 @dataclass
@@ -270,12 +287,11 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
     scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
-    by 1/sqrt(rings).  Returns (values, vectors), ascending by value, the
-    vectors M-orthonormal and all written once, as contiguous columns in
-    the grid's node order, by one batched product of the waves
-    (count, rings, 1) and line vectors (count, 1, width): lines along the
-    grid's last axis, or, by the transposed product, along its first if
-    `transposed`.
+    by 1/sqrt(rings).  Returns (values, write), ascending by value:
+    write(j, out) forms pair j's M-orthonormal grid vector in out, in the
+    grid's node order, as the outer product of its wave (rings,) and line
+    vector (width,): out is (rings, width) with lines along the grid's last
+    axis, or (width, rings) with lines along its first if `transposed`.
     """
     import scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -356,50 +372,52 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     pool = sorted(((quotients[m, j], m, j, part) for _, m, j, part in pool),
                   key=lambda entry: entry[0])
 
-    # one wave and one line vector per pair: one batched product writes
-    # their outer products straight into the grid's node order
+    # one wave and one line vector per pair, the factors of its grid vector
     line = np.array([lines[m, j] for _, m, j, _ in pool])
     values, m, _, part = map(np.array, zip(*pool))
     phase = 2.0 * np.pi * m[:, None] * np.arange(rings) / rings
     norm = np.where(part == "one", 1.0 / np.sqrt(rings), np.sqrt(2.0 / rings))
     waves = norm[:, None] * np.where((part == "sin")[:, None], np.sin(phase),
                                      np.cos(phase))
-    vectors = np.empty((values.size, rings * width))
-    if transposed:
-        np.matmul(line[:, :, None], waves[:, None, :],
-                  out=vectors.reshape(-1, width, rings))
-    else:
-        np.matmul(waves[:, :, None], line[:, None, :],
-                  out=vectors.reshape(-1, rings, width))
-    return values, vectors.T
+
+    def write(j, out):
+        if transposed:
+            np.multiply(line[j][:, None], waves[j], out=out)
+        else:
+            np.multiply(waves[j][:, None], line[j], out=out)
+
+    return values, write
 
 
-def _gate(problem, values, vectors):
-    """(residuals, failures, floor_ratio) of ascending eigenpairs.
+def _gate(problem, values, write):
+    """(residuals, failures, floor_ratio) of ascending eigenpairs: their
+    values, and write(j, out), which forms pair j's grid vector in out, an
+    (nx, ny) array.
 
     The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
-    column at a time, with K u in edge form from the weights, as in
-    ``rayleigh``: per offset e, the flux w (u_a - u_(a+e)) is added at a and
-    subtracted at a + e, its shift by e copied first (``_shift``) into the
-    M u buffer, whose norm is taken by then, so the gate holds three grid
-    buffers whatever the number of pairs.  A pair passes if its residual
-    relative to max(|lambda|, lambda_1) (max(lambda_0, 1) if there is no
-    lambda_1) is at most _RESTOL, or if its residual is at most
-    _FLOOR_FACTOR times its rounding floor eps ||abs(K) abs(u)|| / ||M u||,
-    the residual that rounding u to a stored vector alone leaves, which
-    grows with the grid.
-    The floor, and K with it, is built only for pairs that miss _RESTOL.
-    failures holds the indices of the pairs that fail; floor_ratio is the
-    largest residual-to-floor ratio of a pair that passes by the floor
-    alone, 0.0 if none does.
+    vector at a time, each written into one reused buffer, with K u in edge
+    form from the weights, as in ``rayleigh``: per offset e, the flux
+    w (u_a - u_(a+e)) is added at a and subtracted at a + e, its shift by e
+    copied first (``_shift``) into the M u buffer, whose norm is taken by
+    then, so the gate holds four grid buffers whatever the number of pairs.
+    A pair passes if its residual relative to max(|lambda|, lambda_1)
+    (max(lambda_0, 1) if there is no lambda_1) is at most _RESTOL, or if its
+    residual is at most _FLOOR_FACTOR times its rounding floor
+    eps ||abs(K) abs(u)|| / ||M u||, the residual that rounding u to a
+    stored vector alone leaves, which grows with the grid.
+    The floor, and K with it, is built only for pairs that miss _RESTOL,
+    and only their vectors are formed again for it, as the columns of one
+    array.  failures holds the indices of the pairs that fail; floor_ratio
+    is the largest residual-to-floor ratio of a pair that passes by the
+    floor alone, 0.0 if none does.
     """
     nx, ny = problem.grid.nx, problem.grid.ny
     edges = _edges(problem)
     mass = problem.reduced[1]
-    Mu, r, du = np.empty((nx, ny)), np.empty((nx, ny)), np.empty((nx, ny))
+    u, Mu, r, du = (np.empty((nx, ny)) for _ in range(4))
     residuals = np.empty(values.size)
     for j, value in enumerate(values):
-        u = vectors[:, j].reshape(nx, ny)
+        write(j, u)
         np.multiply(mass, u, out=Mu)
         norm = np.linalg.norm(Mu)
         np.multiply(Mu, -value, out=r)  # K u - lambda M u, K u added edge by edge
@@ -414,7 +432,7 @@ def _gate(problem, values, vectors):
     misses = np.flatnonzero(relative > _RESTOL)
     if misses.size == 0:
         return residuals, misses, 0.0
-    u = vectors[:, misses]
+    u = _columns(write, misses, problem.grid)
     floor = (np.finfo(float).eps
              * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
              / np.linalg.norm(problem.mass.reshape(-1, 1) * u, axis=0))
@@ -444,9 +462,10 @@ def _fourier_route(problem, k):
     sqrt(2 / (n mass)); a self-conjugate mode (2m = 0 mod nx, 2l = 0 mod ny)
     gives cos(theta . x) alone, scaled by sqrt(1 / (n mass)).  Each phase is
     reduced to an integer m i mod nx (l j mod ny) before it is scaled by
-    2 pi, so the vectors stay exact to roundoff on large grids.  All k+1
-    vectors come from one batched product of (k+1, nx, 2) by (k+1, 2, ny)
-    factors: scale [cos x, -sin x] (or [sin x, cos x]) by [cos y; sin y].
+    2 pi, so the vectors stay exact to roundoff on large grids.  Returns
+    (values, write): write(j, out) forms mode j's vector in out, an (nx, ny)
+    array, as the product of its (nx, 2) and (2, ny) factors, the scaled
+    [cos x, -sin x] (or [sin x, cos x]) and [cos y; sin y].
     """
     weights, mass = problem.reduced
     if mass.shape != (1, 1):
@@ -456,10 +475,14 @@ def _fourier_route(problem, k):
     w = weights[:, 0, 0]  # in the order of _OFFSETS
     values = w[0] * _sin2(i, nx)[:, None] + w[1] * _sin2(j, ny)[None, :]
     if w[2] or w[3]:
-        # theta . (1, +-1) / 2 = pi (m ny +- l nx) / (nx ny)
-        m_ny, l_nx = i[:, None] * ny, j[None, :] * nx
-        values = (values + w[2] * _sin2(m_ny + l_nx, nx * ny)
-                  + w[3] * _sin2(m_ny - l_nx, nx * ny))
+        # theta . (1, +-1) / 2 = pi (m ny +- l nx) / (nx ny), added in place;
+        # |m ny +- l nx| < 2 nx ny fits int32 below 2^30 nodes (an 8 GiB
+        # values array), and int32 halves the grid-sized integer temporaries
+        # that set the route's peak
+        m_ny = (i[:, None] * ny).astype(np.int32)
+        l_nx = (j[None, :] * nx).astype(np.int32)
+        values += w[2] * _sin2(m_ny + l_nx, nx * ny)
+        values += w[3] * _sin2(m_ny - l_nx, nx * ny)
     values = values.ravel() / mass[0, 0]
     chosen = np.argpartition(values, k)[:k + 1]
     chosen = chosen[np.argsort(values[chosen])]
@@ -476,8 +499,12 @@ def _fourier_route(problem, k):
     # sin(x + y) = [sin x, cos x] [cos y; sin y]
     left = np.stack([np.where(cos, cx, sx) * scale,
                      np.where(cos, -sx, cx) * scale], axis=-1)
-    vectors = left @ np.stack([np.cos(y), np.sin(y)], axis=1)  # (k+1, nx, ny)
-    return values[chosen], vectors.reshape(k + 1, nx * ny).T
+    right = np.stack([np.cos(y), np.sin(y)], axis=1)
+
+    def write(mode, out):
+        np.matmul(left[mode], right[mode], out=out)
+
+    return values[chosen], write
 
 
 def _block_route(problem, k, shift):
@@ -490,7 +517,7 @@ def _block_route(problem, k, shift):
     the x axis of the transposed arrays.  A stencil that qualifies along
     both is constant and takes the Fourier route first.  The pairs come
     from ``_block_eigenvectors``: ascending, with eigenvalues read off the
-    line vectors and each vector written in the grid's node order.
+    line vectors and each vector formed in the grid's node order.
     """
     (w_x, w_y, *cross), mass = problem.reduced
     if np.any(cross) or min(mass.shape) > 1:
@@ -522,13 +549,20 @@ def _shift_invert(problem, k, shift, seed):
     again alone, at full accuracy, as the lowest pair M-orthogonal to all
     the others, started from its own vector; pairs that pass cost nothing
     more.
-    One LU factor of K - shift M serves every run.
+    One LU factor of K - shift M, in a symmetric minimum-degree order,
+    serves every run.  Returns (values, write), write(j, out) copying pair
+    j's ARPACK vector into out, an (nx, ny) array.
     """
     import scipy.sparse.linalg as spla
     n = problem.n_nodes
     K, M = problem.K.tocsc(), problem.M.tocsc()
     mass = problem.mass.ravel()
-    solve_shifted = spla.splu((K - shift * M).tocsc()).solve
+    # K - shift M is SPD for a shift below the spectrum: a symmetric
+    # minimum-degree order on its pattern, with diagonal pivots, keeps the
+    # factor's fill far below COLAMD's unsymmetric one
+    solve_shifted = spla.splu((K - shift * M).tocsc(),
+                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                              options={"SymmetricMode": True}).solve
     rng = np.random.default_rng(seed)
 
     def lowest(count, found, tol=0.0, start=None):
@@ -565,11 +599,28 @@ def _shift_invert(problem, k, shift, seed):
 
     order = np.argsort(values)[:k + 1]
     values, vectors = values[order], vectors[:, order]
-    for j in _gate(problem, values, vectors)[1]:
+    for j in _gate(problem, values, _column_writer(vectors))[1]:
         value, vector = lowest(1, np.delete(vectors, j, axis=1),
                                start=vectors[:, j])
         values[j], vectors[:, j] = value[0], vector[:, 0]
-    return values, vectors
+    return values, _column_writer(vectors)
+
+
+def _columns(write, pairs, grid):
+    """The grid vectors of `pairs`, each formed by write(j, out), as the
+    columns of an F-contiguous (n_nodes, len(pairs)) array."""
+    columns = np.empty((grid.node_count, len(pairs)), order="F")
+    for col, j in enumerate(pairs):
+        write(j, columns[:, col].reshape(grid.nx, grid.ny))
+    return columns
+
+
+def _column_writer(vectors):
+    """write(j, out) for pairs given as the columns of an (n_nodes, count)
+    array: copies column j into out, an (nx, ny) array."""
+    def write(j, out):
+        out[...] = vectors[:, j].reshape(out.shape)
+    return write
 
 
 def solve(problem, k, seed=0):
@@ -578,9 +629,9 @@ def solve(problem, k, seed=0):
 
     The routes are tried in the order the module docstring gives; each
     needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
-    ascending order, with each vector a contiguous column (copied only if
-    the route returned them out of order or otherwise stored; the Fourier
-    and block routes do not).  Residuals
+    ascending order, as a permutation of the route's pair indices: no vector
+    is formed but by the gate, one at a time, until the Spectrum's vectors
+    are read.  Residuals
     ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
     eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
@@ -599,13 +650,14 @@ def solve(problem, k, seed=0):
         pairs, route = _block_route(problem, k, shift), "block"
     if pairs is None:
         pairs, route = _shift_invert(problem, k, shift, seed), "shift-invert"
-    values, vectors = pairs
+    values, write = pairs
     order = np.argsort(values)[:k + 1]
-    if not (np.array_equal(order, np.arange(values.size))
-            and vectors.flags.f_contiguous):
-        vectors = vectors.T[order].T  # gathered as rows: columns contiguous
     values = values[order]
-    residuals, failures, floor_ratio = _gate(problem, values, vectors)
+
+    def write_sorted(j, out):
+        write(order[j], out)
+
+    residuals, failures, floor_ratio = _gate(problem, values, write_sorted)
     if failures.size:
         raise SolverError(
             f"eigensolver residuals exceed tolerance: max residual "
@@ -617,8 +669,9 @@ def solve(problem, k, seed=0):
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "
             f"(lambda_1 = {values[1]:.3e})")
 
-    return Spectrum(values=values, vectors=vectors, residuals=residuals,
-                    route=route, floor_ratio=floor_ratio)
+    return Spectrum(values=values, residuals=residuals, route=route,
+                    floor_ratio=floor_ratio, grid=problem.grid,
+                    write=write_sorted)
 
 
 def rayleigh(problem, f):

@@ -281,13 +281,17 @@ class TestSolve:
         # only shift-invert builds K; the residuals the gate forms in edge
         # form match ||K u - lambda M u|| / ||M u|| from CSR within one
         # rounding floor eps ||abs(K) abs(u)|| / ||M u|| (0.42 at most on
-        # these and on 64^2 and 256 x 8 grids)
+        # these and on 64^2 and 256 x 8 grids).  The vectors array is formed
+        # after the gate, by the same writer: gating its columns gives back
+        # the residuals bitwise
         problem = assemble(SymbolField.compute(SHAPED_METRICS[name][0],
                                                TorusGrid(24, 40)))
         spectrum = solve(problem, 8)
         assert spectrum.route == ROUTE_OF_SHAPED[name]
         assert ("K" in problem.__dict__) == (spectrum.route == "shift-invert")
         u = spectrum.vectors
+        assert np.array_equal(spectrum.residuals, fspec.solver._gate(
+            problem, spectrum.values, fspec.solver._column_writer(u))[0])
         Mu = problem.mass.reshape(-1, 1) * u
         csr = (np.linalg.norm(problem.K @ u - spectrum.values * Mu, axis=0)
                / np.linalg.norm(Mu, axis=0))
@@ -322,8 +326,28 @@ class TestSolve:
         Mu = problem.mass.reshape(-1, 1) * u
         csr = (np.linalg.norm(problem.K @ u - values * Mu, axis=0)
                / np.linalg.norm(Mu, axis=0))
-        residuals = fspec.solver._gate(problem, values, u)[0]
+        residuals = fspec.solver._gate(problem, values,
+                                       fspec.solver._column_writer(u))[0]
         np.testing.assert_allclose(residuals, csr, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("route,profile", [
+        ("fourier", 1.0), ("block", "0.5 + 0.35*sin(2*pi*y)")],
+        ids=["fourier", "block"])
+    def test_solve_holds_no_vector_array(self, route, profile):
+        # the reduced routes keep their vectors factored and the gate forms
+        # one at a time, so solve's peak stays below one (n, k+1) array
+        spec = RandersMetric.axis_drift_torus(2.0, 0.9, profile=profile)
+        problem = assemble(SymbolField.compute(spec, TorusGrid.square(128)))
+        solve(problem, 10)  # lazy imports and caches settle first
+        tracemalloc.start()
+        try:
+            spectrum = solve(problem, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.route == route
+        assert peak < problem.n_nodes * 11 * 8
+        assert "vectors" not in vars(spectrum)
 
     def test_k_too_large(self):
         problem = assemble(euclid_field(8))
@@ -344,8 +368,9 @@ class TestSolve:
         original = getattr(fspec.solver, name)
 
         def reversed_pairs(*args):
-            values, vectors = original(*args)
-            return values[::-1], vectors[:, ::-1]
+            values, write = original(*args)
+            last = values.size - 1
+            return values[::-1], lambda j, out: write(last - j, out)
 
         monkeypatch.setattr(fspec.solver, name, reversed_pairs)
         got = solve(problem, 6)
@@ -514,17 +539,28 @@ class TestDiscreteFourierOracle:
     def test_shift_invert_refines_pairs_that_miss_the_residual_gate(
             self, monkeypatch):
         # on each (torus, grid, k, seed) ARPACK splits a degenerate cluster
-        # and leaves its edge pair at a relative residual of 1.3e-9 to 8e-9,
-        # above _RESTOL, on a well-posed problem
-        cases = [(RiemannianMetric.euclidean(), 32, 1, 3),
-                 (RiemannianMetric.euclidean(), 32, 1, 18),
-                 (RiemannianMetric.euclidean(), 16, 7, 35),
-                 (RandersMetric.axis_drift_torus(1.0, 0.5), 32, 5, 38)]
+        # and leaves its edge pair at a relative residual of 1.4e-9 to
+        # 1.9e-9, above _RESTOL, on a well-posed problem; the route's own
+        # gate must see it fail, so that the pair is solved again
+        cases = [(RiemannianMetric.euclidean(), 32, 1, 60),
+                 (RandersMetric.axis_drift_torus(1.0, 0.5), 32, 5, 1),
+                 (RandersMetric.axis_drift_torus(1.0, 0.5), 32, 5, 71)]
         switch_off(monkeypatch, "fourier", "block")
+        gate = fspec.solver._gate
+        failures = []
+
+        def counted(*args):
+            result = gate(*args)
+            failures.append(result[1].size)
+            return result
+
+        monkeypatch.setattr(fspec.solver, "_gate", counted)
         for spec, n, k, seed in cases:
             field = SymbolField.compute(spec, TorusGrid.square(n))
+            failures.clear()
             spectrum = solve(assemble(field), k, seed=seed)
             assert spectrum.route == "shift-invert"
+            assert failures == [1, 0]  # the route's gate, then solve's
             np.testing.assert_allclose(spectrum.values[1:],
                                        discrete_fourier_oracle(field, k)[1:],
                                        rtol=1e-9)
@@ -570,6 +606,28 @@ class TestFourierRoute:
         gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
         np.testing.assert_allclose(gram, np.eye(3), rtol=0, atol=1e-12)
         assert float(spectrum.residuals.max()) <= 1e-12 * want[1]
+
+    def test_one_entry_off_fails_the_gate(self, monkeypatch):
+        # a vector off by 1e-6 of its largest entry at one node sits far
+        # outside both _RESTOL and the rounding floor
+        problem = assemble(SymbolField.compute(
+            RandersMetric.axis_drift_torus(2.0, 0.6), TorusGrid.square(32)))
+        assert solve(problem, 6).route == "fourier"
+        route = fspec.solver._fourier_route
+
+        def perturbed(*args):
+            values, write = route(*args)
+
+            def write_off(j, out):
+                write(j, out)
+                if j == 1:
+                    out[3, 5] += 1e-6 * np.abs(out).max()
+
+            return values, write_off
+
+        monkeypatch.setattr(fspec.solver, "_fourier_route", perturbed)
+        with pytest.raises(SolverError, match="rounding floor"):
+            solve(problem, 6)
 
     def test_one_ulp_of_mass_leaves_the_route(self):
         # the field is given as full arrays that repeat exactly: the field
@@ -709,11 +767,16 @@ class TestBlockRoute:
         blocks = fspec.solver._block_eigenvectors
 
         def perturbed(*args):
-            values, vectors = blocks(*args)
-            noise = np.random.default_rng(0).standard_normal(vectors.shape[0])
-            vectors[:, 1] += (1e-6 * np.linalg.norm(vectors[:, 1])
-                              / np.linalg.norm(noise)) * noise
-            return values, vectors
+            values, write = blocks(*args)
+
+            def write_perturbed(j, out):
+                write(j, out)
+                if j == 1:
+                    noise = np.random.default_rng(0).standard_normal(out.shape)
+                    out += (1e-6 * np.linalg.norm(out)
+                            / np.linalg.norm(noise)) * noise
+
+            return values, write_perturbed
 
         monkeypatch.setattr(fspec.solver, "_block_eigenvectors", perturbed)
         with pytest.raises(SolverError, match="rounding floor"):
@@ -722,25 +785,35 @@ class TestBlockRoute:
     @pytest.mark.parametrize("axis", ["y", "x"])
     def test_pairs_come_back_ascending_and_written_once(self, monkeypatch, axis):
         # a varying-field draw whose cos/sin pairs used to come back one ulp
-        # out of order: the block is now written once, ascending and in the
-        # grid's node order (the x-only field's too), so solve keeps it
-        # without a copy; each value is the grid vector's edge-form quotient
+        # out of order: the pairs now come back ascending, so solve keeps the
+        # block's order, and each grid vector is written once per reader, in
+        # the grid's node order (the x-only field's too): once by the gate,
+        # once when the vectors are first read, which keeps them.  Each value
+        # is the grid vector's edge-form quotient
         spec = RandersMetric.axis_drift_torus(
             2.0, 0.9, profile=f"0.5 + 0.35*sin(2*pi*{axis})")
         problem = assemble(SymbolField.compute(spec, TorusGrid.square(128)))
         blocks = fspec.solver._block_eigenvectors
-        written = []
+        returned, written = [], []
 
         def kept(*args):
-            written.append(blocks(*args))
-            return written[-1]
+            values, write = blocks(*args)
+            returned.append(values)
+
+            def counted(j, out):
+                written.append(j)
+                write(j, out)
+
+            return values, counted
 
         monkeypatch.setattr(fspec.solver, "_block_eigenvectors", kept)
         spectrum = solve(problem, 10)
         assert spectrum.route == "block"
-        values, vectors = written[0]
-        assert np.all(np.diff(values) >= 0)
-        assert np.shares_memory(spectrum.vectors, vectors)
+        assert np.all(np.diff(returned[0]) >= 0)
+        assert written == list(range(11))
+        vectors = spectrum.vectors
+        assert spectrum.vectors is vectors and vectors.flags.f_contiguous
+        assert written == 2 * list(range(11))
         quotients = [rayleigh(problem, v) for v in spectrum.vectors.T[1:]]
         np.testing.assert_allclose(spectrum.values[1:], quotients, rtol=1e-13,
                                    atol=0)
