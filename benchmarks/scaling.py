@@ -14,11 +14,18 @@ bound, 0.0 if none needed it), the stored nonzeros of the stiffness K
 where the solve built it (``K_nnz``; the Fourier and block routes read the
 edge weights and build no K), and writes one JSON file.  Up to
 ``_ORACLE_MAX_GRID`` it also times the quadrature oracle, the same symbol
-field by an ``ORACLE_NODES``-node fiber rule, and records its largest
+field by the ``ORACLE_NODES``-node trapezoid rule, and records its largest
 sigma* difference from the closed form.  Single process, one stage at a
 time:
 
     PYTHONPATH=src python benchmarks/scaling.py --out BENCH.json
+
+Right before each case it times a fixed numpy-only reference kernel
+(``_reference``) the same way, and records every stage's time divided by the
+kernel's as ``seconds_rel``.  On a shared machine the load moves raw times
+between runs by more than a stage's own repeats show; the ratio follows the
+program while the machine's speed cancels out of it, so it is the figure to
+compare across ``BENCH_*.json`` files.
 
 Each stage is timed ``REPEATS`` times without tracemalloc (the minimum is
 kept, and the minor page faults per call, the mean ``getrusage`` ``ru_minflt``
@@ -50,10 +57,10 @@ import numpy as np
 import scipy
 
 import fspec
-from fspec import (FiberQuadrature, RandersMetric, RiemannianMetric,
-                   SymbolField, TorusGrid, assemble, solve)
+from fspec import (RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
+                   assemble, solve)
 
-SCHEMA = "fspec-scaling/7"
+SCHEMA = "fspec-scaling/8"
 K = 10
 GRIDS = (64, 128, 256, 512, 1024)
 REPEATS = 3
@@ -70,6 +77,28 @@ FIELDS = {
 _SHIFT_INVERT_MAX_GRID = 256
 ORACLE_NODES = 512
 _ORACLE_MAX_GRID = 256
+
+
+# the reference kernel's operands, allocated once so that its time does not
+# depend on the allocator's state (glibc maps a fresh large array anew, and
+# faults its pages in, until its dynamic mmap threshold has risen)
+_REFERENCE_MATRIX = np.linspace(0.0, 1.0, 512 * 512).reshape(512, 512)
+_REFERENCE_PRODUCT = np.empty((512, 512))
+_REFERENCE_STREAM = np.empty(2**21)
+
+
+def _reference():
+    """Fixed numpy-only work of the kinds the stages spend their time on:
+    streaming arithmetic through a 16 MiB array and a dense matrix product
+    of 0.27 GFLOP, into arrays allocated once.  About 25 ms on a 2-CPU
+    shared x86_64 machine with 1 BLAS thread."""
+    x = _REFERENCE_STREAM
+    x.fill(0.5)
+    for _ in range(4):
+        np.sqrt(x, out=x)
+        x += 0.25
+    np.matmul(_REFERENCE_MATRIX, _REFERENCE_MATRIX, out=_REFERENCE_PRODUCT)
+    return float(x[0]) + float(_REFERENCE_PRODUCT[0, 0])
 
 
 def _minor_faults():
@@ -100,6 +129,7 @@ def _stage(fn):
 def run_case(g, rho_x, rho_y, n):
     spec = RandersMetric(RiemannianMetric(*g), rho_x, rho_y)
     grid = TorusGrid.square(n)
+    _, t_ref, _, _ = _stage(_reference)
     field, t_field, f_field, m_field = _stage(
         lambda: SymbolField.compute(spec, grid))
     problem, t_asm, f_asm, m_asm = _stage(lambda: assemble(field))
@@ -122,15 +152,16 @@ def run_case(g, rho_x, rho_y, n):
     if "K" in vars(problem):  # reading problem.K would build it
         case["K_nnz"] = int(problem.K.nnz)
     if n <= _ORACLE_MAX_GRID:
-        quad = FiberQuadrature.trapezoid(ORACLE_NODES)
         oracle, t_oracle, f_oracle, m_oracle = _stage(
-            lambda: SymbolField.compute(spec, grid, quad))
+            lambda: SymbolField.compute(spec, grid, ORACLE_NODES))
         case["seconds"]["oracle"] = t_oracle
         case["peak_mib"]["oracle"] = m_oracle
         case["minor_faults"]["oracle"] = f_oracle
         case["oracle_sigma_rel_diff"] = float(
             np.abs(oracle.sigma_star - field.sigma_star).max()
             / np.abs(field.sigma_star).max())
+    case["reference_seconds"] = t_ref
+    case["seconds_rel"] = {stage: t / t_ref for stage, t in case["seconds"].items()}
     return case
 
 
@@ -154,7 +185,8 @@ def main(argv=None):
                       if "oracle" in sec else "")
             print(f"{name:14s} {n:4d}^2  {case['route']:12s} field "
                   f"{sec['field']:.3f}s  assemble {sec['assemble']:.3f}s  "
-                  f"solve {sec['solve']:.3f}s  solve peak "
+                  f"solve {sec['solve']:.3f}s "
+                  f"({case['seconds_rel']['solve']:.2f} x reference)  solve peak "
                   f"{case['peak_mib']['solve']:.1f} MiB  vectors "
                   f"{sec['vectors']:.3f}s{oracle}", flush=True)
 

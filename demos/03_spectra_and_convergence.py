@@ -8,17 +8,16 @@ config-driven ``convergence`` experiment.
 
 import numpy as np
 
-from fspec import (ExperimentConfig, FiberQuadrature, RandersMetric,
-                   RiemannianMetric, SymbolField, TorusGrid, assemble,
-                   fourier_oracle, randers_axis_symbol, rayleigh,
-                   run_experiment, solve)
+from fspec import (ExperimentConfig, RandersMetric, RiemannianMetric,
+                   SymbolField, TorusGrid, assemble, fourier_oracle,
+                   randers_axis_symbol, rayleigh, run_experiment, solve)
 
-quad = FiberQuadrature.trapezoid(256)
+NODES = 256  # the fiber oracle's trapezoid rule
 FOUR_PI2 = 4 * np.pi**2
 
 print("== flat torus, N = 64")
 field = SymbolField.compute(RiemannianMetric.euclidean(), TorusGrid.square(64),
-                            quad)
+                            NODES)
 problem = assemble(field)
 spectrum = solve(problem, 5)
 print(f"  lambda_0..5 / 4pi^2 : "
@@ -30,7 +29,7 @@ print("\n== drifted torus vs Fourier oracle (constant coefficients)")
 h, eta = 2.0, 0.6
 spec = RandersMetric.axis_drift_torus(h, eta)
 A, B = randers_axis_symbol(h, 1 / h, eta)
-field = SymbolField.compute(spec, TorusGrid.square(64), quad)
+field = SymbolField.compute(spec, TorusGrid.square(64), NODES)
 problem = assemble(field)
 got = solve(problem, 8).values
 want = fourier_oracle(np.diag([A, B]), 8)

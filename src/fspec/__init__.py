@@ -1,7 +1,7 @@
 """Spectral geometry of the Finsler Laplacian on flat 2-tori.
 
 Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
-/ weight fields checked by fiber-circle quadrature, a flux-form weighted
+/ weight fields checked by the n-node trapezoid rule on the fiber circle, a flux-form weighted
 Laplacian with three eigensolve routes (exact 2-D Fourier modes for constant
 stencils, cross term included; exact Fourier blocks for stencils invariant
 along one axis without a cross term; shift-invert for the rest), and
@@ -14,8 +14,7 @@ from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
                       check_strong_convexity, dual_gradient_numeric,
                       dual_norm_sampled, legendre_numeric, quasireversibility,
                       unit_directions)
-from .fiber import (FiberQuadrature, QuadratureError, SymbolField,
-                    binet_legendre, conformal_transform, energy_from_symbol,
+from .fiber import (QuadratureError, SymbolField, binet_legendre, conformal_transform, energy_from_symbol,
                     randers_angular_closed_forms, randers_angular_integrals,
                     randers_axis_symbol, randers_energy_direct,
                     symbol_matrix, volume_density, weight)
@@ -34,7 +33,7 @@ __all__ = [
     "IllPosedMetricError", "quasireversibility", "bilipschitz_ratio",
     "check_strong_convexity", "dual_norm_sampled", "dual_gradient_numeric",
     "legendre_numeric", "unit_directions",
-    "FiberQuadrature", "QuadratureError", "SymbolField",
+    "QuadratureError", "SymbolField",
     "volume_density", "symbol_matrix", "weight", "binet_legendre",
     "conformal_transform", "randers_axis_symbol", "randers_angular_integrals",
     "randers_angular_closed_forms", "randers_energy_direct",

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import as_field
-from .fiber import (FiberQuadrature, SymbolField, randers_angular_closed_forms,
+from .fiber import (SymbolField, _circle, randers_angular_closed_forms,
                     randers_angular_integrals, randers_axis_symbol,
                     randers_energy_direct, energy_from_symbol,
                     conformal_transform)
@@ -586,9 +586,12 @@ def _metric(cfg):
 
 def _oracle_rule(cfg):
     """The fiber rule of an oracle kind: "auto" (SymbolField.compute settles
-    it on the grid) or the trapezoid rule with fiber_nodes nodes."""
+    it on the grid) or the node count fiber_nodes of the trapezoid rule,
+    raising ConfigError for a count the rule refuses (``_circle``)."""
     nodes = cfg.get("fiber_nodes", "auto")
-    return nodes if nodes == "auto" else _read("fiber_nodes", nodes, FiberQuadrature.trapezoid)
+    if nodes != "auto":
+        _read("fiber_nodes", nodes, _circle)
+    return nodes
 
 
 def _square_grid(n):
@@ -777,20 +780,20 @@ def run_randers_identities(cfg):
 
     grid = _square_grid(n)
     field = SymbolField.compute(spec, grid, _oracle_rule(cfg))
-    quad = FiberQuadrature.trapezoid(field.fiber_nodes)
+    nodes = field.fiber_nodes
     mu_base = SymbolField.compute(spec.base, grid).mu
     rows = [{
         "row_type": "volume",
-        "grid": n, "fiber_nodes": quad.size,
+        "grid": n, "fiber_nodes": nodes,
         "max_mu_diff": float(np.abs(field.mu - mu_base).max()),
         "tol_pointwise": tol_pointwise,
     }]
     for eta in eta_values:
-        c2, cross, s2 = randers_angular_integrals(eta, quad.size)
+        c2, cross, s2 = randers_angular_integrals(eta, nodes)
         c2_exact, _, s2_exact = randers_angular_closed_forms(eta)
         rows.append({
             "row_type": "integral",
-            "eta": eta, "fiber_nodes": quad.size,
+            "eta": eta, "fiber_nodes": nodes,
             "cos2_quad": c2, "cos2_closed": c2_exact,
             "cross_quad": cross,
             "sin2_quad": s2, "sin2_closed": s2_exact,
@@ -799,7 +802,7 @@ def run_randers_identities(cfg):
             "tol_pointwise": tol_pointwise,
             "tol_cross": tol_cross,
         })
-    energies = randers_energy_direct(spec, _ENERGY_TRIALS.values(), grid, quad)
+    energies = randers_energy_direct(spec, _ENERGY_TRIALS.values(), grid, nodes)
     for (name, grad_fn), e_dir in zip(_ENERGY_TRIALS.items(), energies):
         e_sym = energy_from_symbol(field, grad_fn)
         rows.append({
@@ -810,7 +813,7 @@ def run_randers_identities(cfg):
             "rel_diff": abs(e_sym - e_dir) / max(abs(e_dir), 1e-300),
             "tol_energy": tol_energy,
         })
-    return rows, {"fiber_nodes": quad.size}
+    return rows, {"fiber_nodes": nodes}
 
 
 def run_conformal_check(cfg):

@@ -31,16 +31,23 @@ Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
 v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.
 ``volume_density`` takes F* from the dual formula instead, an independent
 route to the same mu.  The integrands are smooth and periodic, so the
-trapezoid rule converges geometrically; drifts near |rho| = 1 sharpen them.
+equal-weight trapezoid rule converges geometrically (Trefethen and
+Weideman, SIAM Review 56, 2014); drifts near |rho| = 1 sharpen them.  It
+is the only rule: every oracle takes its node count n and builds it with
+``_circle(n)``, which refuses fewer than 16 nodes.
 ``SymbolField.compute(spec, grid, "auto")`` settles the rule on the grid's
-own nodes: it doubles the node count, evaluating only the new midpoints and
-merging them into the running mu and sigma*, until both stop moving at
-every node, and raises QuadratureError past its cap.
+own nodes: it doubles the node count, evaluating only the new midpoints
+(``_circle(n, pi / n)``) and merging them into the running mu and sigma*,
+until both stop moving at every node, and raises QuadratureError past its
+cap.
 
 The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
 the g-orthonormal circle through the Cholesky factor of g, one cos and one
 sin coefficient per node, without forming the circle's direction vectors;
-its fiber moments serve every trial gradient it is given.
+its fiber moments (``_tangent_moments``) serve every trial gradient it is
+given.  ``randers_angular_integrals`` is the same kernel at the drift
+(eta, 0) on the Euclidean circle, and ``randers_angular_closed_forms`` is
+``randers_axis_symbol`` on the unit square torus, times pi.
 
 Every symbol route starts at ``_fold``, which folds the metric once and
 raises TypeError for a metric outside the three families.  Field values
@@ -99,36 +106,20 @@ class QuadratureError(RuntimeError):
     """A fiber integral failed to resolve (e.g. produced a non-SPD symbol)."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiberQuadrature:
-    """Node/weight rule on the direction circle; weights sum to 2 pi."""
+def _circle(n, offset=0.0):
+    """(p, w): the n-node trapezoid rule, the one rule of every fiber oracle.
 
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(float(self.weights.sum()) - _TWO_PI) > 1e-12:
-            raise ValueError("quadrature weights must sum to 2 pi")
-
-    @classmethod
-    def trapezoid(cls, n):
-        """Equal-weight rule at angles 2 pi j / n (spectrally accurate on the circle)."""
-        n = int(n)
-        if n < 16:
-            raise ValueError("fiber quadrature needs at least 16 nodes")
-        phi = _TWO_PI * np.arange(n) / n
-        return cls(nodes=phi, weights=np.full(n, _TWO_PI / n))
-
-    @property
-    def size(self):
-        return self.nodes.size
-
-    def unit_covectors(self):
-        return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=-1)
+    p is the (n, 2) array of unit vectors (cos phi, sin phi) at the angles
+    phi = 2 pi j / n + offset, read as covectors or as tangent directions,
+    and w = 2 pi / n is the weight of every node.  On a smooth periodic
+    integrand the equal-weight rule converges geometrically, so no other rule
+    is needed.  Raises ValueError unless n is an integer of at least 16.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 16:
+        raise ValueError("a fiber rule needs an integer node count of at "
+                         f"least 16, got {n!r}")
+    phi = _TWO_PI * np.arange(n) / n + offset
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1), _TWO_PI / n
 
 
 def _fold(spec, x, y):
@@ -174,32 +165,33 @@ def _over_nodes(kernel, columns, fiber_size):
     return tuple(whole.reshape(lines + whole.shape[1:])[()] for whole in out)
 
 
-def volume_density(spec, x, y, quad):
-    """Holmes-Thompson density mu(x) of the metric's volume against dx dy."""
-    p = quad.unit_covectors()
+def volume_density(spec, x, y, n):
+    """Holmes-Thompson density mu(x) of the metric's volume against dx dy,
+    by the n-node rule."""
+    p, w = _circle(n)
     fold, shape = _fold(spec, x, y)
 
     def density(*rows):
         dual = _Folded(*rows).dual(p)
         if np.any(dual < _DUAL_FLOOR):
             raise IllPosedMetricError(_COLLAPSED)
-        return ((quad.weights / dual**2).sum(axis=-1) / _TWO_PI,)
+        return ((w / dual**2).sum(axis=-1) / _TWO_PI,)
 
-    return np.broadcast_to(_over_nodes(density, fold, quad.size)[0], shape)[()]
+    return np.broadcast_to(_over_nodes(density, fold, n)[0], shape)[()]
 
 
-def _fiber_symbol(nodes, quad):
+def _fiber_symbol(nodes, n, offset=0.0):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
     nodes is ``_fold``'s (fold, shape); both come back at the fold's lines of
-    nodes.  The gradient formula
+    nodes.  The rule is ``_circle(n, offset)``.  The gradient formula
     grad = F* grad_p F* at p_hat is the only fiber evaluation per block of
     nodes; Euler's identity for the 1-homogeneous F* gives
     F*^2 = p_hat . grad, and v = grad / F*.  Raises IllPosedMetricError if F*
     falls below _DUAL_FLOOR on a fiber node, and QuadratureError if sigma*
     fails to be SPD, which signals an under-resolved fiber rule.
     """
-    p = quad.unit_covectors()
+    p, w = _circle(n, offset)
     p1, p2 = p[:, 0], p[:, 1]
 
     def moments(*rows):
@@ -208,7 +200,7 @@ def _fiber_symbol(nodes, quad):
         if not np.all(dual_sq >= _DUAL_FLOOR**2):
             raise IllPosedMetricError(_COLLAPSED)
         # density = w F*^-2 and v = grad / F*, so density v v' = w grad grad' F*^-4
-        density = quad.weights / dual_sq
+        density = w / dual_sq
         mu = density.sum(axis=-1) / _TWO_PI
         moment = density / dual_sq
         norm = np.pi * mu
@@ -216,21 +208,22 @@ def _fiber_symbol(nodes, quad):
                 (moment * g1 * g2).sum(axis=-1) / norm,
                 (moment * g2 * g2).sum(axis=-1) / norm, mu)
 
-    s11, s12, s22, mu = _over_nodes(moments, nodes[0], quad.size)
+    s11, s12, s22, mu = _over_nodes(moments, nodes[0], n)
     if np.any(s11 <= 0.0) or np.any(s11 * s22 - s12 * s12 <= 0.0):
         raise QuadratureError("assembled symbol is not positive-definite; "
                               "raise the fiber node count")
     return _symmetric(s11, s12, s22), mu
 
 
-def symbol_matrix(spec, x, y, quad):
-    """Dual quadratic form sigma*(x) of the averaged second-order operator.
+def symbol_matrix(spec, x, y, n):
+    """Dual quadratic form sigma*(x) of the averaged second-order operator,
+    by the n-node rule.
 
     Raises QuadratureError if it fails to be SPD, which signals an
     under-resolved fiber rule.
     """
     nodes = _fold(spec, x, y)
-    return np.broadcast_to(_fiber_symbol(nodes, quad)[0], nodes[1] + (2, 2))
+    return np.broadcast_to(_fiber_symbol(nodes, n)[0], nodes[1] + (2, 2))
 
 
 def weight(sigma_star, mu):
@@ -274,46 +267,69 @@ def randers_axis_symbol(h, r, eta):
     return 2.0 / (h * h * (1.0 + s) * s), 2.0 / (r * r * (1.0 + s))
 
 
-def randers_angular_integrals(eta, n_nodes=512):
-    """Trapezoid values of the three drift-averaged angular integrals
+def _tangent_moments(r1, r2, n):
+    """Moments Int (cos^2, 2 cos sin, sin^2)(t) / (1 + r1 cos t + r2 sin t) dt
+    of the n-node rule, stacked on a trailing axis of 3, for the drift
+    components (r1, r2) on a unit circle: arrays of one shape, a fold's
+    distinct lines, read by ``_over_nodes``.  Raises IllPosedMetricError
+    where the drift reaches the circle.
+    """
+    p, w = _circle(n)
+    cos, sin = p[:, 0], p[:, 1]
+    trig = w * np.stack([cos * cos, 2.0 * cos * sin, sin * sin])
+
+    def moments(r1, r2):
+        den = 1.0 + r1 * cos + r2 * sin
+        if np.any(den <= 0.0):
+            raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
+        # einsum, not BLAS: a row's moments must not depend on how many
+        # rows share the block
+        return (np.einsum("rf,cf->rc", 1.0 / den, trig),)
+
+    return _over_nodes(moments, (r1, r2), n)[0]
+
+
+def randers_angular_integrals(eta, n):
+    """n-node trapezoid values of the three drift-averaged angular integrals
 
         Int cos^2 / (1 + eta cos),  Int 2 cos sin / (1 + eta cos),
-        Int sin^2 / (1 + eta cos)      over [0, 2pi).
+        Int sin^2 / (1 + eta cos)      over [0, 2pi),
+
+    the tangent-circle moments of ``randers_energy_direct`` at the drift
+    (eta, 0) on the Euclidean circle (``_tangent_moments``).  Raises
+    IllPosedMetricError unless 0 <= eta < 1, and ValueError unless n is an
+    integer of at least 16.
     """
     eta = float(eta)
     if not 0.0 <= eta < 1.0:
         raise IllPosedMetricError("Randers drift ratio must satisfy 0 <= eta < 1")
-    theta = _TWO_PI * np.arange(int(n_nodes)) / int(n_nodes)
-    w = _TWO_PI / int(n_nodes)
-    den = 1.0 + eta * np.cos(theta)
-    c2 = float((np.cos(theta) ** 2 / den).sum() * w)
-    cs = float((2.0 * np.cos(theta) * np.sin(theta) / den).sum() * w)
-    s2 = float((np.sin(theta) ** 2 / den).sum() * w)
-    return c2, cs, s2
+    return tuple(map(float, _tangent_moments(eta, 0.0, n)))
 
 
 def randers_angular_closed_forms(eta):
-    """Exact values of the integrals above: (2pi/((1+s)s), 0, 2pi/(1+s))."""
-    eta = float(eta)
-    s = np.sqrt(1.0 - eta * eta)
-    return _TWO_PI / ((1.0 + s) * s), 0.0, _TWO_PI / (1.0 + s)
+    """Exact values of the integrals above, (2pi/((1+s)s), 0, 2pi/(1+s)) with
+    s = sqrt(1 - eta^2): pi times ``randers_axis_symbol`` of the unit square
+    torus, and a cross term of 0.  Raises IllPosedMetricError unless
+    0 <= eta < 1."""
+    c2, s2 = randers_axis_symbol(1.0, 1.0, eta)
+    return np.pi * c2, 0.0, np.pi * s2
 
 
 # ---------------------------------------------------------------------------
 # Binet-Legendre averaging
 # ---------------------------------------------------------------------------
 
-def binet_legendre(spec, x, y, quad):
+def binet_legendre(spec, x, y, n):
     """Averaged Riemannian metric from second moments of the forward unit ball.
 
     The dual form is (n+2)/vol(B) * Int_B p(v) q(v) dv over the F-unit ball,
-    evaluated in polar form: fiber nodes for the angle, and the exact radial
+    evaluated in polar form: the n-node rule for the angle, and the exact radial
     moments Int_0^R t dt = R^2/2 and Int_0^R t^3 dt = R^4/4 up to
     R(theta) = 1/F(x, u(theta)).  Affine invariance makes the result equal g
     itself for Riemannian input; in general the metric is bi-Lipschitz to F
     with constants controlled by the quasireversibility.
     """
-    u = quad.unit_covectors()  # tangent directions this time
+    u, w = _circle(n)  # tangent directions this time
     fold, shape = _fold(spec, x, y)
 
     def moments(*rows):
@@ -322,13 +338,13 @@ def binet_legendre(spec, x, y, quad):
             raise IllPosedMetricError("forward norm collapsed on the unit circle")
         r2 = fv**-2
         r4 = r2 * r2
-        area = (quad.weights * r2).sum(axis=-1) * 0.5
-        n11 = (quad.weights * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
-        n12 = (quad.weights * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
-        n22 = (quad.weights * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
+        area = (w * r2).sum(axis=-1) * 0.5
+        n11 = (w * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
+        n12 = (w * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
+        n22 = (w * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
         return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
 
-    d11, d12, d22 = _over_nodes(moments, fold, quad.size)
+    d11, d12, d22 = _over_nodes(moments, fold, n)
     det = d11 * d22 - d12 * d12
     if np.any(det <= 0.0):
         raise QuadratureError("Binet-Legendre dual form is not positive-definite")
@@ -353,11 +369,9 @@ def _settled_symbol(spec, x, y):
     """
     nodes = _fold(spec, x, y)
     n = _SETTLE_START
-    sig, mu = _fiber_symbol(nodes, FiberQuadrature.trapezoid(n))
+    sig, mu = _fiber_symbol(nodes, n)
     while n < _SETTLE_CAP:
-        q = FiberQuadrature.trapezoid(n)
-        sig_mid, mu_mid = _fiber_symbol(nodes,
-                                        FiberQuadrature(q.nodes + np.pi / n, q.weights))
+        sig_mid, mu_mid = _fiber_symbol(nodes, n, np.pi / n)
         # sigma*_2n - sigma*_n = mu_mid (sigma*_mid - sigma*_n) / (2 mu_2n)
         step = (mu_mid / (mu + mu_mid))[..., None, None] * (sig_mid - sig)
         sig_change = np.abs(step).max(axis=(-2, -1)) / np.abs(sig + step).max(axis=(-2, -1))
@@ -405,27 +419,27 @@ class SymbolField:
         self.sigma_star, self.mu = map(np.broadcast_to, self.reduced, (nodes + (2, 2), nodes))
 
     @classmethod
-    def compute(cls, spec, grid, quad=None):
+    def compute(cls, spec, grid, n=None):
         """Evaluate mu and sigma* on the grid, at the distinct lines of
         nodes of the folded metric only (``_fold``).
 
         Every route raises TypeError for a metric outside the three
-        families and IllPosedMetricError where |rho|_{g*} >= 1.  With no
-        rule: the closed form (module docstring).  With a FiberQuadrature:
-        the trapezoid oracle, the metric folded once and one dual_gradient
+        families and IllPosedMetricError where |rho|_{g*} >= 1.  With n
+        None: the closed form (module docstring).  With an integer n: the
+        n-node trapezoid oracle, the metric folded once and one dual_gradient
         fiber formula per block of _BLOCK node x fiber pairs over its
-        distinct lines (``_over_nodes``).  With "auto":
-        the trapezoid oracle at the rule settled on this grid's nodes
-        (``_settled_symbol``), whose node count is the field's fiber_nodes;
-        raises QuadratureError if it does not settle.
+        distinct lines (``_over_nodes``); raises ValueError unless n is at
+        least 16.  With "auto": the trapezoid oracle at the rule settled on
+        this grid's nodes (``_settled_symbol``), whose node count is the
+        field's fiber_nodes; raises QuadratureError if it does not settle.
         """
         x, y = grid.mesh()
-        if quad is None:
+        if n is None:
             (sig, mu), nodes = _closed_form_symbol(spec, x, y), 0
-        elif quad == "auto":
+        elif n == "auto":
             sig, mu, nodes = _settled_symbol(spec, x, y)
         else:
-            (sig, mu), nodes = _fiber_symbol(_fold(spec, x, y), quad), quad.size
+            (sig, mu), nodes = _fiber_symbol(_fold(spec, x, y), n), n
         return cls(grid=grid, sigma_star=sig, mu=mu, fiber_nodes=nodes)
 
     @property
@@ -454,7 +468,7 @@ def energy_from_symbol(field, grad_fn):
     return float(dens.sum()) * field.grid.cell_area
 
 
-def randers_energy_direct(spec, grad_fns, grid, quad):
+def randers_energy_direct(spec, grad_fns, grid, n):
     """Tangent-circle route to the energies of trial functions under any of
     the three families, bypassing sigma* entirely: one energy
 
@@ -469,13 +483,12 @@ def randers_energy_direct(spec, grad_fns, grid, quad):
     w1 = w_x / l11 and w2 = (w_y - l21 w1) / l22, so no direction array is
     formed, and (df . v)^2 expands into w1^2 cos^2 + 2 w1 w2 cos sin +
     w2^2 sin^2: the inner integral takes three moments of 1 / (1 + rho(v))
-    per node, computed once for every trial and, row by row, independently
-    of how many nodes share a block.
+    per node (``_tangent_moments`` on the n-node rule), computed once for
+    every trial and, row by row, independently of how many nodes share a
+    block.
     Agreement with ``energy_from_symbol`` validates the dual-circle route
     end to end.
     """
-    cos, sin = np.cos(quad.nodes), np.sin(quad.nodes)
-    trig = quad.weights * np.stack([cos * cos, 2.0 * cos * sin, sin * sin])
     x, y = grid.mesh()
     fold, shape = _fold(spec, x, y)
     l11 = np.sqrt(fold.g11)
@@ -486,15 +499,7 @@ def randers_energy_direct(spec, grad_fns, grid, quad):
         w1 = wx / l11
         return w1, (wy - l21 * w1) / l22
 
-    def moments(r1, r2):
-        den = 1.0 + r1 * cos + r2 * sin
-        if np.any(den <= 0.0):
-            raise IllPosedMetricError("drift exceeds the unit ball on the fiber")
-        # einsum, not BLAS: a row's moments must not depend on how many
-        # rows share the block
-        return (np.einsum("rf,cf->rc", 1.0 / den, trig),)
-
-    moment = _over_nodes(moments, on_circle(fold.r1, fold.r2), quad.size)[0]
+    moment = _tangent_moments(*on_circle(fold.r1, fold.r2), n)
     c2, cs, s2 = moment[..., 0], moment[..., 1], moment[..., 2]
     area = l11 * l22 * (grid.cell_area / np.pi)  # sqrt(det g) dx dy / pi
     energies = []

@@ -67,6 +67,13 @@ def metric_matrix(spec, x, y):
     return np.array([[g11, g12], [g12, g22]])
 
 
+def circle_rule(n):
+    """(unit covectors, weight) of the n-node equal-weight rule on the
+    circle, built here for sums that check the package's own rule."""
+    phi = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1), 2.0 * np.pi / n
+
+
 def random_point(rng):
     return float(rng.random()), float(rng.random())
 

@@ -9,16 +9,16 @@ import time
 
 import numpy as np
 
-from fspec import (ConformalMetric, ExperimentConfig, FiberQuadrature,
-                   RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
-                   assemble, binet_legendre, conformal_transform,
-                   quasireversibility, randers_angular_closed_forms,
-                   randers_angular_integrals, run_experiment, solve,
-                   symbol_matrix, threshold_eta, volume_density)
-from conftest import random_metric, random_point, random_vector
+from fspec import (ConformalMetric, ExperimentConfig, RandersMetric,
+                   RiemannianMetric, SymbolField, TorusGrid, assemble,
+                   binet_legendre, conformal_transform, quasireversibility,
+                   randers_angular_closed_forms, randers_angular_integrals,
+                   run_experiment, solve, symbol_matrix, threshold_eta,
+                   volume_density)
+from conftest import circle_rule, random_metric, random_point, random_vector
 
 FOUR_PI2 = 4.0 * np.pi**2
-QUAD = FiberQuadrature.trapezoid(256)
+NODES = 256
 
 
 def report(number, name, passed, detail):
@@ -30,7 +30,7 @@ class TestAcceptance:
     def test_criterion_01_riemannian_reduction(self):
         t0 = time.perf_counter()
         g = RiemannianMetric.stretched(2.0, 0.5)
-        field = SymbolField.compute(g, TorusGrid.square(64), QUAD)
+        field = SymbolField.compute(g, TorusGrid.square(64), NODES)
         lam1 = float(solve(assemble(field), 1).values[1])
         elapsed = time.perf_counter() - t0
         err = abs(lam1 / np.pi**2 - 1.0)
@@ -55,14 +55,14 @@ class TestAcceptance:
 
     def test_criterion_03_randers_volume_identity(self):
         t0 = time.perf_counter()
-        quad = FiberQuadrature.trapezoid(512)
+        nodes = 512
         grid = TorusGrid.square(64)
         x, y = grid.mesh()
         worst = 0.0
         for profile in (1.0, "0.5 + 0.4*sin(2*pi*y)"):
             spec = RandersMetric.axis_drift_torus(2.0, 0.9, profile=profile)
-            mu_r = volume_density(spec, x, y, quad)
-            mu_0 = volume_density(spec.base, x, y, quad)
+            mu_r = volume_density(spec, x, y, nodes)
+            mu_0 = volume_density(spec.base, x, y, nodes)
             worst = max(worst, float(np.abs(mu_r - mu_0).max()))
         elapsed = time.perf_counter() - t0
         report(3, "randers volume identity",
@@ -141,7 +141,7 @@ class TestAcceptance:
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
                                               profile="0.5 + 0.4*sin(2*pi*y)")
         grid = TorusGrid.square(48)
-        field = SymbolField.compute(spec, grid, QUAD)
+        field = SymbolField.compute(spec, grid, NODES)
         # Laplace-Beltrami of the symbol metric: volume density sqrt(det sigma)
         sigma_field = SymbolField(grid=grid, sigma_star=field.sigma_star,
                                   mu=field.mu / field.a,
@@ -162,10 +162,10 @@ class TestAcceptance:
         conf = ConformalMetric(base, "0.3*sin(2*pi*x)")
         grid = TorusGrid.square(32)
         x, y = grid.mesh()
-        sig_scratch = symbol_matrix(conf, x, y, QUAD)
-        mu_scratch = volume_density(conf, x, y, QUAD)
-        sig_base = symbol_matrix(base, x, y, QUAD)
-        mu_base = volume_density(base, x, y, QUAD)
+        sig_scratch = symbol_matrix(conf, x, y, NODES)
+        mu_scratch = volume_density(conf, x, y, NODES)
+        sig_base = symbol_matrix(base, x, y, NODES)
+        mu_base = volume_density(base, x, y, NODES)
         f_vals = conf.exponent(x, y)
         sig_trans, mu_trans = conformal_transform(sig_base, mu_base, f_vals)
         sig_err = float(np.abs(sig_scratch - sig_trans).max())
@@ -185,7 +185,7 @@ class TestAcceptance:
         xs = rng.random(n)
         ys = rng.random(n)
         vs = rng.normal(size=(n, 2))
-        bl = binet_legendre(spec, xs[:, None], ys[:, None], QUAD)[:, 0]
+        bl = binet_legendre(spec, xs[:, None], ys[:, None], NODES)[:, 0]
         fv = spec.value(xs, ys, vs)
         bl_norm = np.sqrt(np.einsum("kij,ki,kj->k", bl, vs, vs))
         ratio = fv / bl_norm
@@ -233,19 +233,19 @@ class TestAcceptance:
         for _ in range(100):
             spec = random_metric(rng)
             x, y = random_point(rng)
-            sig = symbol_matrix(spec, x, y, QUAD)
+            sig = symbol_matrix(spec, x, y, NODES)
             if not (sig[0, 0] > 0 and np.linalg.det(sig) > 0):
                 failures.append("symbol-spd")
 
         # fiber normalization (1/mu) Int F*^-2 = 2 pi
-        covs = QUAD.unit_covectors()
+        covs, weight = circle_rule(NODES)
         for _ in range(100):
             spec = random_metric(rng)
             x, y = random_point(rng)
             dual = spec.dual(np.asarray(x)[..., None], np.asarray(y)[..., None],
                              covs)
-            mu = float(volume_density(spec, x, y, QUAD))
-            if abs(float((QUAD.weights / dual**2).sum()) / mu - 2 * np.pi) > 1e-10:
+            mu = float(volume_density(spec, x, y, NODES))
+            if abs(float((weight / dual**2).sum()) / mu - 2 * np.pi) > 1e-10:
                 failures.append("normalization")
 
         # stiffness symmetry and constant kernel

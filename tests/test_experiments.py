@@ -282,6 +282,28 @@ class TestThresholdEta:
             assert A > h * h
 
 
+def _perturbed(fn, index, scale=1.0, shift=0.0):
+    """fn with entry `index` of its result scaled by `scale`, then shifted by
+    `shift`."""
+    def wrapper(*args):
+        out = list(fn(*args))
+        out[index] = out[index] * scale + shift
+        return tuple(out)
+    return wrapper
+
+
+def _base_volume_scaled(cls):
+    """A stand-in for SymbolField whose closed-form mu, the base's volume in
+    randers-identities, is 1e-6 relative high."""
+    def compute(spec, grid, n=None):
+        field = cls.compute(spec, grid, n)
+        if n is None:
+            field = cls(grid=grid, sigma_star=field.sigma_star,
+                        mu=field.mu * (1 + 1e-6), fiber_nodes=0)
+        return field
+    return types.SimpleNamespace(compute=compute)
+
+
 class TestRunners:
     @pytest.mark.parametrize("text", ALL_CONFIGS)
     def test_all_kinds_pass(self, text):
@@ -305,6 +327,29 @@ class TestRunners:
             run_experiment(cfg)
         cfg = ExperimentConfig.from_text(text + "fiber_nodes = auto\n")
         assert run_experiment(cfg).passed
+
+    @pytest.mark.parametrize("verdict, name, perturb", [
+        ("volume-density-equals-base", "SymbolField", _base_volume_scaled),
+        # entry 0 is cos^2 of the closed forms and 1 the cross integral
+        ("angular-integrals-match-closed-forms", "randers_angular_closed_forms",
+         lambda closed: _perturbed(closed, 0, scale=1 + 1e-7)),
+        ("cross-term-vanishes", "randers_angular_integrals",
+         lambda integrals: _perturbed(integrals, 1, shift=1e-9)),
+        ("energy-two-route-agreement", "randers_energy_direct",
+         lambda direct: _perturbed(direct, 0, scale=1 + 1e-5)),
+    ], ids=["volume", "angular", "cross", "energy"])
+    def test_identities_verdict_fails_on_a_perturbed_route(self, monkeypatch,
+                                                           verdict, name, perturb):
+        # each verdict reads the program, not fixed rows: perturbing the one
+        # route it checks fails that verdict alone
+        monkeypatch.setattr(fspec.experiments, name,
+                            perturb(getattr(fspec.experiments, name)))
+        report = run_experiment(ExperimentConfig.from_text(IDENTITIES_CFG))
+        assert {v.name: v.passed for v in report.verdicts} == {
+            other: other != verdict for other in (
+                "volume-density-equals-base",
+                "angular-integrals-match-closed-forms", "cross-term-vanishes",
+                "energy-two-route-agreement")}
 
     def test_rows_carry_config_hash(self):
         cfg = ExperimentConfig.from_text(BILIPSCHITZ_CFG)

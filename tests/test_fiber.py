@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import fspec.fiber
-from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
+from fspec import (ConformalMetric, IllPosedMetricError,
                    QuadratureError, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, as_field,
                    binet_legendre, bilipschitz_ratio, conformal_transform,
@@ -17,9 +17,10 @@ from fspec import (ConformalMetric, FiberQuadrature, IllPosedMetricError,
                    randers_axis_symbol, randers_energy_direct,
                    symbol_matrix, volume_density, weight)
 from fspec.metrics import _Folded
-from conftest import metric_matrix, random_metric, random_point, random_randers
+from conftest import (circle_rule, metric_matrix, random_metric, random_point,
+                      random_randers)
 
-QUAD = FiberQuadrature.trapezoid(256)
+NODES = 256
 
 # One Randers metric per shape of variation over the grid
 VARYING_METRICS = {
@@ -37,26 +38,47 @@ ONE_LINE_METRIC = RandersMetric.axis_drift_torus(
 
 
 class TestQuadratureRule:
-    def test_weights_sum_to_2pi(self):
+    def test_rule_integrates_one_to_2pi(self):
+        # F* = 1 on the Euclidean circle, so mu = 1 iff the n weights sum
+        # to 2 pi
         for n in (16, 256, 1000):
-            q = FiberQuadrature.trapezoid(n)
-            assert abs(float(q.weights.sum()) - 2 * np.pi) < 1e-12
+            mu = volume_density(RiemannianMetric.euclidean(), 0.3, 0.7, n)
+            assert abs(float(mu) - 1.0) < 1e-12
 
-    def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
-            FiberQuadrature.trapezoid(8)
+    @pytest.mark.parametrize("count", [0, 8, 512.5])
+    @pytest.mark.parametrize("entry", [
+        "volume_density", "symbol_matrix", "binet_legendre",
+        "randers_energy_direct", "randers_angular_integrals",
+        "SymbolField.compute"])
+    def test_bad_node_count_raises(self, entry, count):
+        # every entry point that takes a node count refuses fewer than 16
+        # nodes and a count that is not an integer
+        spec = RandersMetric.axis_drift_torus(2.0, 0.6)
+        grid = TorusGrid.square(8)
+        calls = {
+            "volume_density": lambda: volume_density(spec, 0.3, 0.7, count),
+            "symbol_matrix": lambda: symbol_matrix(spec, 0.3, 0.7, count),
+            "binet_legendre": lambda: binet_legendre(spec, 0.3, 0.7, count),
+            "randers_energy_direct": lambda: randers_energy_direct(
+                spec, [sin_x_cos_y_gradient], grid, count),
+            "randers_angular_integrals": lambda: randers_angular_integrals(
+                0.5, count),
+            "SymbolField.compute": lambda: SymbolField.compute(spec, grid, count),
+        }
+        with pytest.raises(ValueError, match="at least 16"):
+            calls[entry]()
 
 
 class TestVolumeDensity:
     def test_euclidean_is_one(self):
-        mu = volume_density(RiemannianMetric.euclidean(), 0.3, 0.7, QUAD)
+        mu = volume_density(RiemannianMetric.euclidean(), 0.3, 0.7, NODES)
         assert isinstance(mu, np.floating)  # a scalar node gives a scalar
         np.testing.assert_allclose(mu, 1.0, rtol=1e-12)
 
     def test_riemannian_sqrt_det(self):
         h, r = 2.0, 0.5
         g = RiemannianMetric.stretched(h, r)
-        mu = float(volume_density(g, 0.1, 0.9, QUAD))
+        mu = float(volume_density(g, 0.1, 0.9, NODES))
 
         # independent oracle: (1/2pi) Int dphi / (cos^2/h^2 + sin^2/r^2)
         oracle, _ = scipy_quad(
@@ -71,8 +93,8 @@ class TestVolumeDensity:
         grid_t = np.linspace(0.0, 1.0, 9)[:-1]
         for profile in (1.0, "0.5 + 0.4*sin(2*pi*y)"):
             spec = RandersMetric.axis_drift_torus(2.0, 0.9, profile=profile)
-            mu_r = volume_density(spec, grid_t[:, None], grid_t[None, :], QUAD)
-            mu_0 = volume_density(spec.base, grid_t[:, None], grid_t[None, :], QUAD)
+            mu_r = volume_density(spec, grid_t[:, None], grid_t[None, :], NODES)
+            mu_0 = volume_density(spec.base, grid_t[:, None], grid_t[None, :], NODES)
             assert float(np.abs(mu_r - mu_0).max()) < 1e-8
 
     @pytest.mark.parametrize("spec", [
@@ -88,14 +110,14 @@ class TestVolumeDensity:
         # the oracle's mu takes F*^2 = p . dual_gradient(p) (Euler);
         # volume_density takes spec.dual: two routes to the same integral
         grid = TorusGrid(12, 16)
-        mu_dual = volume_density(spec, *grid.mesh(), QUAD)
-        mu_euler = SymbolField.compute(spec, grid, QUAD).mu
+        mu_dual = volume_density(spec, *grid.mesh(), NODES)
+        mu_euler = SymbolField.compute(spec, grid, NODES).mu
         np.testing.assert_allclose(mu_euler, mu_dual, rtol=1e-14, atol=0.0)
 
 
 class TestSymbol:
     def test_euclidean_identity(self):
-        sig = symbol_matrix(RiemannianMetric.euclidean(), 0.2, 0.4, QUAD)
+        sig = symbol_matrix(RiemannianMetric.euclidean(), 0.2, 0.4, NODES)
         assert sig.shape == (2, 2)
         np.testing.assert_allclose(sig, np.eye(2), atol=1e-12)
 
@@ -106,21 +128,21 @@ class TestSymbol:
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
             gi = np.linalg.inv(metric_matrix(spec, x, y))
-            sig = symbol_matrix(spec, x, y, QUAD)
+            sig = symbol_matrix(spec, x, y, NODES)
             assert float(np.abs(sig - gi).max() / np.abs(gi).max()) < 1e-8
 
     def test_randers_axis_closed_form(self):
         h, eta = 2.0, 0.6
         spec = RandersMetric.axis_drift_torus(h, eta)
         A, B = randers_axis_symbol(h, 1.0 / h, eta)
-        sig = symbol_matrix(spec, 0.3, 0.3, QUAD)
+        sig = symbol_matrix(spec, 0.3, 0.3, NODES)
         np.testing.assert_allclose(sig, np.diag([A, B]), atol=1e-10 * max(A, B))
 
     def test_spd_property(self, rng):
         for _ in range(100):
             spec = random_metric(rng)
             x, y = random_point(rng)
-            sig = symbol_matrix(spec, x, y, QUAD)
+            sig = symbol_matrix(spec, x, y, NODES)
             assert sig[0, 0] > 0
             assert np.linalg.det(sig) > 0
             np.testing.assert_allclose(sig[0, 1], sig[1, 0], rtol=1e-12)
@@ -130,10 +152,10 @@ class TestSymbol:
         for _ in range(100):
             spec = random_metric(rng)
             x, y = random_point(rng)
-            covs = QUAD.unit_covectors()
+            covs, weight = circle_rule(NODES)
             dual = spec.dual(np.asarray(x)[..., None], np.asarray(y)[..., None], covs)
-            mu = float(volume_density(spec, x, y, QUAD))
-            total = float((QUAD.weights / dual**2).sum()) / mu
+            mu = float(volume_density(spec, x, y, NODES))
+            total = float((weight / dual**2).sum()) / mu
             assert abs(total - 2 * np.pi) < 1e-10
 
     def test_quadrature_convergence_doubling(self, rng):
@@ -141,12 +163,11 @@ class TestSymbol:
         for _ in range(5):
             spec = random_randers(rng, eta_max=0.7)
             x, y = random_point(rng)
-            q512 = FiberQuadrature.trapezoid(512)
-            mu_a = float(volume_density(spec, x, y, QUAD))
-            mu_b = float(volume_density(spec, x, y, q512))
+            mu_a = float(volume_density(spec, x, y, NODES))
+            mu_b = float(volume_density(spec, x, y, 512))
             assert abs(mu_a - mu_b) < 1e-10
-            sig_a = symbol_matrix(spec, x, y, QUAD)
-            sig_b = symbol_matrix(spec, x, y, q512)
+            sig_a = symbol_matrix(spec, x, y, NODES)
+            sig_b = symbol_matrix(spec, x, y, 512)
             assert float(np.abs(sig_a - sig_b).max()) < 1e-10
 
     def test_mu_bound_from_bilipschitz(self, rng):
@@ -158,16 +179,16 @@ class TestSymbol:
                                        point_samples=1024)
             big_c = max(hi, 1.0 / lo) * (1 + 1e-9)
             x, y = random_point(rng)
-            mu = float(volume_density(spec, x, y, QUAD))
+            mu = float(volume_density(spec, x, y, NODES))
             assert big_c**-2 <= mu <= big_c**2
 
     def test_degenerate_guard(self):
         # exp(f) with huge f drives F* below the safety floor
         tiny = ConformalMetric(RiemannianMetric.euclidean(), 20.0)
         with pytest.raises(IllPosedMetricError):
-            volume_density(tiny, 0.1, 0.1, QUAD)
+            volume_density(tiny, 0.1, 0.1, NODES)
         with pytest.raises(IllPosedMetricError):
-            symbol_matrix(tiny, 0.1, 0.1, QUAD)
+            symbol_matrix(tiny, 0.1, 0.1, NODES)
 
 
 class TestRandersClosedForms:
@@ -193,6 +214,13 @@ class TestRandersClosedForms:
     def test_axis_symbol_rejects_bad_eta(self):
         with pytest.raises(IllPosedMetricError):
             randers_axis_symbol(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("eta", [1.0, 1.5, -0.5])
+    def test_angular_closed_forms_reject_bad_eta(self, eta):
+        # the integrals refuse these drifts; their closed forms must too,
+        # not return inf or nan, nor a value for a negative ratio
+        with pytest.raises(IllPosedMetricError):
+            randers_angular_closed_forms(eta)
 
     def test_angular_integrals_match_closed_forms(self):
         for eta in (0.1, 0.5, 0.9, 0.99):
@@ -229,8 +257,8 @@ class TestWeight:
             while not isinstance(spec, RiemannianMetric):
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
-            mu = volume_density(spec, x, y, QUAD)
-            sig = symbol_matrix(spec, x, y, QUAD)
+            mu = volume_density(spec, x, y, NODES)
+            sig = symbol_matrix(spec, x, y, NODES)
             np.testing.assert_allclose(float(weight(sig, mu)), 1.0, rtol=1e-8)
 
     def test_randers_torus_constant_weight(self):
@@ -238,8 +266,8 @@ class TestWeight:
         h, eta = 2.0, 0.6
         spec = RandersMetric.axis_drift_torus(h, eta)
         A, B = randers_axis_symbol(h, 1.0 / h, eta)
-        mu = volume_density(spec, 0.4, 0.2, QUAD)
-        sig = symbol_matrix(spec, 0.4, 0.2, QUAD)
+        mu = volume_density(spec, 0.4, 0.2, NODES)
+        sig = symbol_matrix(spec, 0.4, 0.2, NODES)
         np.testing.assert_allclose(float(weight(sig, mu)), np.sqrt(A * B),
                                    rtol=1e-10)
 
@@ -255,7 +283,7 @@ class TestWeight:
 
 class TestBinetLegendre:
     def test_euclidean_identity(self):
-        bl = binet_legendre(RiemannianMetric.euclidean(), 0.2, 0.8, QUAD)
+        bl = binet_legendre(RiemannianMetric.euclidean(), 0.2, 0.8, NODES)
         assert bl.shape == (2, 2)
         np.testing.assert_allclose(bl, np.eye(2), atol=1e-12)
 
@@ -265,7 +293,7 @@ class TestBinetLegendre:
             while not isinstance(spec, RiemannianMetric):
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
-            bl = binet_legendre(spec, x, y, QUAD)
+            bl = binet_legendre(spec, x, y, NODES)
             g = metric_matrix(spec, x, y)
             assert float(np.abs(bl - g).max() / np.abs(g).max()) < 1e-6
 
@@ -276,7 +304,7 @@ class TestBinetLegendre:
         lo, hi = (2 * c) ** -3, (2 * c) ** 3
         xs = rng.random(100)
         ys = rng.random(100)
-        bl = binet_legendre(spec, xs[:, None], ys[:, None], QUAD)[:, 0]
+        bl = binet_legendre(spec, xs[:, None], ys[:, None], NODES)[:, 0]
         vs = rng.normal(size=(100, 2))
         fv = spec.value(xs, ys, vs)
         bl_norm = np.sqrt(np.einsum("kij,ki,kj->k", bl, vs, vs))
@@ -289,8 +317,8 @@ class TestBinetLegendre:
         for _ in range(10):
             spec = random_metric(rng)
             x, y = random_point(rng)
-            sig = symbol_matrix(spec, x, y, QUAD)
-            bl = binet_legendre(spec, x, y, QUAD)
+            sig = symbol_matrix(spec, x, y, NODES)
+            bl = binet_legendre(spec, x, y, NODES)
             bl_dual = np.linalg.inv(bl)
             for p in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                       np.array([1.0, 1.0])):
@@ -318,10 +346,10 @@ class TestConformalTransform:
         conf = ConformalMetric(base, "0.3*sin(2*pi*x)")
         t = np.linspace(0.0, 1.0, 13)[:-1]
         x, y = t[:, None], t[None, :]
-        sig_scratch = symbol_matrix(conf, x, y, QUAD)
-        mu_scratch = volume_density(conf, x, y, QUAD)
-        sig_base = symbol_matrix(base, x, y, QUAD)
-        mu_base = volume_density(base, x, y, QUAD)
+        sig_scratch = symbol_matrix(conf, x, y, NODES)
+        mu_scratch = volume_density(conf, x, y, NODES)
+        sig_base = symbol_matrix(base, x, y, NODES)
+        mu_base = volume_density(base, x, y, NODES)
         f_vals = conf.exponent(x, y)
         sig_t, mu_t = conformal_transform(sig_base, mu_base, f_vals)
         assert float(np.abs(sig_scratch - sig_t).max()) < 1e-8
@@ -334,16 +362,16 @@ class TestSymbolField:
         # in x and y, so a block written to the wrong rows would show
         h, r, eta = 2.0, 0.5, 0.6
         profile = "0.5 + 0.4*sin(2*pi*x)*cos(2*pi*y)"
-        cases = [(1.0, TorusGrid.square(8), QUAD),
-                 (profile, TorusGrid(40, 24), FiberQuadrature.trapezoid(1024))]
-        for prof, grid, quad in cases:
+        cases = [(1.0, TorusGrid.square(8), NODES),
+                 (profile, TorusGrid(40, 24), 1024)]
+        for prof, grid, nodes in cases:
             spec = RandersMetric.axis_drift_torus(h, eta, profile=prof)
-            field = SymbolField.compute(spec, grid, quad)
+            field = SymbolField.compute(spec, grid, nodes)
             x, y = grid.mesh()
-            np.testing.assert_allclose(field.mu, volume_density(spec, x, y, quad),
+            np.testing.assert_allclose(field.mu, volume_density(spec, x, y, nodes),
                                        rtol=1e-14)
             np.testing.assert_allclose(field.sigma_star,
-                                       symbol_matrix(spec, x, y, quad),
+                                       symbol_matrix(spec, x, y, nodes),
                                        rtol=1e-14)
             # a = h r sqrt(A B) with the local drift ratio eta p(x, y)
             etas = eta * np.broadcast_to(as_field(prof)(x, y), field.mu.shape)
@@ -366,15 +394,15 @@ class TestSymbolField:
         for spec, lines in ((RandersMetric.axis_drift_torus(2.0, 0.6), 1),
                             (VARYING_METRICS["2-d"], 64)):
             calls.clear()
-            SymbolField.compute(spec, TorusGrid.square(8), QUAD)
-            blocks = -(-lines * QUAD.size // fspec.fiber._BLOCK)
+            SymbolField.compute(spec, TorusGrid.square(8), NODES)
+            blocks = -(-lines * NODES // fspec.fiber._BLOCK)
             assert calls == ["dual_gradient"] * blocks
 
     def test_kernel_rows_per_metric_shape(self, monkeypatch):
         # every fiber oracle runs its kernel once per distinct metric line:
         # the axes along which the folded metric repeats exactly are dropped
         grid = TorusGrid(40, 24)
-        quad = FiberQuadrature.trapezoid(1024)
+        nodes = 1024
         x, y = grid.mesh()
         over_nodes = fspec.fiber._over_nodes
         rows = []
@@ -391,12 +419,12 @@ class TestSymbolField:
                             ("2-d", 960)):
             spec = VARYING_METRICS[name]
             rows.clear()
-            for oracle in (lambda: SymbolField.compute(spec, grid, quad),
+            for oracle in (lambda: SymbolField.compute(spec, grid, nodes),
                            lambda: randers_energy_direct(
-                               spec, [sin_x_cos_y_gradient], grid, quad),
-                           lambda: volume_density(spec, x, y, quad),
-                           lambda: symbol_matrix(spec, x, y, quad),
-                           lambda: binet_legendre(spec, x, y, quad)):
+                               spec, [sin_x_cos_y_gradient], grid, nodes),
+                           lambda: volume_density(spec, x, y, nodes),
+                           lambda: symbol_matrix(spec, x, y, nodes),
+                           lambda: binet_legendre(spec, x, y, nodes)):
                 rows.append(0)
                 oracle()
             assert rows == [lines] * 5, name
@@ -408,18 +436,18 @@ class TestSymbolField:
         # only, so a reduction that compares some lines and not all fails
         spec = VARYING_METRICS.get(name, ONE_LINE_METRIC)
         grid = TorusGrid(40, 24)
-        quad = FiberQuadrature.trapezoid(512)
+        nodes = 512
         x, y = grid.mesh()
-        field = SymbolField.compute(spec, grid, quad)
-        full = (volume_density(spec, x, y, quad), symbol_matrix(spec, x, y, quad),
-                binet_legendre(spec, x, y, quad), field.sigma_star, field.mu)
+        field = SymbolField.compute(spec, grid, nodes)
+        full = (volume_density(spec, x, y, nodes), symbol_matrix(spec, x, y, nodes),
+                binet_legendre(spec, x, y, nodes), field.sigma_star, field.mu)
         for i, j in ((0, 0), (10, 0), (10, 17), (11, 17), (39, 23), (23, 9)):
             xi, yj = x[i, 0], y[0, j]
             sig, mu = fspec.fiber._fiber_symbol(fspec.fiber._fold(spec, xi, yj),
-                                                quad)
-            point = (volume_density(spec, xi, yj, quad),
-                     symbol_matrix(spec, xi, yj, quad),
-                     binet_legendre(spec, xi, yj, quad), sig, mu)
+                                                nodes)
+            point = (volume_density(spec, xi, yj, nodes),
+                     symbol_matrix(spec, xi, yj, nodes),
+                     binet_legendre(spec, xi, yj, nodes), sig, mu)
             for whole, value in zip(full, point):
                 assert np.array_equal(whole[i, j], value), (i, j)
 
@@ -437,8 +465,8 @@ class TestSymbolField:
 
         twin = RandersMetric(spec.base, spec.rho_x,
                              lambda x, y: spec.rho_y(x, y) + off_node(x, y))
-        energy = randers_energy_direct(spec, [spike], grid, quad)[0]
-        assert energy == randers_energy_direct(twin, [spike], grid, quad)[0]
+        energy = randers_energy_direct(spec, [spike], grid, nodes)[0]
+        assert energy == randers_energy_direct(twin, [spike], grid, nodes)[0]
 
     def test_each_oracle_folds_once(self, monkeypatch):
         # TorusGrid(40, 24) x 1024 fiber nodes spans several blocks and the
@@ -447,7 +475,7 @@ class TestSymbolField:
         spec = RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
                              "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
         grid = TorusGrid(40, 24)
-        quad = FiberQuadrature.trapezoid(1024)
+        nodes = 1024
         x, y = grid.mesh()
         calls = []
         parts = RandersMetric._parts
@@ -457,12 +485,12 @@ class TestSymbolField:
             return parts(metric, x, y)
 
         monkeypatch.setattr(RandersMetric, "_parts", counting)
-        for oracle in (lambda: SymbolField.compute(spec, grid, quad),
+        for oracle in (lambda: SymbolField.compute(spec, grid, nodes),
                        lambda: SymbolField.compute(spec, grid, "auto"),
                        lambda: randers_energy_direct(
-                           spec, [sin_x_cos_y_gradient], grid, quad),
-                       lambda: volume_density(spec, x, y, quad),
-                       lambda: binet_legendre(spec, x, y, quad)):
+                           spec, [sin_x_cos_y_gradient], grid, nodes),
+                       lambda: volume_density(spec, x, y, nodes),
+                       lambda: binet_legendre(spec, x, y, nodes)):
             calls.append(0)
             oracle()
         assert calls == [1, 1, 1, 1, 1]
@@ -471,10 +499,10 @@ class TestSymbolField:
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
                                               profile="0.5 + 0.4*sin(2*pi*y)")
         grid = TorusGrid.square(64)
-        quad = FiberQuadrature.trapezoid(512)
+        nodes = 512
         tracemalloc.start()
         try:
-            SymbolField.compute(spec, grid, quad)
+            SymbolField.compute(spec, grid, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -486,7 +514,7 @@ class TestSymbolField:
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
                                               profile="0.5 + 0.4*sin(2*pi*y)")
         grid = TorusGrid.square(64)
-        quad = FiberQuadrature.trapezoid(512)
+        nodes = 512
 
         def grad(x, y):
             return np.stack(np.broadcast_arrays(
@@ -494,10 +522,10 @@ class TestSymbolField:
 
         x, y = grid.mesh()
         peaks = []
-        for call in (lambda: randers_energy_direct(spec, [grad], grid, quad)[0],
-                     lambda: volume_density(spec.base, x, y, quad),
-                     lambda: symbol_matrix(spec, x, y, quad),
-                     lambda: binet_legendre(spec, x, y, quad)):
+        for call in (lambda: randers_energy_direct(spec, [grad], grid, nodes)[0],
+                     lambda: volume_density(spec.base, x, y, nodes),
+                     lambda: symbol_matrix(spec, x, y, nodes),
+                     lambda: binet_legendre(spec, x, y, nodes)):
             tracemalloc.start()
             try:
                 call()
@@ -516,7 +544,7 @@ class TestSymbolField:
         spec = RandersMetric(RiemannianMetric("1.5 + 0.2*sin(2*pi*x)", 0.3, 1.0),
                              "0.2*cos(2*pi*y)", "0.1*sin(2*pi*x)")
         grid = TorusGrid(40, 24)
-        quad = FiberQuadrature.trapezoid(1024)
+        nodes = 1024
         x, y = grid.mesh()
 
         def grad(x, y):
@@ -526,13 +554,13 @@ class TestSymbolField:
                 axis=-1)
 
         def evaluate():
-            field = SymbolField.compute(spec, grid, quad)
+            field = SymbolField.compute(spec, grid, nodes)
             settled = SymbolField.compute(spec, grid, "auto")
-            return (randers_energy_direct(spec, [grad], grid, quad)[0],
-                    volume_density(spec, x, y, quad),
-                    symbol_matrix(spec, x, y, quad),
+            return (randers_energy_direct(spec, [grad], grid, nodes)[0],
+                    volume_density(spec, x, y, nodes),
+                    symbol_matrix(spec, x, y, nodes),
                     field.sigma_star, field.mu,
-                    binet_legendre(spec, x, y, quad),
+                    binet_legendre(spec, x, y, nodes),
                     settled.sigma_star, settled.mu, settled.fiber_nodes)
 
         blocked = evaluate()
@@ -583,7 +611,7 @@ class TestSymbolField:
         grid = TorusGrid(12, 16)
         settled = SymbolField.compute(spec, grid, "auto")
         direct = SymbolField.compute(
-            spec, grid, FiberQuadrature.trapezoid(settled.fiber_nodes))
+            spec, grid, settled.fiber_nodes)
         np.testing.assert_allclose(settled.mu, direct.mu, rtol=1e-14)
         # cross terms are roundoff here, so sigma* is measured against its
         # largest entry at each node
@@ -592,7 +620,7 @@ class TestSymbolField:
         assert float(sig_err.max()) <= 1e-14
 
 
-ORACLE = FiberQuadrature.trapezoid(4096)
+ORACLE = 4096
 
 
 @st.composite
@@ -662,13 +690,13 @@ class TestClosedFormSymbol:
         x, y = grid.mesh()
         routes = {
             "closed form": lambda spec: SymbolField.compute(spec, grid),
-            "rule": lambda spec: SymbolField.compute(spec, grid, QUAD),
+            "rule": lambda spec: SymbolField.compute(spec, grid, NODES),
             "auto": lambda spec: SymbolField.compute(spec, grid, "auto"),
-            "volume_density": lambda spec: volume_density(spec, x, y, QUAD),
-            "symbol_matrix": lambda spec: symbol_matrix(spec, x, y, QUAD),
-            "binet_legendre": lambda spec: binet_legendre(spec, x, y, QUAD),
+            "volume_density": lambda spec: volume_density(spec, x, y, NODES),
+            "symbol_matrix": lambda spec: symbol_matrix(spec, x, y, NODES),
+            "binet_legendre": lambda spec: binet_legendre(spec, x, y, NODES),
             "randers_energy_direct": lambda spec: randers_energy_direct(
-                spec, [sin_x_cos_y_gradient], grid, QUAD),
+                spec, [sin_x_cos_y_gradient], grid, NODES),
         }
         for spec in (bad, ConformalMetric(bad, "0.3*sin(2*pi*y)")):
             for route in routes.values():
@@ -692,9 +720,9 @@ class TestClosedFormSymbol:
         # the closed form, a rule and the settled rule all refuse it alike
         spec = Reversed(RandersMetric.axis_drift_torus(2.0, 0.6))
         grid = TorusGrid.square(8)
-        for quad in (None, QUAD, "auto"):
+        for nodes in (None, NODES, "auto"):
             with pytest.raises(TypeError, match="three metric families"):
-                SymbolField.compute(spec, grid, quad)
+                SymbolField.compute(spec, grid, nodes)
 
 
 def sin_x_cos_y_gradient(x, y):
@@ -716,9 +744,9 @@ class TestTwoRouteEnergy:
         grad = sin_x_cos_y_gradient
         for spec in (RandersMetric.axis_drift_torus(
                 2.0, 0.9, profile="0.5 + 0.4*sin(2*pi*y)"), sheared):
-            field = SymbolField.compute(spec, grid, QUAD)
+            field = SymbolField.compute(spec, grid, NODES)
             e_sym = energy_from_symbol(field, grad)
-            e_dir = randers_energy_direct(spec, [grad], grid, QUAD)[0]
+            e_dir = randers_energy_direct(spec, [grad], grid, NODES)[0]
             np.testing.assert_allclose(e_sym, e_dir, rtol=1e-6)
 
     def test_one_moment_pass_for_every_trial(self, monkeypatch):
@@ -730,7 +758,7 @@ class TestTwoRouteEnergy:
         trials = [sin_x_cos_y_gradient,
                   lambda x, y: 2.0 * sin_x_cos_y_gradient(x, y),
                   lambda x, y: sin_x_cos_y_gradient(y, x)[..., ::-1]]
-        alone = [randers_energy_direct(spec, [grad], grid, QUAD)[0]
+        alone = [randers_energy_direct(spec, [grad], grid, NODES)[0]
                  for grad in trials]
         passes = []
         over_nodes = fspec.fiber._over_nodes
@@ -740,7 +768,7 @@ class TestTwoRouteEnergy:
             return over_nodes(*args)
 
         monkeypatch.setattr(fspec.fiber, "_over_nodes", counting)
-        together = randers_energy_direct(spec, trials, grid, QUAD)
+        together = randers_energy_direct(spec, trials, grid, NODES)
         assert len(passes) == 1
         np.testing.assert_allclose(together, alone, rtol=1e-15)
         np.testing.assert_allclose(together[1], 4.0 * together[0], rtol=1e-14)
@@ -756,5 +784,5 @@ class TestTwoRouteEnergy:
         grid = TorusGrid.square(16)
         grad = sin_x_cos_y_gradient
         e_sym = energy_from_symbol(SymbolField.compute(spec, grid), grad)
-        e_dir = randers_energy_direct(spec, [grad], grid, QUAD)[0]
+        e_dir = randers_energy_direct(spec, [grad], grid, NODES)[0]
         np.testing.assert_allclose(e_dir, e_sym, rtol=1e-12)

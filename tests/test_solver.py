@@ -12,20 +12,20 @@ from hypothesis import given, settings, strategies as st
 import fspec.experiments
 import fspec.solver
 from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
-                   FiberQuadrature, RandersMetric, RiemannianMetric,
-                   SolverError, SymbolField, TorusGrid, assemble,
-                   discrete_fourier_oracle, fourier_oracle,
-                   randers_axis_symbol, rayleigh, run_experiment, solve)
+                   RandersMetric, RiemannianMetric, SolverError, SymbolField,
+                   TorusGrid, assemble, discrete_fourier_oracle,
+                   fourier_oracle, randers_axis_symbol, rayleigh,
+                   run_experiment, solve)
 from fspec.cli import main as cli_main
 from conftest import random_spd
 
-QUAD = FiberQuadrature.trapezoid(256)
+NODES = 256
 FOUR_PI2 = 4 * np.pi**2
 
 
-def euclid_field(n, quad=QUAD):
+def euclid_field(n, nodes=NODES):
     return SymbolField.compute(RiemannianMetric.euclidean(), TorusGrid.square(n),
-                               quad)
+                               nodes)
 
 
 # every route solve can take, in the order it tries them
@@ -205,10 +205,10 @@ class TestAssembly:
             problem.K
 
     @pytest.mark.parametrize("name", SHAPED_METRICS)
-    @pytest.mark.parametrize("quad", [None, QUAD], ids=["closed", "rule"])
-    def test_field_and_stencil_keep_the_shape_they_vary_over(self, name, quad):
+    @pytest.mark.parametrize("nodes", [None, NODES], ids=["closed", "rule"])
+    def test_field_and_stencil_keep_the_shape_they_vary_over(self, name, nodes):
         spec, shape = SHAPED_METRICS[name]
-        field = SymbolField.compute(spec, TorusGrid(24, 40), quad)
+        field = SymbolField.compute(spec, TorusGrid(24, 40), nodes)
         problem = assemble(field)
         sigma, mu = field.reduced
         weights, mass = problem.reduced
@@ -225,7 +225,7 @@ class TestAssembly:
         # R(sin 2 pi y) -> 4 pi^2 B for the drifted torus
         n = 64
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        field = SymbolField.compute(spec, TorusGrid.square(n), QUAD)
+        field = SymbolField.compute(spec, TorusGrid.square(n), NODES)
         problem = assemble(field)
         _, y = field.grid.mesh()
         f = np.broadcast_to(np.sin(2 * np.pi * y), (n, n)).ravel()
@@ -248,20 +248,20 @@ class TestSolve:
 
     def test_anisotropic_first_eigenvalue(self):
         g = RiemannianMetric.stretched(2.0)
-        field = SymbolField.compute(g, TorusGrid.square(64), QUAD)
+        field = SymbolField.compute(g, TorusGrid.square(64), NODES)
         spectrum = solve(assemble(field), 1)
         assert abs(spectrum.values[1] / np.pi**2 - 1.0) < 0.01
 
     # closed-form fields: a rule's roundoff cross term would rule out the
     # block route
     def test_eigenvectors_m_orthonormal(self):
-        problem = assemble(euclid_field(16, quad=None))
+        problem = assemble(euclid_field(16, nodes=None))
         for spectrum in solve_routes(problem, 4, ALL_ROUTES):
             gram = spectrum.vectors.T @ (problem.M @ spectrum.vectors)
             np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
 
     def test_residuals_small(self):
-        problem = assemble(euclid_field(64, quad=None))
+        problem = assemble(euclid_field(64, nodes=None))
         for spectrum in solve_routes(problem, 5, ALL_ROUTES):
             rel = spectrum.residuals / np.maximum(spectrum.values,
                                                   spectrum.values[1])
@@ -399,7 +399,7 @@ class TestRayleigh:
     def test_sine_x_on_randers(self):
         n = 64
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        field = SymbolField.compute(spec, TorusGrid.square(n), QUAD)
+        field = SymbolField.compute(spec, TorusGrid.square(n), NODES)
         problem = assemble(field)
         x, _ = field.grid.mesh()
         f = np.broadcast_to(np.sin(2 * np.pi * x), (n, n)).ravel()
@@ -596,7 +596,7 @@ class TestFourierRoute:
 
     def test_square_torus_splits_a_fourfold_lambda1(self):
         # k = 2 keeps two of the four modes (+-1, 0), (0, +-1) of lambda_1
-        field = euclid_field(16, quad=None)
+        field = euclid_field(16, nodes=None)
         problem = assemble(field)
         spectrum = solve(problem, 2)
         assert spectrum.route == "fourier"
@@ -948,7 +948,7 @@ class TestOracleEquivalence:
             want = fourier_oracle(np.diag([A, B]), 10)
             lam1_bound = 1.5 * (FOUR_PI2 * max(A, B)) * (np.pi / n) ** 2
             bounds = 1.5 * (np.pi / n) ** 2 * want[1:] ** 2 / (FOUR_PI2 * min(A, B))
-            for field in (SymbolField.compute(spec, grid, QUAD),
+            for field in (SymbolField.compute(spec, grid, NODES),
                           SymbolField.compute(spec, grid)):
                 for spectrum in solve_routes(assemble(field), 10,
                                              constant_routes(field)):
@@ -983,7 +983,7 @@ class TestWeightedLaplacianBound:
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
                                               profile="0.5 + 0.4*sin(2*pi*y)")
         grid = TorusGrid.square(48)
-        field = SymbolField.compute(spec, grid, QUAD)
+        field = SymbolField.compute(spec, grid, NODES)
         sigma_field = SymbolField(
             grid=grid, sigma_star=field.sigma_star,
             mu=field.mu / field.a,  # = 1/sqrt(det sigma*), the sigma-metric volume
@@ -1002,7 +1002,7 @@ class TestScaling:
         # metric times t: K unchanged, M times t^2, eigenvalues divided by t^2
         t = 1.7
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
-        field = SymbolField.compute(spec, TorusGrid.square(24), QUAD)
+        field = SymbolField.compute(spec, TorusGrid.square(24), NODES)
         scaled = SymbolField(grid=field.grid,
                              sigma_star=field.sigma_star / t**2,
                              mu=field.mu * t**2,
