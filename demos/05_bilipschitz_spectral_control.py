@@ -10,7 +10,7 @@ weighted-Laplacian comparison with the symbol metric.
 import numpy as np
 
 from fspec import (ExperimentConfig, RandersMetric, SymbolField, TorusGrid,
-                   assemble, bilipschitz_ratio, run_experiment, solve)
+                   assemble, run_experiment, solve)
 
 print("== experiment runner: Randers eta = 0.5 vs its Riemannian base")
 cfg = ExperimentConfig.from_text("""
@@ -24,9 +24,8 @@ k = 10
 """)
 result = run_experiment(cfg)
 summary = result.rows[0]
-drifted = RandersMetric.axis_drift_torus(2.0, 0.5)
-c_lower, c_upper = bilipschitz_ratio(drifted, drifted.base)
-print(f"  measured F/F0 in [{c_lower:.4f}, {c_upper:.4f}]")
+eta = cfg.get("metric.eta")
+print(f"  F/F0 in [1 - eta, 1 + eta] = [{1 - eta:.4f}, {1 + eta:.4f}]")
 print(f"  computable bound: [1/S', S] = [{1 / summary['S_prime']:.6f}, "
       f"{summary['S']:.6f}]")
 for row in result.rows[1:4]:

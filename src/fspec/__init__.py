@@ -10,17 +10,14 @@ config-driven experiments.
 
 from .fields import Field, as_field
 from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                      RiemannianMetric, base_metric, bilipschitz_ratio,
-                      check_strong_convexity, dual_gradient_numeric,
-                      dual_norm_sampled, legendre_numeric, quasireversibility,
-                      unit_directions)
+                      RiemannianMetric, base_metric)
 from .fiber import (QuadratureError, SymbolField, binet_legendre, conformal_transform, energy_from_symbol,
                     randers_angular_closed_forms, randers_angular_integrals,
                     randers_axis_symbol, randers_energy_direct,
                     symbol_matrix, volume_density, weight)
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
-                     discrete_fourier_oracle, fourier_oracle, rayleigh, solve)
+                     fourier_oracle, solve)
 from .experiments import (ConfigError, ExperimentConfig, Report, Verdict,
                           build_metric, run_experiment, threshold_eta,
                           verdicts_from_rows)
@@ -30,17 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "as_field",
     "RiemannianMetric", "RandersMetric", "ConformalMetric", "base_metric",
-    "IllPosedMetricError", "quasireversibility", "bilipschitz_ratio",
-    "check_strong_convexity", "dual_norm_sampled", "dual_gradient_numeric",
-    "legendre_numeric", "unit_directions",
+    "IllPosedMetricError",
     "QuadratureError", "SymbolField",
     "volume_density", "symbol_matrix", "weight", "binet_legendre",
     "conformal_transform", "randers_axis_symbol", "randers_angular_integrals",
     "randers_angular_closed_forms", "randers_energy_direct",
     "energy_from_symbol",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
-    "assemble", "solve", "rayleigh", "fourier_oracle",
-    "discrete_fourier_oracle",
+    "assemble", "solve", "fourier_oracle",
     "ExperimentConfig", "ConfigError", "Report", "Verdict",
     "build_metric", "run_experiment", "threshold_eta", "verdicts_from_rows",
     "__version__",

@@ -47,8 +47,8 @@ from .fiber import (SymbolField, _circle, randers_angular_closed_forms,
                     conformal_transform)
 from .grid import TorusGrid
 from .metrics import ConformalMetric, RandersMetric, RiemannianMetric, base_metric
-from .solver import (_constant_symbol, _stiffness_condition_estimate, assemble,
-                     fourier_oracle, solve)
+from .solver import (_stiffness_condition_estimate, assemble, fourier_oracle,
+                     solve)
 
 # threshold_eta caps its ratio here: beyond it the slack 1 - |rho|^2 is
 # dominated by double-precision rounding and the fiber integrand can no
@@ -631,8 +631,9 @@ def _solve(field, k, seed, solver_info):
 
 def run_torus_large_eigenvalue(cfg):
     h_list = [_read("h", h, float) for h in cfg.get_list("h", [2.0])]
-    if any(h < 1.0 for h in h_list):
-        raise ConfigError("stretch values must satisfy h >= 1")
+    if not all(1.0 <= h < np.inf for h in h_list):
+        raise ConfigError(f"stretch values must be finite and satisfy h >= 1, "
+                          f"got {h_list}")
     eta_items = cfg.get_list("eta")
     if not eta_items:
         raise ConfigError("torus-large-eigenvalue needs an eta sweep "
@@ -867,6 +868,21 @@ def run_conformal_check(cfg):
                 "tol_scaling": tol_scaling,
             })
     return rows, solver_info
+
+
+def _constant_symbol(field):
+    """sigma* at node 0 if sigma* and mu are the same at every node to roundoff,
+    else None.
+
+    Not the exact test of ``cut_to_lines``: a field computed by quadrature,
+    or from an expression constant only up to roundoff, still counts here.
+    """
+    sig = field.sigma_star[0, 0]
+    mu = float(field.mu[0, 0])
+    if (np.abs(field.sigma_star - sig).max() <= 1e-12 * np.abs(sig).max()
+            and np.abs(field.mu - mu).max() <= 1e-12 * mu):
+        return sig
+    return None
 
 
 def run_convergence(cfg):

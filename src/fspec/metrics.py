@@ -29,8 +29,8 @@ is the Euclidean unit ball translated by the drift covector; solving
 
 where <.,.>* is the g-inverse pairing.  Note the minus sign: the support of
 the translated ball is smaller against the drift than along it.
-``dual_norm_sampled`` is the brute-force support-function oracle the closed
-form is validated against in the test suite.
+The test suite validates the closed form against a brute-force
+support-function oracle (``tests/oracles.py``).
 
 The Legendre transform L(x, v) = (1/2) d/dt F^2(x, v + t u)|_{t=0} and the
 inverse map grad_p (1/2) F*^2 satisfy L(v)(v) = F(v)^2, F*(L(v)) = F(v), and
@@ -165,8 +165,8 @@ class _RandersCore:
 
     def _folded(self, x, y):
         """The _Folded pieces at the nodes (x, y); raises IllPosedMetricError
-        where w = 1 - |rho|_{g*}^2 <= 0.  Every symbol route reads the
-        families' _parts through here."""
+        unless w = 1 - |rho|_{g*}^2 > 0 everywhere (so NaN data is refused
+        too).  Every symbol route reads the families' _parts through here."""
         f, (a, b, c, det), (r1, r2) = self._parts(x, y)
         s = np.exp(f)
         s2 = s * s
@@ -176,10 +176,10 @@ class _RandersCore:
         b1 = i11 * r1 + i12 * r2
         b2 = i12 * r1 + i22 * r2
         w = 1.0 - (r1 * b1 + r2 * b2)
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise IllPosedMetricError(
-                "Randers drift reaches |rho|_{g*} >= 1 at a sampled point; "
-                "the metric is not admissible there")
+                "Randers drift reaches |rho|_{g*} >= 1 (or the metric data is "
+                "NaN) at a sampled point; the metric is not admissible there")
         return _Folded(a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
 
     def value(self, x, y, v):
@@ -223,9 +223,9 @@ class RiemannianMetric(_RandersCore):
         b = self.g12(x, y)
         c = self.g22(x, y)
         det = a * c - b * b
-        if np.any(a <= 0.0) or np.any(det <= 0.0):
+        if not (np.all(a > 0.0) and np.all(det > 0.0)):  # NaN fails too
             raise IllPosedMetricError("metric matrix is not positive-definite "
-                                      "at a sampled point")
+                                      "(or is NaN) at a sampled point")
         return a, b, c, det
 
     def _parts(self, x, y):
@@ -277,137 +277,3 @@ def base_metric(spec):
     if isinstance(spec, (RandersMetric, ConformalMetric)):
         return base_metric(spec.base)
     return spec
-
-
-# ---------------------------------------------------------------------------
-# Sampling-based operations and oracles
-# ---------------------------------------------------------------------------
-
-def unit_directions(n):
-    """n equispaced Euclidean-unit vectors on the circle."""
-    phi = 2.0 * np.pi * np.arange(n) / n
-    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-
-
-def _point_mesh(n_points):
-    m = max(int(np.ceil(np.sqrt(n_points))), 1)
-    t = np.arange(m) / m
-    return t[:, None, None], t[None, :, None]
-
-
-def _refine_peak(vals, mode="max"):
-    """Sharpen a sampled periodic extremum along the last axis with a 3-point
-    parabola fit."""
-    vals = np.asarray(vals, dtype=float)
-    idx = np.argmax(vals, axis=-1) if mode == "max" else np.argmin(vals, axis=-1)
-    n = vals.shape[-1]
-    f0 = np.take_along_axis(vals, idx[..., None], -1)[..., 0]
-    fp = np.take_along_axis(vals, ((idx + 1) % n)[..., None], -1)[..., 0]
-    fm = np.take_along_axis(vals, ((idx - 1) % n)[..., None], -1)[..., 0]
-    a = 0.5 * (fp + fm) - f0
-    b = 0.5 * (fp - fm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = f0 - np.where(a != 0.0, b * b / (4.0 * a), 0.0)
-    good = (a < 0.0) if mode == "max" else (a > 0.0)
-    return np.where(good, vertex, f0)
-
-
-def dual_norm_sampled(spec, x, y, p, n_directions=10_000):
-    """Brute-force support function: maximize p(v)/F(x, v) over unit directions.
-
-    The sampled maximum is sharpened by a parabola fit, which drops the
-    O((2pi/n)^2) sampling bias to O((2pi/n)^4).
-    """
-    u = unit_directions(n_directions)
-    fv = spec.value(x, y, u)
-    p = np.asarray(p, dtype=float)
-    return _refine_peak(np.einsum("...i,ki->...k", p, u) / fv)
-
-
-def quasireversibility(spec, direction_samples=1024, point_samples=256, refine=True):
-    """Sampled sup of F(x, -v) over F-unit v, i.e. sup F(x,-u)/F(x,u).
-
-    Equals 1 exactly for reversible metrics.  The raw sampled supremum
-    (refine=False) is monotone nondecreasing under nested sample refinement
-    (directions doubled, point mesh doubled per axis); refine=True sharpens
-    the direction maximum with a parabola fit.
-    """
-    if direction_samples < 16 or point_samples < 16:
-        raise ValueError("quasireversibility needs at least 16 samples each way")
-    xs, ys = _point_mesh(point_samples)
-    u = unit_directions(direction_samples)
-    forward = spec.value(xs, ys, u)
-    backward = spec.value(xs, ys, -u)
-    ratio = backward / forward
-    if refine:
-        return float(np.max(_refine_peak(ratio)))
-    return float(ratio.max())
-
-
-def bilipschitz_ratio(spec, reference, direction_samples=1024, point_samples=256):
-    """Sampled (inf, sup) of F/F_reference over points and nonzero directions,
-    each direction extremum sharpened by a parabola fit."""
-    if direction_samples < 16 or point_samples < 16:
-        raise ValueError("bilipschitz_ratio needs at least 16 samples each way")
-    xs, ys = _point_mesh(point_samples)
-    u = unit_directions(direction_samples)
-    ratio = spec.value(xs, ys, u) / reference.value(xs, ys, u)
-    return (float(np.min(_refine_peak(ratio, mode="min"))),
-            float(np.max(_refine_peak(ratio, mode="max"))))
-
-
-def check_strong_convexity(spec, x, y):
-    """Finite-difference test that the v-Hessian of F^2 is positive-definite.
-
-    Central differences with step 1e-5 on 64 Euclidean-unit directions;
-    accepts iff the smallest Hessian eigenvalue exceeds 1e-10 times the
-    largest at every sampled direction.  The three families raise
-    IllPosedMetricError on inadmissible data before F is ever sampled, so
-    the test is for any object with a ``value(x, y, v)`` method.
-    """
-
-    def fsq(v):
-        return spec.value(x, y, v) ** 2
-
-    v = unit_directions(64)
-    h = 1e-5
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    f0 = fsq(v)
-    hxx = (fsq(v + ex) - 2.0 * f0 + fsq(v - ex)) / h**2
-    hyy = (fsq(v + ey) - 2.0 * f0 + fsq(v - ey)) / h**2
-    hxy = (fsq(v + ex + ey) - fsq(v + ex - ey)
-           - fsq(v - ex + ey) + fsq(v - ex - ey)) / (4.0 * h**2)
-    lam_min, lam_max = _eigen_extremes(hxx, hxy, hyy)
-    return bool(np.all(lam_max > 0.0) and np.all(lam_min > 1e-10 * lam_max))
-
-
-def legendre_numeric(spec, x, y, v):
-    """Generic-path Legendre transform: central differences of F^2 / 2, step
-    1e-5 |v|."""
-    v = np.asarray(v, dtype=float)
-    h = 1e-5 * float(np.linalg.norm(v))
-    if h == 0.0:
-        raise ValueError("the Legendre transform is undefined on the zero vector")
-    out = np.empty(2)
-    for i, e in enumerate(np.eye(2)):
-        out[i] = (spec.value(x, y, v + h * e) ** 2
-                  - spec.value(x, y, v - h * e) ** 2) / (4.0 * h)
-    return out
-
-
-def dual_gradient_numeric(spec, x, y, p):
-    """Generic-path inverse Legendre map: central differences, step 1e-5 |p|,
-    of F*^2 / 2 sampled on 200000 directions."""
-    p = np.asarray(p, dtype=float)
-    h = 1e-5 * float(np.linalg.norm(p))
-    if h == 0.0:
-        raise ValueError("the inverse Legendre map is undefined on the zero covector")
-
-    def half_dual_sq(q):
-        return 0.5 * float(dual_norm_sampled(spec, x, y, q, 200_000)) ** 2
-
-    out = np.empty(2)
-    for i, e in enumerate(np.eye(2)):
-        out[i] = (half_dual_sq(p + h * e) - half_dual_sq(p - h * e)) / (2.0 * h)
-    return out

@@ -1,7 +1,7 @@
 """Weighted-Laplacian discretization and generalized eigensolvers on the torus.
 
-The module holds the operator, its three eigensolve routes and the Fourier
-oracles that check them; it takes a symbol field (``mu``, ``sigma*`` on a
+The module holds the operator, its three eigensolve routes and the
+continuous Fourier oracle; it takes a symbol field (``mu``, ``sigma*`` on a
 grid) as input and knows nothing of how the field was computed.
 
 The energy Int sigma*(df, df) mu dx dy is discretized in flux form on a
@@ -56,8 +56,8 @@ Banded inverse iteration forms line vectors only for the pairs kept, with
 one LU factor of each shifted band (LAPACK gbtrf) serving all its steps,
 and leaves them M-orthonormal once scaled by M^(-1/2), with no other step.  Each
 eigenvalue is the edge-form quotient of its line vector, the grid vector's
-``rayleigh`` quotient in exact arithmetic, so small eigenvalues keep their
-relative accuracy.  The pairs come back ordered by these quotients, and
+edge-form quotient f'Kf / f'Mf in exact arithmetic, so small eigenvalues
+keep their relative accuracy.  The pairs come back ordered by these quotients, and
 each grid vector is the outer product of its pair's wave across the lines
 and its line vector, written straight into the grid's node order.  On
 either reduced route, weights that repeat only to roundoff fail the exact
@@ -72,7 +72,8 @@ residual gate.  Its writer copies out ARPACK's dense columns.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
-spectra, and the exact discrete spectrum of the stencil gates the eigensolver.
+spectra, and the Fourier route computes the stencil's exact discrete
+spectrum, which the test suite checks the other routes against.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class SpectralProblem:
     given as anything that broadcasts to the grid.  They are kept cut to the
     lines of nodes they vary over (``cut_to_lines``), as the pair
     ``reduced``, which the routes qualify by; weights and mass read them as
-    read-only (4, nx, ny) and (nx, ny) views.  The stiffness K and the
-    diagonal mass M are built from them on first use and kept.  K is
+    read-only (4, nx, ny) and (nx, ny) views.  A weight or mass that is not
+    finite raises ValueError.  The stiffness K and the diagonal mass M are
+    built from them on first use and kept.  K is
     symmetric with the constants in its kernel by construction; both are
     checked on K as built, raising SolverError if either fails (symmetry as
     K r = K' r for a fixed r in [1, 2)^n).
@@ -157,7 +159,10 @@ class SpectralProblem:
         nodes = (self.grid.nx, self.grid.ny)
         *weights, mass = cut_to_lines(nodes, *np.broadcast_to(
             self.weights, (4,) + nodes), np.broadcast_to(self.mass, nodes))
-        self.reduced = np.stack(weights), mass
+        weights = np.stack(weights)
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(mass))):
+            raise ValueError("stencil weights and masses must be finite")
+        self.reduced = weights, mass
         self.weights, self.mass = map(np.broadcast_to, self.reduced, ((4,) + nodes, nodes))
 
     @cached_property
@@ -281,8 +286,9 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     M-orthonormal as it stands.  Each eigenvalue is the edge-form quotient
     of its line vector u, (sum w_line (u_j - u_j+1)^2
     + 4 sin^2(pi m / rings) sum w_ring u_j^2) / sum mass u_j^2, the grid
-    vector's ``rayleigh`` quotient in exact arithmetic, accurate relative to
-    itself where bisection is accurate only to roundoff in lambda_max.
+    vector's edge-form quotient f'Kf / f'Mf in exact arithmetic, accurate
+    relative to itself where bisection is accurate only to roundoff in
+    lambda_max.
 
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
@@ -396,10 +402,10 @@ def _gate(problem, values, write):
 
     The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
     vector at a time, each written into one reused buffer, with K u in edge
-    form from the weights, as in ``rayleigh``: per offset e, the flux
-    w (u_a - u_(a+e)) is added at a and subtracted at a + e, its shift by e
-    copied first (``_shift``) into the M u buffer, whose norm is taken by
-    then, so the gate holds four grid buffers whatever the number of pairs.
+    form from the weights: per offset e, the flux w (u_a - u_(a+e)) is
+    added at a and subtracted at a + e, its shift by e copied first
+    (``_shift``) into the M u buffer, whose norm is taken by then, so the
+    gate holds four grid buffers whatever the number of pairs.
     A pair passes if its residual relative to max(|lambda|, lambda_1)
     (max(lambda_0, 1) if there is no lambda_1) is at most _RESTOL, or if its
     residual is at most _FLOOR_FACTOR times its rounding floor
@@ -407,9 +413,9 @@ def _gate(problem, values, write):
     stored vector alone leaves, which grows with the grid.
     The floor, and K with it, is built only for pairs that miss _RESTOL,
     and only their vectors are formed again for it, as the columns of one
-    array.  failures holds the indices of the pairs that fail; floor_ratio
-    is the largest residual-to-floor ratio of a pair that passes by the
-    floor alone, 0.0 if none does.
+    array; a NaN residual passes neither bound.  failures holds the indices
+    of the pairs that fail; floor_ratio is the largest residual-to-floor
+    ratio of a pair that passes by the floor alone, 0.0 if none does.
     """
     nx, ny = problem.grid.nx, problem.grid.ny
     edges = _edges(problem)
@@ -429,7 +435,7 @@ def _gate(problem, values, write):
         residuals[j] = np.linalg.norm(r) / norm
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
     relative = residuals / np.maximum(np.abs(values), ref)
-    misses = np.flatnonzero(relative > _RESTOL)
+    misses = np.flatnonzero(~(relative <= _RESTOL))  # a NaN residual misses
     if misses.size == 0:
         return residuals, misses, 0.0
     u = _columns(write, misses, problem.grid)
@@ -637,8 +643,8 @@ def solve(problem, k, seed=0):
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
     and on long rings; the Spectrum's floor_ratio reports how close to that
     bound the floor-admitted pairs came.  lambda_0 must be a numerical zero.
-    SolverError is raised if either check fails.  ``discrete_fourier_oracle``
-    gives the exact eigenvalues on constant fields.
+    SolverError is raised if either check fails, a NaN residual or
+    lambda_0 included.
     """
     n = problem.n_nodes
     if k + 2 >= n:
@@ -664,7 +670,7 @@ def solve(problem, k, seed=0):
             f"{residuals[failures].max():.3e} above {_RESTOL:.1e} of its "
             f"eigenvalue's scale and {_FLOOR_FACTOR:g} times its rounding "
             f"floor (n = {n})")
-    if k >= 1 and abs(float(values[0])) > 1e-10 * float(values[1]):
+    if k >= 1 and not abs(float(values[0])) <= 1e-10 * float(values[1]):
         raise SolverError(
             f"lambda_0 = {values[0]:.3e} is not a numerical zero "
             f"(lambda_1 = {values[1]:.3e})")
@@ -674,32 +680,9 @@ def solve(problem, k, seed=0):
                     write=write_sorted)
 
 
-def rayleigh(problem, f):
-    """Rayleigh quotient f'Kf / f'Mf of a grid function (flat or grid-shaped).
-
-    f'Kf is taken in edge form, sum over edges w_ab (f_a - f_b)^2, skipping
-    offsets whose weights are all zero.  This avoids the cancellation of K f
-    on smooth functions, whose rounding is of order eps lambda_max and would
-    swamp the smallest eigenvalues.
-    """
-    f = np.asarray(f, dtype=float).ravel()
-    if f.size != problem.n_nodes:
-        raise ValueError("grid function has the wrong number of nodes")
-    if not np.any(f):
-        raise ValueError("Rayleigh quotient of the zero function")
-    u = f.reshape(problem.grid.nx, problem.grid.ny)
-    du = np.empty_like(u)
-    energy = 0
-    for weight, ahead, _ in _edges(problem):
-        np.square(_difference(u, ahead, du), out=du)
-        du *= weight
-        energy += float(du.sum())
-    return energy / float(problem.mass.ravel() @ f**2)
-
-
 def _edges(problem):
     """(weight, ahead, behind) per offset e whose weights are not all zero:
-    the edge form that ``rayleigh`` and ``_gate`` read.  ahead and behind
+    the edge form that ``_gate`` reads.  ahead and behind
     are the ``_rolled`` shifts of a grid array by -e and by e, for u(a + e)
     and for f(a - e).
     """
@@ -794,49 +777,3 @@ def fourier_oracle(sigma, k):
         if vals.size > k and vals[k] < outside:
             return vals[:k + 1]
         mmax *= 2
-
-
-def _constant_symbol(field):
-    """sigma* at node 0 if sigma* and mu are the same at every node to roundoff,
-    else None.
-
-    Not the exact test of ``cut_to_lines``: a field computed by quadrature,
-    or from an expression constant only up to roundoff, still counts here.
-    """
-    sig = field.sigma_star[0, 0]
-    mu = float(field.mu[0, 0])
-    if (np.abs(field.sigma_star - sig).max() <= 1e-12 * np.abs(sig).max()
-            and np.abs(field.mu - mu).max() <= 1e-12 * mu):
-        return sig
-    return None
-
-
-def discrete_fourier_oracle(field, k):
-    """Exact first k+1 eigenvalues of assemble(field) for a constant field.
-
-    Every periodic grid mode exp(2 pi i (m x + l y)) is an eigenvector of the
-    constant flux-form stencil; with theta_x = pi m / nx, theta_y = pi l / ny
-    and the constant mu cancelling between K and M,
-
-        lambda_ml = 4 s11 sin^2(theta_x) / dx^2 + 4 s22 sin^2(theta_y) / dy^2
-                    + 2 s12 sin(2 theta_x) sin(2 theta_y) / (dx dy)
-
-    for sigma* = [[s11, s12], [s12, s22]].  Raises ValueError if sigma* or mu
-    varies over the grid.
-    """
-    sig = _constant_symbol(field)
-    if sig is None:
-        raise ValueError("the discrete Fourier oracle needs a constant "
-                         "symbol field")
-    grid = field.grid
-    if k + 1 > grid.node_count:
-        raise ValueError(f"requested {k + 1} eigenvalues from a "
-                         f"{grid.node_count}-node grid")
-    tx = np.pi * np.arange(grid.nx)[:, None] / grid.nx
-    ty = np.pi * np.arange(grid.ny)[None, :] / grid.ny
-    vals = (4.0 * sig[0, 0] * np.sin(tx) ** 2 / grid.dx ** 2
-            + 4.0 * sig[1, 1] * np.sin(ty) ** 2 / grid.dy ** 2
-            + 2.0 * sig[0, 1] * np.sin(2.0 * tx) * np.sin(2.0 * ty)
-            / (grid.dx * grid.dy))
-    return np.sort(vals.ravel())[:k + 1]
-

@@ -11,11 +11,12 @@ import numpy as np
 
 from fspec import (ConformalMetric, ExperimentConfig, RandersMetric,
                    RiemannianMetric, SymbolField, TorusGrid, assemble,
-                   binet_legendre, conformal_transform, quasireversibility,
+                   binet_legendre, conformal_transform,
                    randers_angular_closed_forms, randers_angular_integrals,
                    run_experiment, solve, symbol_matrix, threshold_eta,
                    volume_density)
 from conftest import circle_rule, random_metric, random_point, random_vector
+from oracles import quasireversibility
 
 FOUR_PI2 = 4.0 * np.pi**2
 NODES = 256

@@ -1,6 +1,7 @@
 """Experiment configs, runners, verdict recomputability, CLI surface."""
 
 import csv
+import dataclasses
 import json
 import re
 import types
@@ -293,8 +294,9 @@ def _perturbed(fn, index, scale=1.0, shift=0.0):
 
 
 def _base_volume_scaled(cls):
-    """A stand-in for SymbolField whose closed-form mu, the base's volume in
-    randers-identities, is 1e-6 relative high."""
+    """A stand-in for SymbolField whose closed-form mu is 1e-6 relative high:
+    the base's volume in randers-identities, every field's volume in
+    torus-large-eigenvalue."""
     def compute(spec, grid, n=None):
         field = cls.compute(spec, grid, n)
         if n is None:
@@ -302,6 +304,14 @@ def _base_volume_scaled(cls):
                         mu=field.mu * (1 + 1e-6), fiber_nodes=0)
         return field
     return types.SimpleNamespace(compute=compute)
+
+
+def _values_scaled(solve, scale):
+    """solve with every eigenvalue of its Spectrum scaled by `scale`."""
+    def wrapper(*args, **kwargs):
+        spectrum = solve(*args, **kwargs)
+        return dataclasses.replace(spectrum, values=spectrum.values * scale)
+    return wrapper
 
 
 class TestRunners:
@@ -350,6 +360,26 @@ class TestRunners:
                 "volume-density-equals-base",
                 "angular-integrals-match-closed-forms", "cross-term-vanishes",
                 "energy-two-route-agreement")}
+
+    @pytest.mark.parametrize("verdict, name, perturb", [
+        ("volume-equals-riemannian-volume", "SymbolField", _base_volume_scaled),
+        # the verdict gates at tol_spectral = 1e-2, against a measured error
+        # of 8e-4 at 128^2 (perfbench drift-sweep lambda1_rel_err) and of at
+        # most 3.2e-3 (below) on this config's 32^2 grid: values 2% high fail
+        # it, while values 1.1% high still pass
+        ("lambda1-matches-constant-symbol", "solve",
+         lambda solve: _values_scaled(solve, 1.02)),
+    ], ids=["volume", "lambda1"])
+    def test_large_eigenvalue_verdict_fails_on_a_perturbed_route(
+            self, monkeypatch, verdict, name, perturb):
+        names = [v.name for v in run_experiment(
+            ExperimentConfig.from_text(TORUS_CFG)).verdicts]
+        assert verdict in names
+        monkeypatch.setattr(fspec.experiments, name,
+                            perturb(getattr(fspec.experiments, name)))
+        report = run_experiment(ExperimentConfig.from_text(TORUS_CFG))
+        assert {v.name: v.passed for v in report.verdicts} == {
+            other: other != verdict for other in names}
 
     def test_rows_carry_config_hash(self):
         cfg = ExperimentConfig.from_text(BILIPSCHITZ_CFG)
@@ -473,7 +503,8 @@ class TestCli:
         # ratio, which would run the torus with its drift reversed; then a
         # torus sweep with k below 1, which used to run as k = 1, and a
         # negative seed on the block route (ignored) and on shift-invert
-        # (numpy's seeding raised)
+        # (numpy's seeding raised); then torus stretches of nan and inf,
+        # which passed the h >= 1 check and escaped as a bare ValueError
         shift_invert = ("kind = bilipschitz-check\nmetric.type = randers\n"
                         "metric.g12 = 0.2\n"
                         "metric.rho_x = 0.3*sin(2*pi*x)*cos(2*pi*y)\n"
@@ -504,7 +535,9 @@ class TestCli:
                      TORUS_CFG + "k = 0\n",
                      TORUS_CFG + "k = -4\n",
                      BILIPSCHITZ_CFG + "seed = -1\n",
-                     shift_invert + "seed = -1\n"]:
+                     shift_invert + "seed = -1\n",
+                     TORUS_CFG + "h = nan\n",
+                     TORUS_CFG + "h = 2, inf\n"]:
             cfg_path.write_text(text)
             assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err.startswith("error:")
@@ -554,12 +587,20 @@ class TestCli:
         (BILIPSCHITZ_CFG + "metric.eta = 1.5\n", "not admissible"),
         ("kind = torus-large-eigenvalue\nh = 2\neta = 0.5, 1.7\ngrid = 16\n",
          "not admissible"),
+        # NaN data used to pass every admissibility test: the first solved
+        # to a failed verdict (exit 1), the second ended in scipy's
+        # "Factor is exactly singular"
+        (BILIPSCHITZ_CFG + "metric.profile = nan\n", "NaN"),
+        (BILIPSCHITZ_CFG + "metric.profile = 0.5 + 0.4*sin(2*pi*y) + "
+         "0*log(y - 0.5)\ngrid = 16\nk = 3\n", "NaN"),
     ], ids=["quadrature-error", "quadrature-error-off-probe", "ill-posed-metric",
-            "inadmissible-torus-drift", "inadmissible-eta-sweep"])
+            "inadmissible-torus-drift", "inadmissible-eta-sweep", "nan-profile",
+            "nan-half-torus"])
     def test_numerical_error_exit_two(self, tmp_path, capsys, text, cause):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)
-        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
 

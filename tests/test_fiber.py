@@ -11,14 +11,14 @@ import fspec.fiber
 from fspec import (ConformalMetric, IllPosedMetricError,
                    QuadratureError, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, as_field,
-                   binet_legendre, bilipschitz_ratio, conformal_transform,
-                   energy_from_symbol, quasireversibility,
+                   binet_legendre, conformal_transform, energy_from_symbol,
                    randers_angular_closed_forms, randers_angular_integrals,
                    randers_axis_symbol, randers_energy_direct,
                    symbol_matrix, volume_density, weight)
 from fspec.metrics import _Folded
 from conftest import (circle_rule, metric_matrix, random_metric, random_point,
                       random_randers)
+from oracles import bilipschitz_ratio, quasireversibility
 
 NODES = 256
 
@@ -702,6 +702,19 @@ class TestClosedFormSymbol:
             for route in routes.values():
                 with pytest.raises(IllPosedMetricError, match="not admissible"):
                     route(spec)
+
+    @pytest.mark.parametrize("spec", [
+        RiemannianMetric(np.nan, 0.0, 1.0),
+        # log is NaN for y < 0.5 and -inf at y = 0.5, so 0 * log is NaN there
+        RandersMetric.axis_drift_torus(
+            2.0, 0.5, profile="0.5 + 0.4*sin(2*pi*y) + 0*log(y - 0.5)"),
+    ], ids=["nan-metric", "nan-half-torus"])
+    @pytest.mark.parametrize("nodes", [None, NODES, "auto"],
+                             ids=["closed form", "rule", "auto"])
+    def test_nan_metric_raises(self, spec, nodes):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(IllPosedMetricError, match="NaN"):
+                SymbolField.compute(spec, TorusGrid.square(16), nodes)
 
     def test_foreign_metric_has_no_route(self):
         class Reversed:

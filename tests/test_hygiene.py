@@ -2,8 +2,9 @@
 every package module imports only from layers below its own, no package
 module imports scipy when it is imported (a Fourier-route run never does),
 only ``fspec.metrics`` reads a metric family's per-node ``_parts``, only
-``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, and every
-demo runs to the end without leaving a file behind.
+``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, no public
+name serves the tests alone, and every demo runs to the end without leaving
+a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -24,15 +25,27 @@ SOURCES = sorted(path for folder in ("src", "tests", "demos")
                  for path in (ROOT / folder).rglob("*.py"))
 PACKAGE = ROOT / "src" / "fspec"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the files that use the public API for what it computes, not to check it
+PROGRAM = sorted([path for path in PACKAGE.glob("*.py")
+                  if path.stem != "__init__"]
+                 + DEMOS + [ROOT / "benchmarks" / "scaling.py"])
 # the package's layers, lowest first; __init__ re-exports them all
 LAYERS = {"fields": 0, "grid": 0, "svgplot": 0, "metrics": 1, "fiber": 2,
           "solver": 2, "experiments": 3, "cli": 4}
 
 
+def exported_names(tree):
+    """The names listed in `tree`'s ``__all__``."""
+    return {elt.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for elt in node.value.elts if isinstance(elt, ast.Constant)}
+
+
 def unused_imports(tree):
     """Sorted names that `tree` imports but never reads or re-exports."""
     imported = set()
-    exported = set()
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -43,12 +56,7 @@ def unused_imports(tree):
                          if alias.name != "*"}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(target, ast.Name) and target.id == "__all__"
-                      for target in node.targets)):
-            exported |= {elt.value for elt in node.value.elts
-                         if isinstance(elt, ast.Constant)}
-    return sorted(imported - read - exported)
+    return sorted(imported - read - exported_names(tree))
 
 
 def test_scan_flags_unused_names():
@@ -209,6 +217,30 @@ def test_only_solver_reads_the_stencil_layout():
     # lives there
     offenders = readers("_OFFSETS", "solver.py")
     assert not offenders, "modules reading _OFFSETS: " + ", ".join(offenders)
+
+
+def unserved_names(exported, trees):
+    """Sorted names of `exported` that no tree of `trees` imports or reads."""
+    return sorted(name for name in exported
+                  if not any(reads_name(tree, name) for tree in trees))
+
+
+def test_tests_only_scan_flags_unserved_names():
+    trees = [ast.parse("from fspec import solve\nsolve(problem, 3)\n"),
+             ast.parse("import fspec\nfspec.assemble(field)\n")]
+    assert unserved_names(["solve", "assemble", "oracle_only"],
+                          trees) == ["oracle_only"]
+
+
+def test_no_public_name_serves_tests_alone():
+    # an oracle that only tests call lives in tests/oracles.py: each public
+    # name is read by a package module other than __init__, a demo or the
+    # scaling benchmark
+    exported = exported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert exported, "no __all__ found"
+    offenders = unserved_names(exported, [ast.parse(path.read_text())
+                                          for path in PROGRAM])
+    assert not offenders, "public names only tests read: " + ", ".join(offenders)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])

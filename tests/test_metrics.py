@@ -5,11 +5,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fspec import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                   RiemannianMetric, bilipschitz_ratio, check_strong_convexity,
-                   dual_gradient_numeric, dual_norm_sampled, legendre_numeric,
-                   quasireversibility)
+                   RiemannianMetric)
 from conftest import (metric_matrix, random_metric, random_point, random_randers,
                       random_vector)
+from oracles import (bilipschitz_ratio, check_strong_convexity,
+                     dual_gradient_numeric, dual_norm_sampled, legendre_numeric,
+                     quasireversibility)
 
 
 class TestForwardNorm:
@@ -370,3 +371,17 @@ class TestRandersCore:
             for op in (spec.value, spec.legendre, spec.dual, spec.dual_gradient):
                 with pytest.raises(IllPosedMetricError):
                     op(0.3, 0.6, [1.0, 0.0])
+
+    @pytest.mark.parametrize("spec", [
+        RiemannianMetric(np.nan, 0.0, 1.0),
+        RiemannianMetric(1.0, np.nan, 1.0),
+        RandersMetric(RiemannianMetric.euclidean(), np.nan, 0.0),
+        RandersMetric.axis_drift_torus(2.0, 0.5, profile=np.nan),
+        ConformalMetric(RiemannianMetric.euclidean(), np.nan),
+    ], ids=["g11", "g12", "drift", "profile", "factor"])
+    def test_nan_data_raises(self, spec):
+        # NaN compares false both ways: the admissibility tests ask that
+        # every entry pass, so a NaN entry fails them
+        for op in (spec.value, spec.legendre, spec.dual, spec.dual_gradient):
+            with pytest.raises(IllPosedMetricError):
+                op(0.3, 0.6, [1.0, 0.0])

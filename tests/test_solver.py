@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import fspec.experiments
 import fspec.solver
 from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
-                   RandersMetric, RiemannianMetric, SolverError, SymbolField,
-                   TorusGrid, assemble, discrete_fourier_oracle,
-                   fourier_oracle, randers_axis_symbol, rayleigh,
-                   run_experiment, solve)
+                   RandersMetric, RiemannianMetric, SolverError,
+                   SpectralProblem, SymbolField, TorusGrid, assemble,
+                   fourier_oracle, randers_axis_symbol, run_experiment, solve)
 from fspec.cli import main as cli_main
 from conftest import random_spd
+from oracles import discrete_fourier_oracle, rayleigh
 
 NODES = 256
 FOUR_PI2 = 4 * np.pi**2
@@ -302,8 +302,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("shape", [(8, 13), (13, 8), (9, 8)])
     def test_flat_shifts_equal_roll(self, rng, shape):
-        # the gate and rayleigh read every periodic shift as a flat shift in
-        # two blocks plus the wrap column; both kernels equal np.roll exactly
+        # the gate reads every periodic shift as a flat shift in two blocks
+        # plus the wrap column; both kernels equal np.roll exactly
         x = rng.standard_normal(shape)
         out = np.empty(shape)
         for offset in fspec.solver._OFFSETS:
@@ -383,6 +383,46 @@ class TestSolve:
             pairs = [sorted((s.residuals[j], s.vectors[:, j].tobytes())
                             for j in tie) for s in (got, want)]
             assert pairs[0] == pairs[1]
+
+    @pytest.mark.parametrize("shape", ["constant", "y-only"],
+                             ids=["fourier", "block"])
+    def test_non_finite_stencil_is_refused(self, shape):
+        # a NaN stencil used to solve to NaN values and residuals on the
+        # Fourier route, and to end in scipy's LinAlgError on the block route
+        problem = assemble(SymbolField.compute(SHAPED_METRICS[shape][0],
+                                               TorusGrid(24, 40)))
+        assert solve(problem, 3).route == ROUTE_OF_SHAPED[shape]
+        weights, mass = (a.copy() for a in problem.reduced)
+        weights[0, 0, 0] = np.nan
+        mass[0, 0] = np.inf
+        for bad in ((weights, problem.reduced[1]), (problem.reduced[0], mass)):
+            with pytest.raises(ValueError, match="finite"):
+                SpectralProblem(*bad, grid=problem.grid,
+                                lambda_scale=problem.lambda_scale)
+
+    @pytest.mark.parametrize("shape, name", [
+        ("constant", "_fourier_route"), ("y-only", "_block_eigenvectors")],
+        ids=["fourier", "block"])
+    def test_nan_pair_fails_the_gate(self, monkeypatch, shape, name):
+        # NaN compares false both ways: the gate flags a residual unless it
+        # is within bounds, so a NaN residual fails it
+        problem = assemble(SymbolField.compute(SHAPED_METRICS[shape][0],
+                                               TorusGrid(24, 40)))
+        route = getattr(fspec.solver, name)
+
+        def nan_entry(*args):
+            values, write = route(*args)
+
+            def write_nan(j, out):
+                write(j, out)
+                if j == 1:
+                    out[3, 5] = np.nan
+
+            return values, write_nan
+
+        monkeypatch.setattr(fspec.solver, name, nan_entry)
+        with pytest.raises(SolverError, match="residuals exceed"):
+            solve(problem, 3)
 
 
 class TestRayleigh:
