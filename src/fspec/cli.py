@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,14 +25,6 @@ def _build_parser():
     run.add_argument("--out", default=".", help="output directory "
                      "(report.json, rows.csv, optional plots)")
     run.add_argument("--plots", action="store_true", help="emit SVG plots")
-    run.add_argument("--grid", type=int, default=None, help="override grid size")
-    run.add_argument("--fiber-nodes", type=int, default=None,
-                     help="override the fiber node count of the quadrature "
-                          "oracle (conformal-check, randers-identities), whose "
-                          "default 'auto' is the rule settled on the run's "
-                          "own grid; the spectral kinds accept only 'auto'")
-    run.add_argument("--k", type=int, default=None,
-                     help="override eigenvalue count")
 
     oracle = sub.add_parser("oracle", help="print the exact spectrum "
                             "4 pi^2 (A m^2 + B n^2)")
@@ -57,15 +48,9 @@ def main(argv=None):
         return 0
 
     try:
-        # each override is one more line of the config, so the hash, the
-        # text and the echo all cover it
-        text = Path(args.config).read_text()
-        for key in ("grid", "fiber_nodes", "k"):
-            if getattr(args, key) is not None:
-                text += f"\n{key} = {getattr(args, key)}"
-        cfg = ExperimentConfig.from_text(text)
+        cfg = ExperimentConfig.from_file(args.config)
         report = run_experiment(cfg, out_dir=args.out, plots=args.plots)
-    except (ConfigError, FileNotFoundError, IllPosedMetricError,
+    except (ConfigError, OSError, UnicodeDecodeError, IllPosedMetricError,
             QuadratureError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,11 +15,15 @@ comments, dotted keys nest, commas make lists).  Five kinds are supported:
 * convergence            : grid-refinement orders for lambda_1.
 
 Each kind is one entry of ``KINDS``: its runner, its verdict function and
-its plot (or None).  To add a kind, write the runner (config in, result rows
-and solver_info out) and the verdict function (rows in, verdicts out) and
-add the entry; config parsing, verdicts, plots and ``run_experiment`` all
-dispatch through the table.  Runners leave ``config_hash`` out of their rows:
-``run_experiment`` stamps it into every row, after ``row_type``.
+its plot (or None).  A runner's parameters are the kind's schema: the first
+takes the kind's name, and each other one is a top-level config key with
+its default (``ExperimentKind.keys`` lists them, and a config naming any
+other key is refused).  To add a kind, write the runner (config keys in,
+result rows and solver_info out) and the verdict function (rows in, verdicts
+out) and add the entry; config parsing, verdicts, plots and
+``run_experiment`` all dispatch through the table.
+Runners leave ``config_hash`` out of their rows: ``run_experiment`` stamps
+it into every row, after ``row_type``.
 
 Verdicts are pure functions of the result rows (``verdicts_from_rows``), so a
 report can be re-audited from rows.csv alone.  rows.csv is bit-for-bit
@@ -145,7 +149,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     def get(self, key, default=None):
         node = self.params
@@ -154,15 +158,6 @@ class ExperimentConfig:
                 return default
             node = node[part]
         return node
-
-    def get_list(self, key, default=()):
-        value = self.get(key, None)
-        if value is None:
-            return list(default)
-        return list(value) if isinstance(value, list) else [value]
-
-    def tolerance(self, name):
-        return _read(name, self.get(name, _DEFAULT_TOLERANCES[name]), float)
 
 
 def _read(key, value, convert):
@@ -270,22 +265,14 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
     def rows_csv_text(self):
-        columns = []
-        for row in self.rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        """The rows as CSV: every column any row has, in first-seen order,
+        with floats at full precision and a column a row lacks left empty."""
+        columns = list(dict.fromkeys(key for row in self.rows for key in row))
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in self.rows:
-            out = []
-            for key in columns:
-                value = row.get(key, "")
-                if isinstance(value, float):
-                    value = format(value, ".17g")
-                out.append(value)
-            writer.writerow(out)
+        writer = csv.DictWriter(buf, columns, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({key: _echo_value(value) for key, value in row.items()}
+                         for row in self.rows)
         return buf.getvalue()
 
     def to_json_dict(self):
@@ -562,36 +549,41 @@ def _verdicts_convergence(rows):
 # Runners
 # ---------------------------------------------------------------------------
 
-def _closed_form_solver_info(cfg):
+def _closed_form_solver_info(kind, fiber_nodes):
     """The solver_info of a spectral kind before its first solve.
 
     Raises ConfigError unless fiber_nodes is auto: the spectral kinds always
     use the closed-form symbol field, which a fiber rule would only reproduce
     with quadrature error and at a higher cost.
     """
-    nodes = cfg.get("fiber_nodes", "auto")
-    if nodes != "auto":
-        raise ConfigError(f"{cfg.kind} uses the closed-form symbol field; "
-                          f"fiber_nodes must be 'auto', got {nodes!r}")
+    if fiber_nodes != "auto":
+        raise ConfigError(f"{kind} uses the closed-form symbol field; "
+                          f"fiber_nodes must be 'auto', got {fiber_nodes!r}")
     return {"fiber_nodes": "closed-form", "routes": {}}
 
 
-def _metric(cfg):
+def _metric(kind, block):
     """The metric of the config's metric.* block, which the kind requires."""
-    block = cfg.get("metric")
     if block is None:
-        raise ConfigError(f"{cfg.kind} needs a metric.* block")
+        raise ConfigError(f"{kind} needs a metric.* block")
     return build_metric(block)
 
 
-def _oracle_rule(cfg):
+def _oracle_rule(fiber_nodes):
     """The fiber rule of an oracle kind: "auto" (SymbolField.compute settles
     it on the grid) or the node count fiber_nodes of the trapezoid rule,
     raising ConfigError for a count the rule refuses (``_circle``)."""
-    nodes = cfg.get("fiber_nodes", "auto")
-    if nodes != "auto":
-        _read("fiber_nodes", nodes, _circle)
-    return nodes
+    if fiber_nodes != "auto":
+        _read("fiber_nodes", fiber_nodes, _circle)
+    return fiber_nodes
+
+
+def _as_list(value):
+    """A list key's entries: a config list as it is, nothing for None, and
+    any other value as a list of one."""
+    if value is None:
+        return []
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def _square_grid(n):
@@ -629,22 +621,19 @@ def _solve(field, k, seed, solver_info):
     return problem, spectrum
 
 
-def run_torus_large_eigenvalue(cfg):
-    h_list = [_read("h", h, float) for h in cfg.get_list("h", [2.0])]
-    if not all(1.0 <= h < np.inf for h in h_list):
+def run_torus_large_eigenvalue(kind, h=2.0, eta=None, grid=128, k=1, seed=0,
+                               fiber_nodes="auto",
+                               tol_spectral=_DEFAULT_TOLERANCES["tol_spectral"],
+                               tol_pointwise=_DEFAULT_TOLERANCES["tol_pointwise"]):
+    h_list = [_read("h", value, float) for value in _as_list(h)]
+    if not all(1.0 <= value < np.inf for value in h_list):
         raise ConfigError(f"stretch values must be finite and satisfy h >= 1, "
                           f"got {h_list}")
-    eta_items = cfg.get_list("eta")
+    eta_items = _as_list(eta)
     if not eta_items:
-        raise ConfigError("torus-large-eigenvalue needs an eta sweep "
+        raise ConfigError(f"{kind} needs an eta sweep "
                           "(numbers and/or 'threshold')")
-    n = cfg.get("grid", 128)
-    k = cfg.get("k", 1)
-    seed = cfg.get("seed", 0)
-    tol_spectral = cfg.tolerance("tol_spectral")
-    tol_pointwise = cfg.tolerance("tol_pointwise")
-
-    solver_info = _closed_form_solver_info(cfg)
+    solver_info = _closed_form_solver_info(kind, fiber_nodes)
     rows = []
 
     def run_case(h, eta, requested, grid_n, row_type):
@@ -675,18 +664,18 @@ def run_torus_large_eigenvalue(cfg):
             "tol_pointwise": tol_pointwise,
         })
 
-    run_case(1.0, 0.0, "baseline", min(n, 64), "baseline")
-    for h in h_list:
+    run_case(1.0, 0.0, "baseline", min(grid, 64), "baseline")
+    for stretch in h_list:
         for item in eta_items:
             if isinstance(item, str):
                 if item != "threshold":
                     raise ConfigError(f"eta entries must be numbers or "
                                       f"'threshold', got {item!r}")
                 # nudge just past the threshold so A >= 1/r^2 survives roundoff
-                eta = threshold_eta(h, margin=1e-6)
+                drift = threshold_eta(stretch, margin=1e-6)
             else:
-                eta = float(item)
-            run_case(h, eta, item, n, "sweep")
+                drift = float(item)
+            run_case(stretch, drift, item, grid, "sweep")
     return rows, solver_info
 
 
@@ -702,24 +691,19 @@ def _pencil_extremes(sig_f, sig_0):
     return (b - disc) / (2.0 * a2), (b + disc) / (2.0 * a2)
 
 
-def run_bilipschitz_check(cfg):
-    spec = _metric(cfg)
-    ref_block = cfg.get("reference", "base")
-    ref = base_metric(spec) if ref_block == "base" else build_metric(ref_block)
-
-    n = cfg.get("grid", 64)
-    k = cfg.get("k", 10)
-    seed = cfg.get("seed", 0)
-    slack = cfg.tolerance("bound_slack")
-    tol_scaling = cfg.tolerance("tol_scaling")
-    expect_ratio = cfg.get("expect_ratio", "")
+def run_bilipschitz_check(kind, metric=None, reference="base", grid=64, k=10,
+                          seed=0, fiber_nodes="auto", expect_ratio="",
+                          bound_slack=_DEFAULT_TOLERANCES["bound_slack"],
+                          tol_scaling=_DEFAULT_TOLERANCES["tol_scaling"]):
+    spec = _metric(kind, metric)
+    ref = base_metric(spec) if reference == "base" else build_metric(reference)
     if expect_ratio != "":
         expect_ratio = _read("expect_ratio", expect_ratio, float)
-    solver_info = _closed_form_solver_info(cfg)
+    solver_info = _closed_form_solver_info(kind, fiber_nodes)
 
-    grid = _square_grid(n)
-    field_f = SymbolField.compute(spec, grid)
-    field_0 = SymbolField.compute(ref, grid)
+    square = _square_grid(grid)
+    field_f = SymbolField.compute(spec, square)
+    field_0 = SymbolField.compute(ref, square)
 
     # on the fields' reduced arrays, which broadcast to at most the grid:
     # the extremes are taken over the same per-node values
@@ -735,7 +719,7 @@ def run_bilipschitz_check(cfg):
 
     rows = [{
         "row_type": "pair-summary",
-        "grid": n, "fiber_nodes": "closed-form", "k": k,
+        "grid": grid, "fiber_nodes": "closed-form", "k": k,
         "S": S, "S_prime": S_prime,
         "mu_ratio_spread": spread,
     }]
@@ -749,7 +733,7 @@ def run_bilipschitz_check(cfg):
             "ratio": ratio,
             "bound_lower": 1.0 / S_prime,
             "bound_upper": S,
-            "bound_slack": slack,
+            "bound_slack": bound_slack,
             "expect_ratio": expect_ratio,
             "tol_scaling": tol_scaling,
         })
@@ -768,24 +752,23 @@ _ENERGY_TRIALS = {
 }
 
 
-def run_randers_identities(cfg):
-    spec = _metric(cfg)
+def run_randers_identities(kind, metric=None, grid=48, fiber_nodes="auto",
+                           eta_values=(0.1, 0.5, 0.9, 0.99),
+                           tol_pointwise=_DEFAULT_TOLERANCES["tol_pointwise"],
+                           tol_cross=_DEFAULT_TOLERANCES["tol_cross"],
+                           tol_energy=_DEFAULT_TOLERANCES["tol_energy"]):
+    spec = _metric(kind, metric)
     if not isinstance(spec, RandersMetric):
-        raise ConfigError("randers-identities needs a Randers metric")
-    n = cfg.get("grid", 48)
-    tol_pointwise = cfg.tolerance("tol_pointwise")
-    tol_cross = cfg.tolerance("tol_cross")
-    tol_energy = cfg.tolerance("tol_energy")
-    eta_values = [_read("eta_values", v, float)
-                  for v in cfg.get_list("eta_values", [0.1, 0.5, 0.9, 0.99])]
+        raise ConfigError(f"{kind} needs a Randers metric")
+    eta_values = [_read("eta_values", v, float) for v in _as_list(eta_values)]
 
-    grid = _square_grid(n)
-    field = SymbolField.compute(spec, grid, _oracle_rule(cfg))
+    square = _square_grid(grid)
+    field = SymbolField.compute(spec, square, _oracle_rule(fiber_nodes))
     nodes = field.fiber_nodes
-    mu_base = SymbolField.compute(spec.base, grid).mu
+    mu_base = SymbolField.compute(spec.base, square).mu
     rows = [{
         "row_type": "volume",
-        "grid": n, "fiber_nodes": nodes,
+        "grid": grid, "fiber_nodes": nodes,
         "max_mu_diff": float(np.abs(field.mu - mu_base).max()),
         "tol_pointwise": tol_pointwise,
     }]
@@ -803,7 +786,7 @@ def run_randers_identities(cfg):
             "tol_pointwise": tol_pointwise,
             "tol_cross": tol_cross,
         })
-    energies = randers_energy_direct(spec, _ENERGY_TRIALS.values(), grid, nodes)
+    energies = randers_energy_direct(spec, _ENERGY_TRIALS.values(), square, nodes)
     for (name, grad_fn), e_dir in zip(_ENERGY_TRIALS.items(), energies):
         e_sym = energy_from_symbol(field, grad_fn)
         rows.append({
@@ -817,21 +800,19 @@ def run_randers_identities(cfg):
     return rows, {"fiber_nodes": nodes}
 
 
-def run_conformal_check(cfg):
-    base = _metric(cfg)
-    f_field = _read("f", cfg.get("f", 0.0), as_field)
+def run_conformal_check(kind, metric=None, f=0.0, grid=32, k=5, seed=0,
+                        fiber_nodes="auto",
+                        tol_pointwise=_DEFAULT_TOLERANCES["tol_pointwise"],
+                        tol_scaling=_DEFAULT_TOLERANCES["tol_scaling"]):
+    base = _metric(kind, metric)
+    f_field = _read("f", f, as_field)
     spec = ConformalMetric(base, f_field)
-    n = cfg.get("grid", 32)
-    k = cfg.get("k", 5)
-    seed = cfg.get("seed", 0)
-    tol_pointwise = cfg.tolerance("tol_pointwise")
-    tol_scaling = cfg.tolerance("tol_scaling")
 
-    grid = _square_grid(n)
-    field_base = SymbolField.compute(base, grid)
-    scratch = SymbolField.compute(spec, grid, _oracle_rule(cfg))
+    square = _square_grid(grid)
+    field_base = SymbolField.compute(base, square)
+    scratch = SymbolField.compute(spec, square, _oracle_rule(fiber_nodes))
     sigma_scratch, mu_scratch = scratch.sigma_star, scratch.mu
-    f_values = f_field(*grid.mesh())
+    f_values = f_field(*square.mesh())
     sigma_trans, mu_trans = conformal_transform(field_base.sigma_star,
                                                 field_base.mu, f_values)
     sigma_scale = np.abs(sigma_trans).max(axis=(-2, -1))
@@ -842,17 +823,17 @@ def run_conformal_check(cfg):
                        / np.exp(2.0 * f_values)).max())
     rows = [{
         "row_type": "field",
-        "grid": n, "fiber_nodes": scratch.fiber_nodes,
+        "grid": grid, "fiber_nodes": scratch.fiber_nodes,
         "max_sigma_rel_diff": sigma_err,
         "max_mu_rel_diff": mu_err,
         "max_mu_ratio_err": ratio_err,
         "tol_pointwise": tol_pointwise,
     }]
 
-    const_f = f_field.constant_value(*grid.mesh())
+    const_f = f_field.constant_value(*square.mesh())
     solver_info = {"fiber_nodes": scratch.fiber_nodes, "routes": {}}
     if const_f is not None:
-        field_conf = SymbolField.compute(spec, grid)
+        field_conf = SymbolField.compute(spec, square)
         _, spec_base = _solve(field_base, k, seed, solver_info)
         _, spec_conf = _solve(field_conf, k, seed, solver_info)
         scale = np.exp(2.0 * const_f)
@@ -885,7 +866,8 @@ def _constant_symbol(field):
     return None
 
 
-def run_convergence(cfg):
+def run_convergence(kind, metric=None, grids=(16, 32, 64), k=1, seed=0,
+                    fiber_nodes="auto"):
     """One level row per grid size, ascending: lambda_1, its error against
     the reference and the observed order between successive sizes, and from
     each size and the one below it (ratio r) the Richardson extrapolation
@@ -896,14 +878,12 @@ def run_convergence(cfg):
     The reference is the continuous Fourier oracle when sigma* and mu are
     constant on every level, else the finest grid, which then has no error.
     """
-    spec = _metric(cfg)
-    sizes = sorted(cfg.get_list("grids", [16, 32, 64]))
-    k = cfg.get("k", 1)
-    seed = cfg.get("seed", 0)
+    spec = _metric(kind, metric)
+    sizes = sorted(_as_list(grids))
     if len(set(sizes)) < len(sizes) or len(sizes) < 3:
-        raise ConfigError(f"convergence needs at least 3 distinct grid "
+        raise ConfigError(f"{kind} needs at least 3 distinct grid "
                           f"sizes, got {sizes}")
-    solver_info = _closed_form_solver_info(cfg)
+    solver_info = _closed_form_solver_info(kind, fiber_nodes)
 
     lambdas, symbols = [], []
     for n in sizes:
@@ -957,40 +937,36 @@ class Plot:
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    run: Callable        # cfg -> (rows, solver_info)
+    run: Callable        # (kind, **top-level config keys) -> (rows, solver_info)
     verdicts: Callable   # rows -> [Verdict]
-    keys: tuple          # the top-level config keys run reads, besides kind
     plot: Plot | None = None
+
+    @property
+    def keys(self):
+        """The top-level config keys run reads besides kind: its parameters
+        after the first, in order."""
+        code = self.run.__code__
+        return code.co_varnames[1:code.co_argcount]
 
 
 KINDS = {
     "torus-large-eigenvalue": ExperimentKind(
         run_torus_large_eigenvalue, _verdicts_large_eigenvalue,
-        ("h", "eta", "grid", "k", "seed", "fiber_nodes", "tol_spectral",
-         "tol_pointwise"),
         Plot("lambda1_vol.svg", "sweep", "h",
              {"lambda1 * vol": "lambda1_vol", "4 pi^2 / r^2": "target"},
              "First eigenvalue times volume", "h", "lambda1 * vol",
              logy=True)),
     "bilipschitz-check": ExperimentKind(
         run_bilipschitz_check, _verdicts_bilipschitz,
-        ("metric", "reference", "grid", "k", "seed", "fiber_nodes",
-         "expect_ratio", "bound_slack", "tol_scaling"),
         Plot("eigenvalue_ratios.svg", "eigenvalue", "k",
              {"ratio": "ratio", "S": "bound_upper", "1/S'": "bound_lower"},
              "Eigenvalue ratios vs computable bound", "k",
              "lambda_k(F) / lambda_k(F0)")),
     "randers-identities": ExperimentKind(
-        run_randers_identities, _verdicts_randers_identities,
-        ("metric", "grid", "fiber_nodes", "eta_values", "tol_pointwise",
-         "tol_cross", "tol_energy")),
-    "conformal-check": ExperimentKind(
-        run_conformal_check, _verdicts_conformal,
-        ("metric", "f", "grid", "k", "seed", "fiber_nodes", "tol_pointwise",
-         "tol_scaling")),
+        run_randers_identities, _verdicts_randers_identities),
+    "conformal-check": ExperimentKind(run_conformal_check, _verdicts_conformal),
     "convergence": ExperimentKind(
         run_convergence, _verdicts_convergence,
-        ("metric", "grids", "k", "seed", "fiber_nodes"),
         Plot("convergence.svg", "level", "n",
              {"|lambda1 error|": "error_lambda1"},
              "Grid convergence of lambda_1", "N", "error", logy=True)),
@@ -998,10 +974,13 @@ KINDS = {
 
 
 def run_experiment(cfg, out_dir=None, plots=False):
-    """Run one config through its kind's runner and verdicts; every row gets
-    the config hash, directly after its row_type."""
+    """Run one config through its kind's runner and verdicts: the runner
+    takes the config's top-level keys, the tolerances read as floats.  Every
+    row gets the config hash, directly after its row_type."""
     t_start = time.time()
-    rows, solver_info = KINDS[cfg.kind].run(cfg)
+    params = {key: _read(key, value, float) if key in _DEFAULT_TOLERANCES else value
+              for key, value in cfg.params.items()}
+    rows, solver_info = KINDS[cfg.kind].run(**params)
     rows = [{"row_type": row["row_type"], "config_hash": cfg.config_hash, **row}
             for row in rows]
     report = Report(kind=cfg.kind, config_hash=cfg.config_hash,

@@ -15,7 +15,7 @@ broadcast against the leading axes of v or p, whose final axis has length 2.
 Each per-node piece keeps the shape its fields broadcast to, so a constant
 metric yields one value per direction whatever the shape of x and y.
 Every operation raises IllPosedMetricError wherever |rho|_{g*} >= 1, where F
-fails to be strongly convex.
+fails to be strongly convex, and wherever the folded data is not finite.
 
 Duality conventions.  The dual norm is the support function
 
@@ -166,7 +166,11 @@ class _RandersCore:
     def _folded(self, x, y):
         """The _Folded pieces at the nodes (x, y); raises IllPosedMetricError
         unless w = 1 - |rho|_{g*}^2 > 0 everywhere (so NaN data is refused
-        too).  Every symbol route reads the families' _parts through here."""
+        too), and unless every piece, and the determinant the inverse divides
+        by, is finite (data such as g11 = g22 = 1e308, or a factor e^{2f}
+        that overflows, passes every admissibility test with a determinant
+        of inf).  Every symbol route reads the families' _parts through
+        here."""
         f, (a, b, c, det), (r1, r2) = self._parts(x, y)
         s = np.exp(f)
         s2 = s * s
@@ -180,7 +184,14 @@ class _RandersCore:
             raise IllPosedMetricError(
                 "Randers drift reaches |rho|_{g*} >= 1 (or the metric data is "
                 "NaN) at a sampled point; the metric is not admissible there")
-        return _Folded(a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
+        pieces = (a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
+        # piece * 0 is 0 where the piece is finite and NaN where it is not:
+        # one sum tests them all, for less than a test of each
+        if np.isnan(sum(piece * 0.0 for piece in pieces) + det * 0.0).any():
+            raise IllPosedMetricError(
+                "the folded metric overflows double precision at a sampled "
+                "point; the metric is not admissible there")
+        return _Folded(*pieces)
 
     def value(self, x, y, v):
         return self._folded(x, y).value(np.asarray(v, dtype=float))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import types
@@ -101,6 +102,24 @@ ALL_CONFIGS = [TORUS_CFG, BILIPSCHITZ_CFG, SCALING_CFG, IDENTITIES_CFG,
                CONFORMAL_CFG, CONFORMAL_CONST_CFG, CONVERGENCE_CFG]
 
 
+def _readme_key_table():
+    """{kind: [(key, default text or None)]} from the README's per-kind key
+    table, which lists each key in backticks as `key` or `key = default`,
+    with notes in parentheses and blocks as `metric.*`."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        kind = cells[0].strip("`")
+        if len(cells) == 3 and kind in fspec.experiments.KINDS:
+            entries = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cells[2]))
+            table[kind] = [(key.strip().removesuffix(".*"),
+                            default.strip() if sep else None)
+                           for key, sep, default in
+                           (entry.partition("=") for entry in entries)]
+    return table
+
+
 class TestConfigParsing:
     def test_types_lists_nesting_comments(self):
         params = parse_config_text("""
@@ -168,18 +187,23 @@ class TestConfigParsing:
                 build_metric(block)
 
     def test_readme_key_table_matches_kinds(self):
-        # the README's per-kind key table lists each key by name, with
-        # values and notes in parentheses and blocks as `metric.*`
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        table = {}
-        for line in readme.read_text().splitlines():
-            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            kind = cells[0].strip("`")
-            if len(cells) == 3 and kind in fspec.experiments.KINDS:
-                keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cells[2]))
-                table[kind] = tuple(key.removesuffix(".*") for key in keys)
-        assert table == {kind: entry.keys
-                         for kind, entry in fspec.experiments.KINDS.items()}
+        assert {kind: tuple(key for key, _ in keys)
+                for kind, keys in _readme_key_table().items()} == \
+            {kind: entry.keys for kind, entry in fspec.experiments.KINDS.items()}
+
+    def test_readme_key_defaults_match_runners(self):
+        # a key the table gives without a default has None or "" as its
+        # runner default: it is required, or its verdict is skipped
+        for kind, keys in _readme_key_table().items():
+            parameters = inspect.signature(fspec.experiments.KINDS[kind].run).parameters
+            for key, text in keys:
+                default = parameters[key].default
+                if text is None:
+                    assert default in (None, ""), (kind, key)
+                else:
+                    value = parse_config_text(f"{key} = {text}")[key]
+                    expected = list(default) if isinstance(default, tuple) else default
+                    assert value == expected, (kind, key, text, default)
 
     def test_readme_tolerance_defaults_match(self):
         # the paragraph that opens with "Tolerance defaults:" pairs each
@@ -293,23 +317,30 @@ def _perturbed(fn, index, scale=1.0, shift=0.0):
     return wrapper
 
 
-def _base_volume_scaled(cls):
-    """A stand-in for SymbolField whose closed-form mu is 1e-6 relative high:
-    the base's volume in randers-identities, every field's volume in
-    torus-large-eigenvalue."""
+def _volume_scaled(cls, oracle=False):
+    """A stand-in for SymbolField whose mu is 1e-6 relative high on the
+    closed-form fields (the base's volume in randers-identities, every
+    field's volume in torus-large-eigenvalue) or, with oracle, on the
+    fiber-rule fields (the from-scratch field of conformal-check)."""
     def compute(spec, grid, n=None):
         field = cls.compute(spec, grid, n)
-        if n is None:
+        if (n is not None) == oracle:
             field = cls(grid=grid, sigma_star=field.sigma_star,
-                        mu=field.mu * (1 + 1e-6), fiber_nodes=0)
+                        mu=field.mu * (1 + 1e-6), fiber_nodes=field.fiber_nodes)
         return field
     return types.SimpleNamespace(compute=compute)
 
 
-def _values_scaled(solve, scale):
-    """solve with every eigenvalue of its Spectrum scaled by `scale`."""
+def _values_scaled(solve, scale, first_only=False):
+    """solve with every eigenvalue of its Spectrum scaled by `scale`, or with
+    first_only, those of its first Spectrum alone."""
+    calls = []
+
     def wrapper(*args, **kwargs):
         spectrum = solve(*args, **kwargs)
+        calls.append(None)
+        if first_only and len(calls) > 1:
+            return spectrum
         return dataclasses.replace(spectrum, values=spectrum.values * scale)
     return wrapper
 
@@ -339,7 +370,7 @@ class TestRunners:
         assert run_experiment(cfg).passed
 
     @pytest.mark.parametrize("verdict, name, perturb", [
-        ("volume-density-equals-base", "SymbolField", _base_volume_scaled),
+        ("volume-density-equals-base", "SymbolField", _volume_scaled),
         # entry 0 is cos^2 of the closed forms and 1 the cross integral
         ("angular-integrals-match-closed-forms", "randers_angular_closed_forms",
          lambda closed: _perturbed(closed, 0, scale=1 + 1e-7)),
@@ -362,7 +393,7 @@ class TestRunners:
                 "energy-two-route-agreement")}
 
     @pytest.mark.parametrize("verdict, name, perturb", [
-        ("volume-equals-riemannian-volume", "SymbolField", _base_volume_scaled),
+        ("volume-equals-riemannian-volume", "SymbolField", _volume_scaled),
         # the verdict gates at tol_spectral = 1e-2, against a measured error
         # of 8e-4 at 128^2 (perfbench drift-sweep lambda1_rel_err) and of at
         # most 3.2e-3 (below) on this config's 32^2 grid: values 2% high fail
@@ -378,6 +409,37 @@ class TestRunners:
         monkeypatch.setattr(fspec.experiments, name,
                             perturb(getattr(fspec.experiments, name)))
         report = run_experiment(ExperimentConfig.from_text(TORUS_CFG))
+        assert {v.name: v.passed for v in report.verdicts} == {
+            other: other != verdict for other in names}
+
+    @pytest.mark.parametrize("text, verdict, name, perturb", [
+        # S halves: the ratios, which meet the bound with equality under a
+        # constant factor, leave it
+        (SCALING_CFG, "spectral-ratio-within-computable-bound",
+         "_pencil_extremes", lambda extremes: _perturbed(extremes, 1, scale=0.5)),
+        # F's spectrum (the first solve) 1e-6 high; the bound's slack is
+        # widened so that the ratio's shift cannot reach the bound verdict
+        (SCALING_CFG + "bound_slack = 1e-5\n", "ratio-matches-exact-scaling",
+         "solve", lambda solve: _values_scaled(solve, 1 + 1e-6, first_only=True)),
+        (CONFORMAL_CONST_CFG, "symbol-pipeline-vs-transform",
+         "conformal_transform",
+         lambda transform: _perturbed(transform, 0, scale=1 + 1e-6)),
+        (CONFORMAL_CONST_CFG, "volume-scales-as-exp-2f", "SymbolField",
+         lambda cls: _volume_scaled(cls, oracle=True)),
+        # the base's spectrum (the first solve) 1e-8 high
+        (CONFORMAL_CONST_CFG, "eigenvalues-scale-exactly", "solve",
+         lambda solve: _values_scaled(solve, 1 + 1e-8, first_only=True)),
+    ], ids=["bound", "ratio", "sigma", "volume", "eigenvalues"])
+    def test_verdict_fails_on_a_perturbed_route(self, monkeypatch, text,
+                                                verdict, name, perturb):
+        # every other verdict of the config is out of the perturbation's
+        # reach and must still pass
+        names = [v.name for v in run_experiment(
+            ExperimentConfig.from_text(text)).verdicts]
+        assert verdict in names
+        monkeypatch.setattr(fspec.experiments, name,
+                            perturb(getattr(fspec.experiments, name)))
+        report = run_experiment(ExperimentConfig.from_text(text))
         assert {v.name: v.passed for v in report.verdicts} == {
             other: other != verdict for other in names}
 
@@ -593,39 +655,43 @@ class TestCli:
         (BILIPSCHITZ_CFG + "metric.profile = nan\n", "NaN"),
         (BILIPSCHITZ_CFG + "metric.profile = 0.5 + 0.4*sin(2*pi*y) + "
          "0*log(y - 0.5)\ngrid = 16\nk = 3\n", "NaN"),
+        # data that overflows used to pass admissibility and end in the
+        # stencil's "weights and masses must be finite" (exit 1)
+        ("kind = bilipschitz-check\nmetric.type = riemannian\n"
+         "metric.g11 = 1e308\nmetric.g22 = 1e308\n", "overflows"),
+        ("kind = bilipschitz-check\nmetric.type = conformal\nmetric.f = 400\n"
+         "metric.base.type = torus\nmetric.base.h = 2\n", "overflows"),
     ], ids=["quadrature-error", "quadrature-error-off-probe", "ill-posed-metric",
             "inadmissible-torus-drift", "inadmissible-eta-sweep", "nan-profile",
-            "nan-half-torus"])
+            "nan-half-torus", "overflowing-metric", "overflowing-factor"])
     def test_numerical_error_exit_two(self, tmp_path, capsys, text, cause):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and cause in err
 
-    def test_overrides(self, tmp_path):
+    def test_unreadable_config_or_out_exit_two(self, tmp_path, capsys):
+        # a directory as the config, a config that is not UTF-8 and an --out
+        # that is an existing file used to end in a traceback (exit 1)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(CONFORMAL_CONST_CFG)
-        plain, out = tmp_path / "plain", tmp_path / "out"
-        assert cli_main(["run", str(cfg_path), "--out", str(plain)]) == 0
-        code = cli_main(["run", str(cfg_path), "--out", str(out),
-                         "--grid", "24", "--k", "3", "--fiber-nodes", "128"])
-        assert code == 0
-        with open(out / "rows.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["grid"] == "24"
-        assert rows[0]["fiber_nodes"] == "128"
-        eig_rows = [r for r in rows if r["row_type"] == "eigenvalue"]
-        assert len(eig_rows) == 3
-        # each override is a line of the config: the rows of the two runs
-        # differ, so their hashes must too
-        report = json.loads((out / "report.json").read_text())
-        before = json.loads((plain / "report.json").read_text())
-        assert report["config_hash"] != before["config_hash"]
-        assert {row["config_hash"] for row in rows} == {report["config_hash"]}
-        assert (report["echo"]["grid"], report["echo"]["k"],
-                report["echo"]["fiber_nodes"]) == (24, 3, 128)
+        cfg_path.write_text(BILIPSCHITZ_CFG)
+        latin = tmp_path / "latin.cfg"
+        latin.write_bytes(BILIPSCHITZ_CFG.encode() + "# caf\xe9\n".encode("latin-1"))
+        for args in ([str(tmp_path)], [str(latin)],
+                     [str(cfg_path), "--out", str(cfg_path)]):
+            assert cli_main(["run", *args]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_config_keys_have_no_override_flags(self, tmp_path):
+        # grid, k and fiber_nodes are set by config lines alone
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BILIPSCHITZ_CFG)
+        for flag in ("--grid", "--k", "--fiber-nodes"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["run", str(cfg_path), flag, "24"])
+            assert exc.value.code == 2
 
     def test_plots_emitted(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

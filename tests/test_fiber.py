@@ -716,6 +716,19 @@ class TestClosedFormSymbol:
             with pytest.raises(IllPosedMetricError, match="NaN"):
                 SymbolField.compute(spec, TorusGrid.square(16), nodes)
 
+    @pytest.mark.parametrize("spec", [
+        # the determinant is inf, which passes det > 0, and the inverse 0
+        RiemannianMetric(1e308, 0.0, 1e308),
+        # e^{2f} = e^800 overflows, so the folded g is inf
+        ConformalMetric(RiemannianMetric.stretched(2.0), 400.0),
+    ], ids=["overflowing-metric", "overflowing-factor"])
+    @pytest.mark.parametrize("nodes", [None, NODES, "auto"],
+                             ids=["closed form", "rule", "auto"])
+    def test_overflowing_metric_raises(self, spec, nodes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IllPosedMetricError, match="overflows"):
+                SymbolField.compute(spec, TorusGrid.square(16), nodes)
+
     def test_foreign_metric_has_no_route(self):
         class Reversed:
             """F(x, v) = F_base(x, -v): a metric outside the three families."""

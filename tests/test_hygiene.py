@@ -3,8 +3,9 @@ every package module imports only from layers below its own, no package
 module imports scipy when it is imported (a Fourier-route run never does),
 only ``fspec.metrics`` reads a metric family's per-node ``_parts``, only
 ``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, no public
-name serves the tests alone, and every demo runs to the end without leaving
-a file behind.
+name serves the tests alone, every verdict but a listed few is seen to fail
+on a perturbed program, and every demo runs to the end without leaving a
+file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -241,6 +242,107 @@ def test_no_public_name_serves_tests_alone():
     offenders = unserved_names(exported, [ast.parse(path.read_text())
                                           for path in PROGRAM])
     assert not offenders, "public names only tests read: " + ", ".join(offenders)
+
+
+# verdicts no test yet perturbs the program to fail
+UNTESTED_VERDICTS = {"lambda1-above-4pi2-over-r2", "lambda1-vol-grows-with-stretch",
+                     "exceeds-10x-riemannian-baseline",
+                     "lambda1-vol-monotone-in-drift-h*", "second-order-convergence",
+                     "self-convergence-cauchy"}
+
+
+def emitted_verdicts(tree):
+    """The verdict names `tree` can emit: each literal name given to
+    ``Verdict`` (first argument) or ``_within_tolerance`` (fourth), and an
+    f-string name as its literal prefix followed by ``*``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            index = {"Verdict": 0, "_within_tolerance": 3}.get(node.func.id)
+            if index is None or len(node.args) <= index:
+                continue
+            arg = node.args[index]
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            elif isinstance(arg, ast.JoinedStr):
+                names.add(arg.values[0].value + "*")
+    return names
+
+
+def perturbs_experiments(test):
+    """Whether function `test` calls a ``setattr`` on ``fspec.experiments``."""
+    return any(isinstance(node, ast.Call) and node.args
+               and ast.unparse(node.func).endswith("setattr")
+               and ast.unparse(node.args[0]) == "fspec.experiments"
+               for node in ast.walk(test))
+
+
+def failed_verdicts(tree):
+    """The verdict names that the tests of `tree` which perturb a name of
+    ``fspec.experiments`` require to fail: the entries of a ``verdict``
+    parametrize column, and the keys a dict literal maps to False."""
+    names = set()
+    tests = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and perturbs_experiments(node)]
+    for node in (node for test in tests for node in ast.walk(test)):
+        if isinstance(node, ast.Dict):
+            names |= {key.value for key, value in zip(node.keys, node.values)
+                      if isinstance(key, ast.Constant)
+                      and isinstance(value, ast.Constant) and value.value is False}
+        elif (isinstance(node, ast.Call)
+              and ast.unparse(node.func).endswith("parametrize")):
+            columns = [name.strip() for name in node.args[0].value.split(",")]
+            if "verdict" in columns:
+                names |= {case.elts[columns.index("verdict")].value
+                          for case in node.args[1].elts}
+    return names
+
+
+def verdict_coverage_gaps(emitted, failed, untested):
+    """(emitted names no test fails and not listed in untested, listed names
+    that a test fails or that are not emitted); a ``*`` name is failed by
+    any name it prefixes."""
+    def covered(name):
+        return any(seen == name or (name.endswith("*")
+                                    and seen.startswith(name[:-1]))
+                   for seen in failed)
+    return (sorted(name for name in emitted
+                   if not covered(name) and name not in untested),
+            sorted(name for name in untested
+                   if covered(name) or name not in emitted))
+
+
+def test_verdict_scan_flags_gaps():
+    emitted = emitted_verdicts(ast.parse(
+        'Verdict("a", c, ok, d)\n'
+        '_within_tolerance(rows, err, "tol", "b", c, m)\n'
+        'Verdict(f"c-h{h:g}", c, ok, d)\n'
+        'Verdict(name, c, ok, d)\n'))
+    assert emitted == {"a", "b", "c-h*"}
+    failed = failed_verdicts(ast.parse(
+        '@pytest.mark.parametrize("verdict, name", [("a", "solve")])\n'
+        'def test_a(monkeypatch, verdict, name):\n'
+        '    monkeypatch.setattr(fspec.experiments, name, None)\n'
+        '    assert passed == {"c-h2": False, "b": True}\n'
+        'def test_unperturbed():\n'
+        '    assert passed == {"b": False}\n'))
+    assert failed == {"a", "c-h2"}
+    assert verdict_coverage_gaps(emitted, failed, set()) == (["b"], [])
+    assert verdict_coverage_gaps(emitted, failed, {"b"}) == ([], [])
+    # a listed name that gains a test, and one no module emits
+    assert verdict_coverage_gaps(emitted, failed, {"a", "b", "d"}) == ([], ["a", "d"])
+
+
+def test_every_verdict_is_seen_to_fail():
+    # each verdict name of fspec.experiments has a test that perturbs a name
+    # bound there and requires that verdict to fail, but for those listed
+    emitted = emitted_verdicts(ast.parse((PACKAGE / "experiments.py").read_text()))
+    assert len(emitted) == 18, sorted(emitted)
+    failed = set().union(*(failed_verdicts(ast.parse(path.read_text()))
+                           for path in sorted((ROOT / "tests").glob("test_*.py"))))
+    missing, stale = verdict_coverage_gaps(emitted, failed, UNTESTED_VERDICTS)
+    assert not missing, "verdicts no perturbation test fails: " + ", ".join(missing)
+    assert not stale, "listed untested, but tested or not emitted: " + ", ".join(stale)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
