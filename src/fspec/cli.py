@@ -50,8 +50,8 @@ def main(argv=None):
     try:
         cfg = ExperimentConfig.from_file(args.config)
         report = run_experiment(cfg, out_dir=args.out, plots=args.plots)
-    except (ConfigError, OSError, UnicodeDecodeError, IllPosedMetricError,
-            QuadratureError, SolverError) as exc:
+    except (ConfigError, OSError, IllPosedMetricError, QuadratureError,
+            SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,7 +149,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        """Parse the config file at path, read as UTF-8; raises ConfigError
+        naming the path and the byte offset if it is not UTF-8."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: byte {exc.start} "
+                              f"({exc.object[exc.start]:#04x}) does not decode") from exc
+        return cls.from_text(text)
 
     def get(self, key, default=None):
         node = self.params
@@ -291,9 +298,10 @@ class Report:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "rows.csv").write_text(self.rows_csv_text())
-        with open(out_dir / "report.json", "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2,
-                      default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
+        # encoded whole, then written once: json.dump would write chunk by chunk
+        (out_dir / "report.json").write_text(json.dumps(
+            self.to_json_dict(), indent=2,
+            default=lambda o: o.item() if isinstance(o, np.generic) else str(o)))
         written = [out_dir / "report.json", out_dir / "rows.csv"]
         if plots:
             written += self._write_plots(out_dir)
@@ -976,8 +984,12 @@ KINDS = {
 def run_experiment(cfg, out_dir=None, plots=False):
     """Run one config through its kind's runner and verdicts: the runner
     takes the config's top-level keys, the tolerances read as floats.  Every
-    row gets the config hash, directly after its row_type."""
+    row gets the config hash, directly after its row_type.  out_dir, if
+    given, is made first, so a path that cannot be a directory is refused
+    before any solve."""
     t_start = time.time()
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = {key: _read(key, value, float) if key in _DEFAULT_TOLERANCES else value
               for key, value in cfg.params.items()}
     rows, solver_info = KINDS[cfg.kind].run(**params)

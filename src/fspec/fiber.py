@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TorusGrid, cut_to_lines
+from .grid import TorusGrid, cut_to_lines, node_axes
 from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _inverse,
                       _symmetric)
 
@@ -135,7 +135,7 @@ def _fold(spec, x, y):
         raise TypeError(f"{type(spec).__name__} is not one of the three metric "
                         "families; no symbol route can fold it")
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    fold = [np.broadcast_to(piece, shape) for piece in spec._folded(x, y)]
+    fold = [node_axes(piece, shape) for piece in spec._folded(x, y)]
     return _Folded(*cut_to_lines(shape, *fold)), shape
 
 
@@ -414,8 +414,8 @@ class SymbolField:
 
     def __post_init__(self):
         nodes = (self.grid.nx, self.grid.ny)
-        self.reduced = tuple(cut_to_lines(nodes, np.broadcast_to(
-            self.sigma_star, nodes + (2, 2)), np.broadcast_to(self.mu, nodes)))
+        self.reduced = tuple(cut_to_lines(nodes, node_axes(
+            self.sigma_star, nodes, (2, 2)), node_axes(self.mu, nodes)))
         self.sigma_star, self.mu = map(np.broadcast_to, self.reduced, (nodes + (2, 2), nodes))
 
     @classmethod

@@ -4,9 +4,11 @@ Metric coefficients, drift-form components, and conformal exponents are all
 plain scalar fields f(x, y) with x and y understood modulo 1: constants,
 closed-form expressions (trigonometric polynomials and friends) and Python
 callables of (x, y).  Expression fields should be 1-periodic in both coordinates (use sin/cos of
-2*pi*k*x); coordinates are reduced mod 1 before evaluation either way.  A
-field's values keep the shape its expression broadcasts to, so a constant
-stays one number on any nodes.
+2*pi*k*x); coordinates are reduced mod 1 before evaluation either way, by
+the wrappers that read them (an expression's compiled function and a
+callable's wrapper in ``as_field``).  A constant reads no coordinate, so
+none is reduced for it.  A field's values keep the shape its expression
+broadcasts to, so a constant stays one number on any nodes.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class Field:
     def __call__(self, x, y):
         """The field at the nodes (x, y), in the shape its expression broadcasts
         to: a constant stays a single number, and on ``TorusGrid.mesh`` nodes a
-        field of y alone stays one row (1, ny)."""
-        return np.asarray(self._fn(reduce_mod1(x), reduce_mod1(y)), dtype=float)
+        field of y alone stays one row (1, ny).  x and y are passed on as
+        given: the functions of ``from_expression`` and ``as_field`` reduce
+        them mod 1 where they read them."""
+        return np.asarray(self._fn(x, y), dtype=float)
 
     def __repr__(self):
         return f"Field({self.description!r})"
@@ -65,7 +69,8 @@ class Field:
             raise ValueError(f"unknown name(s) in field expression: {sorted(unknown)}")
 
         def fn(x, y):
-            return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x, "y": y})
+            return eval(code, {"__builtins__": {}},
+                        {**_EXPR_NAMES, "x": reduce_mod1(x), "y": reduce_mod1(y)})
 
         return cls(fn, text)
 
@@ -94,5 +99,7 @@ def as_field(obj):
         raise TypeError("a field is a number, an expression or a callable, "
                         f"not an array of shape {obj.shape}")
     if callable(obj):
-        return Field(obj, getattr(obj, "__name__", "<callable>"))
+        def fn(x, y):
+            return obj(reduce_mod1(x), reduce_mod1(y))
+        return Field(fn, getattr(obj, "__name__", "<callable>"))
     return Field.constant(obj)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import as_field
+from .fields import Field, as_field
 
 
 class IllPosedMetricError(ValueError):
@@ -170,27 +170,30 @@ class _RandersCore:
         by, is finite (data such as g11 = g22 = 1e308, or a factor e^{2f}
         that overflows, passes every admissibility test with a determinant
         of inf).  Every symbol route reads the families' _parts through
-        here."""
-        f, (a, b, c, det), (r1, r2) = self._parts(x, y)
-        s = np.exp(f)
-        s2 = s * s
-        r1, r2 = r1 * s, r2 * s
-        det = det * s2
-        i11, i12, i22 = c / det, -b / det, a / det
-        b1 = i11 * r1 + i12 * r2
-        b2 = i12 * r1 + i22 * r2
-        w = 1.0 - (r1 * b1 + r2 * b2)
-        if not np.all(w > 0.0):
-            raise IllPosedMetricError(
-                "Randers drift reaches |rho|_{g*} >= 1 (or the metric data is "
-                "NaN) at a sampled point; the metric is not admissible there")
-        pieces = (a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
-        # piece * 0 is 0 where the piece is finite and NaN where it is not:
-        # one sum tests them all, for less than a test of each
-        if np.isnan(sum(piece * 0.0 for piece in pieces) + det * 0.0).any():
-            raise IllPosedMetricError(
-                "the folded metric overflows double precision at a sampled "
-                "point; the metric is not admissible there")
+        here.  numpy's overflow, division and invalid-value warnings are
+        silenced over this arithmetic, _parts included: the two tests refuse
+        such data with an error of their own."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            f, (a, b, c, det), (r1, r2) = self._parts(x, y)
+            s = np.exp(f)
+            s2 = s * s
+            r1, r2 = r1 * s, r2 * s
+            det = det * s2
+            i11, i12, i22 = c / det, -b / det, a / det
+            b1 = i11 * r1 + i12 * r2
+            b2 = i12 * r1 + i22 * r2
+            w = 1.0 - (r1 * b1 + r2 * b2)
+            if not np.all(w > 0.0):
+                raise IllPosedMetricError(
+                    "Randers drift reaches |rho|_{g*} >= 1 (or the metric data is "
+                    "NaN) at a sampled point; the metric is not admissible there")
+            pieces = (a * s2, b * s2, c * s2, i11, i12, i22, r1, r2, b1, b2, w)
+            # piece * 0 is 0 where the piece is finite and NaN where it is not:
+            # one sum tests them all, for less than a test of each
+            if np.isnan(sum(piece * 0.0 for piece in pieces) + det * 0.0).any():
+                raise IllPosedMetricError(
+                    "the folded metric overflows double precision at a sampled "
+                    "point; the metric is not admissible there")
         return _Folded(*pieces)
 
     def value(self, x, y, v):
@@ -262,7 +265,9 @@ class RandersMetric(_RandersCore):
         """diag(h^2, r^2) base with drift eta*h*profile(x, y) dx; r defaults to 1/h."""
         base = RiemannianMetric.stretched(h, r)
         scale, profile = float(eta) * float(h), as_field(profile)
-        return cls(base, lambda x, y: profile(x, y) * scale, 0.0)
+        # a Field as it stands, not a callable for as_field to wrap: the
+        # profile reduces the coordinates it reads, a constant none
+        return cls(base, Field(lambda x, y: profile(x, y) * scale, "<lambda>"), 0.0)
 
     def _parts(self, x, y):
         return (0.0, self.base._coefficients(x, y),

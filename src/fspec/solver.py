@@ -21,6 +21,10 @@ only where a route needs it (shift-invert, and the rounding floor of a pair
 that misses the residual bound).  This module is the one reader of the
 weights' layout: the routes, the gate, K and the Gershgorin condition
 estimate of K all read the weights here, each at the shape it needs.
+Assembly and the condition estimate read periodic neighbours with
+``_roll``, which leaves out an axis of length 1 (every roll along it returns
+its input, and nothing writes to a rolled array), so a constant stencil is
+assembled at one node with no roll at all.
 The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
@@ -79,11 +83,11 @@ spectrum, which the test suite checks the other routes against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import TorusGrid, cut_to_lines
+from .grid import TorusGrid, cut_to_lines, node_axes
 from .metrics import _eigen_extremes
 
 _RESTOL = 1e-9  # eigenpair residual bound, relative to each eigenvalue's scale
@@ -158,7 +162,7 @@ class SpectralProblem:
     def __post_init__(self):
         nodes = (self.grid.nx, self.grid.ny)
         *weights, mass = cut_to_lines(nodes, *np.broadcast_to(
-            self.weights, (4,) + nodes), np.broadcast_to(self.mass, nodes))
+            self.weights, (4,) + nodes), node_axes(self.mass, nodes))
         weights = np.stack(weights)
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(mass))):
             raise ValueError("stencil weights and masses must be finite")
@@ -211,6 +215,16 @@ def _stiffness(weights, grid):
     return K
 
 
+def _roll(a, offset):
+    """np.roll(a, offset, axis=(0, 1)) for an offset (di, dj), rolling only
+    the axes with a nonzero shift and more than one entry: a roll along any
+    other axis returns its input, so a itself comes back if none is left.
+    The callers only read the result."""
+    kept = [(shift, axis) for axis, shift in enumerate(offset)
+            if shift and a.shape[axis] > 1]
+    return np.roll(a, *zip(*kept)) if kept else a
+
+
 def _stiffness_condition_estimate(problem):
     """Gershgorin bound on lambda_max(M^-1 K) over lambda_scale, read off the
     weights at their kept shape, so K is not built."""
@@ -218,7 +232,7 @@ def _stiffness_condition_estimate(problem):
     # backward as rolled b), summed on the diagonal in K's order and negated
     # at the neighbours
     weights, mass = problem.reduced
-    edges = [(w, np.roll(w, offset, axis=(0, 1))) for offset, w in zip(_OFFSETS, weights)]
+    edges = [(w, _roll(w, offset)) for offset, w in zip(_OFFSETS, weights)]
     row = abs(sum(w + b for w, b in edges)) + sum(abs(w) + abs(b) for w, b in edges)
     return float((row / mass).max()) / max(problem.lambda_scale, 1e-300)
 
@@ -238,12 +252,12 @@ def assemble(field):
     sig, mu = field.reduced
     d11, d22 = mu * sig[..., 0, 0], mu * sig[..., 1, 1]
     d12 = mu * sig[..., 0, 1]
-    d12_east = np.roll(d12, -1, axis=0)
+    d12_east = _roll(d12, (-1, 0))
     weights = np.stack([
-        0.5 * (d11 + np.roll(d11, -1, axis=0)) * (grid.dy / grid.dx),
-        0.5 * (d22 + np.roll(d22, -1, axis=1)) * (grid.dx / grid.dy),
-        0.25 * (d12_east + np.roll(d12, -1, axis=1)),
-        -0.25 * (d12_east + np.roll(d12, 1, axis=1))])
+        0.5 * (d11 + _roll(d11, (-1, 0))) * (grid.dy / grid.dx),
+        0.5 * (d22 + _roll(d22, (0, -1))) * (grid.dx / grid.dy),
+        0.25 * (d12_east + _roll(d12, (0, -1))),
+        -0.25 * (d12_east + _roll(d12, (0, 1)))])
     lam_min = _eigen_extremes(sig[..., 0, 0], sig[..., 0, 1], sig[..., 1, 1])[0]
     return SpectralProblem(weights=weights, mass=mu * grid.cell_area, grid=grid,
                            lambda_scale=4.0 * np.pi**2 * float(lam_min.min()))
@@ -687,14 +701,16 @@ def _edges(problem):
     and for f(a - e).
     """
     shape = (problem.grid.nx, problem.grid.ny)
-    return [(weight, _rolled(np.negative(offset), shape), _rolled(offset, shape))
-            for offset, weight in zip(_OFFSETS, problem.reduced[0])
+    return [(weight, _rolled((-di, -dj), shape), _rolled((di, dj), shape))
+            for (di, dj), weight in zip(_OFFSETS, problem.reduced[0])
             if np.any(weight)]
 
 
+@lru_cache(maxsize=64)
 def _rolled(offset, shape):
     """(s, wrap) for y = np.roll(x, offset, axis=(0, 1)) on C-ordered grid
-    arrays of `shape`, |dj| < ny.
+    arrays of `shape`, |dj| < ny; offset and shape are tuples, and the
+    tables are cached by them, since every gate of a grid reads the same.
 
     y is x shifted by s = (di ny + dj) mod (nx ny) as a flat array, read in
     at most two contiguous blocks, except on the |dj| columns whose rows the
@@ -705,13 +721,13 @@ def _rolled(offset, shape):
     (di, dj), (nx, ny) = offset, shape
     s = (di * ny + dj) % (nx * ny)
     if dj == 0:
-        return s, []
+        return s, ()
     di %= nx
     target, source = ((slice(0, dj), slice(ny - dj, ny)) if dj > 0
                       else (slice(ny + dj, ny), slice(0, -dj)))
     rows = [(slice(di, nx), slice(0, nx - di))] + (
         [(slice(0, di), slice(nx - di, nx))] if di else [])
-    return s, [((t, target), (f, source)) for t, f in rows]
+    return s, tuple(((t, target), (f, source)) for t, f in rows)
 
 
 def _shift(x, rolled, out):

@@ -245,8 +245,7 @@ def test_no_public_name_serves_tests_alone():
 
 
 # verdicts no test yet perturbs the program to fail
-UNTESTED_VERDICTS = {"lambda1-above-4pi2-over-r2", "lambda1-vol-grows-with-stretch",
-                     "exceeds-10x-riemannian-baseline",
+UNTESTED_VERDICTS = {"lambda1-vol-grows-with-stretch",
                      "lambda1-vol-monotone-in-drift-h*", "second-order-convergence",
                      "self-convergence-cauchy"}
 

@@ -5,12 +5,32 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fspec import (ConformalMetric, IllPosedMetricError, RandersMetric,
-                   RiemannianMetric)
+                   RiemannianMetric, as_field)
 from conftest import (metric_matrix, random_metric, random_point, random_randers,
                       random_vector)
 from oracles import (bilipschitz_ratio, check_strong_convexity,
                      dual_gradient_numeric, dual_norm_sampled, legendre_numeric,
                      quasireversibility)
+
+
+class TestFields:
+    # nodes on a dyadic grid, so that x + 1 and y - 3 reduce back to them
+    # exactly
+    X = np.arange(8)[:, None] / 8.0
+    Y = np.arange(4)[None, :] / 4.0
+
+    @pytest.mark.parametrize("field", [
+        as_field("x + 10*y"), as_field(lambda x, y: x + 10 * y)],
+        ids=["expression", "callable"])
+    def test_coordinates_reduced_where_read(self, field):
+        # x + 10 y is not periodic: unreduced coordinates would move it by -29
+        want = self.X + 10 * self.Y
+        assert np.array_equal(field(self.X, self.Y), want)
+        assert np.array_equal(field(self.X + 1.0, self.Y - 3.0), want)
+
+    def test_constant_returns_its_value(self):
+        value = as_field(2.5)(self.X + 1.0, self.Y - 3.0)
+        assert value.shape == () and value == 2.5
 
 
 class TestForwardNorm:

@@ -221,6 +221,33 @@ class TestAssembly:
                                    (problem.mass, mass, (24, 40))):
             assert np.array_equal(public, np.broadcast_to(kept, full))
 
+    @pytest.mark.parametrize("name", ["constant", "x-only", "y-only",
+                                      "sheared 2-d"])
+    def test_kept_shape_equals_plain_roll_on_the_grid(self, name):
+        # assemble and the condition estimate skip the rolls along a kept
+        # axis of length 1; on the full grid arrays, every plain np.roll
+        # gives bitwise the same weights, mass and estimate
+        field = SymbolField.compute(SHAPED_METRICS[name][0], TorusGrid(16, 24))
+        grid, sig, mu = field.grid, field.sigma_star, field.mu
+        d11, d22, d12 = (mu * sig[..., 0, 0], mu * sig[..., 1, 1],
+                         mu * sig[..., 0, 1])
+        east = np.roll(d12, -1, axis=0)
+        weights = np.stack([
+            0.5 * (d11 + np.roll(d11, -1, axis=0)) * (grid.dy / grid.dx),
+            0.5 * (d22 + np.roll(d22, -1, axis=1)) * (grid.dx / grid.dy),
+            0.25 * (east + np.roll(d12, -1, axis=1)),
+            -0.25 * (east + np.roll(d12, 1, axis=1))])
+        mass = mu * grid.cell_area
+        problem = assemble(field)
+        assert np.array_equal(problem.weights, weights)
+        assert np.array_equal(problem.mass, mass)
+        edges = [(w, np.roll(w, offset, axis=(0, 1)))
+                 for offset, w in zip(fspec.solver._OFFSETS, weights)]
+        row = (abs(sum(w + b for w, b in edges))
+               + sum(abs(w) + abs(b) for w, b in edges))
+        estimate = float((row / mass).max()) / problem.lambda_scale
+        assert fspec.solver._stiffness_condition_estimate(problem) == estimate
+
     def test_randers_rayleigh_of_sine_y(self):
         # R(sin 2 pi y) -> 4 pi^2 B for the drifted torus
         n = 64
