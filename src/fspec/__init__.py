@@ -1,20 +1,22 @@
 """Spectral geometry of the Finsler Laplacian on flat 2-tori.
 
 Metric families (Riemannian, Randers, conformal), closed-form volume / symbol
-/ weight fields checked by the n-node trapezoid rule on the fiber circle, a flux-form weighted
-Laplacian with three eigensolve routes (exact 2-D Fourier modes for constant
-stencils, cross term included; exact Fourier blocks for stencils invariant
-along one axis without a cross term; shift-invert for the rest), and
-config-driven experiments.
+/ weight fields checked by the n-node trapezoid rule on the fiber circle, the
+closed-form Binet-Legendre metric, a flux-form weighted Laplacian with three
+eigensolve routes (exact 2-D Fourier modes for constant stencils, cross term
+included; exact Fourier blocks for stencils invariant along one axis without
+a cross term; shift-invert for the rest), and config-driven experiments.
+The pointwise quadrature references the closed forms are checked against
+live with the tests, in ``tests/oracles.py``.
 """
 
 from .fields import Field, as_field
 from .metrics import (ConformalMetric, IllPosedMetricError, RandersMetric,
                       RiemannianMetric, base_metric)
-from .fiber import (QuadratureError, SymbolField, binet_legendre, conformal_transform, energy_from_symbol,
+from .fiber import (QuadratureError, SymbolField, binet_legendre,
+                    conformal_transform, energy_from_symbol,
                     randers_angular_closed_forms, randers_angular_integrals,
-                    randers_axis_symbol, randers_energy_direct,
-                    symbol_matrix, volume_density, weight)
+                    randers_axis_symbol, randers_energy_direct)
 from .grid import TorusGrid
 from .solver import (SolverError, SpectralProblem, Spectrum, assemble,
                      fourier_oracle, solve)
@@ -29,10 +31,9 @@ __all__ = [
     "RiemannianMetric", "RandersMetric", "ConformalMetric", "base_metric",
     "IllPosedMetricError",
     "QuadratureError", "SymbolField",
-    "volume_density", "symbol_matrix", "weight", "binet_legendre",
-    "conformal_transform", "randers_axis_symbol", "randers_angular_integrals",
-    "randers_angular_closed_forms", "randers_energy_direct",
-    "energy_from_symbol",
+    "binet_legendre", "conformal_transform", "randers_axis_symbol",
+    "randers_angular_integrals", "randers_angular_closed_forms",
+    "randers_energy_direct", "energy_from_symbol",
     "TorusGrid", "SpectralProblem", "Spectrum", "SolverError",
     "assemble", "solve", "fourier_oracle",
     "ExperimentConfig", "ConfigError", "Report", "Verdict",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -13,7 +14,10 @@ from .metrics import IllPosedMetricError
 from .solver import SolverError, fourier_oracle
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="fspec",
         description="Finsler-Laplacian spectra on flat 2-tori: run experiment "

@@ -92,7 +92,11 @@ def _parse_scalar(text):
 
 
 def parse_config_text(text):
-    """Parse ``key = value`` lines into a nested parameter dict."""
+    """Parse ``key = value`` lines into a nested parameter dict.
+
+    A repeated key overrides the earlier value; raises ConfigError where a
+    dotted key would nest under an earlier scalar, or a key would replace
+    the block of earlier dotted keys under it."""
     params = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -113,7 +117,11 @@ def parse_config_text(text):
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"key {key!r} conflicts with an earlier scalar")
+                raise ConfigError(f"line {lineno}: key {key!r} conflicts with "
+                                  "an earlier scalar")
+        if isinstance(node.get(parts[-1]), dict):
+            raise ConfigError(f"line {lineno}: key {key!r} would replace the "
+                              f"block of earlier '{key}.*' keys")
         node[parts[-1]] = parsed
     return params
 

@@ -1,4 +1,5 @@
-"""Symbol fields: the closed form, and fiber-circle quadrature as its oracle.
+"""Symbol fields and the Binet-Legendre metric in closed form; fiber-circle
+quadrature as the oracle of the symbol fields.
 
 For every supported metric F = exp(f) (sqrt(g) + rho) (rho = 0: Riemannian;
 f = 0: pure Randers; nested conformal exponents add up) the per-point fields
@@ -11,6 +12,9 @@ of the spectral problem are, with b = g^-1 rho and s = sqrt(1 - |rho|_{g*}^2),
 The closed form (``_closed_form_symbol``) reads these off the folded pair
 (e^{2f} g, e^f rho) of ``_RandersCore._folded``, where the factor is already
 in: s is unchanged, and the same two formulas with f = 0 give mu and sigma*.
+``binet_legendre`` reads the Binet-Legendre metric off the same pair: the
+forward unit ball of every such metric is a Zermelo ellipse, whose second
+moment is exact.
 
 The generic route, which the closed form is checked against, integrates on
 the dual direction circle.  Writing p_hat(phi) = (cos phi, sin phi) for the
@@ -28,18 +32,19 @@ density (1/mu) F*^(-2) integrates to exactly 2 pi at every point.
 Both integrals come from one metric evaluation on the fiber
 (``_fiber_symbol``): grad = F* grad_p F*, the dual_gradient formula at p_hat.
 Euler's identity for the 1-homogeneous F* gives F*^2 = p_hat . grad and
-v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.
-``volume_density`` takes F* from the dual formula instead, an independent
-route to the same mu.  The integrands are smooth and periodic, so the
-equal-weight trapezoid rule converges geometrically (Trefethen and
-Weideman, SIAM Review 56, 2014); drifts near |rho| = 1 sharpen them.  It
-is the only rule: every oracle takes its node count n and builds it with
-``_circle(n)``, which refuses fewer than 16 nodes.
-``SymbolField.compute(spec, grid, "auto")`` settles the rule on the grid's
-own nodes: it doubles the node count, evaluating only the new midpoints
-(``_circle(n, pi / n)``) and merging them into the running mu and sigma*,
-until both stop moving at every node, and raises QuadratureError past its
-cap.
+v = grad / F*, so the integrands are F*^-2 and F*^-4 (p . grad)^2.  The
+integrands are smooth and periodic, so the equal-weight trapezoid rule
+converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014);
+drifts near |rho| = 1 sharpen them.  It is the only rule: every fiber
+route takes its node count n and builds it with ``_circle(n)``, which
+refuses fewer than 16 nodes.  ``SymbolField.compute(spec, grid, n)`` runs
+the n-node rule, and ``SymbolField.compute(spec, grid, "auto")`` settles it
+on the grid's own nodes: it doubles the node count, evaluating only the new
+midpoints (``_circle(n, pi / n)``) and merging them into the running mu and
+sigma*, until both stop moving at every node, and raises QuadratureError
+past its cap.  The pointwise quadrature references the tests compare
+against (the density, the symbol and Binet-Legendre by the rule) live in
+``tests/oracles.py`` and are built from the pieces here.
 
 The tangent-circle energy ``randers_energy_direct`` pairs df and rho with
 the g-orthonormal circle through the Cholesky factor of g, one cos and one
@@ -57,14 +62,13 @@ to one row (1, ny), a constant one to a single node.  ``_fold`` then cuts
 every piece to the grid axes along which some piece varies
 (``fspec.grid.cut_to_lines``, the one exact test), so a field that
 repeats exactly along an axis is cut even where its expression is not.
-Every symbol route, closed form and fiber oracle alike (``volume_density``,
-``symbol_matrix``, the rule and settled branches of
-``SymbolField.compute``, ``binet_legendre`` and ``randers_energy_direct``),
-works at that shape; ``SymbolField`` keeps sigma* and mu there, and the
-public oracles return broadcast views at the nodes' shape.  One loop,
-``_over_nodes``, hands a fiber kernel row slices of the distinct lines in
-blocks of _BLOCK node x fiber pairs; the kernel does fiber work only and
-its temporaries stay cache-sized on any grid.  An oracle's cost thus
+Every route, closed form and fiber rule alike (``binet_legendre``, the
+branches of ``SymbolField.compute`` and ``randers_energy_direct``), works
+at that shape; ``SymbolField`` keeps sigma* and mu there, and
+``binet_legendre`` returns a broadcast view at the nodes' shape.  One
+loop, ``_over_nodes``, hands a fiber kernel row slices of the distinct
+lines in blocks of _BLOCK node x fiber pairs; the kernel does fiber work
+only and its temporaries stay cache-sized on any grid.  A rule's cost thus
 scales with the distinct metric lines, not the grid nodes.  The settled
 rule folds once for all of its doublings.
 """
@@ -76,8 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid, cut_to_lines, node_axes
-from .metrics import (IllPosedMetricError, _Folded, _RandersCore, _inverse,
-                      _symmetric)
+from .metrics import IllPosedMetricError, _Folded, _RandersCore, _symmetric
 
 _TWO_PI = 2.0 * np.pi
 
@@ -165,21 +168,6 @@ def _over_nodes(kernel, columns, fiber_size):
     return tuple(whole.reshape(lines + whole.shape[1:])[()] for whole in out)
 
 
-def volume_density(spec, x, y, n):
-    """Holmes-Thompson density mu(x) of the metric's volume against dx dy,
-    by the n-node rule."""
-    p, w = _circle(n)
-    fold, shape = _fold(spec, x, y)
-
-    def density(*rows):
-        dual = _Folded(*rows).dual(p)
-        if np.any(dual < _DUAL_FLOOR):
-            raise IllPosedMetricError(_COLLAPSED)
-        return ((w / dual**2).sum(axis=-1) / _TWO_PI,)
-
-    return np.broadcast_to(_over_nodes(density, fold, n)[0], shape)[()]
-
-
 def _fiber_symbol(nodes, n, offset=0.0):
     """(sigma*, mu) on the fiber (module docstring) from one metric evaluation.
 
@@ -215,26 +203,6 @@ def _fiber_symbol(nodes, n, offset=0.0):
     return _symmetric(s11, s12, s22), mu
 
 
-def symbol_matrix(spec, x, y, n):
-    """Dual quadratic form sigma*(x) of the averaged second-order operator,
-    by the n-node rule.
-
-    Raises QuadratureError if it fails to be SPD, which signals an
-    under-resolved fiber rule.
-    """
-    nodes = _fold(spec, x, y)
-    return np.broadcast_to(_fiber_symbol(nodes, n)[0], nodes[1] + (2, 2))
-
-
-def weight(sigma_star, mu):
-    """Drift weight a = mu sqrt(det sigma*), the density of the metric volume
-    against the Riemannian volume of the symbol metric."""
-    sigma_star = np.asarray(sigma_star, dtype=float)
-    det = (sigma_star[..., 0, 0] * sigma_star[..., 1, 1]
-           - sigma_star[..., 0, 1] * sigma_star[..., 1, 0])
-    return np.asarray(mu) * np.sqrt(det)
-
-
 def conformal_transform(sigma_star, mu, f_value):
     """Rescale a symbol/density pair under F -> exp(f) F on a surface:
     sigma* picks up exp(-2f), mu picks up exp(+2f)."""
@@ -253,8 +221,8 @@ def randers_axis_symbol(h, r, eta):
 
         A = 2 h^-2 / ((1 + s) s),   B = 2 r^-2 / (1 + s),   s = sqrt(1 - eta^2)
 
-    Reduces to (h^-2, r^-2) at eta = 0 and must agree with symbol_matrix on
-    the same data to quadrature tolerance.
+    Reduces to (h^-2, r^-2) at eta = 0 and must agree with the fiber rule's
+    sigma* on the same data to quadrature tolerance.
     """
     h = float(h)
     r = float(r)
@@ -319,36 +287,30 @@ def randers_angular_closed_forms(eta):
 # Binet-Legendre averaging
 # ---------------------------------------------------------------------------
 
-def binet_legendre(spec, x, y, n):
-    """Averaged Riemannian metric from second moments of the forward unit ball.
+def binet_legendre(spec, x, y):
+    """Binet-Legendre metric g_BL of the metric at the nodes (x, y), in
+    closed form, as (..., 2, 2) matrices at the nodes' broadcast shape.
 
-    The dual form is (n+2)/vol(B) * Int_B p(v) q(v) dv over the F-unit ball,
-    evaluated in polar form: the n-node rule for the angle, and the exact radial
-    moments Int_0^R t dt = R^2/2 and Int_0^R t^3 dt = R^4/4 up to
-    R(theta) = 1/F(x, u(theta)).  Affine invariance makes the result equal g
-    itself for Riemannian input; in general the metric is bi-Lipschitz to F
-    with constants controlled by the quasireversibility.
+    Its dual form is (n+2)/vol(B) Int_B p(v) q(v) dv over the forward unit
+    ball B (Matveev and Troyanov, Geom. Topol. 16, 2012).  For
+    |v|_g + rho(v) that ball is the Zermelo ellipse (v - W)' h (v - W) <= 1
+    with h = w (g - rho rho') and W = -b / w (Bao, Robles and Shen,
+    J. Differential Geom. 66, 2004), whose dual form is
+    h^-1 + 4 W W' = (g^-1 + 5 b b' / w) / w.  Sherman-Morrison inverts it:
+
+        g_BL = w (g - 5 rho rho' / (5 - 4 w)),
+
+    read off the folded pair (e^{2f} g, e^f rho) of ``_fold``, so one
+    formula serves the three families.  Riemannian input (rho = 0, w = 1)
+    returns g exactly; in general g_BL is bi-Lipschitz to F with constants
+    set by the quasireversibility.
     """
-    u, w = _circle(n)  # tangent directions this time
     fold, shape = _fold(spec, x, y)
-
-    def moments(*rows):
-        fv = _Folded(*rows).value(u)
-        if np.any(fv < _DUAL_FLOOR):
-            raise IllPosedMetricError("forward norm collapsed on the unit circle")
-        r2 = fv**-2
-        r4 = r2 * r2
-        area = (w * r2).sum(axis=-1) * 0.5
-        n11 = (w * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
-        n12 = (w * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
-        n22 = (w * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
-        return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
-
-    d11, d12, d22 = _over_nodes(moments, fold, n)
-    det = d11 * d22 - d12 * d12
-    if np.any(det <= 0.0):
-        raise QuadratureError("Binet-Legendre dual form is not positive-definite")
-    return np.broadcast_to(_inverse(d11, d12, d22, det), shape + (2, 2))
+    k = 5.0 / (5.0 - 4.0 * fold.w)
+    bl = _symmetric(fold.w * (fold.g11 - k * (fold.r1 * fold.r1)),
+                    fold.w * (fold.g12 - k * (fold.r1 * fold.r2)),
+                    fold.w * (fold.g22 - k * (fold.r2 * fold.r2)))
+    return np.broadcast_to(bl, shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +406,11 @@ class SymbolField:
 
     @property
     def a(self):
-        """Weight a = mu sqrt(det sigma*) at every node (see ``weight``)."""
-        return weight(self.sigma_star, self.mu)
+        """Weight a = mu sqrt(det sigma*) at every node, the density of the
+        metric volume against the Riemannian volume of the symbol metric."""
+        s = self.sigma_star
+        return self.mu * np.sqrt(s[..., 0, 0] * s[..., 1, 1]
+                                 - s[..., 0, 1] * s[..., 1, 0])
 
     def total_volume(self):
         # summed over a contiguous copy: numpy sums a broadcast view in

@@ -67,11 +67,6 @@ def _symmetric(a, b, c):
     return m
 
 
-def _inverse(a, b, c, det):
-    """The inverse of [[a, b], [b, c]] given its determinant det."""
-    return _symmetric(c / det, -b / det, a / det)
-
-
 def _eigen_extremes(a, b, c):
     """(smallest, largest) eigenvalue of [[a, b], [b, c]], elementwise."""
     half_trace = 0.5 * (a + c)

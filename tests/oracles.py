@@ -2,17 +2,27 @@
 
 Sampling-based metric constants and brute-force fiberwise maps (support
 function, quasireversibility, bi-Lipschitz ratios, finite-difference
-convexity, Legendre transform and its inverse), the edge-form Rayleigh
-quotient of a grid function, and the exact spectrum of the assembled
-operator on a constant symbol field.  The package computes each of these
-in closed form or not at all; the tests import them from here as they
-import ``conftest``.
+convexity, Legendre transform and its inverse), pointwise fiber quadrature
+of the volume density, the symbol and the Binet-Legendre metric, the
+edge-form Rayleigh quotient of a grid function, and the exact spectrum of
+the assembled operator on a constant symbol field.  The package computes
+each of these in closed form or not at all; the tests import them from
+here as they import ``conftest``.
+
+The quadrature oracles take the node count n of their trapezoid rule and
+share the package's fiber pieces (``fspec.fiber``): the rule ``_circle``,
+the fold ``_fold`` and the blocked loop ``_over_nodes`` over the fold's
+distinct metric lines.  ``volume_density`` takes F* from the dual formula,
+a route to mu independent of the Euler identity of ``_fiber_symbol``.
 """
 
 import numpy as np
 
 from fspec.experiments import _constant_symbol
-from fspec.metrics import _eigen_extremes
+from fspec.fiber import (_COLLAPSED, _DUAL_FLOOR, _TWO_PI, QuadratureError,
+                         _circle, _fiber_symbol, _fold, _over_nodes)
+from fspec.metrics import (IllPosedMetricError, _eigen_extremes, _Folded,
+                           _symmetric)
 from fspec.solver import _OFFSETS
 
 
@@ -144,6 +154,69 @@ def dual_gradient_numeric(spec, x, y, p):
     for i, e in enumerate(np.eye(2)):
         out[i] = (half_dual_sq(p + h * e) - half_dual_sq(p - h * e)) / (2.0 * h)
     return out
+
+
+def volume_density(spec, x, y, n):
+    """Holmes-Thompson density mu(x) of the metric's volume against dx dy,
+    by the n-node rule."""
+    p, w = _circle(n)
+    fold, shape = _fold(spec, x, y)
+
+    def density(*rows):
+        dual = _Folded(*rows).dual(p)
+        if np.any(dual < _DUAL_FLOOR):
+            raise IllPosedMetricError(_COLLAPSED)
+        return ((w / dual**2).sum(axis=-1) / _TWO_PI,)
+
+    return np.broadcast_to(_over_nodes(density, fold, n)[0], shape)[()]
+
+
+def symbol_matrix(spec, x, y, n):
+    """Dual quadratic form sigma*(x) of the averaged second-order operator,
+    by the n-node rule.
+
+    Raises QuadratureError if it fails to be SPD, which signals an
+    under-resolved fiber rule.
+    """
+    nodes = _fold(spec, x, y)
+    return np.broadcast_to(_fiber_symbol(nodes, n)[0], nodes[1] + (2, 2))
+
+
+def _inverse(a, b, c, det):
+    """The inverse of [[a, b], [b, c]] given its determinant det."""
+    return _symmetric(c / det, -b / det, a / det)
+
+
+def binet_legendre(spec, x, y, n):
+    """Averaged Riemannian metric from second moments of the forward unit ball.
+
+    The dual form is (n+2)/vol(B) * Int_B p(v) q(v) dv over the F-unit ball,
+    evaluated in polar form: the n-node rule for the angle, and the exact radial
+    moments Int_0^R t dt = R^2/2 and Int_0^R t^3 dt = R^4/4 up to
+    R(theta) = 1/F(x, u(theta)).  Affine invariance makes the result equal g
+    itself for Riemannian input; in general the metric is bi-Lipschitz to F
+    with constants controlled by the quasireversibility.
+    """
+    u, w = _circle(n)  # tangent directions this time
+    fold, shape = _fold(spec, x, y)
+
+    def moments(*rows):
+        fv = _Folded(*rows).value(u)
+        if np.any(fv < _DUAL_FLOOR):
+            raise IllPosedMetricError("forward norm collapsed on the unit circle")
+        r2 = fv**-2
+        r4 = r2 * r2
+        area = (w * r2).sum(axis=-1) * 0.5
+        n11 = (w * r4 * u[..., 0] ** 2).sum(axis=-1) * 0.25
+        n12 = (w * r4 * u[..., 0] * u[..., 1]).sum(axis=-1) * 0.25
+        n22 = (w * r4 * u[..., 1] ** 2).sum(axis=-1) * 0.25
+        return 4.0 * n11 / area, 4.0 * n12 / area, 4.0 * n22 / area
+
+    d11, d12, d22 = _over_nodes(moments, fold, n)
+    det = d11 * d22 - d12 * d12
+    if np.any(det <= 0.0):
+        raise QuadratureError("Binet-Legendre dual form is not positive-definite")
+    return np.broadcast_to(_inverse(d11, d12, d22, det), shape + (2, 2))
 
 
 def rayleigh(problem, f):

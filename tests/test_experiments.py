@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fspec.cli
 import fspec.experiments
 from fspec import (ConfigError, ConformalMetric, ExperimentConfig,
                    RandersMetric, RiemannianMetric, SymbolField, TorusGrid,
@@ -143,6 +144,21 @@ class TestConfigParsing:
             parse_config_text("just some words\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("kind = no-such-kind\n")
+
+    def test_key_replacing_a_block_is_refused(self):
+        # neither a block nor a scalar of the same name may replace the other
+        # in silence
+        with pytest.raises(ConfigError,
+                           match=r"line 4: key 'metric' would replace"):
+            parse_config_text("kind = torus-large-eigenvalue\n"
+                              "metric.type = torus\nmetric.h = 2\nmetric = 3\n")
+        with pytest.raises(ConfigError,
+                           match=r"line 2: key 'metric.h' conflicts with an "
+                                 "earlier scalar"):
+            parse_config_text("metric = 3\nmetric.h = 2\n")
+        # a repeated key, scalar or in a block, still overrides
+        assert parse_config_text("k = 1\nk = 2\nmetric.h = 1\nmetric.h = 2\n") \
+            == {"k": 2, "metric": {"h": 2}}
 
     def test_hash_tracks_text(self):
         a = ExperimentConfig.from_text(CONVERGENCE_CFG)
@@ -437,6 +453,38 @@ class TestRunners:
         assert verdict in names and also <= set(names)
         monkeypatch.setattr(fspec.experiments, name,
                             perturb(getattr(fspec.experiments, name)))
+        report = run_experiment(ExperimentConfig.from_text(text))
+        assert {v.name: v.passed for v in report.verdicts} == {
+            other: other not in also | {verdict} for other in names}
+
+    @pytest.mark.parametrize("text, verdict, also, perturb", [
+        # lambda_1 16/n low on the constant ladder, against errors of 0.50,
+        # 0.13 and 0.03 on 16, 32 and 64: the first-order term takes the
+        # orders against the Fourier oracle from 1.99 to 1.26 and 1.15
+        (CONVERGENCE_CFG, "second-order-convergence", set(),
+         lambda lam1, n: lam1 - 16.0 / n),
+        # lambda_1 0.01 n high on the varying ladder: its gaps, 0.128 and
+        # 0.032 unperturbed, grow from 0.29 to 0.35, and a growing gap fits
+        # no positive order, so the order verdict fails with it
+        (CONVERGENCE_VARYING_CFG, "self-convergence-cauchy",
+         {"self-convergence-order"}, lambda lam1, n: lam1 + 0.01 * n),
+    ], ids=["oracle-order", "cauchy"])
+    def test_convergence_verdict_fails_on_a_perturbed_route(
+            self, monkeypatch, text, verdict, also, perturb):
+        # the verdict, and the ones listed with it, fail; every other verdict
+        # of the config passes
+        names = [v.name for v in run_experiment(
+            ExperimentConfig.from_text(text)).verdicts]
+        assert verdict in names and also <= set(names)
+        solve = fspec.experiments.solve
+
+        def perturbed(problem, k, seed=0):
+            spectrum = solve(problem, k, seed=seed)
+            values = spectrum.values.copy()
+            values[1] = perturb(values[1], problem.grid.nx)
+            return dataclasses.replace(spectrum, values=values)
+
+        monkeypatch.setattr(fspec.experiments, "solve", perturbed)
         report = run_experiment(ExperimentConfig.from_text(text))
         assert {v.name: v.passed for v in report.verdicts} == {
             other: other not in also | {verdict} for other in names}
@@ -773,6 +821,21 @@ class TestCli:
         svgs = list(out.glob("*.svg"))
         assert svgs
         assert svgs[0].read_text().startswith("<svg")
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        # one parser serves every call in a process, and each call still
+        # returns and prints its own result
+        fspec.cli._build_parser.cache_clear()
+        assert cli_main(["oracle", "--A", "1", "--B", "1", "--k", "2"]) == 0
+        oracle_out = capsys.readouterr().out
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(CONFORMAL_CFG + "tol_pointwise = 1e-30\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+        run_out = capsys.readouterr().out
+        info = fspec.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(oracle_out.splitlines()) == 3 and "[FAIL]" not in oracle_out
+        assert "[FAIL]" in run_out and f"outputs in {tmp_path}" in run_out
 
     def test_oracle_subcommand(self, capsys):
         assert cli_main(["oracle", "--A", "1", "--B", "1", "--k", "4"]) == 0

@@ -8,17 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 import fspec.fiber
+import oracles
 from fspec import (ConformalMetric, IllPosedMetricError,
                    QuadratureError, RandersMetric, RiemannianMetric,
                    SymbolField, TorusGrid, as_field,
                    binet_legendre, conformal_transform, energy_from_symbol,
                    randers_angular_closed_forms, randers_angular_integrals,
-                   randers_axis_symbol, randers_energy_direct,
-                   symbol_matrix, volume_density, weight)
+                   randers_axis_symbol, randers_energy_direct)
 from fspec.metrics import _Folded
 from conftest import (circle_rule, metric_matrix, random_metric, random_point,
                       random_randers)
-from oracles import bilipschitz_ratio, quasireversibility
+from oracles import (bilipschitz_ratio, quasireversibility, symbol_matrix,
+                     volume_density)
+from oracles import binet_legendre as binet_legendre_rule
 
 NODES = 256
 
@@ -37,6 +39,43 @@ ONE_LINE_METRIC = RandersMetric.axis_drift_torus(
     2.0, 0.9, profile=lambda x, y: 0.5 + 0.2 * (abs(x - 0.25) < 1e-12))
 
 
+ORACLE = 4096
+
+
+@st.composite
+def admissible_metrics(draw, eta_max=0.99):
+    """Constant SPD g with g12 != 0, optionally a y-varying drift with both
+    components and |rho|_{g*} <= eta_max, wrapped in zero to two conformal
+    factors."""
+    angle = draw(st.floats(0.1, 1.4))
+    low = draw(st.floats(0.3, 3.0))
+    eigs = np.array([low, low * draw(st.floats(1.5, 8.0))])
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    g = rot @ np.diag(eigs) @ rot.T
+    spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
+    if draw(st.booleans()):
+        eta = draw(st.floats(0.0, eta_max))
+        phi = draw(st.floats(0.0, 2.0 * np.pi))
+        # rho = eta p(y) g^(1/2) u with 0.5 <= p <= 1 has |rho|_{g*} <= eta
+        root_g = rot @ np.diag(np.sqrt(eigs)) @ rot.T
+        rx, ry = map(float, eta * root_g @ [np.cos(phi), np.sin(phi)])
+        profile = "(0.75 + 0.25*sin(2*pi*y))"
+        spec = RandersMetric(spec, f"{rx!r}*{profile}", f"{ry!r}*{profile}")
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        spec = ConformalMetric(spec, f"{a!r}*sin(2*pi*x) + {b!r}*cos(2*pi*y)")
+    return spec
+
+
+
+def node_gap(a, b):
+    """Largest entry of |a - b| over the largest of |b|, at each node of
+    (..., 2, 2) matrix fields: cross terms can be roundoff in one route and
+    exactly 0 in the other."""
+    return np.abs(a - b).max(axis=(-2, -1)) / np.abs(b).max(axis=(-2, -1))
+
+
 class TestQuadratureRule:
     def test_rule_integrates_one_to_2pi(self):
         # F* = 1 on the Euclidean circle, so mu = 1 iff the n weights sum
@@ -47,18 +86,18 @@ class TestQuadratureRule:
 
     @pytest.mark.parametrize("count", [0, 8, 512.5])
     @pytest.mark.parametrize("entry", [
-        "volume_density", "symbol_matrix", "binet_legendre",
+        "volume_density", "symbol_matrix",
         "randers_energy_direct", "randers_angular_integrals",
         "SymbolField.compute"])
     def test_bad_node_count_raises(self, entry, count):
-        # every entry point that takes a node count refuses fewer than 16
-        # nodes and a count that is not an integer
+        # every entry point that takes a node count, the package's and the
+        # pointwise oracles built on its rule, refuses fewer than 16 nodes
+        # and a count that is not an integer
         spec = RandersMetric.axis_drift_torus(2.0, 0.6)
         grid = TorusGrid.square(8)
         calls = {
             "volume_density": lambda: volume_density(spec, 0.3, 0.7, count),
             "symbol_matrix": lambda: symbol_matrix(spec, 0.3, 0.7, count),
-            "binet_legendre": lambda: binet_legendre(spec, 0.3, 0.7, count),
             "randers_energy_direct": lambda: randers_energy_direct(
                 spec, [sin_x_cos_y_gradient], grid, count),
             "randers_angular_integrals": lambda: randers_angular_integrals(
@@ -250,6 +289,11 @@ class TestRandersClosedForms:
         np.testing.assert_allclose(B, s2 * h**2 / np.pi, rtol=1e-12)
 
 
+def weight(sig, mu):
+    """The weight a of SymbolField at one node given sigma* and mu."""
+    return SymbolField(TorusGrid.square(8), sig, mu, 0).a[0, 0]
+
+
 class TestWeight:
     def test_riemannian_weight_is_one(self, rng):
         for _ in range(10):
@@ -283,19 +327,58 @@ class TestWeight:
 
 class TestBinetLegendre:
     def test_euclidean_identity(self):
-        bl = binet_legendre(RiemannianMetric.euclidean(), 0.2, 0.8, NODES)
+        bl = binet_legendre(RiemannianMetric.euclidean(), 0.2, 0.8)
         assert bl.shape == (2, 2)
-        np.testing.assert_allclose(bl, np.eye(2), atol=1e-12)
+        assert np.array_equal(bl, np.eye(2))
 
     def test_riemannian_reduction(self, rng):
+        # rho = 0 and w = 1: the closed form returns g bit for bit, at a
+        # point and on a grid, as a view at the nodes' shape
         for _ in range(10):
             spec = random_metric(rng, allow_conformal=False)
             while not isinstance(spec, RiemannianMetric):
                 spec = random_metric(rng, allow_conformal=False)
             x, y = random_point(rng)
-            bl = binet_legendre(spec, x, y, NODES)
-            g = metric_matrix(spec, x, y)
-            assert float(np.abs(bl - g).max() / np.abs(g).max()) < 1e-6
+            assert np.array_equal(binet_legendre(spec, x, y),
+                                  metric_matrix(spec, x, y))
+        grid = TorusGrid(12, 16)
+        x, y = grid.mesh()
+        for spec in (RiemannianMetric(2.0, 0.3, 1.0),
+                     RiemannianMetric("2 + 0.3*sin(2*pi*x)",
+                                      "0.4*cos(2*pi*(x - y))",
+                                      "1 + 0.2*cos(2*pi*y)")):
+            g = [np.broadcast_to(part(x, y), (12, 16))
+                 for part in (spec.g11, spec.g12, spec.g22)]
+            bl = binet_legendre(spec, x, y)
+            assert bl.shape == (12, 16, 2, 2)
+            assert np.array_equal(bl, np.stack(
+                [np.stack(g[:2], -1), np.stack(g[1:], -1)], -2))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(admissible_metrics(eta_max=0.9))
+    def test_matches_quadrature_oracle(self, spec):
+        # the Zermelo ellipse's second moment in closed form against the
+        # moments of the forward unit ball by the 4096-node rule, per node
+        # relative to its largest entry
+        grid = TorusGrid(12, 16)
+        x, y = grid.mesh()
+        rule = binet_legendre_rule(spec, x, y, ORACLE)
+        assert float(node_gap(binet_legendre(spec, x, y), rule).max()) <= 1e-13
+
+    @pytest.mark.parametrize("spec", [
+        RandersMetric.axis_drift_torus(2.0, 0.99),
+        ConformalMetric(RandersMetric.axis_drift_torus(
+            2.0, 0.99, profile="0.5 + 0.5*sin(2*pi*y)"), "0.3*sin(2*pi*x)"),
+    ], ids=["axis-torus", "conformal-y-profile"])
+    def test_near_degenerate_drift(self, spec):
+        # at eta = 0.99 the ball's far end sharpens the rule's integrand;
+        # the oracle's rule still resolves it, and the closed form stays SPD
+        grid = TorusGrid(12, 16)
+        x, y = grid.mesh()
+        bl = binet_legendre(spec, x, y)
+        rule = binet_legendre_rule(spec, x, y, ORACLE)
+        assert float(node_gap(bl, rule).max()) <= 1e-13
+        assert np.all(np.linalg.det(bl) > 0.0)
 
     def test_randers_bilipschitz_bounds(self, rng):
         # F and sqrt(g_BL) are (2c)^3-bi-Lipschitz for measured quasireversibility c
@@ -304,7 +387,7 @@ class TestBinetLegendre:
         lo, hi = (2 * c) ** -3, (2 * c) ** 3
         xs = rng.random(100)
         ys = rng.random(100)
-        bl = binet_legendre(spec, xs[:, None], ys[:, None], NODES)[:, 0]
+        bl = binet_legendre(spec, xs[:, None], ys[:, None])[:, 0]
         vs = rng.normal(size=(100, 2))
         fv = spec.value(xs, ys, vs)
         bl_norm = np.sqrt(np.einsum("kij,ki,kj->k", bl, vs, vs))
@@ -318,7 +401,7 @@ class TestBinetLegendre:
             spec = random_metric(rng)
             x, y = random_point(rng)
             sig = symbol_matrix(spec, x, y, NODES)
-            bl = binet_legendre(spec, x, y, NODES)
+            bl = binet_legendre(spec, x, y)
             bl_dual = np.linalg.inv(bl)
             for p in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                       np.array([1.0, 1.0])):
@@ -414,7 +497,9 @@ class TestSymbolField:
 
             return over_nodes(counted, columns, fiber_size)
 
+        # the pointwise oracles of the tests run the package's loop too
         monkeypatch.setattr(fspec.fiber, "_over_nodes", counting)
+        monkeypatch.setattr(oracles, "_over_nodes", counting)
         for name, lines in (("constant", 1), ("x-only", 40), ("y-only", 24),
                             ("2-d", 960)):
             spec = VARYING_METRICS[name]
@@ -424,30 +509,33 @@ class TestSymbolField:
                                spec, [sin_x_cos_y_gradient], grid, nodes),
                            lambda: volume_density(spec, x, y, nodes),
                            lambda: symbol_matrix(spec, x, y, nodes),
-                           lambda: binet_legendre(spec, x, y, nodes)):
+                           lambda: binet_legendre_rule(spec, x, y, nodes)):
                 rows.append(0)
                 oracle()
             assert rows == [lines] * 5, name
 
     @pytest.mark.parametrize("name", [*VARYING_METRICS, "one-line"])
     def test_oracles_equal_pointwise_evaluation(self, name):
-        # the field at a node is the oracle at that node alone, bit for bit;
-        # "one-line" differs from the rest on the interior line x = 0.25
-        # only, so a reduction that compares some lines and not all fails
+        # the field at a node is the oracle at that node alone, bit for bit,
+        # and so is the closed-form Binet-Legendre metric; "one-line" differs
+        # from the rest on the interior line x = 0.25 only, so a reduction
+        # that compares some lines and not all fails
         spec = VARYING_METRICS.get(name, ONE_LINE_METRIC)
         grid = TorusGrid(40, 24)
         nodes = 512
         x, y = grid.mesh()
         field = SymbolField.compute(spec, grid, nodes)
         full = (volume_density(spec, x, y, nodes), symbol_matrix(spec, x, y, nodes),
-                binet_legendre(spec, x, y, nodes), field.sigma_star, field.mu)
+                binet_legendre_rule(spec, x, y, nodes), field.sigma_star,
+                field.mu, binet_legendre(spec, x, y))
         for i, j in ((0, 0), (10, 0), (10, 17), (11, 17), (39, 23), (23, 9)):
             xi, yj = x[i, 0], y[0, j]
             sig, mu = fspec.fiber._fiber_symbol(fspec.fiber._fold(spec, xi, yj),
                                                 nodes)
             point = (volume_density(spec, xi, yj, nodes),
                      symbol_matrix(spec, xi, yj, nodes),
-                     binet_legendre(spec, xi, yj, nodes), sig, mu)
+                     binet_legendre_rule(spec, xi, yj, nodes), sig, mu,
+                     binet_legendre(spec, xi, yj))
             for whole, value in zip(full, point):
                 assert np.array_equal(whole[i, j], value), (i, j)
 
@@ -490,10 +578,11 @@ class TestSymbolField:
                        lambda: randers_energy_direct(
                            spec, [sin_x_cos_y_gradient], grid, nodes),
                        lambda: volume_density(spec, x, y, nodes),
-                       lambda: binet_legendre(spec, x, y, nodes)):
+                       lambda: binet_legendre_rule(spec, x, y, nodes),
+                       lambda: binet_legendre(spec, x, y)):
             calls.append(0)
             oracle()
-        assert calls == [1, 1, 1, 1, 1]
+        assert calls == [1, 1, 1, 1, 1, 1]
 
     def test_compute_memory_is_blocked(self):
         spec = RandersMetric.axis_drift_torus(2.0, 0.9,
@@ -525,7 +614,7 @@ class TestSymbolField:
         for call in (lambda: randers_energy_direct(spec, [grad], grid, nodes)[0],
                      lambda: volume_density(spec.base, x, y, nodes),
                      lambda: symbol_matrix(spec, x, y, nodes),
-                     lambda: binet_legendre(spec, x, y, nodes)):
+                     lambda: binet_legendre_rule(spec, x, y, nodes)):
             tracemalloc.start()
             try:
                 call()
@@ -560,7 +649,7 @@ class TestSymbolField:
                     volume_density(spec, x, y, nodes),
                     symbol_matrix(spec, x, y, nodes),
                     field.sigma_star, field.mu,
-                    binet_legendre(spec, x, y, nodes),
+                    binet_legendre_rule(spec, x, y, nodes),
                     settled.sigma_star, settled.mu, settled.fiber_nodes)
 
         blocked = evaluate()
@@ -615,37 +704,7 @@ class TestSymbolField:
         np.testing.assert_allclose(settled.mu, direct.mu, rtol=1e-14)
         # cross terms are roundoff here, so sigma* is measured against its
         # largest entry at each node
-        sig_err = (np.abs(settled.sigma_star - direct.sigma_star).max(axis=(-2, -1))
-                   / np.abs(direct.sigma_star).max(axis=(-2, -1)))
-        assert float(sig_err.max()) <= 1e-14
-
-
-ORACLE = 4096
-
-
-@st.composite
-def admissible_metrics(draw):
-    """Constant SPD g with g12 != 0, optionally a y-varying drift with both
-    components and |rho|_{g*} <= 0.99, wrapped in zero to two conformal factors."""
-    angle = draw(st.floats(0.1, 1.4))
-    low = draw(st.floats(0.3, 3.0))
-    eigs = np.array([low, low * draw(st.floats(1.5, 8.0))])
-    rot = np.array([[np.cos(angle), -np.sin(angle)],
-                    [np.sin(angle), np.cos(angle)]])
-    g = rot @ np.diag(eigs) @ rot.T
-    spec = RiemannianMetric(g[0, 0], g[0, 1], g[1, 1])
-    if draw(st.booleans()):
-        eta = draw(st.floats(0.0, 0.99))
-        phi = draw(st.floats(0.0, 2.0 * np.pi))
-        # rho = eta p(y) g^(1/2) u with 0.5 <= p <= 1 has |rho|_{g*} <= eta
-        root_g = rot @ np.diag(np.sqrt(eigs)) @ rot.T
-        rx, ry = map(float, eta * root_g @ [np.cos(phi), np.sin(phi)])
-        profile = "(0.75 + 0.25*sin(2*pi*y))"
-        spec = RandersMetric(spec, f"{rx!r}*{profile}", f"{ry!r}*{profile}")
-    for _ in range(draw(st.integers(0, 2))):
-        a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
-        spec = ConformalMetric(spec, f"{a!r}*sin(2*pi*x) + {b!r}*cos(2*pi*y)")
-    return spec
+        assert float(node_gap(settled.sigma_star, direct.sigma_star).max()) <= 1e-14
 
 
 class TestClosedFormSymbol:
@@ -657,11 +716,7 @@ class TestClosedFormSymbol:
         x, y = grid.mesh()
         mu = volume_density(spec, x, y, ORACLE)
         sig = symbol_matrix(spec, x, y, ORACLE)
-        # cross terms are roundoff in one route and exactly 0 in the other, so
-        # sigma* is measured against its largest entry at each node
-        sig_err = (np.abs(field.sigma_star - sig).max(axis=(-2, -1))
-                   / np.abs(sig).max(axis=(-2, -1)))
-        assert float(sig_err.max()) <= 1e-12
+        assert float(node_gap(field.sigma_star, sig).max()) <= 1e-12
         np.testing.assert_allclose(field.mu, mu, rtol=1e-12)
         np.testing.assert_allclose(
             field.a, field.mu * np.sqrt(np.linalg.det(field.sigma_star)),
@@ -677,9 +732,7 @@ class TestClosedFormSymbol:
         except QuadratureError:
             return  # the cap is the raising path, tested on the axis torus
         field = SymbolField.compute(spec, grid)
-        sig_err = (np.abs(settled.sigma_star - field.sigma_star).max(axis=(-2, -1))
-                   / np.abs(field.sigma_star).max(axis=(-2, -1)))
-        assert float(sig_err.max()) <= 1e-8
+        assert float(node_gap(settled.sigma_star, field.sigma_star).max()) <= 1e-8
         np.testing.assert_allclose(settled.mu, field.mu, rtol=1e-8)
 
     def test_inadmissible_drift_raises(self):
@@ -694,7 +747,9 @@ class TestClosedFormSymbol:
             "auto": lambda spec: SymbolField.compute(spec, grid, "auto"),
             "volume_density": lambda spec: volume_density(spec, x, y, NODES),
             "symbol_matrix": lambda spec: symbol_matrix(spec, x, y, NODES),
-            "binet_legendre": lambda spec: binet_legendre(spec, x, y, NODES),
+            "binet_legendre": lambda spec: binet_legendre(spec, x, y),
+            "binet_legendre rule": lambda spec: binet_legendre_rule(spec, x, y,
+                                                                    NODES),
             "randers_energy_direct": lambda spec: randers_energy_direct(
                 spec, [sin_x_cos_y_gradient], grid, NODES),
         }

@@ -3,9 +3,9 @@ every package module imports only from layers below its own, no package
 module imports scipy when it is imported (a Fourier-route run never does),
 only ``fspec.metrics`` reads a metric family's per-node ``_parts``, only
 ``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, no public
-name serves the tests alone, every verdict but a listed few is seen to fail
-on a perturbed program, and every demo runs to the end without leaving a
-file behind.
+name serves the tests alone, every oracle of ``tests/oracles.py`` serves a
+test, every verdict but a listed few is seen to fail on a perturbed
+program, and every demo runs to the end without leaving a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -244,10 +244,42 @@ def test_no_public_name_serves_tests_alone():
     assert not offenders, "public names only tests read: " + ", ".join(offenders)
 
 
+def unread_functions(module, trees):
+    """Sorted names of the top-level functions of `module` that no other
+    function of it and no tree of `trees` imports or reads."""
+    functions = {node.name: node for node in module.body
+                 if isinstance(node, ast.FunctionDef)}
+    return sorted(name for name in functions
+                  if not any(reads_name(other, name)
+                             for other_name, other in functions.items()
+                             if other_name != name)
+                  and not any(reads_name(tree, name) for tree in trees))
+
+
+def test_oracle_scan_flags_unread_functions():
+    module = ast.parse("def served():\n    return helper()\n"
+                       "def helper():\n    return 1\n"
+                       "def recursive():\n    return recursive()\n"
+                       "def unread():\n    return 2\n")
+    trees = [ast.parse("from oracles import served\nserved()\n"),
+             ast.parse("import oracles\noracles.recursive\n")]
+    assert unread_functions(module, trees) == ["unread"]
+    assert unread_functions(module, trees[:1]) == ["recursive", "unread"]
+
+
+def test_every_oracle_serves_a_test():
+    # an oracle that no test reads is dead test code: each top-level
+    # function of tests/oracles.py is read by a test module or another oracle
+    module = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    offenders = unread_functions(module, [
+        ast.parse(path.read_text())
+        for path in sorted((ROOT / "tests").glob("test_*.py"))])
+    assert not offenders, "oracles no test reads: " + ", ".join(offenders)
+
+
 # verdicts no test yet perturbs the program to fail
 UNTESTED_VERDICTS = {"lambda1-vol-grows-with-stretch",
-                     "lambda1-vol-monotone-in-drift-h*", "second-order-convergence",
-                     "self-convergence-cauchy"}
+                     "lambda1-vol-monotone-in-drift-h*"}
 
 
 def emitted_verdicts(tree):
