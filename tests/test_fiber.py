@@ -68,7 +68,6 @@ def admissible_metrics(draw, eta_max=0.99):
     return spec
 
 
-
 def node_gap(a, b):
     """Largest entry of |a - b| over the largest of |b|, at each node of
     (..., 2, 2) matrix fields: cross terms can be roundoff in one route and
