@@ -29,15 +29,18 @@ The mass operator is M = diag(mu dx dy) and the spectrum solves
 K u = lambda M u.
 
 ``solve`` tries three routes in turn.  Each hands back its eigenvalues and
-a writer that forms pair j's grid vector, from the factors the route
-computed, into a given (nx, ny) buffer; no route stores its vectors at grid
-size.  ``solve`` alone orders the pairs, by permuting indices, and gates
-them, forming one vector at a time into one reused buffer and its residual
-(K u in edge form from the weights).  The vectors array of the Spectrum is
-formed by the same writer when it is first read.  The edge form reads each
-periodic shift of a grid array as a flat shift, in at most two contiguous
-blocks, and rewrites the one column whose rows the shift ran past
-(``_rolled``).
+its vectors as stacks indexed by pair: the Fourier and block routes the
+factors of each vector, left (k+1, nx, r) and right (k+1, r, ny) with pair
+j's grid vector left[j] @ right[j], so that they store no vector at grid
+size; shift-invert ARPACK's vectors as (nx, ny) grid arrays.  ``solve``
+alone orders the pairs, by permuting the stacks, and gates them
+(``_gate``): on the factors, the residual is formed as a sum of factored
+terms whose Frobenius norm one stacked QR gives, with no grid array; on
+shift-invert's grid arrays, in edge form from the weights, one vector at a
+time.  The vectors array of the Spectrum is formed from the stacks when it
+is first read.  The edge form reads each periodic shift of a grid array as
+a flat shift, in at most two contiguous blocks, and rewrites the one column
+whose rows the shift ran past (``_rolled``).
 
 Fourier route (``_fourier_route``): if the weights and mass reduce to a
 single node (a cross term allowed), every grid Fourier mode is an exact
@@ -63,7 +66,8 @@ eigenvalue is the edge-form quotient of its line vector, the grid vector's
 edge-form quotient f'Kf / f'Mf in exact arithmetic, so small eigenvalues
 keep their relative accuracy.  The pairs come back ordered by these quotients, and
 each grid vector is the outer product of its pair's wave across the lines
-and its line vector, written straight into the grid's node order.  On
+and its line vector, kept as those two factors, oriented to the grid's node
+order.  On
 either reduced route, weights that repeat only to roundoff fail the exact
 test and are not reduced.
 
@@ -72,7 +76,7 @@ one-axis fields too: ARPACK about the small negative shift
 -lambda_scale / 2, started from a seeded random vector, then deflated runs
 until none finds a pair below the (k+1)-th value, so no copy of a repeated
 eigenvalue is skipped, and a deflated re-solve of any pair that fails the
-residual gate.  Its writer copies out ARPACK's dense columns.
+residual gate.  It hands back ARPACK's vectors as grid arrays.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -117,10 +121,10 @@ class SolverError(RuntimeError):
 class Spectrum:
     """Sorted eigenvalues with M-orthonormal eigenvectors and residuals.
 
-    The eigenvectors stay in the form their route computed them in:
-    write(j, out) forms pair j's grid vector in out, an (nx, ny) array.
-    ``vectors`` is formed by it when first read, and kept, so its columns
-    are bitwise the ones the residual gate read.
+    The eigenvectors stay in the form their route computed them in, the
+    stacks the residual gate read: write(j, out) forms pair j's grid vector
+    in out, an (nx, ny) array, from them.  ``vectors`` is formed by it when
+    first read, and kept.
     """
 
     values: np.ndarray      # (k+1,) ascending
@@ -263,7 +267,7 @@ def assemble(field):
                            lambda_scale=4.0 * np.pi**2 * float(lam_min.min()))
 
 
-def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
+def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
     """First k+1 pairs of a stencil made of `rings` identical lines.
 
     Each line has mass.size nodes; w_line[j] weights the edge from node j to
@@ -307,11 +311,10 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
     Mode m in (0, rings/2) stands for the pair +-m: each eigenvector u gives
     the grid vectors cos(2 pi m i / rings) u and sin(2 pi m i / rings) u
     scaled by sqrt(2/rings); modes 0 and rings/2 give the cos vector scaled
-    by 1/sqrt(rings).  Returns (values, write), ascending by value:
-    write(j, out) forms pair j's M-orthonormal grid vector in out, in the
-    grid's node order, as the outer product of its wave (rings,) and line
-    vector (width,): out is (rings, width) with lines along the grid's last
-    axis, or (width, rings) with lines along its first if `transposed`.
+    by 1/sqrt(rings).  Returns (values, waves, lines), ascending by value:
+    pair j's M-orthonormal grid vector is the outer product of its wave
+    waves[j] (rings,) and its line vector lines[j] (width,), in the node
+    order of a line.
     """
     import scipy.linalg
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -393,51 +396,65 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift, transposed):
                   key=lambda entry: entry[0])
 
     # one wave and one line vector per pair, the factors of its grid vector
-    line = np.array([lines[m, j] for _, m, j, _ in pool])
+    lines = np.array([lines[m, j] for _, m, j, _ in pool])
     values, m, _, part = map(np.array, zip(*pool))
     phase = 2.0 * np.pi * m[:, None] * np.arange(rings) / rings
     norm = np.where(part == "one", 1.0 / np.sqrt(rings), np.sqrt(2.0 / rings))
     waves = norm[:, None] * np.where((part == "sin")[:, None], np.sin(phase),
                                      np.cos(phase))
-
-    def write(j, out):
-        if transposed:
-            np.multiply(line[j][:, None], waves[j], out=out)
-        else:
-            np.multiply(waves[j][:, None], line[j], out=out)
-
-    return values, write
+    return values, waves, lines
 
 
-def _gate(problem, values, write):
+def _gate(problem, values, vectors):
     """(residuals, failures, floor_ratio) of ascending eigenpairs: their
-    values, and write(j, out), which forms pair j's grid vector in out, an
-    (nx, ny) array.
+    values, and their vectors as stacks indexed by pair, [left, right] with
+    pair j's grid vector left[j] @ right[j] (``_factored_residuals``) or
+    [rows] with rows[j] the (nx, ny) grid vector (``_edge_residuals``).
 
-    The residual of a pair is ||K u - lambda M u|| / ||M u||, formed one
-    vector at a time, each written into one reused buffer, with K u in edge
-    form from the weights: per offset e, the flux w (u_a - u_(a+e)) is
-    added at a and subtracted at a + e, its shift by e copied first
-    (``_shift``) into the M u buffer, whose norm is taken by then, so the
-    gate holds four grid buffers whatever the number of pairs.
+    The residual of a pair is ||K u - lambda M u|| / ||M u||.
     A pair passes if its residual relative to max(|lambda|, lambda_1)
     (max(lambda_0, 1) if there is no lambda_1) is at most _RESTOL, or if its
     residual is at most _FLOOR_FACTOR times its rounding floor
     eps ||abs(K) abs(u)|| / ||M u||, the residual that rounding u to a
     stored vector alone leaves, which grows with the grid.
     The floor, and K with it, is built only for pairs that miss _RESTOL,
-    and only their vectors are formed again for it, as the columns of one
+    and only their vectors are formed for it, as the columns of one
     array; a NaN residual passes neither bound.  failures holds the indices
     of the pairs that fail; floor_ratio is the largest residual-to-floor
     ratio of a pair that passes by the floor alone, 0.0 if none does.
     """
+    if len(vectors) == 2:
+        residuals = _factored_residuals(problem, values, *vectors)
+    else:
+        residuals = _edge_residuals(problem, values, *vectors)
+    ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
+    relative = residuals / np.maximum(np.abs(values), ref)
+    misses = np.flatnonzero(~(relative <= _RESTOL))  # a NaN residual misses
+    if misses.size == 0:
+        return residuals, misses, 0.0
+    u = _columns(_writer(vectors), misses, problem.grid)
+    floor = (np.finfo(float).eps
+             * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
+             / np.linalg.norm(problem.mass.reshape(-1, 1) * u, axis=0))
+    ratio = residuals[misses] / floor
+    admitted = ratio <= _FLOOR_FACTOR
+    return (residuals, misses[~admitted],
+            float(ratio[admitted].max(initial=0.0)))
+
+
+def _edge_residuals(problem, values, rows):
+    """||K u - lambda M u|| / ||M u|| of each pair u = rows[j], an (nx, ny)
+    grid array, with K u in edge form from the weights: per offset e, the
+    flux w (u_a - u_(a+e)) is added at a and subtracted at a + e, its shift
+    by e copied first (``_shift``) into the M u buffer, whose norm is taken
+    by then, so three grid buffers serve every pair."""
     nx, ny = problem.grid.nx, problem.grid.ny
     edges = _edges(problem)
     mass = problem.reduced[1]
-    u, Mu, r, du = (np.empty((nx, ny)) for _ in range(4))
+    Mu, r, du = (np.empty((nx, ny)) for _ in range(3))
     residuals = np.empty(values.size)
     for j, value in enumerate(values):
-        write(j, u)
+        u = rows[j]
         np.multiply(mass, u, out=Mu)
         norm = np.linalg.norm(Mu)
         np.multiply(Mu, -value, out=r)  # K u - lambda M u, K u added edge by edge
@@ -447,19 +464,75 @@ def _gate(problem, values, write):
             r += du
             r -= _shift(du, behind, Mu)  # Mu, its norm taken, holds the inflow
         residuals[j] = np.linalg.norm(r) / norm
-    ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
-    relative = residuals / np.maximum(np.abs(values), ref)
-    misses = np.flatnonzero(~(relative <= _RESTOL))  # a NaN residual misses
-    if misses.size == 0:
-        return residuals, misses, 0.0
-    u = _columns(write, misses, problem.grid)
-    floor = (np.finfo(float).eps
-             * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
-             / np.linalg.norm(problem.mass.reshape(-1, 1) * u, axis=0))
-    ratio = residuals[misses] / floor
-    admitted = ratio <= _FLOOR_FACTOR
-    return (residuals, misses[~admitted],
-            float(ratio[admitted].max(initial=0.0)))
+    return residuals
+
+
+def _factored_residuals(problem, values, left, right):
+    """||K u - lambda M u|| / ||M u|| of each pair u = left[j] @ right[j],
+    with left (p, nx, r) and right (p, r, ny), formed on the factors: no
+    grid array.
+
+    The residual is written as a sum of products a b' of (nx, r) and
+    (ny, r) blocks.  Per offset e = (di, dj) whose weights are not all
+    zero, u - u(. + e) = (L - S L) R + S L (R - S R), with L, R the factors
+    and S the shift by e along each, so that every term is O(h |u|) as in
+    the edge form; each term is weighted on the factor its weights vary
+    along (``_weigh``), and the inflow, the term shifted by e on both
+    factors, is subtracted from it (merged into one block where e leaves a
+    factor unshifted).  M u, weighted the same way, comes first, times
+    -lambda.  The blocks are stacked, a = [a_t] and b = [b_t], so that the
+    residual is a b'; one stacked QR, b = q c, gives ||a b'|| = ||a c'||
+    and ||M u|| from the leading r x r block of c, each with no
+    cancellation beyond the terms' own, where a Gram trace would square it.
+    """
+    weights, mass = problem.reduced
+    nx, ny = problem.grid.nx, problem.grid.ny
+    rank = left.shape[2]
+    # each factor at the rows i, i + 1 and i - 1, as [:, 0], [:, 1], [:, -1]
+    behind_x, behind_y = _neighbours(nx), _neighbours(ny)
+    x = left.take(behind_x, axis=1)
+    y = right.transpose(0, 2, 1).take(behind_y, axis=1)
+    Mu, b = _weigh(mass, x[:, 0], y[:, 0])  # M u = Mu b'
+    lefts, rights = [-values[:, None, None] * Mu], [b]
+    live = weights.any(axis=(1, 2))
+    for (di, dj), weight, on in zip(_OFFSETS, weights, live):
+        if not on:
+            continue
+        terms = []
+        if di:
+            terms.append(_weigh(weight, x[:, 0] - x[:, di], y[:, 0]))
+        if dj:
+            terms.append(_weigh(weight, x[:, di], y[:, 0] - y[:, dj]))
+        for a, b in terms:
+            # the inflow -a(i - di) b(j - dj)'
+            if not dj:
+                lefts.append(a - a.take(behind_x[-di], axis=1))
+                rights.append(b)
+            elif not di:
+                lefts.append(a)
+                rights.append(b - b.take(behind_y[-dj], axis=1))
+            else:
+                lefts += [a, -a.take(behind_x[-di], axis=1)]
+                rights += [b, b.take(behind_y[-dj], axis=1)]
+    c = np.linalg.qr(np.concatenate(rights, axis=2), mode="r")
+    residual = np.concatenate(lefts, axis=2) @ c.transpose(0, 2, 1)
+    Mu = Mu @ c[:, :rank, :rank].transpose(0, 2, 1)
+    return np.sqrt(np.einsum("pij,pij->p", residual, residual)
+                   / np.einsum("pij,pij->p", Mu, Mu))
+
+
+def _weigh(w, a, b):
+    """(a, b) with the reduced node array w, of shape (1, 1), (nx, 1) or
+    (1, ny), put on the factor it varies along: w (a b') = a' b''."""
+    return (w * a, b) if w.shape[1] == 1 else (a, w.T * b)
+
+
+@lru_cache(maxsize=16)
+def _neighbours(n):
+    """(3, n) indices i, i + 1 and i - 1 mod n: row d is the shift by d for
+    d in (0, 1, -1); cached per n, since every gate of a grid reads them."""
+    i = np.arange(n)
+    return np.stack([i, (i + 1) % n, (i - 1) % n])
 
 
 def _sin2(turns, n):
@@ -483,9 +556,9 @@ def _fourier_route(problem, k):
     gives cos(theta . x) alone, scaled by sqrt(1 / (n mass)).  Each phase is
     reduced to an integer m i mod nx (l j mod ny) before it is scaled by
     2 pi, so the vectors stay exact to roundoff on large grids.  Returns
-    (values, write): write(j, out) forms mode j's vector in out, an (nx, ny)
-    array, as the product of its (nx, 2) and (2, ny) factors, the scaled
-    [cos x, -sin x] (or [sin x, cos x]) and [cos y; sin y].
+    (values, left, right): mode j's vector is left[j] @ right[j], the
+    product of its (nx, 2) and (2, ny) factors, the scaled [cos x, -sin x]
+    (or [sin x, cos x]) and [cos y; sin y].
     """
     weights, mass = problem.reduced
     if mass.shape != (1, 1):
@@ -520,11 +593,7 @@ def _fourier_route(problem, k):
     left = np.stack([np.where(cos, cx, sx) * scale,
                      np.where(cos, -sx, cx) * scale], axis=-1)
     right = np.stack([np.cos(y), np.sin(y)], axis=1)
-
-    def write(mode, out):
-        np.matmul(left[mode], right[mode], out=out)
-
-    return values[chosen], write
+    return values[chosen], left, right
 
 
 def _block_route(problem, k, shift):
@@ -537,7 +606,9 @@ def _block_route(problem, k, shift):
     the x axis of the transposed arrays.  A stencil that qualifies along
     both is constant and takes the Fourier route first.  The pairs come
     from ``_block_eigenvectors``: ascending, with eigenvalues read off the
-    line vectors and each vector formed in the grid's node order.
+    line vectors.  Returns (values, left, right), pair j's grid vector
+    left[j] @ right[j] the outer product of its wave and line vector, in the
+    grid's node order: left (k+1, nx, 1), right (k+1, 1, ny).
     """
     (w_x, w_y, *cross), mass = problem.reduced
     if np.any(cross) or min(mass.shape) > 1:
@@ -548,8 +619,11 @@ def _block_route(problem, k, shift):
                            else ((w_x, w_y, mass), nx, ny))
     # a constant stencil (reached with the Fourier route off) keeps one
     # node, which the line arrays spread over the whole line
-    return _block_eigenvectors(*(np.ascontiguousarray(
-        np.broadcast_to(a[0], width)) for a in lines), rings, k, shift, transposed)
+    values, waves, vectors = _block_eigenvectors(*(np.ascontiguousarray(
+        np.broadcast_to(a[0], width)) for a in lines), rings, k, shift)
+    if transposed:
+        return values, vectors[:, :, None], waves[:, None, :]
+    return values, waves[:, :, None], vectors[:, None, :]
 
 
 def _shift_invert(problem, k, shift, seed):
@@ -570,8 +644,8 @@ def _shift_invert(problem, k, shift, seed):
     the others, started from its own vector; pairs that pass cost nothing
     more.
     One LU factor of K - shift M, in a symmetric minimum-degree order,
-    serves every run.  Returns (values, write), write(j, out) copying pair
-    j's ARPACK vector into out, an (nx, ny) array.
+    serves every run.  Returns (values, rows), rows[j] pair j's ARPACK
+    vector as an (nx, ny) grid array.
     """
     import scipy.sparse.linalg as spla
     n = problem.n_nodes
@@ -619,11 +693,17 @@ def _shift_invert(problem, k, shift, seed):
 
     order = np.argsort(values)[:k + 1]
     values, vectors = values[order], vectors[:, order]
-    for j in _gate(problem, values, _column_writer(vectors))[1]:
+    for j in _gate(problem, values, [_rows(vectors, problem.grid)])[1]:
         value, vector = lowest(1, np.delete(vectors, j, axis=1),
                                start=vectors[:, j])
         values[j], vectors[:, j] = value[0], vector[:, 0]
-    return values, _column_writer(vectors)
+    return values, _rows(vectors, problem.grid)
+
+
+def _rows(vectors, grid):
+    """The columns of an (n_nodes, count) array as a (count, nx, ny) stack
+    of grid arrays, a view where the columns are contiguous."""
+    return vectors.T.reshape(-1, grid.nx, grid.ny)
 
 
 def _columns(write, pairs, grid):
@@ -635,12 +715,15 @@ def _columns(write, pairs, grid):
     return columns
 
 
-def _column_writer(vectors):
-    """write(j, out) for pairs given as the columns of an (n_nodes, count)
-    array: copies column j into out, an (nx, ny) array."""
-    def write(j, out):
-        out[...] = vectors[:, j].reshape(out.shape)
-    return write
+def _writer(vectors):
+    """write(j, out), which forms pair j's grid vector in out, an (nx, ny)
+    array, from the stacks ``_gate`` reads: left[j] @ right[j], or a copy
+    of rows[j]."""
+    if len(vectors) == 2:
+        left, right = vectors
+        return lambda j, out: np.matmul(left[j], right[j], out=out)
+    rows, = vectors
+    return lambda j, out: np.copyto(out, rows[j])
 
 
 def solve(problem, k, seed=0):
@@ -649,9 +732,10 @@ def solve(problem, k, seed=0):
 
     The routes are tried in the order the module docstring gives; each
     needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
-    ascending order, as a permutation of the route's pair indices: no vector
-    is formed but by the gate, one at a time, until the Spectrum's vectors
-    are read.  Residuals
+    ascending order, by permuting its stacks, and the Spectrum's writer is
+    built on the permuted stacks: the Fourier and block routes' vectors are
+    not formed, by the gate or otherwise, until the Spectrum's vectors are
+    read.  Residuals
     ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
     eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
@@ -670,14 +754,11 @@ def solve(problem, k, seed=0):
         pairs, route = _block_route(problem, k, shift), "block"
     if pairs is None:
         pairs, route = _shift_invert(problem, k, shift, seed), "shift-invert"
-    values, write = pairs
+    values, *vectors = pairs
     order = np.argsort(values)[:k + 1]
     values = values[order]
-
-    def write_sorted(j, out):
-        write(order[j], out)
-
-    residuals, failures, floor_ratio = _gate(problem, values, write_sorted)
+    vectors = [stack[order] for stack in vectors]
+    residuals, failures, floor_ratio = _gate(problem, values, vectors)
     if failures.size:
         raise SolverError(
             f"eigensolver residuals exceed tolerance: max residual "
@@ -691,7 +772,7 @@ def solve(problem, k, seed=0):
 
     return Spectrum(values=values, residuals=residuals, route=route,
                     floor_ratio=floor_ratio, grid=problem.grid,
-                    write=write_sorted)
+                    write=_writer(vectors))
 
 
 def _edges(problem):
