@@ -121,10 +121,9 @@ class SolverError(RuntimeError):
 class Spectrum:
     """Sorted eigenvalues with M-orthonormal eigenvectors and residuals.
 
-    The eigenvectors stay in the form their route computed them in, the
-    stacks the residual gate read: write(j, out) forms pair j's grid vector
-    in out, an (nx, ny) array, from them.  ``vectors`` is formed by it when
-    first read, and kept.
+    The eigenvectors stay in the form their route computed them in:
+    ``stacks`` are the stacks the residual gate read (``_gate``), indexed
+    by pair.  ``vectors`` is formed from them when first read, and kept.
     """
 
     values: np.ndarray      # (k+1,) ascending
@@ -133,12 +132,12 @@ class Spectrum:
     floor_ratio: float      # largest residual / rounding floor of a pair
                             # the floor admitted (``_gate``), 0.0 if none
     grid: TorusGrid
-    write: object = dataclass_field(repr=False, compare=False)
+    stacks: list = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def vectors(self):
         """(n_nodes, k+1) F-contiguous: each pair's grid vector a column."""
-        return _columns(self.write, range(self.values.size), self.grid)
+        return _columns(self.stacks, np.arange(self.values.size))
 
 
 @dataclass
@@ -432,7 +431,7 @@ def _gate(problem, values, vectors):
     misses = np.flatnonzero(~(relative <= _RESTOL))  # a NaN residual misses
     if misses.size == 0:
         return residuals, misses, 0.0
-    u = _columns(_writer(vectors), misses, problem.grid)
+    u = _columns(vectors, misses)
     floor = (np.finfo(float).eps
              * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
              / np.linalg.norm(problem.mass.reshape(-1, 1) * u, axis=0))
@@ -706,24 +705,16 @@ def _rows(vectors, grid):
     return vectors.T.reshape(-1, grid.nx, grid.ny)
 
 
-def _columns(write, pairs, grid):
-    """The grid vectors of `pairs`, each formed by write(j, out), as the
-    columns of an F-contiguous (n_nodes, len(pairs)) array."""
-    columns = np.empty((grid.node_count, len(pairs)), order="F")
-    for col, j in enumerate(pairs):
-        write(j, columns[:, col].reshape(grid.nx, grid.ny))
-    return columns
-
-
-def _writer(vectors):
-    """write(j, out), which forms pair j's grid vector in out, an (nx, ny)
-    array, from the stacks ``_gate`` reads: left[j] @ right[j], or a copy
-    of rows[j]."""
+def _columns(vectors, pairs):
+    """The grid vectors of `pairs` (an index array), from the stacks
+    ``_gate`` reads, as the columns of an F-contiguous (n_nodes,
+    len(pairs)) array: left[j] @ right[j], or rows[j]."""
     if len(vectors) == 2:
         left, right = vectors
-        return lambda j, out: np.matmul(left[j], right[j], out=out)
-    rows, = vectors
-    return lambda j, out: np.copyto(out, rows[j])
+        formed = left[pairs] @ right[pairs]
+    else:
+        formed = vectors[0][pairs]
+    return formed.reshape(len(pairs), -1).T
 
 
 def solve(problem, k, seed=0):
@@ -732,10 +723,9 @@ def solve(problem, k, seed=0):
 
     The routes are tried in the order the module docstring gives; each
     needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
-    ascending order, by permuting its stacks, and the Spectrum's writer is
-    built on the permuted stacks: the Fourier and block routes' vectors are
-    not formed, by the gate or otherwise, until the Spectrum's vectors are
-    read.  Residuals
+    ascending order, by permuting its stacks, which the Spectrum keeps: the
+    Fourier and block routes' vectors are not formed, by the gate or
+    otherwise, until the Spectrum's vectors are read.  Residuals
     ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
     eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
@@ -772,7 +762,7 @@ def solve(problem, k, seed=0):
 
     return Spectrum(values=values, residuals=residuals, route=route,
                     floor_ratio=floor_ratio, grid=problem.grid,
-                    write=_writer(vectors))
+                    stacks=vectors)
 
 
 def _edges(problem):

@@ -875,38 +875,34 @@ class TestBlockRoute:
         # a varying-field draw whose cos/sin pairs used to come back one ulp
         # out of order: the pairs now come back ascending, so solve keeps the
         # block's order.  The gate reads the factors and forms no vector;
-        # each grid vector is written once, in the grid's node order (the
+        # each grid vector is formed once, in the grid's node order (the
         # x-only field's too), when the vectors are first read, which keeps
         # them.  Each value is the grid vector's edge-form quotient
         spec = RandersMetric.axis_drift_torus(
             2.0, 0.9, profile=f"0.5 + 0.35*sin(2*pi*{axis})")
         problem = assemble(SymbolField.compute(spec, TorusGrid.square(128)))
-        blocks, writer = fspec.solver._block_eigenvectors, fspec.solver._writer
-        returned, written = [], []
+        blocks, columns = (fspec.solver._block_eigenvectors,
+                           fspec.solver._columns)
+        returned, formed = [], []
 
         def kept(*args):
             values, *factors = blocks(*args)
             returned.append(values)
             return (values, *factors)
 
-        def counted_writer(vectors):
-            write = writer(vectors)
-
-            def counted(j, out):
-                written.append(j)
-                write(j, out)
-
-            return counted
+        def counted(vectors, pairs):
+            formed.extend(pairs)
+            return columns(vectors, pairs)
 
         monkeypatch.setattr(fspec.solver, "_block_eigenvectors", kept)
-        monkeypatch.setattr(fspec.solver, "_writer", counted_writer)
+        monkeypatch.setattr(fspec.solver, "_columns", counted)
         spectrum = solve(problem, 10)
         assert spectrum.route == "block"
         assert np.all(np.diff(returned[0]) >= 0)
-        assert written == []
+        assert formed == []
         vectors = spectrum.vectors
         assert spectrum.vectors is vectors and vectors.flags.f_contiguous
-        assert written == list(range(11))
+        assert formed == list(range(11))
         quotients = [rayleigh(problem, v) for v in spectrum.vectors.T[1:]]
         np.testing.assert_allclose(spectrum.values[1:], quotients, rtol=1e-13,
                                    atol=0)
