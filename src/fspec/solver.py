@@ -471,59 +471,68 @@ def _factored_residuals(problem, values, left, right):
     with left (p, nx, r) and right (p, r, ny), formed on the factors: no
     grid array.
 
-    The residual is written as a sum of products a b' of (nx, r) and
-    (ny, r) blocks.  Per offset e = (di, dj) whose weights are not all
-    zero, u - u(. + e) = (L - S L) R + S L (R - S R), with L, R the factors
-    and S the shift by e along each, so that every term is O(h |u|) as in
-    the edge form; each term is weighted on the factor its weights vary
-    along (``_weigh``), and the inflow, the term shifted by e on both
-    factors, is subtracted from it (merged into one block where e leaves a
-    factor unshifted).  M u, weighted the same way, comes first, times
-    -lambda.  The blocks are stacked, a = [a_t] and b = [b_t], so that the
-    residual is a b'; one stacked QR, b = q c, gives ||a b'|| = ||a c'||
-    and ||M u|| from the leading r x r block of c, each with no
-    cancellation beyond the terms' own, where a Gram trace would square it.
+    The reduced weights and mass vary along one axis at most; the factors
+    are read so that it is the first (transposed, with each offset (di, dj)
+    read as (dj, di), if the arrays vary along y), and the weights are put
+    on the left factor L.  Per offset e = (di, dj) whose weights are not all
+    zero, u - u(. + e) = (L - S L) R + S L (R - S R), with R the right
+    factor and S the shift by e along each, so that every term is O(h |u|)
+    as in the edge form; each term's inflow, the term shifted by e on both
+    factors, is subtracted.  Every term's right block is then R, a shift of
+    it or a difference R - S R (summed over S = S_1, S_-1 for an offset
+    along y alone), so the terms are summed into one left block a_b per
+    right block b, M u times -lambda first: the residual is a b', with
+    a = [a_b] and b = [b] stacked, at most six blocks and two without a
+    cross term.  One stacked QR, b = q c, gives ||a b'|| = ||a c'|| and
+    ||M u|| from the leading r x r block of c, each with no cancellation
+    beyond the terms' own, where a Gram trace would square it.
     """
     weights, mass = problem.reduced
-    nx, ny = problem.grid.nx, problem.grid.ny
+    offsets = _OFFSETS
+    if mass.shape[1] > 1:
+        left, right = right.transpose(0, 2, 1), left.transpose(0, 2, 1)
+        weights, mass = weights.transpose(0, 2, 1), mass.T
+        offsets = [(dj, di) for di, dj in offsets]
     rank = left.shape[2]
     # each factor at the rows i, i + 1 and i - 1, as [:, 0], [:, 1], [:, -1]
-    behind_x, behind_y = _neighbours(nx), _neighbours(ny)
-    x = left.take(behind_x, axis=1)
-    y = right.transpose(0, 2, 1).take(behind_y, axis=1)
-    Mu, b = _weigh(mass, x[:, 0], y[:, 0])  # M u = Mu b'
-    lefts, rights = [-values[:, None, None] * Mu], [b]
-    live = weights.any(axis=(1, 2))
-    for (di, dj), weight, on in zip(_OFFSETS, weights, live):
-        if not on:
+    behind = _neighbours(left.shape[1])
+    x = left.take(behind, axis=1)
+    y = right.transpose(0, 2, 1).take(_neighbours(right.shape[2]), axis=1)
+    Mu = mass * x[:, 0]  # M u = Mu y0'
+    # the left block of each right block: ("y", s) for y_s, the right
+    # factor shifted by s, ("d", s) for y0 - y_s, and ("d", 0) for
+    # (y0 - y_1) + (y0 - y_-1)
+    blocks = {("y", 0): -values[:, None, None] * Mu}
+
+    def add(key, a):
+        blocks[key] = blocks[key] + a if key in blocks else a
+
+    for (di, dj), weight, live in zip(offsets, weights,
+                                      weights.any(axis=(1, 2))):
+        if not live:
             continue
-        terms = []
-        if di:
-            terms.append(_weigh(weight, x[:, 0] - x[:, di], y[:, 0]))
-        if dj:
-            terms.append(_weigh(weight, x[:, di], y[:, 0] - y[:, dj]))
-        for a, b in terms:
-            # the inflow -a(i - di) b(j - dj)'
-            if not dj:
-                lefts.append(a - a.take(behind_x[-di], axis=1))
-                rights.append(b)
-            elif not di:
-                lefts.append(a)
-                rights.append(b - b.take(behind_y[-dj], axis=1))
+        if di:  # w (x0 - x_di) y0', less its inflow a(i - di) y_-dj'
+            a = weight * (x[:, 0] - x[:, di])
+            inflow = a.take(behind[-di], axis=1)
+            if dj:
+                add(("y", 0), a)
+                add(("y", -dj), -inflow)
             else:
-                lefts += [a, -a.take(behind_x[-di], axis=1)]
-                rights += [b, b.take(behind_y[-dj], axis=1)]
-    c = np.linalg.qr(np.concatenate(rights, axis=2), mode="r")
-    residual = np.concatenate(lefts, axis=2) @ c.transpose(0, 2, 1)
+                add(("y", 0), a - inflow)
+        if dj:  # w x_di (y0 - y_dj)', less its inflow -a(i - di) (y0 - y_-dj)'
+            a = weight * x[:, di]
+            if di:
+                add(("d", dj), a)
+                add(("d", -dj), a.take(behind[-di], axis=1))
+            else:
+                add(("d", 0), a)
+    b = [y[:, s] if kind == "y" else y[:, 0] - y[:, s] if s
+         else (y[:, 0] - y[:, 1]) + (y[:, 0] - y[:, -1]) for kind, s in blocks]
+    c = np.linalg.qr(np.concatenate(b, axis=2), mode="r")
+    residual = np.concatenate(list(blocks.values()), axis=2) @ c.transpose(0, 2, 1)
     Mu = Mu @ c[:, :rank, :rank].transpose(0, 2, 1)
     return np.sqrt(np.einsum("pij,pij->p", residual, residual)
                    / np.einsum("pij,pij->p", Mu, Mu))
-
-
-def _weigh(w, a, b):
-    """(a, b) with the reduced node array w, of shape (1, 1), (nx, 1) or
-    (1, ny), put on the factor it varies along: w (a b') = a' b''."""
-    return (w * a, b) if w.shape[1] == 1 else (a, w.T * b)
 
 
 @lru_cache(maxsize=16)
