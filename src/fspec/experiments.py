@@ -995,7 +995,7 @@ def run_experiment(cfg, out_dir=None, plots=False):
     row gets the config hash, directly after its row_type.  out_dir, if
     given, is made first, so a path that cannot be a directory is refused
     before any solve."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = {key: _read(key, value, float) if key in _DEFAULT_TOLERANCES else value
@@ -1006,7 +1006,7 @@ def run_experiment(cfg, out_dir=None, plots=False):
     report = Report(kind=cfg.kind, config_hash=cfg.config_hash,
                     echo=_flatten(cfg.params), rows=rows,
                     verdicts=verdicts_from_rows(cfg.kind, rows),
-                    timings={"total_seconds": time.time() - t_start},
+                    timings={"total_seconds": time.perf_counter() - t_start},
                     solver_info=solver_info)
     if out_dir is not None:
         report.write(out_dir, plots=plots)

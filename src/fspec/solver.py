@@ -17,10 +17,11 @@ The routes qualify by that shape.  K is the sum over offsets of
 D' diag(w) D, with D the forward difference along the offset, so it is
 symmetric with the constants exactly in its kernel, and f' K f reproduces
 the energy quadrature to second order; it is built, and scipy imported,
-only where a route needs it (shift-invert, and the rounding floor of a pair
-that misses the residual bound).  This module is the one reader of the
-weights' layout: the routes, the gate, K and the Gershgorin condition
-estimate of K all read the weights here, each at the shape it needs.
+only where a route needs it (shift-invert, whose pairs the gate checks on
+it, and the rounding floor of a pair that misses the residual bound).
+This module is the one reader of the weights' layout: the routes, the
+gate, K and the Gershgorin condition estimate of K all read the weights
+here, each at the shape it needs.
 Assembly and the condition estimate read periodic neighbours with
 ``_roll``, which leaves out an axis of length 1 (every roll along it returns
 its input, and nothing writes to a rolled array), so a constant stencil is
@@ -32,15 +33,13 @@ K u = lambda M u.
 its vectors as stacks indexed by pair: the Fourier and block routes the
 factors of each vector, left (k+1, nx, r) and right (k+1, r, ny) with pair
 j's grid vector left[j] @ right[j], so that they store no vector at grid
-size; shift-invert ARPACK's vectors as (nx, ny) grid arrays.  ``solve``
-alone orders the pairs, by permuting the stacks, and gates them
-(``_gate``): on the factors, the residual is formed as a sum of factored
-terms whose Frobenius norm one stacked QR gives, with no grid array; on
-shift-invert's grid arrays, in edge form from the weights, one vector at a
-time.  The vectors array of the Spectrum is formed from the stacks when it
-is first read.  The edge form reads each periodic shift of a grid array as
-a flat shift, in at most two contiguous blocks, and rewrites the one column
-whose rows the shift ran past (``_rolled``).
+size; shift-invert ARPACK's vectors as the rows of a (k+1, n_nodes)
+array.  ``solve`` alone orders the pairs, by permuting the stacks, and
+gates them (``_gate``): on the factors, the residual is formed as a sum of
+factored terms whose Frobenius norm one stacked QR gives, with no grid
+array and no K; on shift-invert's rows, with the CSR matrix K that the
+route built for its LU factor, one vector at a time.  The vectors array of
+the Spectrum is formed from the stacks when it is first read.
 
 Fourier route (``_fourier_route``): if the weights and mass reduce to a
 single node (a cross term allowed), every grid Fourier mode is an exact
@@ -76,7 +75,7 @@ one-axis fields too: ARPACK about the small negative shift
 -lambda_scale / 2, started from a seeded random vector, then deflated runs
 until none finds a pair below the (k+1)-th value, so no copy of a repeated
 eigenvalue is skipped, and a deflated re-solve of any pair that fails the
-residual gate.  It hands back ARPACK's vectors as grid arrays.
+residual gate.  It hands back ARPACK's vectors as the rows of one array.
 
 Constant-coefficient problems diagonalize in Fourier modes: the exact
 continuous spectrum 4 pi^2 (m, l) sigma* (m, l)' is the limit of the grid
@@ -123,7 +122,9 @@ class Spectrum:
 
     The eigenvectors stay in the form their route computed them in:
     ``stacks`` are the stacks the residual gate read (``_gate``), indexed
-    by pair.  ``vectors`` is formed from them when first read, and kept.
+    by pair: the [left, right] factors of the Fourier and block routes, or
+    shift-invert's [rows].  ``vectors`` is formed from them when first
+    read, and kept.
     """
 
     values: np.ndarray      # (k+1,) ascending
@@ -407,17 +408,19 @@ def _block_eigenvectors(w_ring, w_line, mass, rings, k, shift):
 def _gate(problem, values, vectors):
     """(residuals, failures, floor_ratio) of ascending eigenpairs: their
     values, and their vectors as stacks indexed by pair, [left, right] with
-    pair j's grid vector left[j] @ right[j] (``_factored_residuals``) or
-    [rows] with rows[j] the (nx, ny) grid vector (``_edge_residuals``).
+    pair j's grid vector left[j] @ right[j] (``_factored_residuals``, which
+    builds no K) or [rows] with rows[j] the flat grid vector, shift-invert's
+    shape, where K exists.
 
-    The residual of a pair is ||K u - lambda M u|| / ||M u||.
+    The residual of a pair is ||K u - lambda M u|| / ||M u||, formed on
+    rows one pair at a time with the CSR matrix K.
     A pair passes if its residual relative to max(|lambda|, lambda_1)
     (max(lambda_0, 1) if there is no lambda_1) is at most _RESTOL, or if its
     residual is at most _FLOOR_FACTOR times its rounding floor
     eps ||abs(K) abs(u)|| / ||M u||, the residual that rounding u to a
     stored vector alone leaves, which grows with the grid.
-    The floor, and K with it, is built only for pairs that miss _RESTOL,
-    and only their vectors are formed for it, as the columns of one
+    The floor, and on factors K with it, is built only for pairs that miss
+    _RESTOL, and only their vectors are formed for it, as the columns of one
     array; a NaN residual passes neither bound.  failures holds the indices
     of the pairs that fail; floor_ratio is the largest residual-to-floor
     ratio of a pair that passes by the floor alone, 0.0 if none does.
@@ -425,7 +428,12 @@ def _gate(problem, values, vectors):
     if len(vectors) == 2:
         residuals = _factored_residuals(problem, values, *vectors)
     else:
-        residuals = _edge_residuals(problem, values, *vectors)
+        mass = problem.mass.ravel()
+        residuals = np.empty(values.size)
+        for j, (value, u) in enumerate(zip(values, *vectors)):
+            Mu = mass * u
+            residuals[j] = (np.linalg.norm(problem.K @ u - value * Mu)
+                            / np.linalg.norm(Mu))
     ref = float(values[1]) if values.size > 1 else max(float(values[0]), 1.0)
     relative = residuals / np.maximum(np.abs(values), ref)
     misses = np.flatnonzero(~(relative <= _RESTOL))  # a NaN residual misses
@@ -441,31 +449,6 @@ def _gate(problem, values, vectors):
             float(ratio[admitted].max(initial=0.0)))
 
 
-def _edge_residuals(problem, values, rows):
-    """||K u - lambda M u|| / ||M u|| of each pair u = rows[j], an (nx, ny)
-    grid array, with K u in edge form from the weights: per offset e, the
-    flux w (u_a - u_(a+e)) is added at a and subtracted at a + e, its shift
-    by e copied first (``_shift``) into the M u buffer, whose norm is taken
-    by then, so three grid buffers serve every pair."""
-    nx, ny = problem.grid.nx, problem.grid.ny
-    edges = _edges(problem)
-    mass = problem.reduced[1]
-    Mu, r, du = (np.empty((nx, ny)) for _ in range(3))
-    residuals = np.empty(values.size)
-    for j, value in enumerate(values):
-        u = rows[j]
-        np.multiply(mass, u, out=Mu)
-        norm = np.linalg.norm(Mu)
-        np.multiply(Mu, -value, out=r)  # K u - lambda M u, K u added edge by edge
-        for weight, ahead, behind in edges:
-            _difference(u, ahead, du)
-            du *= weight  # the flux w_ab (u_a - u_b), out of a and into b
-            r += du
-            r -= _shift(du, behind, Mu)  # Mu, its norm taken, holds the inflow
-        residuals[j] = np.linalg.norm(r) / norm
-    return residuals
-
-
 def _factored_residuals(problem, values, left, right):
     """||K u - lambda M u|| / ||M u|| of each pair u = left[j] @ right[j],
     with left (p, nx, r) and right (p, r, ny), formed on the factors: no
@@ -476,11 +459,11 @@ def _factored_residuals(problem, values, left, right):
     read as (dj, di), if the arrays vary along y), and the weights are put
     on the left factor L.  Per offset e = (di, dj) whose weights are not all
     zero, u - u(. + e) = (L - S L) R + S L (R - S R), with R the right
-    factor and S the shift by e along each, so that every term is O(h |u|)
-    as in the edge form; each term's inflow, the term shifted by e on both
-    factors, is subtracted.  Every term's right block is then R, a shift of
-    it or a difference R - S R (summed over S = S_1, S_-1 for an offset
-    along y alone), so the terms are summed into one left block a_b per
+    factor and S the shift by e along each, so that every term is O(h |u|);
+    each term's inflow, the term shifted by e on both factors, is
+    subtracted.  Every term's right block is then R, a shift of it or a
+    difference R - S R (summed over S = S_1, S_-1 for an offset along y
+    alone), so the terms are summed into one left block a_b per
     right block b, M u times -lambda first: the residual is a b', with
     a = [a_b] and b = [b] stacked, at most six blocks and two without a
     cross term.  One stacked QR, b = q c, gives ||a b'|| = ||a c'|| and
@@ -653,7 +636,7 @@ def _shift_invert(problem, k, shift, seed):
     more.
     One LU factor of K - shift M, in a symmetric minimum-degree order,
     serves every run.  Returns (values, rows), rows[j] pair j's ARPACK
-    vector as an (nx, ny) grid array.
+    vector, the (k+1, n_nodes) transpose of ARPACK's columns.
     """
     import scipy.sparse.linalg as spla
     n = problem.n_nodes
@@ -701,23 +684,17 @@ def _shift_invert(problem, k, shift, seed):
 
     order = np.argsort(values)[:k + 1]
     values, vectors = values[order], vectors[:, order]
-    for j in _gate(problem, values, [_rows(vectors, problem.grid)])[1]:
+    for j in _gate(problem, values, [vectors.T])[1]:
         value, vector = lowest(1, np.delete(vectors, j, axis=1),
                                start=vectors[:, j])
         values[j], vectors[:, j] = value[0], vector[:, 0]
-    return values, _rows(vectors, problem.grid)
-
-
-def _rows(vectors, grid):
-    """The columns of an (n_nodes, count) array as a (count, nx, ny) stack
-    of grid arrays, a view where the columns are contiguous."""
-    return vectors.T.reshape(-1, grid.nx, grid.ny)
+    return values, vectors.T
 
 
 def _columns(vectors, pairs):
     """The grid vectors of `pairs` (an index array), from the stacks
     ``_gate`` reads, as the columns of an F-contiguous (n_nodes,
-    len(pairs)) array: left[j] @ right[j], or rows[j]."""
+    len(pairs)) array: left[j] @ right[j], or rows[j] as it stands."""
     if len(vectors) == 2:
         left, right = vectors
         formed = left[pairs] @ right[pairs]
@@ -734,7 +711,8 @@ def solve(problem, k, seed=0):
     needs k + 2 < n.  The route's pairs are taken, the k+1 lowest in
     ascending order, by permuting its stacks, which the Spectrum keeps: the
     Fourier and block routes' vectors are not formed, by the gate or
-    otherwise, until the Spectrum's vectors are read.  Residuals
+    otherwise, until the Spectrum's vectors are read, and shift-invert's
+    rows are gated with the K its LU factor was built from.  Residuals
     ||K u - lambda M u|| / ||M u|| pass within _RESTOL relative to each
     eigenvalue's own scale, or within _FLOOR_FACTOR times the pair's
     rounding floor (``_gate``), which exceeds _RESTOL on grids of 1024^2
@@ -772,69 +750,6 @@ def solve(problem, k, seed=0):
     return Spectrum(values=values, residuals=residuals, route=route,
                     floor_ratio=floor_ratio, grid=problem.grid,
                     stacks=vectors)
-
-
-def _edges(problem):
-    """(weight, ahead, behind) per offset e whose weights are not all zero:
-    the edge form that ``_gate`` reads.  ahead and behind
-    are the ``_rolled`` shifts of a grid array by -e and by e, for u(a + e)
-    and for f(a - e).
-    """
-    shape = (problem.grid.nx, problem.grid.ny)
-    return [(weight, _rolled((-di, -dj), shape), _rolled((di, dj), shape))
-            for (di, dj), weight in zip(_OFFSETS, problem.reduced[0])
-            if np.any(weight)]
-
-
-@lru_cache(maxsize=64)
-def _rolled(offset, shape):
-    """(s, wrap) for y = np.roll(x, offset, axis=(0, 1)) on C-ordered grid
-    arrays of `shape`, |dj| < ny; offset and shape are tuples, and the
-    tables are cached by them, since every gate of a grid reads the same.
-
-    y is x shifted by s = (di ny + dj) mod (nx ny) as a flat array, read in
-    at most two contiguous blocks, except on the |dj| columns whose rows the
-    flat shift ran past (column 0 for dj = 1, column ny - 1 for dj = -1).
-    wrap holds the (target, source) slice pairs, at most two, that rewrite
-    those columns, y[target] = x[source]; it is empty if dj = 0.
-    """
-    (di, dj), (nx, ny) = offset, shape
-    s = (di * ny + dj) % (nx * ny)
-    if dj == 0:
-        return s, ()
-    di %= nx
-    target, source = ((slice(0, dj), slice(ny - dj, ny)) if dj > 0
-                      else (slice(ny + dj, ny), slice(0, -dj)))
-    rows = [(slice(di, nx), slice(0, nx - di))] + (
-        [(slice(0, di), slice(nx - di, nx))] if di else [])
-    return s, tuple(((t, target), (f, source)) for t, f in rows)
-
-
-def _shift(x, rolled, out):
-    """out = np.roll(x, offset, axis=(0, 1)) for rolled = _rolled(offset):
-    two contiguous block copies of the flat arrays, then the wrap columns."""
-    s, wrap = rolled
-    n = x.size
-    flat_x, flat_out = x.reshape(n), out.reshape(n)
-    flat_out[s:] = flat_x[:n - s]
-    flat_out[:s] = flat_x[n - s:]
-    for target, source in wrap:
-        out[target] = x[source]
-    return out
-
-
-def _difference(u, rolled, out):
-    """out = u - np.roll(u, offset, axis=(0, 1)) for rolled = _rolled(offset),
-    as ``_shift`` reads the rolled array: two contiguous blocks, then the
-    wrap columns."""
-    s, wrap = rolled
-    n = u.size
-    flat_u, flat_out = u.reshape(n), out.reshape(n)
-    np.subtract(flat_u[s:], flat_u[:n - s], out=flat_out[s:])
-    np.subtract(flat_u[:s], flat_u[n - s:], out=flat_out[:s])
-    for target, source in wrap:
-        np.subtract(u[target], u[source], out=out[target])
-    return out
 
 
 def fourier_oracle(sigma, k):

@@ -224,7 +224,7 @@ def rayleigh(problem, f):
 
     f'Kf is taken in edge form, the sum over offsets e of
     w_e (f - np.roll(f, -e))^2, from the stencil's weights alone: it shares
-    no kernel with the solver's gate, so it checks the gate's flat shifts
+    no kernel with the solver's K or its gate, so it checks both
     independently.  The edge form avoids the cancellation of K f on smooth
     functions, whose rounding is of order eps lambda_max and would swamp the
     smallest eigenvalues.

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import re
+import time
 import types
 import warnings
 from pathlib import Path
@@ -625,6 +627,14 @@ class TestRunners:
         assert data["passed"] is True
         assert data["verdicts"][0]["criterion"] == "discretization-order"
         assert "total_seconds" in data["timings"]
+
+    def test_total_seconds_survive_a_wall_clock_step(self, monkeypatch):
+        # the wall clock can be set back while a run is under way; the run
+        # is timed on a monotonic clock, so its time stays nonnegative
+        wall = itertools.count(1e9, -60.0)  # a minute back at every read
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        report = run_experiment(ExperimentConfig.from_text(TORUS_CFG))
+        assert report.timings["total_seconds"] >= 0.0
 
 
 class TestCli:

@@ -3,9 +3,10 @@ every package module imports only from layers below its own, no package
 module imports scipy when it is imported (a Fourier-route run never does),
 only ``fspec.metrics`` reads a metric family's per-node ``_parts``, only
 ``fspec.solver`` reads the stencil's edge offsets ``_OFFSETS``, no public
-name serves the tests alone, every oracle of ``tests/oracles.py`` serves a
-test, every verdict but a listed few is seen to fail on a perturbed
-program, and every demo runs to the end without leaving a file behind.
+name serves the tests alone, every private helper of the package serves
+the package, every oracle of ``tests/oracles.py`` serves a test, every
+verdict is seen to fail on a perturbed program, and every demo runs to the
+end without leaving a file behind.
 
 No linter ships with the project, so these AST scans are its lint step.  A
 name counts as read if it appears as a loaded ``Name`` anywhere in the file or
@@ -242,6 +243,40 @@ def test_no_public_name_serves_tests_alone():
     offenders = unserved_names(exported, [ast.parse(path.read_text())
                                           for path in PROGRAM])
     assert not offenders, "public names only tests read: " + ", ".join(offenders)
+
+
+def unread_helpers(modules):
+    """Sorted names of the top-level private (``_name``) functions and
+    classes of the trees `modules` that no top-level statement of them
+    imports or reads, other than the helper's own definition."""
+    statements = [node for tree in modules for node in tree.body]
+    return sorted(node.name for node in statements
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and not any(reads_name(other, node.name)
+                              for other in statements if other is not node))
+
+
+def test_helper_scan_flags_unread_helpers():
+    modules = [ast.parse("def _served():\n    return _helper()\n"
+                         "def _helper():\n    return 1\n"
+                         "def _recursive():\n    return _recursive()\n"
+                         "class _Unread:\n    pass\n"
+                         "def public():\n    return 2\n"),
+               ast.parse("from .a import _served\nTABLE = {'a': _served}\n")]
+    assert unread_helpers(modules) == ["_Unread", "_recursive"]
+    assert unread_helpers(modules[:1]) == ["_Unread", "_recursive", "_served"]
+
+
+def test_every_private_helper_serves_the_package():
+    # a helper that only tests or nothing reads is dead package code: each
+    # top-level _name function or class of src/fspec is read by package
+    # code outside its own definition
+    modules = [ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))]
+    offenders = unread_helpers(modules)
+    assert not offenders, "private helpers the package never reads: " + \
+        ", ".join(offenders)
 
 
 def unread_functions(module, trees):

@@ -305,53 +305,35 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", SHAPED_METRICS)
     def test_gate_reads_the_weights(self, name):
-        # only shift-invert builds K; the residuals the gate forms from the
-        # weights match ||K u - lambda M u|| / ||M u|| from CSR within one
-        # rounding floor eps ||abs(K) abs(u)|| / ||M u|| (0.42 at most on
-        # these and on 64^2 and 256 x 8 grids).  The vectors array is formed
-        # after the gate, from the stacks it read.  On shift-invert the edge
-        # form gives back the residuals bitwise from its columns; the
-        # Fourier and block routes' residuals, formed on the factors in
-        # another order of operations, agree with the edge form on the
-        # formed vectors within one rounding floor
+        # only shift-invert builds K, and its residuals are the CSR formula
+        # ||K u - lambda M u|| / ||M u||, one column at a time, bitwise.
+        # The Fourier and block routes' residuals, formed on the factors
+        # from the weights, match it within one rounding floor
+        # eps ||abs(K) abs(u)|| / ||M u||.  The vectors array is formed
+        # after the gate, from the stacks it read
         problem = assemble(SymbolField.compute(SHAPED_METRICS[name][0],
                                                TorusGrid(24, 40)))
         spectrum = solve(problem, 8)
         assert spectrum.route == ROUTE_OF_SHAPED[name]
         assert ("K" in problem.__dict__) == (spectrum.route == "shift-invert")
         u = spectrum.vectors
-        edge = fspec.solver._gate(problem, spectrum.values,
-                                  [fspec.solver._rows(u, problem.grid)])[0]
         Mu = problem.mass.reshape(-1, 1) * u
-        csr = (np.linalg.norm(problem.K @ u - spectrum.values * Mu, axis=0)
-               / np.linalg.norm(Mu, axis=0))
+        csr = np.array([np.linalg.norm(problem.K @ u[:, j] - value * Mu[:, j])
+                        / np.linalg.norm(Mu[:, j])
+                        for j, value in enumerate(spectrum.values)])
         floor = (np.finfo(float).eps
                  * np.linalg.norm(abs(problem.K) @ np.abs(u), axis=0)
                  / np.linalg.norm(Mu, axis=0))
         if spectrum.route == "shift-invert":
-            assert np.array_equal(spectrum.residuals, edge)
+            assert np.array_equal(spectrum.residuals, csr)
         else:
-            assert np.all(np.abs(spectrum.residuals - edge) <= floor)
-        assert np.all(np.abs(spectrum.residuals - csr) <= floor)
-
-    @pytest.mark.parametrize("shape", [(8, 13), (13, 8), (9, 8)])
-    def test_flat_shifts_equal_roll(self, rng, shape):
-        # the gate reads every periodic shift as a flat shift in two blocks
-        # plus the wrap column; both kernels equal np.roll exactly
-        x = rng.standard_normal(shape)
-        out = np.empty(shape)
-        for offset in fspec.solver._OFFSETS:
-            for step in (offset, tuple(np.negative(offset))):
-                rolled = fspec.solver._rolled(step, shape)
-                want = np.roll(x, step, axis=(0, 1))
-                assert np.array_equal(fspec.solver._shift(x, rolled, out), want)
-                assert np.array_equal(
-                    fspec.solver._difference(x, rolled, out), x - want)
+            assert np.all(np.abs(spectrum.residuals - csr) <= floor)
 
     def test_gate_matches_csr_on_random_vectors(self, rng):
-        # random vectors, not eigenpairs: an eigenvector smooth across the
-        # wrap column hides a wrong shift there.  A sheared 2-D field on a
-        # non-square grid keeps all four offsets live
+        # random vectors, not eigenpairs, as shift-invert's flat (p, n)
+        # rows: a gate that read a row in another node order, or the stack
+        # as columns, misses CSR.  A sheared 2-D field on a non-square grid
+        # keeps all four offsets live
         problem = assemble(SymbolField.compute(SHAPED_METRICS["sheared 2-d"][0],
                                                TorusGrid(24, 40)))
         assert all(np.any(w) for w in problem.reduced[0])
@@ -360,8 +342,7 @@ class TestSolve:
         Mu = problem.mass.reshape(-1, 1) * u
         csr = (np.linalg.norm(problem.K @ u - values * Mu, axis=0)
                / np.linalg.norm(Mu, axis=0))
-        residuals = fspec.solver._gate(problem, values,
-                                       [fspec.solver._rows(u, problem.grid)])[0]
+        residuals = fspec.solver._gate(problem, values, [u.T])[0]
         np.testing.assert_allclose(residuals, csr, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -462,20 +443,22 @@ class TestSolve:
                                 lambda_scale=problem.lambda_scale)
 
     @pytest.mark.parametrize("shape, name", [
-        ("constant", "_fourier_route"), ("y-only", "_block_route")],
-        ids=["fourier", "block"])
+        ("constant", "_fourier_route"), ("y-only", "_block_route"),
+        ("2-d", "_shift_invert")], ids=["fourier", "block", "shift-invert"])
     def test_nan_pair_fails_the_gate(self, monkeypatch, shape, name):
         # NaN compares false both ways: the gate flags a residual unless it
-        # is within bounds, so a NaN residual fails it
+        # is within bounds, so a NaN residual fails it.  The NaN goes into
+        # one entry of pair 1's first stack, left[1, 3, 0] or rows[1, 3],
+        # after shift-invert's own gate and re-solve
         problem = assemble(SymbolField.compute(SHAPED_METRICS[shape][0],
                                                TorusGrid(24, 40)))
         route = getattr(fspec.solver, name)
 
         def nan_entry(*args):
-            values, left, right = route(*args)
-            left = left.copy()
-            left[1, 3, 0] = np.nan
-            return values, left, right
+            values, first, *rest = route(*args)
+            first = first.copy()
+            first[(1, 3) + (0,) * (first.ndim - 2)] = np.nan
+            return values, first, *rest
 
         monkeypatch.setattr(fspec.solver, name, nan_entry)
         with pytest.raises(SolverError, match="residuals exceed"):
@@ -704,24 +687,31 @@ class TestFourierRoute:
         np.testing.assert_allclose(gram, np.eye(3), rtol=0, atol=1e-12)
         assert float(spectrum.residuals.max()) <= 1e-12 * want[1]
 
-    def test_one_entry_off_fails_the_gate(self, monkeypatch):
+    def test_one_entry_off_fails_the_gate(self):
         # a factor off by 1e-6 of its largest entry at one entry, which puts
         # that error on one row of its vector, sits far outside both
-        # _RESTOL and the rounding floor
+        # _RESTOL and the rounding floor; so does shift-invert's vector off
+        # so at one entry, put there after the route's own gate and re-solve
         problem = assemble(SymbolField.compute(
             RandersMetric.axis_drift_torus(2.0, 0.6), TorusGrid.square(32)))
-        assert solve(problem, 6).route == "fourier"
-        route = fspec.solver._fourier_route
+        for route in ("fourier", "shift-invert"):
+            with pytest.MonkeyPatch.context() as patch:
+                switch_off(patch, *ALL_ROUTES[:ALL_ROUTES.index(route)])
+                assert solve(problem, 6).route == route
+                name = ("_shift_invert" if route == "shift-invert"
+                        else f"_{route}_route")
+                original = getattr(fspec.solver, name)
 
-        def perturbed(*args):
-            values, left, right = route(*args)
-            left = left.copy()
-            left[1, 3, 0] += 1e-6 * np.abs(left[1]).max()
-            return values, left, right
+                def perturbed(*args):
+                    values, first, *rest = original(*args)
+                    first = first.copy()
+                    entry = (1, 3) + (0,) * (first.ndim - 2)
+                    first[entry] += 1e-6 * np.abs(first[1]).max()
+                    return values, first, *rest
 
-        monkeypatch.setattr(fspec.solver, "_fourier_route", perturbed)
-        with pytest.raises(SolverError, match="rounding floor"):
-            solve(problem, 6)
+                patch.setattr(fspec.solver, name, perturbed)
+                with pytest.raises(SolverError, match="rounding floor"):
+                    solve(problem, 6)
 
     def test_one_ulp_of_mass_leaves_the_route(self):
         # the field is given as full arrays that repeat exactly: the field
